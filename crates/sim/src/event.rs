@@ -1,29 +1,45 @@
 //! The discrete-event queue.
 //!
-//! Events are totally ordered by `(time, sequence)`: the sequence number is
-//! assigned at insertion, so same-instant events run in insertion order and
-//! every run with the same seed replays bit-identically.
+//! `pop` returns events in *canonical dispatch order*, the total order
+//! `(time, generation, rank, seq)`:
+//!
+//! * `rank` is [`Event::order_major`], so same-instant events pop by
+//!   `(class, node, port/flow)` — a pure function of the events, which is
+//!   what lets the sharded engine reproduce the sequential schedule;
+//! * `generation` separates zero-delay cascades: an event pushed *for* the
+//!   instant being dispatched pops after every event already due then,
+//!   whatever its rank (generation `g + 1` while dispatching generation
+//!   `g`; every push into the future is generation 0);
+//! * `seq` is assigned at insertion and breaks the remaining ties (same
+//!   coordinate, same instant), so every run with the same seed replays
+//!   bit-identically.
+//!
+//! This is exactly the order of collecting each instant's pending events
+//! into a batch and stable-sorting it by rank, without the batch.
 //!
 //! ## Layout
 //!
-//! The heap itself holds only compact `(Time, seq, EventId)` keys — 24
-//! bytes each — so sift-up/sift-down never moves an [`Event`] payload
-//! (which inlines a full [`Packet`] for `Arrive`). Payloads live in a
-//! slab indexed by [`EventId`]; slots freed by `pop` are recycled by the
-//! next `push`, so a steady-state run reaches a fixed pool size and stops
-//! allocating entirely.
+//! The heap itself holds only compact 32-byte keys, so sift-up/sift-down
+//! never moves an [`Event`] payload (which inlines a full [`Packet`] for
+//! `Arrive`). Payloads live in a slab indexed by [`EventId`]; slots freed
+//! by `pop` are recycled by the next `push`, so a steady-state run
+//! reaches a fixed pool size and stops allocating entirely.
 //!
 //! ## FIFO lanes
 //!
 //! Event classes scheduled at a *constant* delay from a monotone clock —
 //! packet arrivals (`now + prop_delay`) and control applications
-//! (`now + prop_delay + t_r`) — are pushed with non-decreasing due times,
-//! so each class is already sorted by construction. [`EventQueue::push_fifo`]
-//! appends them to a per-class `VecDeque` lane instead of the heap, and
-//! `pop` takes the `(time, seq)`-minimum of the heap root and the lane
-//! fronts. Arrivals are roughly half of a saturated run's queue traffic;
-//! the lanes replace their `O(log n)` sifts with `O(1)` appends while
-//! preserving the exact total order.
+//! (`now + prop_delay + t_r`) — are pushed with non-decreasing due times.
+//! [`EventQueue::push_fifo`] appends them to a per-class `VecDeque` lane
+//! instead of the heap, and `pop` takes the minimum of the heap root and
+//! the lane fronts. A lane stays in canonical order by construction: a
+//! key that would sort before the lane's tail — one dispatch instant
+//! fans out to arbitrary receivers, so ranks within an instant arrive in
+//! any order — goes to the heap instead. Arrivals are roughly half of a
+//! saturated run's queue traffic, and most of them arrive in order
+//! (measured: all but 0.03% on the ring, 2.5% on the k=8 fat-tree under
+//! enterprise load, 12% under a synchronized permutation), so the lanes
+//! replace most of their `O(log n)` sifts with appends.
 
 use crate::fc::CtrlPayload;
 use crate::packet::Packet;
@@ -156,48 +172,73 @@ impl Event {
 
     /// Canonical same-instant dispatch rank (see the sharded-engine docs
     /// in `shard.rs`): when several events share a due time, *both*
-    /// engines stable-sort the batch by this key before dispatching, so
-    /// the dispatch order is a pure function of the events themselves —
-    /// not of which queue (or domain) each one waited in. The key packs
-    /// `[class | node | port/prio/flow]`; events that tie on it are
-    /// dispatched in insertion order, which the single-causal-source
-    /// argument (one upstream peer per `(node, port)`, one destination
-    /// per flow) makes engine-independent. The monitor ranks first so a
-    /// deadlock verdict halts before any same-instant work, exactly like
-    /// the coordinator's barrier.
+    /// engines' queues pop them in this key's order (see
+    /// [`EventQueue`]), so the dispatch order is a pure function of the
+    /// events themselves — not of which queue (or domain) each one waited
+    /// in. The key packs `[class | node | port/prio/flow]`; events that
+    /// tie on it are dispatched in insertion order, which the
+    /// single-causal-source argument (one upstream peer per
+    /// `(node, port)`, one destination per flow) makes engine-independent.
+    /// The monitor ranks first so a deadlock verdict halts before any
+    /// same-instant work, exactly like the coordinator's barrier.
     pub fn order_major(&self) -> u64 {
-        #[inline]
-        fn key(class: u64, node: NodeId, sub: u64) -> u64 {
-            debug_assert!(node.0 < (1 << 20), "node id exceeds the dispatch-rank field");
-            debug_assert!(sub < (1 << 40), "sub-key exceeds the dispatch-rank field");
-            (class << 60) | (u64::from(node.0) << 40) | sub
-        }
-        const FLOW_MASK: u64 = (1 << 40) - 1;
-        match *self {
-            Event::MonitorTick => 0,
-            Event::TimelineSample => 1,
-            Event::Arrive { node, port, .. } => key(2, node, port as u64),
-            Event::CtrlApply { node, port, prio, .. } => {
-                key(3, node, ((port as u64) << 8) | u64::from(prio))
-            }
-            Event::TxKick { node, port } => key(4, node, port as u64),
-            Event::TxComplete { node, port } => key(5, node, port as u64),
-            Event::PeriodicFeedback { node, port } => key(6, node, port as u64),
-            Event::HostTick { host } => key(7, host, 0),
-            Event::DcqcnTimer { host, flow } => key(8, host, flow & FLOW_MASK),
-            Event::Cnp { host, flow } => key(9, host, flow & FLOW_MASK),
-            Event::SourceDone { host, flow } => key(10, host, flow & FLOW_MASK),
-        }
+        rank_of(self).0
     }
 }
 
-/// Always-on scheduler counters: how pushes split between the inline
-/// slot encoding and the payload pool, and how often the pool had to
-/// grow instead of recycling a freed slot. Three unconditional `u64`
-/// increments per push — cheap enough to never gate.
+/// [`Event::order_major`], and whether the rank alone encodes the event
+/// (see [`event_of_rank`]): true for the payload-free variants — half of
+/// a congested run's queue traffic — which then skip the payload pool.
+/// The rank's 20-bit node field holds every node id: `Network::new`
+/// rejects topologies of 2^20 nodes or more.
+#[inline(always)]
+fn rank_of(ev: &Event) -> (u64, bool) {
+    #[inline]
+    fn key(class: u64, node: NodeId, sub: u64) -> u64 {
+        debug_assert!(node.0 < (1 << 20), "node id exceeds the dispatch-rank field");
+        debug_assert!(sub < (1 << 40), "sub-key exceeds the dispatch-rank field");
+        (class << 60) | (u64::from(node.0) << 40) | sub
+    }
+    const FLOW_MASK: u64 = (1 << 40) - 1;
+    match *ev {
+        Event::MonitorTick => (0, true),
+        Event::TimelineSample => (1, true),
+        Event::Arrive { node, port, .. } => (key(2, node, port as u64), false),
+        Event::CtrlApply { node, port, prio, .. } => {
+            (key(3, node, ((port as u64) << 8) | u64::from(prio)), false)
+        }
+        Event::TxKick { node, port } => (key(4, node, port as u64), true),
+        Event::TxComplete { node, port } => (key(5, node, port as u64), true),
+        Event::PeriodicFeedback { node, port } => (key(6, node, port as u64), true),
+        Event::HostTick { host } => (key(7, host, 0), true),
+        Event::DcqcnTimer { host, flow } => (key(8, host, flow & FLOW_MASK), false),
+        Event::Cnp { host, flow } => (key(9, host, flow & FLOW_MASK), false),
+        Event::SourceDone { host, flow } => (key(10, host, flow & FLOW_MASK), false),
+    }
+}
+
+/// Invert [`rank_of`] for an event it reported as rank-encoded.
+fn event_of_rank(rank: u64) -> Event {
+    let node = NodeId(((rank >> 40) & 0xF_FFFF) as u32);
+    let port = (rank & ((1 << 40) - 1)) as usize;
+    match rank >> 60 {
+        0 if rank == 0 => Event::MonitorTick,
+        0 => Event::TimelineSample,
+        4 => Event::TxKick { node, port },
+        5 => Event::TxComplete { node, port },
+        6 => Event::PeriodicFeedback { node, port },
+        7 => Event::HostTick { host: node },
+        class => unreachable!("class {class} carries a payload"),
+    }
+}
+
+/// Always-on scheduler counters: how pushes split between events their
+/// rank encodes and events with a pooled payload, and how often the pool
+/// had to grow instead of recycling a freed slot. Cheap enough to never
+/// gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes carried in the slot word (no pool round-trip).
+    /// Pushes whose rank encodes the whole event (no pool round-trip).
     pub pushes_inline: u64,
     /// Pushes that took a payload-pool slot (recycled or fresh).
     pub pushes_pooled: u64,
@@ -209,68 +250,94 @@ pub struct QueueStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EventId(u32);
 
-/// A heap key: total order by `(time, seq)`; the slot word tags the
-/// payload and never decides a comparison (seqs are unique). With the
-/// [`INLINE`] bit set the slot *is* the payload (see [`encode_inline`]);
-/// otherwise it is an [`EventId`] into the pool.
-type Key = (Time, u64, u32);
-
-/// Slot-word flag: the event is encoded in the slot itself, no pooled
-/// payload. Payload-free events — `TxComplete`, `TxKick`,
-/// `PeriodicFeedback`, `HostTick`, and the tick singletons — are half of
-/// a congested run's queue traffic; carrying them in the key skips the
-/// pool round-trip entirely (the pop-side read of a random pool slot is
-/// a near-guaranteed cache miss).
-const INLINE: u32 = 1 << 31;
-
-/// Pack a payload-free event into a slot word: 3 tag bits, 18 node bits,
-/// 10 port bits. Events that don't fit (a payload-carrying variant, or a
-/// gargantuan topology) take the pool path — correctness never depends
-/// on inlining.
-fn encode_inline(ev: &Event) -> Option<u32> {
-    let (tag, node, port) = match *ev {
-        Event::TxComplete { node, port } => (0, node.0, port),
-        Event::TxKick { node, port } => (1, node.0, port),
-        Event::PeriodicFeedback { node, port } => (2, node.0, port),
-        Event::HostTick { host } => (3, host.0, 0),
-        Event::MonitorTick => (4, 0, 0),
-        Event::TimelineSample => (5, 0, 0),
-        _ => return None,
-    };
-    (node < (1 << 18) && port < (1 << 10))
-        .then_some(INLINE | (tag << 28) | (node << 10) | port as u32)
+/// A queue key in canonical dispatch order `(t, gen, rank, seq)` (see the
+/// module docs), the last three packed into the 128-bit word
+/// [`Key::order`], stored as two 8-byte halves so the key stays 32 bytes
+/// (a `u128` field aligns it to 48, and made the ring and enterprise
+/// perfbench workloads 15–20% slower in paired runs); the slot word
+/// locates the payload and never decides a comparison (seqs are unique):
+/// [`INLINE`] when the rank is the whole event, otherwise an [`EventId`]
+/// into the pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key {
+    t: Time,
+    /// `gen << 48 | rank >> 16`.
+    hi: u64,
+    /// `rank << 48 | seq`.
+    lo: u64,
+    slot: u32,
 }
 
-/// Invert [`encode_inline`].
-fn decode_inline(code: u32) -> Event {
-    let tag = (code >> 28) & 0x7;
-    let node = NodeId((code >> 10) & 0x3_FFFF);
-    let port = (code & 0x3FF) as usize;
-    match tag {
-        0 => Event::TxComplete { node, port },
-        1 => Event::TxKick { node, port },
-        2 => Event::PeriodicFeedback { node, port },
-        3 => Event::HostTick { host: node },
-        4 => Event::MonitorTick,
-        _ => Event::TimelineSample,
+/// Bits of [`Key::order`] holding the insertion sequence number.
+const SEQ_BITS: u32 = 48;
+/// Bits of [`Key::order`] holding the generation.
+const GEN_BITS: u32 = 128 - 64 - SEQ_BITS;
+
+impl Key {
+    /// `gen << 112 | rank << 48 | seq`.
+    #[inline]
+    fn order(&self) -> u128 {
+        u128::from(self.hi) << 64 | u128::from(self.lo)
+    }
+
+    fn gen(&self) -> u32 {
+        (self.order() >> (64 + SEQ_BITS)) as u32
+    }
+
+    fn rank(&self) -> u64 {
+        (self.order() >> SEQ_BITS) as u64
     }
 }
 
-/// Min-heap of `(time, seq)`-ordered keys over a slab of event payloads.
+impl Ord for Key {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.t, self.order()).cmp(&(other.t, other.order()))
+    }
+}
+
+impl PartialOrd for Key {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+
+    /// The queue's only comparison, without branches: a share of the pops
+    /// that share an instant with the previous one (measured 37% on the
+    /// ring, 29% on the k=8 enterprise fat-tree, 90% on the synchronized
+    /// k=8 permutation) makes a branch on the time unpredictable. The
+    /// derived lexicographic compare made those fat-tree workloads 11%
+    /// and 31% slower in paired perfbench runs.
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        (self.t < other.t) | ((self.t == other.t) & (self.order() < other.order()))
+    }
+}
+
+/// Slot word of a key whose rank encodes the whole event (see
+/// [`rank_of`]): no pooled payload, and no pool round-trip — the pop-side
+/// read of a random pool slot is a near-guaranteed cache miss.
+const INLINE: u32 = u32::MAX;
+
+/// Min-heap of canonically ordered keys (see the module docs) over a slab
+/// of event payloads.
 ///
 /// The heap is 4-ary: half the depth of a binary heap, and the four
-/// children of a node sit in at most two cache lines, so the pop-side
-/// sift touches roughly half the memory of `std::collections::BinaryHeap`
-/// — measurably faster at the queue depths the fat-tree sweeps reach.
+/// children of a node sit in two cache lines, so the pop-side sift
+/// touches roughly half the memory of `std::collections::BinaryHeap` —
+/// measurably faster at the queue depths the fat-tree sweeps reach.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: Vec<Key>,
-    /// Constant-delay FIFO lanes (see the module docs); sorted by
-    /// construction, merged with the heap at pop time.
+    /// Constant-delay FIFO lanes (see the module docs), merged with the
+    /// heap at pop time; each holds its keys in canonical order.
     lanes: [VecDeque<Key>; Self::NUM_LANES],
     pool: Vec<Option<Event>>,
     free: Vec<EventId>,
     seq: u64,
+    /// Time and generation of the last popped key: the instant being
+    /// dispatched, which zero-delay pushes join one generation later.
+    cur: (Time, u32),
     stats: QueueStats,
 }
 
@@ -289,61 +356,80 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Intern `ev`: inline-encode it into the slot word, or park it in
-    /// the pool.
+    /// Park `ev`'s payload in the pool, recycling a freed slot if any.
     fn alloc_slot(&mut self, ev: Event) -> u32 {
-        match encode_inline(&ev) {
-            Some(code) => {
-                self.stats.pushes_inline += 1;
-                code
+        self.stats.pushes_pooled += 1;
+        match self.free.pop() {
+            Some(id) => {
+                debug_assert!(self.pool[id.0 as usize].is_none(), "free slot still occupied");
+                self.pool[id.0 as usize] = Some(ev);
+                id.0
             }
             None => {
-                self.stats.pushes_pooled += 1;
-                match self.free.pop() {
-                    Some(id) => {
-                        debug_assert!(
-                            self.pool[id.0 as usize].is_none(),
-                            "free slot still occupied"
-                        );
-                        self.pool[id.0 as usize] = Some(ev);
-                        id.0
-                    }
-                    None => {
-                        let id = u32::try_from(self.pool.len()).expect("event pool overflow");
-                        assert!(id < INLINE, "event pool overflow");
-                        self.stats.pool_grown += 1;
-                        self.pool.push(Some(ev));
-                        id
-                    }
-                }
+                let id = u32::try_from(self.pool.len()).expect("event pool overflow");
+                assert!(id < INLINE, "event pool overflow");
+                self.stats.pool_grown += 1;
+                self.pool.push(Some(ev));
+                id
             }
         }
     }
 
-    /// Schedule `ev` at time `t`.
-    pub fn push(&mut self, t: Time, ev: Event) {
+    /// Key `ev` due at `t` into canonical order and intern its payload.
+    #[inline(always)]
+    fn key(&mut self, t: Time, ev: Event) -> Key {
+        debug_assert!(t >= self.cur.0, "event scheduled in the past");
         self.seq += 1;
-        let slot = self.alloc_slot(ev);
-        self.heap.push((t, self.seq, slot));
+        let gen = if t == self.cur.0 { self.cur.1 + 1 } else { 0 };
+        // Both fields are checked in debug builds only, off the per-push
+        // path: 2^48 pushes is months of host time, and 2^16 zero-delay
+        // generations at one instant is a livelock.
+        debug_assert!(self.seq < 1 << SEQ_BITS, "event sequence overflow");
+        debug_assert!(gen < 1 << GEN_BITS, "zero-delay cascade too deep");
+        let (rank, inline) = rank_of(&ev);
+        let slot = if inline {
+            self.stats.pushes_inline += 1;
+            INLINE
+        } else {
+            self.alloc_slot(ev)
+        };
+        let order = u128::from(gen) << (64 + SEQ_BITS)
+            | u128::from(rank) << SEQ_BITS
+            | u128::from(self.seq);
+        Key { t, hi: (order >> 64) as u64, lo: order as u64, slot }
+    }
+
+    /// Schedule `ev` at time `t`. Node ids must be below 2^20, the
+    /// width of the rank's node field (checked in debug builds).
+    // Always inlined, like `push_fifo`: each call site knows its event's
+    // variant, so the rank folds to a constant instead of a jump table.
+    #[inline(always)]
+    pub fn push(&mut self, t: Time, ev: Event) {
+        let key = self.key(t, ev);
+        self.heap.push(key);
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Schedule `ev` at time `t` on FIFO `lane`. The caller guarantees
-    /// `lane`'s due times never decrease (a constant delay from the
-    /// monotone simulation clock); ordering relative to every other event
-    /// is identical to [`EventQueue::push`].
+    /// Schedule `ev` at time `t` on FIFO `lane`, a hint that `lane`'s
+    /// due times never decrease (a constant delay from the monotone
+    /// simulation clock). The order of every pop is identical to
+    /// [`EventQueue::push`]: a key that would sort before the lane's tail
+    /// goes to the heap instead.
+    #[inline(always)]
     pub fn push_fifo(&mut self, lane: usize, t: Time, ev: Event) {
-        self.seq += 1;
-        debug_assert!(
-            self.lanes[lane].back().is_none_or(|&(bt, _, _)| bt <= t),
-            "lane {lane} pushed out of time order"
-        );
-        let slot = self.alloc_slot(ev);
-        self.lanes[lane].push_back((t, self.seq, slot));
+        let key = self.key(t, ev);
+        let keys = &mut self.lanes[lane];
+        if keys.back().is_some_and(|b| key < *b) {
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
+        } else {
+            keys.push_back(key);
+        }
     }
 
     /// The source holding the earliest key: a lane index, or
     /// `NUM_LANES` for the heap.
+    #[inline]
     fn min_source(&self) -> Option<(usize, Key)> {
         let mut best = self.heap.first().map(|&k| (Self::NUM_LANES, k));
         for (i, lane) in self.lanes.iter().enumerate() {
@@ -359,10 +445,10 @@ impl EventQueue {
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         let (src, key) = self.min_source()?;
-        self.pop_from(src, key)
+        Some(self.pop_from(src, key))
     }
 
-    fn pop_from(&mut self, src: usize, (t, _, slot): Key) -> Option<(Time, Event)> {
+    fn pop_from(&mut self, src: usize, key: Key) -> (Time, Event) {
         if src < Self::NUM_LANES {
             self.lanes[src].pop_front();
         } else {
@@ -372,19 +458,19 @@ impl EventQueue {
                 self.sift_down(0);
             }
         }
-        let ev = if slot & INLINE != 0 { decode_inline(slot) } else { self.take(EventId(slot)) };
-        Some((t, ev))
+        self.cur = (key.t, key.gen());
+        let ev = match key.slot {
+            INLINE => event_of_rank(key.rank()),
+            slot => self.take(EventId(slot)),
+        };
+        (key.t, ev)
     }
 
     /// Remove and return the earliest event if it is due at or before
-    /// `horizon` — the event loop's single-call replacement for the
-    /// peek-then-pop pattern.
+    /// `horizon` — the event loop's single call per dispatch.
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, Event)> {
         let (src, key) = self.min_source()?;
-        if key.0 > horizon {
-            return None;
-        }
-        self.pop_from(src, key)
+        (key.t <= horizon).then(|| self.pop_from(src, key))
     }
 
     /// Restore the heap property upward from `i` (new last element).
@@ -431,7 +517,7 @@ impl EventQueue {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.min_source().map(|(_, (t, _, _))| t)
+        self.min_source().map(|(_, k)| k.t)
     }
 
     /// Number of pending events.
@@ -463,7 +549,7 @@ impl EventQueue {
 
     /// Pending keys per FIFO lane, in lane order.
     pub fn lane_lens(&self) -> [usize; Self::NUM_LANES] {
-        [self.lanes[0].len(), self.lanes[1].len(), self.lanes[2].len()]
+        self.lanes.each_ref().map(VecDeque::len)
     }
 
     /// The always-on push counters (see [`QueueStats`]).
@@ -475,6 +561,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gfc_core::units::Dur;
 
     #[test]
     fn pops_in_time_order() {
@@ -489,17 +576,192 @@ mod tests {
     }
 
     #[test]
-    fn same_time_is_fifo() {
+    fn same_instant_pops_in_rank_order() {
         let mut q = EventQueue::new();
-        q.push(Time(5), Event::TxKick { node: NodeId(1), port: 0 });
+        q.push(Time(5), Event::TxComplete { node: NodeId(1), port: 0 });
         q.push(Time(5), Event::TxKick { node: NodeId(2), port: 0 });
-        match q.pop().unwrap().1 {
-            Event::TxKick { node, .. } => assert_eq!(node, NodeId(1)),
-            _ => unreachable!(),
+        q.push(Time(5), Event::TxKick { node: NodeId(1), port: 3 });
+        q.push(Time(5), Event::MonitorTick);
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, ev)| ev)).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::MonitorTick,
+                Event::TxKick { node: NodeId(1), port: 3 },
+                Event::TxKick { node: NodeId(2), port: 0 },
+                Event::TxComplete { node: NodeId(1), port: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn rank_ties_pop_in_insertion_order() {
+        let mut q = EventQueue::new();
+        for stage in [3, 1, 2] {
+            q.push(Time(5), ctrl(7, stage));
         }
-        match q.pop().unwrap().1 {
-            Event::TxKick { node, .. } => assert_eq!(node, NodeId(2)),
-            _ => unreachable!(),
+        let stages: Vec<u16> = std::iter::from_fn(|| q.pop())
+            .map(|(_, ev)| match ev {
+                Event::CtrlApply { payload: CtrlPayload::GfcStage(s), .. } => s,
+                other => unreachable!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(stages, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn zero_delay_pushes_pop_after_the_current_instant() {
+        // Pushes *for* the instant being dispatched form the next
+        // generation: they pop after every event already due then, even
+        // the ones they outrank.
+        let mut q = EventQueue::new();
+        q.push(Time(5), Event::TxKick { node: NodeId(4), port: 0 });
+        q.push(Time(5), Event::TxKick { node: NodeId(6), port: 0 });
+        assert_eq!(q.pop().unwrap().1, Event::TxKick { node: NodeId(4), port: 0 });
+        q.push(Time(5), Event::MonitorTick);
+        q.push(Time(5), Event::TxKick { node: NodeId(1), port: 0 });
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(5), arrive(0));
+        q.push(Time(6), Event::MonitorTick);
+        let order: Vec<(Time, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (Time(5), Event::TxKick { node: NodeId(6), port: 0 }),
+                (Time(5), Event::MonitorTick),
+                (Time(5), arrive(0)),
+                (Time(5), Event::TxKick { node: NodeId(1), port: 0 }),
+                (Time(6), Event::MonitorTick),
+            ]
+        );
+    }
+
+    #[test]
+    fn lane_pushes_behind_the_tail_go_to_the_heap() {
+        // A lane key that would sort before the lane's tail — lower rank
+        // at the same instant, or an earlier instant — goes to the heap,
+        // so the lane stays in canonical order and pops still merge in it.
+        let mut q = EventQueue::new();
+        for node in [5, 2, 9] {
+            q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive(node));
+        }
+        for node in [3, 1] {
+            q.push_fifo(EventQueue::LANE_ARRIVE, Time(20), arrive(node));
+        }
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(7), arrive(4));
+        q.push(Time(20), Event::TimelineSample);
+        assert_eq!(q.lane_lens(), [3, 0, 0], "nodes 5, 9, 3 stay in the lane");
+        assert_eq!(q.heap_len(), 4, "nodes 2, 1, 4 and the sample go to the heap");
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, ev)| match ev {
+                Event::Arrive { node, .. } => (t.0, node.0),
+                Event::TimelineSample => (t.0, u32::MAX),
+                other => unreachable!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![(7, 4), (10, 2), (10, 5), (10, 9), (20, u32::MAX), (20, 1), (20, 3)]
+        );
+    }
+
+    #[test]
+    fn matches_the_batch_sort_reference() {
+        // The contract: popping one event at a time dispatches exactly
+        // what collecting each instant's pending events and stable-sorting
+        // them by rank would. Each dispatch pushes a seeded mix of heap
+        // events (zero delays included, so cascades form generations) and
+        // lane events at constant delays, over few enough coordinates
+        // that ranks tie.
+        for seed in 1..=40u64 {
+            let mut q = EventQueue::new();
+            let mut reference = BatchSortReference::default();
+            let mut rng = seed;
+            for i in 0..20 {
+                let t = Time(i % 4);
+                let ev = random_event(&mut rng);
+                q.push(t, ev.clone());
+                reference.push(t, ev);
+            }
+            for _ in 0..3_000 {
+                let got = q.pop();
+                assert_eq!(got, reference.pop(), "seed {seed}: dispatch order diverged");
+                let Some((now, _)) = got else {
+                    break;
+                };
+                for _ in 0..next(&mut rng) % 3 {
+                    let ev = random_event(&mut rng);
+                    let (lane, t) = match &ev {
+                        Event::Arrive { .. } => (Some(EventQueue::LANE_ARRIVE), now + Dur(3)),
+                        Event::CtrlApply { .. } => (Some(EventQueue::LANE_CTRL), now + Dur(5)),
+                        _ => (None, now + Dur(next(&mut rng) % 4)),
+                    };
+                    match lane {
+                        Some(lane) => q.push_fifo(lane, t, ev.clone()),
+                        None => q.push(t, ev.clone()),
+                    }
+                    reference.push(t, ev);
+                }
+            }
+        }
+    }
+
+    /// The same-instant dispatch rule as a batch: pop everything due at
+    /// the earliest instant in `(time, seq)` order, stable-sort it by
+    /// rank, hand it out; pushes made meanwhile wait for the next batch.
+    #[derive(Default)]
+    struct BatchSortReference {
+        pending: Vec<(Time, u64, Event)>,
+        batch: VecDeque<(Time, Event)>,
+        seq: u64,
+    }
+
+    impl BatchSortReference {
+        fn push(&mut self, t: Time, ev: Event) {
+            self.seq += 1;
+            self.pending.push((t, self.seq, ev));
+        }
+
+        fn pop(&mut self) -> Option<(Time, Event)> {
+            if self.batch.is_empty() {
+                let t = self.pending.iter().map(|&(t, _, _)| t).min()?;
+                self.pending.sort_by_key(|&(t, seq, _)| (t, seq));
+                let rest = self.pending.split_off(self.pending.partition_point(|e| e.0 == t));
+                let mut batch = std::mem::replace(&mut self.pending, rest);
+                batch.sort_by_key(|(_, _, ev)| ev.order_major());
+                self.batch = batch.into_iter().map(|(t, _, ev)| (t, ev)).collect();
+            }
+            self.batch.pop_front()
+        }
+    }
+
+    fn next(rng: &mut u64) -> u64 {
+        *rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        *rng >> 33
+    }
+
+    /// An event over three nodes and two ports of each lane and heap
+    /// class, inline and pooled.
+    fn random_event(rng: &mut u64) -> Event {
+        let node = NodeId((next(rng) % 3) as u32);
+        let port = (next(rng) % 2) as usize;
+        match next(rng) % 6 {
+            0 => Event::Arrive { node, port, pkt: pkt(next(rng) as u32) },
+            1 => ctrl(node.0, (next(rng) % 4) as u16),
+            2 => Event::TxKick { node, port },
+            3 => Event::TxComplete { node, port },
+            4 => Event::Cnp { host: node, flow: next(rng) % 2 },
+            _ => Event::MonitorTick,
+        }
+    }
+
+    /// A stage-feedback application at `(node, port 0)`.
+    fn ctrl(node: u32, stage: u16) -> Event {
+        Event::CtrlApply {
+            node: NodeId(node),
+            port: 0,
+            prio: 0,
+            payload: CtrlPayload::GfcStage(stage),
+            cause: CauseToken::NONE,
         }
     }
 
@@ -512,29 +774,30 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fifo_survives_slot_recycling() {
+    fn rank_ties_keep_insertion_order_in_recycled_slots() {
         // Interleave pushes and pops so later pushes land in *recycled*
-        // pool slots with lower EventId than live earlier events:
-        // insertion order must still win at equal times. `Cnp` is a
-        // pooled (not inline-encoded) variant.
+        // pool slots with lower EventId than live earlier events: among
+        // same-instant events of one rank (stage applications at one
+        // coordinate), insertion order must still win.
         let mut q = EventQueue::new();
-        for flow in 0..4u64 {
-            q.push(Time(100), Event::Cnp { host: NodeId(0), flow });
+        q.push(Time(1), ctrl(1, 90));
+        q.push(Time(2), ctrl(1, 91));
+        for stage in 0..4u16 {
+            q.push(Time(100), ctrl(0, stage));
         }
-        // Drain two earlier events to free pool slots, then push two
-        // more same-instant events into those recycled slots.
-        q.push(Time(1), Event::Cnp { host: NodeId(0), flow: 90 });
-        q.push(Time(2), Event::Cnp { host: NodeId(0), flow: 91 });
+        // Drain the two earlier events to free the lowest pool slots, then
+        // push two more same-instant events into those recycled slots.
         assert_eq!(q.pop().unwrap().0, Time(1));
         assert_eq!(q.pop().unwrap().0, Time(2));
-        for flow in 4..6u64 {
-            q.push(Time(100), Event::Cnp { host: NodeId(0), flow });
+        for stage in 4..6u16 {
+            q.push(Time(100), ctrl(0, stage));
         }
-        for expect in 0..6u64 {
+        assert_eq!(q.pool_slots(), 6, "the last pushes must reuse freed slots");
+        for expect in 0..6u16 {
             match q.pop().unwrap() {
-                (t, Event::Cnp { flow, .. }) => {
+                (t, Event::CtrlApply { payload: CtrlPayload::GfcStage(stage), .. }) => {
                     assert_eq!(t, Time(100));
-                    assert_eq!(flow, expect, "same-instant FIFO violated");
+                    assert_eq!(stage, expect, "rank tie popped out of insertion order");
                 }
                 other => unreachable!("unexpected event {other:?}"),
             }
@@ -546,29 +809,31 @@ mod tests {
     fn payload_free_events_skip_the_pool() {
         let mut q = EventQueue::new();
         q.push(Time(1), Event::TxComplete { node: NodeId(7), port: 3 });
-        q.push(Time(2), Event::TxKick { node: NodeId(200_000), port: 9 });
+        q.push(Time(2), Event::TxKick { node: NodeId((1 << 20) - 1), port: 1 << 30 });
         q.push(Time(3), Event::HostTick { host: NodeId(11) });
-        q.push(Time(4), Event::MonitorTick);
-        assert_eq!(q.pool_slots(), 0, "inline-encodable events must not allocate pool slots");
+        q.push(Time(4), Event::PeriodicFeedback { node: NodeId(5), port: 2 });
+        q.push(Time(5), Event::TimelineSample);
+        q.push(Time(6), Event::MonitorTick);
+        assert_eq!(q.pool_slots(), 0, "payload-free events must not allocate pool slots");
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, ev)| ev)).collect();
         assert_eq!(
-            q.pop().unwrap().1,
-            Event::TxComplete { node: NodeId(7), port: 3 },
-            "inline round-trip"
+            order,
+            vec![
+                Event::TxComplete { node: NodeId(7), port: 3 },
+                Event::TxKick { node: NodeId((1 << 20) - 1), port: 1 << 30 },
+                Event::HostTick { host: NodeId(11) },
+                Event::PeriodicFeedback { node: NodeId(5), port: 2 },
+                Event::TimelineSample,
+                Event::MonitorTick,
+            ],
+            "rank round-trip"
         );
-        assert_eq!(q.pop().unwrap().1, Event::TxKick { node: NodeId(200_000), port: 9 });
-        assert_eq!(q.pop().unwrap().1, Event::HostTick { host: NodeId(11) });
-        assert_eq!(q.pop().unwrap().1, Event::MonitorTick);
-        // Out-of-range coordinates overflow the 18-bit node / 10-bit port
-        // fields and must fall back to the pool unharmed.
-        q.push(Time(5), Event::TxKick { node: NodeId(1 << 20), port: 2000 });
-        assert_eq!(q.pool_slots(), 1);
-        assert_eq!(q.pop().unwrap().1, Event::TxKick { node: NodeId(1 << 20), port: 2000 });
     }
 
     #[test]
     fn fifo_lanes_merge_in_total_order() {
         // Interleave heap pushes with lane pushes at equal and distinct
-        // times: pops must follow (time, insertion seq) exactly as if
+        // times: pops must follow the canonical order exactly as if
         // everything had gone through the heap.
         let mut q = EventQueue::new();
         q.push(Time(10), Event::TxComplete { node: NodeId(1), port: 0 }); // seq 1
@@ -583,11 +848,12 @@ mod tests {
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive(1));
         q.push(Time(10), Event::TxComplete { node: NodeId(2), port: 0 });
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive(3));
-        // Same instant: lane, heap, lane — insertion order must win.
-        for expect in [1, 2, 3u32] {
+        // Same instant: lane, heap, lane — rank order must win across
+        // sources (arrivals before transmission completions).
+        for expect in [1, 3, 2u32] {
             match q.pop().unwrap().1 {
                 Event::Arrive { node, .. } | Event::TxComplete { node, .. } => {
-                    assert_eq!(node, NodeId(expect), "same-instant cross-source FIFO violated");
+                    assert_eq!(node, NodeId(expect), "same-instant cross-source order violated");
                 }
                 other => unreachable!("unexpected event {other:?}"),
             }
@@ -658,7 +924,7 @@ mod tests {
     fn dispatch_rank_puts_monitor_first_and_separates_coordinates() {
         // The monitor outranks (sorts before) every other same-instant
         // event, and distinct (class, node, port) coordinates get
-        // distinct ranks — the properties the canonical batch sort needs.
+        // distinct ranks — the properties the canonical order needs.
         assert!(Event::MonitorTick.order_major() < Event::TimelineSample.order_major());
         assert!(Event::TimelineSample.order_major() < arrive(0).order_major());
         let a = Event::TxComplete { node: NodeId(3), port: 1 };

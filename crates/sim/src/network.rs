@@ -154,8 +154,6 @@ pub struct Network {
     domain_filter: Option<(Arc<[u32]>, u32)>,
     /// Cross-domain events generated this window, in generation order.
     outbox: Vec<(Time, Event)>,
-    /// Scratch buffer for same-instant batch dispatch (reused).
-    batch: Vec<Event>,
     workload: Option<Box<dyn Workload>>,
     ledger: FlowLedger,
     monitor: ProgressMonitor,
@@ -279,7 +277,6 @@ impl Network {
             ecn_seq: vec![0; num_nodes],
             domain_filter: None,
             outbox: Vec::new(),
-            batch: Vec::new(),
             workload: None,
             ledger: FlowLedger::new(),
             monitor,
@@ -726,17 +723,17 @@ impl Network {
         }
     }
 
-    /// The dispatch loop: pop events due at or before `horizon`, in
-    /// canonical order. Same-instant events are collected into a batch
-    /// and stable-sorted by [`Event::order_major`] before dispatch, so
-    /// the order *within an instant* is a pure function of the events —
-    /// identical whether they waited in one sequential queue or in
-    /// per-domain shard queues (see `shard.rs`). Ties on the rank keep
-    /// insertion order, which the single-causal-source structure of the
-    /// event graph (one upstream peer per `(node, port)`, one destination
-    /// per flow) makes engine-independent. A mid-batch halt (the monitor
-    /// ranks first at its instant) discards the rest of the batch,
-    /// matching the sharded coordinator's barrier halt.
+    /// The dispatch loop: pop events due at or before `horizon`, in the
+    /// queue's canonical order — same-instant events by
+    /// [`Event::order_major`] rank, so the order *within an instant* is a
+    /// pure function of the events, identical whether they waited in one
+    /// sequential queue or in per-domain shard queues (see `shard.rs`).
+    /// Ties on the rank keep insertion order, which the
+    /// single-causal-source structure of the event graph (one upstream
+    /// peer per `(node, port)`, one destination per flow) makes
+    /// engine-independent. A halt (the monitor ranks first at its
+    /// instant) leaves the rest of the instant undispatched, matching the
+    /// sharded coordinator's barrier halt.
     fn run_events(&mut self, horizon: Time) {
         while !self.halted {
             let Some((t, ev)) = self.queue.pop_at_or_before(horizon) else {
@@ -744,25 +741,7 @@ impl Network {
             };
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
-            if self.queue.peek_time() != Some(t) {
-                // Fast path: a singleton instant needs no sort.
-                self.handle(ev);
-                continue;
-            }
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.push(ev);
-            while self.queue.peek_time() == Some(t) {
-                batch.push(self.queue.pop().expect("peeked nonempty").1);
-            }
-            batch.sort_by_key(Event::order_major);
-            for ev in batch.drain(..) {
-                self.handle(ev);
-                if self.halted {
-                    break;
-                }
-            }
-            batch.clear();
-            self.batch = batch;
+            self.handle(ev);
         }
     }
 
@@ -778,28 +757,13 @@ impl Network {
             };
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.push(ev);
-            while self.queue.peek_time() == Some(t) {
-                batch.push(self.queue.pop().expect("peeked nonempty").1);
+            let class = ev.class();
+            let start = std::time::Instant::now();
+            self.handle(ev);
+            let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            if let Some(p) = self.tel.probe.as_deref_mut() {
+                p.record(class, wall_ns);
             }
-            if batch.len() > 1 {
-                batch.sort_by_key(Event::order_major);
-            }
-            for ev in batch.drain(..) {
-                let class = ev.class();
-                let start = std::time::Instant::now();
-                self.handle(ev);
-                let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Some(p) = self.tel.probe.as_deref_mut() {
-                    p.record(class, wall_ns);
-                }
-                if self.halted {
-                    break;
-                }
-            }
-            batch.clear();
-            self.batch = batch;
         }
     }
 

@@ -22,11 +22,11 @@
 //!   lets every shard run freely in `[m, m + lookahead)` where `m` is the
 //!   global minimum pending timestamp — no event generated inside the
 //!   window can affect another shard within it.
-//! * **Canonical intra-instant order.** Both engines collect all events
-//!   due at one instant and dispatch them in [`Event::order_major`] rank
-//!   order (stable, so same-source events keep generation order). The
-//!   order within an instant is thus a pure function of the event set,
-//!   not of which queue the events waited in.
+//! * **Canonical intra-instant order.** Both engines' queues pop the
+//!   events due at one instant in [`Event::order_major`] rank order
+//!   (ties in insertion order, so same-source events keep generation
+//!   order). The order within an instant is thus a pure function of the
+//!   event set, not of which queue the events waited in.
 //! * **Deterministic merge.** At each window barrier the coordinator
 //!   drains the per-shard outboxes in shard-index order and injects each
 //!   event into its destination shard's queue; within one

@@ -1,7 +1,8 @@
 //! Same-seed replay regression: the event core's ordering contract says a
 //! run is a pure function of `(topology, config, workload, seed)` — the
-//! queue orders events by `(time, insertion seq)`, so two runs of the same
-//! scenario must agree on *every* observable, not just summary statistics.
+//! queue orders events by `(time, generation, rank, insertion seq)`, so
+//! two runs of the same scenario must agree on *every* observable, not
+//! just summary statistics.
 //! These tests pin that contract against the event-queue and state-table
 //! internals (heap + FIFO-lane merge, payload-slot recycling, dense port
 //! tables): any nondeterminism or ordering drift shows up as a metrics or
@@ -168,6 +169,39 @@ fn bfc_and_dcfit_replays_are_bit_identical() {
         assert!(a.events > 10_000, "{name} fat-tree run too small ({} events)", a.events);
         assert_eq!(a.metrics, b.metrics, "same-seed {name} fat-tree runs disagree on metrics");
         assert_eq!(a.ledger, b.ledger, "same-seed {name} fat-tree runs disagree on flow records");
+    }
+}
+
+/// FNV-1a, 64 bit, of a rendering.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn dispatch_order_matches_the_recorded_fingerprints() {
+    // Replays compared against values recorded from the engine that
+    // popped each instant into a batch and stable-sorted it by rank: any
+    // change to the queue that alters the canonical dispatch order — not
+    // just one that makes two runs disagree — moves these.
+    let bfc = FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500));
+    let dcfit = FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) });
+    let cases = [
+        ("ring", run_ring(9), (11_092, 0xd289_0f2a_bbc3_0dbb, 0x4e7c_b668_d7f3_9966)),
+        ("fat-tree", run_fattree(4242), (191_574, 0x27c3_0edd_0a9a_b14e, 0x5355_bc56_1e13_9c2e)),
+        (
+            "BFC ring",
+            run_ring_fc(bfc, PumpPolicy::RoundRobin, 9, false),
+            (109_180, 0xa181_2dfa_e286_017e, 0x4e7c_b668_d7f3_9966),
+        ),
+        (
+            "DCFIT fat-tree",
+            run_fattree_fc(dcfit, PumpPolicy::OutputQueued, 4242),
+            (271_451, 0xc6ec_3819_95ca_9161, 0x506c_9963_da85_01fe),
+        ),
+    ];
+    for (name, fp, want) in cases {
+        let got = (fp.events, fnv1a(&format!("{:?}", fp.metrics)), fnv1a(&fp.ledger));
+        assert_eq!(got, want, "{name}: (events, metrics hash, ledger hash) moved");
     }
 }
 
