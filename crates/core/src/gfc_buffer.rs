@@ -17,13 +17,20 @@ use serde::{Deserialize, Serialize};
 pub struct GfcBufferReceiver {
     table: StageTable,
     current_stage: usize,
+    /// `[lo, hi)`: the queue lengths of `current_stage`, so an update
+    /// that stays inside it — almost all of them — skips the table's
+    /// binary search. Not serialized: the empty default `[0, 0)` makes
+    /// the first update after deserializing look the stage up again.
+    #[serde(skip)]
+    bounds: (u64, u64),
     messages_sent: u64,
 }
 
 impl GfcBufferReceiver {
     /// New receiver starting in stage 0 (empty queue).
     pub fn new(table: StageTable) -> Self {
-        GfcBufferReceiver { table, current_stage: 0, messages_sent: 0 }
+        let bounds = stage_bounds(&table, 0);
+        GfcBufferReceiver { table, current_stage: 0, bounds, messages_sent: 0 }
     }
 
     /// The stage table in force.
@@ -44,7 +51,12 @@ impl GfcBufferReceiver {
     /// Report the new ingress queue length; if it moved to a different
     /// stage, returns the stage ID to feed back.
     pub fn on_queue_update(&mut self, q: u64) -> Option<u16> {
+        let (lo, hi) = self.bounds;
+        if lo <= q && q < hi {
+            return None;
+        }
         let stage = self.table.stage_for_queue(q);
+        self.bounds = stage_bounds(&self.table, stage);
         if stage != self.current_stage {
             self.current_stage = stage;
             self.messages_sent += 1;
@@ -53,6 +65,13 @@ impl GfcBufferReceiver {
             None
         }
     }
+}
+
+/// The queue lengths `[start, next start)` of stage `i`; the deepest
+/// stage's interval is open above.
+fn stage_bounds(table: &StageTable, i: usize) -> (u64, u64) {
+    let hi = if i < table.num_stages() { table.stage_start(i + 1) } else { u64::MAX };
+    (table.stage_start(i), hi)
 }
 
 /// Sender side: stage → rate lookup (the Rate Adjuster).
@@ -104,6 +123,62 @@ mod tests {
         // Back down across two stages in one update.
         assert_eq!(rx.on_queue_update(kb(100)), Some(0));
         assert_eq!(rx.messages_sent(), 3);
+    }
+
+    #[test]
+    fn cached_bounds_agree_with_the_table_lookup() {
+        // Seeded random walks of the queue length: ±1–2 MTU steps, jumps
+        // to 0, onto a stage boundary (either side), and past Bm (into the
+        // deepest stage, whose interval is open above), which every walk
+        // must reach. Every update must report what a receiver that
+        // runs the table's binary search each time reports — also on a
+        // one-stage table, and after the bounds were reset to the empty
+        // interval a deserialized receiver starts from.
+        const MTU: i64 = 1500;
+        let tables = [
+            table(),
+            StageTable::with_ratio(kb(300), kb(200), Rate::from_gbps(100), 3, 4),
+            StageTable::new(kb(300), kb(281), Rate(1)),
+        ];
+        assert_eq!(tables[2].num_stages(), 0, "one-stage table");
+        for (n, tbl) in tables.iter().enumerate() {
+            let bm = tbl.bm() as i64;
+            for seed in 1..=20u64 {
+                let mut rng = seed;
+                let mut next = || {
+                    rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    rng >> 33
+                };
+                let mut rx = GfcBufferReceiver::new(tbl.clone());
+                let mut reference = tbl.stage_for_queue(0);
+                let mut q = bm - 20 * MTU;
+                let mut deepest = false;
+                for step in 0..5_000 {
+                    q = match next() % 100 {
+                        0 => 0,
+                        1 => bm + (next() % 4) as i64 * MTU,
+                        2 => {
+                            tbl.stage_start(next() as usize % (tbl.num_stages() + 1)) as i64
+                                - (next() % 2) as i64
+                        }
+                        3 => {
+                            rx = GfcBufferReceiver { bounds: Default::default(), ..rx };
+                            q
+                        }
+                        r => q + [-2, -1, 1, 2][r as usize % 4] * MTU,
+                    }
+                    .max(0);
+                    let stage = tbl.stage_for_queue(q as u64);
+                    let want = (stage != reference).then_some(stage as u16);
+                    reference = stage;
+                    let got = rx.on_queue_update(q as u64);
+                    assert_eq!(got, want, "table {n}, seed {seed}, step {step}, q {q}");
+                    assert_eq!(rx.current_stage(), stage);
+                    deepest |= stage == tbl.num_stages();
+                }
+                assert!(deepest, "table {n}, seed {seed}: the walk missed the deepest stage");
+            }
+        }
     }
 
     #[test]

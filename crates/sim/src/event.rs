@@ -27,19 +27,41 @@
 //!
 //! ## FIFO lanes
 //!
-//! Event classes scheduled at a *constant* delay from a monotone clock —
-//! packet arrivals (`now + prop_delay`) and control applications
-//! (`now + prop_delay + t_r`) — are pushed with non-decreasing due times.
-//! [`EventQueue::push_fifo`] appends them to a per-class `VecDeque` lane
-//! instead of the heap, and `pop` takes the minimum of the heap root and
-//! the lane fronts. A lane stays in canonical order by construction: a
-//! key that would sort before the lane's tail — one dispatch instant
-//! fans out to arbitrary receivers, so ranks within an instant arrive in
-//! any order — goes to the heap instead. Arrivals are roughly half of a
-//! saturated run's queue traffic, and most of them arrive in order
-//! (measured: all but 0.03% on the ring, 2.5% on the k=8 fat-tree under
-//! enterprise load, 12% under a synchronized permutation), so the lanes
-//! replace most of their `O(log n)` sifts with appends.
+//! Event classes scheduled at a *constant* delay from a monotone clock
+//! are pushed with non-decreasing due times. [`EventQueue::push_fifo`]
+//! appends them to a per-class `VecDeque` lane instead of the heap, and
+//! `pop` takes the minimum of the heap root and the lane fronts. A lane
+//! stays in canonical order by construction: a key that would sort
+//! before the lane's tail — one dispatch instant fans out to arbitrary
+//! receivers, so ranks within an instant arrive in any order, and a
+//! shorter frame completes before a longer one started earlier — goes to
+//! the heap instead ([`QueueStats::lane_diverted`] counts these). The
+//! heap is left with timers, kicks, CNPs, flow-completion notices, the
+//! diverted lane pushes, and events injected by the sharded coordinator.
+//!
+//! | lane | event class | due at | diverted to the heap (ring / enterprise / perm) |
+//! |---|---|---|---|
+//! | [`EventQueue::LANE_ARRIVE`] | `Arrive` | `now + prop_delay` | 0.03% / 2.6% / 16% |
+//! | [`EventQueue::LANE_CTRL`] | wire `CtrlApply` | `now + prop_delay + t_r` | 0 / 0.04% / 0 |
+//! | [`EventQueue::LANE_CTRL_OOB`] | out-of-band `CtrlApply` | `now + τ` | idle outside conceptual GFC |
+//! | [`EventQueue::LANE_TX`] | `TxComplete` | `now + tx_time(frame)` | 0.01% / 3.9% / 0.15% |
+//!
+//! (Shares of each lane's pushes over the three perfbench workloads,
+//! `ring3_gfc`, `ft8_enterprise_pfc`, `ft8_perm_w1`, seed variant 1.)
+//! A transmission completion is due one serialization delay after the
+//! frame starts, which is constant for the full-size data frames that
+//! make up almost all of them; control frames and short last packets of
+//! a flow are the diverted share.
+//!
+//! ## The pop path
+//!
+//! [`EventQueue::pop_at_or_before`] — the scan over the heap root and
+//! the lane fronts, the removal, and the payload take — is always
+//! inlined into the event loop, so the chosen source, its key and the
+//! popped event stay in registers instead of being returned through the
+//! stack. A sampling profile of the ring workload with the pop out of
+//! line put about a quarter of its time there, most of it in the reloads
+//! after the calls returned.
 
 use crate::fc::CtrlPayload;
 use crate::packet::Packet;
@@ -233,9 +255,9 @@ fn event_of_rank(rank: u64) -> Event {
 }
 
 /// Always-on scheduler counters: how pushes split between events their
-/// rank encodes and events with a pooled payload, and how often the pool
-/// had to grow instead of recycling a freed slot. Cheap enough to never
-/// gate.
+/// rank encodes and events with a pooled payload, how often the pool
+/// had to grow instead of recycling a freed slot, and how many lane
+/// pushes went to the heap. Cheap enough to never gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Pushes whose rank encodes the whole event (no pool round-trip).
@@ -244,6 +266,9 @@ pub struct QueueStats {
     pub pushes_pooled: u64,
     /// Pool slots allocated because the free list was empty.
     pub pool_grown: u64,
+    /// Per lane, `push_fifo` calls whose key sorted before the lane's
+    /// tail and so went to the heap.
+    pub lane_diverted: [u64; EventQueue::NUM_LANES],
 }
 
 /// Index of a pooled event payload.
@@ -348,8 +373,10 @@ impl EventQueue {
     pub const LANE_CTRL: usize = 1;
     /// Lane for out-of-band (conceptual) control applications (`now + τ`).
     pub const LANE_CTRL_OOB: usize = 2;
+    /// Lane for transmission completions (`now + tx_time`).
+    pub const LANE_TX: usize = 3;
     /// Number of FIFO lanes.
-    pub const NUM_LANES: usize = 3;
+    pub const NUM_LANES: usize = 4;
 
     /// Empty queue.
     pub fn new() -> Self {
@@ -420,6 +447,7 @@ impl EventQueue {
         let key = self.key(t, ev);
         let keys = &mut self.lanes[lane];
         if keys.back().is_some_and(|b| key < *b) {
+            self.stats.lane_diverted[lane] += 1;
             self.heap.push(key);
             self.sift_up(self.heap.len() - 1);
         } else {
@@ -427,28 +455,28 @@ impl EventQueue {
         }
     }
 
-    /// The source holding the earliest key: a lane index, or
-    /// `NUM_LANES` for the heap.
-    #[inline]
-    fn min_source(&self) -> Option<(usize, Key)> {
-        let mut best = self.heap.first().map(|&k| (Self::NUM_LANES, k));
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<(Time, Event)> {
+        self.pop_at_or_before(Time(u64::MAX))
+    }
+
+    /// Remove and return the earliest event if it is due at or before
+    /// `horizon` — the event loop's single call per dispatch. Always
+    /// inlined (see the module docs), so the scan's source and key and
+    /// the popped event are not handed back through the stack.
+    #[inline(always)]
+    pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, Event)> {
+        let mut src = Self::NUM_LANES;
+        let mut best = self.heap.first().copied();
         for (i, lane) in self.lanes.iter().enumerate() {
             if let Some(&k) = lane.front() {
-                if best.is_none_or(|(_, b)| k < b) {
-                    best = Some((i, k));
+                if best.is_none_or(|b| k < b) {
+                    best = Some(k);
+                    src = i;
                 }
             }
         }
-        best
-    }
-
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let (src, key) = self.min_source()?;
-        Some(self.pop_from(src, key))
-    }
-
-    fn pop_from(&mut self, src: usize, key: Key) -> (Time, Event) {
+        let key = best.filter(|k| k.t <= horizon)?;
         if src < Self::NUM_LANES {
             self.lanes[src].pop_front();
         } else {
@@ -461,16 +489,13 @@ impl EventQueue {
         self.cur = (key.t, key.gen());
         let ev = match key.slot {
             INLINE => event_of_rank(key.rank()),
-            slot => self.take(EventId(slot)),
+            slot => {
+                let ev = self.pool[slot as usize].take().expect("key without pooled payload");
+                self.free.push(EventId(slot));
+                ev
+            }
         };
-        (key.t, ev)
-    }
-
-    /// Remove and return the earliest event if it is due at or before
-    /// `horizon` — the event loop's single call per dispatch.
-    pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, Event)> {
-        let (src, key) = self.min_source()?;
-        (key.t <= horizon).then(|| self.pop_from(src, key))
+        Some((key.t, ev))
     }
 
     /// Restore the heap property upward from `i` (new last element).
@@ -509,15 +534,10 @@ impl EventQueue {
         }
     }
 
-    fn take(&mut self, id: EventId) -> Event {
-        let ev = self.pool[id.0 as usize].take().expect("heap key without pooled payload");
-        self.free.push(id);
-        ev
-    }
-
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.min_source().map(|(_, k)| k.t)
+        let lanes = self.lanes.iter().filter_map(|lane| lane.front());
+        self.heap.first().into_iter().chain(lanes).map(|k| k.t).min()
     }
 
     /// Number of pending events.
@@ -649,8 +669,9 @@ mod tests {
         }
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(7), arrive(4));
         q.push(Time(20), Event::TimelineSample);
-        assert_eq!(q.lane_lens(), [3, 0, 0], "nodes 5, 9, 3 stay in the lane");
+        assert_eq!(q.lane_lens(), [3, 0, 0, 0], "nodes 5, 9, 3 stay in the lane");
         assert_eq!(q.heap_len(), 4, "nodes 2, 1, 4 and the sample go to the heap");
+        assert_eq!(q.stats().lane_diverted, [3, 0, 0, 0]);
         let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
             .map(|(t, ev)| match ev {
                 Event::Arrive { node, .. } => (t.0, node.0),
@@ -665,17 +686,39 @@ mod tests {
     }
 
     #[test]
+    fn a_shorter_frame_completing_first_goes_to_the_heap() {
+        // Two ports start a frame at the same instant: a full-size data
+        // frame, then a 64-byte control frame. The control completion is
+        // due first, so it sorts before the lane's tail: it goes to the
+        // heap and still pops first.
+        let now = Time(1_000);
+        let data = Event::TxComplete { node: NodeId(1), port: 0 };
+        let ctrl = Event::TxComplete { node: NodeId(2), port: 0 };
+        let mut q = EventQueue::new();
+        q.push_fifo(EventQueue::LANE_TX, now + Dur(1_200_000), data.clone());
+        q.push_fifo(EventQueue::LANE_TX, now + Dur(51_200), ctrl.clone());
+        assert_eq!(q.lane_lens(), [0, 0, 0, 1]);
+        assert_eq!(q.heap_len(), 1);
+        assert_eq!(q.stats().lane_diverted, [0, 0, 0, 1]);
+        assert_eq!(q.pop(), Some((now + Dur(51_200), ctrl)));
+        assert_eq!(q.pop(), Some((now + Dur(1_200_000), data)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn matches_the_batch_sort_reference() {
         // The contract: popping one event at a time dispatches exactly
         // what collecting each instant's pending events and stable-sorting
         // them by rank would. Each dispatch pushes a seeded mix of heap
         // events (zero delays included, so cascades form generations) and
-        // lane events at constant delays, over few enough coordinates
-        // that ranks tie.
+        // lane events at constant delays — transmission completions at
+        // two serialization delays, so some sort before their lane's tail
+        // — over few enough coordinates that ranks tie.
         for seed in 1..=40u64 {
             let mut q = EventQueue::new();
             let mut reference = BatchSortReference::default();
             let mut rng = seed;
+            let mut tx_laned = false;
             for i in 0..20 {
                 let t = Time(i % 4);
                 let ev = random_event(&mut rng);
@@ -693,6 +736,10 @@ mod tests {
                     let (lane, t) = match &ev {
                         Event::Arrive { .. } => (Some(EventQueue::LANE_ARRIVE), now + Dur(3)),
                         Event::CtrlApply { .. } => (Some(EventQueue::LANE_CTRL), now + Dur(5)),
+                        Event::TxComplete { .. } => (
+                            Some(EventQueue::LANE_TX),
+                            now + Dur([1, 4][next(&mut rng) as usize % 2]),
+                        ),
                         _ => (None, now + Dur(next(&mut rng) % 4)),
                     };
                     match lane {
@@ -701,7 +748,10 @@ mod tests {
                     }
                     reference.push(t, ev);
                 }
+                tx_laned |= q.lane_lens()[EventQueue::LANE_TX] > 0;
             }
+            let diverted = q.stats().lane_diverted[EventQueue::LANE_TX];
+            assert!(diverted > 0 && tx_laned, "seed {seed}: both transmission paths must run");
         }
     }
 
@@ -962,7 +1012,7 @@ mod tests {
         assert_eq!(s.pushes_pooled, 2);
         assert_eq!(s.pool_grown, 1, "second pooled push must recycle, not grow");
         assert_eq!(q.heap_len(), 1);
-        assert_eq!(q.lane_lens(), [0, 0, 0]);
+        assert_eq!(q.lane_lens(), [0, 0, 0, 0]);
         assert_eq!(q.free_slots(), 0);
         q.pop().unwrap();
         assert_eq!(q.free_slots(), 1);

@@ -33,8 +33,8 @@ use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::{Dur, Rate, Time};
 use gfc_dcqcn::{CnpGenerator, ReactionPoint};
 use gfc_telemetry::{
-    names, CausalReport, CauseToken, ChromeTrace, CtrlSense, FlightRecorder, FlowSpans,
-    ForensicsReport, ForensicsTrigger, Percentiles, PortOccupancy, SamplerSet, Snapshot,
+    names, CausalReport, CauseToken, ChromeTrace, CtrlSense, EngineProbe, FlightRecorder,
+    FlowSpans, ForensicsReport, ForensicsTrigger, Percentiles, PortOccupancy, SamplerSet, Snapshot,
     WaitForGraph, WfSide,
 };
 use gfc_topology::{LinkId, NodeId, NodeKind, Routing, Topology};
@@ -524,17 +524,7 @@ impl Network {
         // high-water marks reflect the monitor-tick samples.
         if let Some(probe) = self.tel.probe.as_deref() {
             let mut p = probe.clone();
-            let qs = self.queue.stats();
-            p.pushes_inline = qs.pushes_inline;
-            p.pushes_pooled = qs.pushes_pooled;
-            p.pool_grown = qs.pool_grown;
-            p.queue_sample(
-                self.queue.heap_len() as u64,
-                self.queue.lane_lens().map(|l| l as u64),
-                self.queue.pool_slots() as u64,
-                self.queue.free_slots() as u64,
-                self.ports.ctrl_backlog_frames(),
-            );
+            sample_queue(&self.queue, self.ports.ctrl_backlog_frames(), &mut p);
             p.append_to(&mut snap);
         }
         snap
@@ -872,17 +862,7 @@ impl Network {
             return Vec::new();
         };
         let mut p = probe.clone();
-        let qs = self.queue.stats();
-        p.pushes_inline = qs.pushes_inline;
-        p.pushes_pooled = qs.pushes_pooled;
-        p.pool_grown = qs.pool_grown;
-        p.queue_sample(
-            self.queue.heap_len() as u64,
-            self.queue.lane_lens().map(|l| l as u64),
-            self.queue.pool_slots() as u64,
-            self.queue.free_slots() as u64,
-            self.ports.ctrl_backlog_frames(),
-        );
+        sample_queue(&self.queue, self.ports.ctrl_backlog_frames(), &mut p);
         let mut snap = Snapshot { entries: Vec::new() };
         p.append_to(&mut snap);
         snap.entries
@@ -1408,20 +1388,8 @@ impl Network {
     /// dispatch path never pays for gauge updates). Also the sharded
     /// engine's per-shard barrier hook.
     pub(crate) fn probe_queue_sample(&mut self) {
-        if self.tel.probe.is_none() {
-            return;
-        }
-        let heap = self.queue.heap_len() as u64;
-        let lanes = self.queue.lane_lens().map(|l| l as u64);
-        let pool_slots = self.queue.pool_slots() as u64;
-        let pool_free = self.queue.free_slots() as u64;
-        let ctrl_backlog = self.ports.ctrl_backlog_frames();
-        let qs = self.queue.stats();
         if let Some(p) = self.tel.probe.as_deref_mut() {
-            p.queue_sample(heap, lanes, pool_slots, pool_free, ctrl_backlog);
-            p.pushes_inline = qs.pushes_inline;
-            p.pushes_pooled = qs.pushes_pooled;
-            p.pool_grown = qs.pool_grown;
+            sample_queue(&self.queue, self.ports.ctrl_backlog_frames(), p);
         }
     }
 
@@ -1562,7 +1530,7 @@ impl Network {
             ps.bytes_tx += wire;
             ps.tx_busy = true;
             ps.current_ctrl = Some(ctrl);
-            self.queue.push(done, Event::TxComplete { node, port });
+            self.queue.push_fifo(EventQueue::LANE_TX, done, Event::TxComplete { node, port });
             return;
         }
         // Data: round-robin across priorities.
@@ -1639,7 +1607,7 @@ impl Network {
         ps.tx_busy = true;
         ps.current_data = Some((sp, prio as u8));
         ps.wrr_next = if prio + 1 >= self.cfg.num_priorities { 0 } else { prio + 1 };
-        self.queue.push(done, Event::TxComplete { node, port });
+        self.queue.push_fifo(EventQueue::LANE_TX, done, Event::TxComplete { node, port });
         // This egress just freed a staging slot: ingress FIFO heads that
         // head-of-line blocked on it are movable again.
         let w = self.head_waiters[n][port];
@@ -1960,6 +1928,22 @@ impl Network {
             recorder_enabled: self.tel.rec.is_enabled(),
         });
     }
+}
+
+/// Copy the queue's occupancy gauges and push counters into `p`.
+fn sample_queue(queue: &EventQueue, ctrl_backlog: u64, p: &mut EngineProbe) {
+    let qs = queue.stats();
+    p.pushes_inline = qs.pushes_inline;
+    p.pushes_pooled = qs.pushes_pooled;
+    p.pool_grown = qs.pool_grown;
+    p.lane_diverted = qs.lane_diverted;
+    p.queue_sample(
+        queue.heap_len() as u64,
+        queue.lane_lens().map(|l| l as u64),
+        queue.pool_slots() as u64,
+        queue.free_slots() as u64,
+        ctrl_backlog,
+    );
 }
 
 /// splitmix64 mixer for flow-id hashing.

@@ -42,17 +42,26 @@ pub struct EngineProbe {
     /// Pool slots allocated because the free list was empty — growth, as
     /// opposed to recycling.
     pub pool_grown: u64,
+    /// Per FIFO lane (in [`EngineProbe::LANE_LABELS`] order), pushes
+    /// that sorted before the lane's tail and went to the heap instead.
+    pub lane_diverted: [u64; Self::LANE_LABELS.len()],
 }
 
 impl EngineProbe {
+    /// The scheduler's FIFO lanes, in lane order: each has a
+    /// `probe.queue.lane_<label>` occupancy gauge and a
+    /// `probe.queue.lane_<label>.diverted` counter.
+    pub const LANE_LABELS: [&'static str; 4] = ["arrive", "ctrl", "ctrl_oob", "tx"];
+
     /// Occupancy gauges sampled via [`EngineProbe::queue_sample`], in
-    /// storage order: heap keys, the three FIFO lanes, live pool slots,
+    /// storage order: heap keys, the four FIFO lanes, live pool slots,
     /// free (recyclable) pool slots, and queued control frames.
-    pub const GAUGE_NAMES: [&'static str; 7] = [
+    pub const GAUGE_NAMES: [&'static str; 8] = [
         "probe.queue.heap",
         "probe.queue.lane_arrive",
         "probe.queue.lane_ctrl",
         "probe.queue.lane_ctrl_oob",
+        "probe.queue.lane_tx",
         "probe.pool.slots",
         "probe.pool.free",
         "probe.ctrl.backlog_frames",
@@ -70,6 +79,7 @@ impl EngineProbe {
             pushes_inline: 0,
             pushes_pooled: 0,
             pool_grown: 0,
+            lane_diverted: [0; Self::LANE_LABELS.len()],
         }
     }
 
@@ -87,12 +97,13 @@ impl EngineProbe {
     pub fn queue_sample(
         &mut self,
         heap: u64,
-        lanes: [u64; 3],
+        lanes: [u64; Self::LANE_LABELS.len()],
         pool_slots: u64,
         pool_free: u64,
         ctrl_backlog: u64,
     ) {
-        let vals = [heap, lanes[0], lanes[1], lanes[2], pool_slots, pool_free, ctrl_backlog];
+        let [a, b, c, d] = lanes;
+        let vals = [heap, a, b, c, d, pool_slots, pool_free, ctrl_backlog];
         for (g, v) in self.gauges.iter_mut().zip(vals) {
             g.0 = v;
             g.1 = g.1.max(v);
@@ -135,7 +146,7 @@ impl EngineProbe {
 
     /// Append the profile as derived `probe.*` snapshot entries: per
     /// class `count`/`sum_ns`/`p50_ns`/`p99_ns` counters, the occupancy
-    /// gauges, and the pool-recycling counters.
+    /// gauges, the pool-recycling counters, and the per-lane diversions.
     pub fn append_to(&self, snap: &mut Snapshot) {
         for (c, label) in self.labels.iter().enumerate() {
             snap.push_counter(&format!("probe.dispatch.{label}.count"), self.counts[c]);
@@ -155,6 +166,9 @@ impl EngineProbe {
         snap.push_counter("probe.pool.pushes_inline", self.pushes_inline);
         snap.push_counter("probe.pool.pushes_pooled", self.pushes_pooled);
         snap.push_counter("probe.pool.grown", self.pool_grown);
+        for (label, n) in Self::LANE_LABELS.iter().zip(self.lane_diverted) {
+            snap.push_counter(&format!("probe.queue.lane_{label}.diverted"), n);
+        }
     }
 }
 
@@ -213,12 +227,13 @@ mod tests {
     #[test]
     fn queue_gauges_track_high_water() {
         let mut p = EngineProbe::new(&[]);
-        p.queue_sample(10, [1, 2, 3], 40, 5, 7);
-        p.queue_sample(4, [0, 0, 0], 40, 39, 0);
+        p.queue_sample(10, [1, 2, 3, 6], 40, 5, 7);
+        p.queue_sample(4, [0, 0, 0, 2], 40, 39, 0);
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.gauge("probe.queue.heap"), Some((4, 10)));
         assert_eq!(snap.gauge("probe.queue.lane_ctrl_oob"), Some((0, 3)));
+        assert_eq!(snap.gauge("probe.queue.lane_tx"), Some((2, 6)));
         assert_eq!(snap.gauge("probe.pool.free"), Some((39, 39)));
         assert_eq!(snap.gauge("probe.ctrl.backlog_frames"), Some((0, 7)));
     }
@@ -230,6 +245,7 @@ mod tests {
         p.pushes_inline = 3;
         p.pushes_pooled = 2;
         p.pool_grown = 1;
+        p.lane_diverted = [4, 0, 0, 9];
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.counter("probe.dispatch.arrive.count"), Some(1));
@@ -238,5 +254,8 @@ mod tests {
         assert_eq!(snap.counter("probe.pool.pushes_inline"), Some(3));
         assert_eq!(snap.counter("probe.pool.pushes_pooled"), Some(2));
         assert_eq!(snap.counter("probe.pool.grown"), Some(1));
+        assert_eq!(snap.counter("probe.queue.lane_arrive.diverted"), Some(4));
+        assert_eq!(snap.counter("probe.queue.lane_ctrl_oob.diverted"), Some(0));
+        assert_eq!(snap.counter("probe.queue.lane_tx.diverted"), Some(9));
     }
 }
