@@ -57,16 +57,6 @@ impl EmpiricalDist {
         self.sorted.is_empty()
     }
 
-    /// The `q`-quantile (nearest-rank), `q ∈ [0, 1]`; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.sorted.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.sorted[idx.min(self.sorted.len() - 1)])
-    }
-
     /// Fraction of samples ≤ `x`.
     pub fn cdf_at(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -123,15 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles() {
-        let d = EmpiricalDist::new((1..=100).map(|i| i as f64).collect());
-        assert_eq!(d.quantile(0.5), Some(50.0));
-        assert_eq!(d.quantile(0.99), Some(99.0));
-        assert_eq!(d.quantile(1.0), Some(100.0));
-        assert_eq!(d.quantile(0.0), Some(1.0));
-    }
-
-    #[test]
     fn cdf_lookup() {
         let d = EmpiricalDist::new(vec![1.0, 2.0, 2.0, 3.0]);
         assert_eq!(d.cdf_at(0.5), 0.0);
@@ -154,7 +135,6 @@ mod tests {
     #[test]
     fn empty_dist() {
         let d = EmpiricalDist::new(vec![]);
-        assert_eq!(d.quantile(0.5), None);
         assert_eq!(d.mean(), 0.0);
         assert!(d.curve(5).is_empty());
     }

@@ -6,9 +6,10 @@
 //! payloads, and a **sender** ([`FcTx`], one per controlled egress
 //! `(port, priority)`) that applies those payloads to its gate and rate.
 //! The simulator owns clocks, queues, and the §5.3 rate limiter; backends
-//! own nothing but their protocol state. Dispatch is through trait
-//! objects, so adding a scheme means implementing the pair and a
-//! [`crate::fc_config::FcConfig`] variant — no simulator matches.
+//! own nothing but their protocol state. The simulator holds the
+//! [`crate::AnyRx`]/[`crate::AnyTx`] enums and dispatches by match, so
+//! adding a scheme means implementing the pair plus one variant in
+//! [`crate::fc_config::FcConfig`] and in each enum — no simulator matches.
 //!
 //! ## Contract
 //!
@@ -361,15 +362,6 @@ pub trait FcRx: std::fmt::Debug + Send {
 
     /// Feedback messages generated so far.
     fn messages_sent(&self) -> u64;
-
-    /// Clone into a fresh box (trait-object clone).
-    fn clone_box(&self) -> Box<dyn FcRx>;
-}
-
-impl Clone for Box<dyn FcRx> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Sender side of a flow-control backend: one per controlled egress
@@ -410,15 +402,6 @@ pub trait FcTx: std::fmt::Debug + Send {
     fn detections(&self) -> u64 {
         0
     }
-
-    /// Clone into a fresh box (trait-object clone).
-    fn clone_box(&self) -> Box<dyn FcTx>;
-}
-
-impl Clone for Box<dyn FcTx> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -444,9 +427,6 @@ impl FcRx for NoneRx {
     fn messages_sent(&self) -> u64 {
         0
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// Lossy sender: always open, rejects every payload.
@@ -465,9 +445,6 @@ impl FcTx for NoneTx {
     }
     fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
         false
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 
@@ -498,9 +475,6 @@ impl FcRx for PfcRx {
     fn messages_sent(&self) -> u64 {
         self.0.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// PFC sender backend (pause state).
@@ -528,9 +502,6 @@ impl FcTx for PfcTx {
     }
     fn hold_and_wait_episodes(&self) -> u64 {
         self.0.pauses_entered()
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 
@@ -582,9 +553,6 @@ impl FcRx for CbfcRx {
     fn messages_sent(&self) -> u64 {
         self.inner.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// CBFC sender backend (credit gate with 16-bit wire reconstruction).
@@ -629,9 +597,6 @@ impl FcTx for CbfcTx {
     fn hold_and_wait_episodes(&self) -> u64 {
         self.tx.starvations()
     }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
-    }
 }
 
 /// Buffer-based GFC receiver backend (stage tracker).
@@ -663,9 +628,6 @@ impl FcRx for GfcBufferRx {
     fn messages_sent(&self) -> u64 {
         self.0.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// Buffer-based GFC sender backend (stage → rate lookup).
@@ -687,9 +649,6 @@ impl FcTx for GfcBufferTx {
     }
     fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
         false
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 
@@ -735,9 +694,6 @@ impl FcRx for GfcTimeRx {
     }
     fn messages_sent(&self) -> u64 {
         self.inner.messages_sent()
-    }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
     }
 }
 
@@ -787,9 +743,6 @@ impl FcTx for GfcTimeTx {
     fn hold_and_wait_episodes(&self) -> u64 {
         self.tx.starvations()
     }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
-    }
 }
 
 /// Conceptual GFC receiver backend (continuous sampler).
@@ -826,9 +779,6 @@ impl FcRx for ConceptualRx {
     fn messages_sent(&self) -> u64 {
         self.inner.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// Conceptual GFC sender backend (linear mapping).
@@ -852,9 +802,6 @@ impl FcTx for ConceptualTx {
     }
     fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
         false
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 

@@ -226,9 +226,6 @@ impl FcRx for BfcRx {
     fn messages_sent(&self) -> u64 {
         self.0.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// BFC sender backend adapter. The hard gate is per-flow: it answers for
@@ -254,9 +251,6 @@ impl FcTx for BfcTx {
     }
     fn hold_and_wait_episodes(&self) -> u64 {
         self.0.pauses_entered()
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 

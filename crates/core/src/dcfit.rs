@@ -198,9 +198,6 @@ impl FcRx for DcfitRx {
     fn messages_sent(&self) -> u64 {
         self.0.messages_sent()
     }
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// DCFIT sender backend adapter.
@@ -234,9 +231,6 @@ impl FcTx for DcfitTx {
     }
     fn detections(&self) -> u64 {
         self.0.detections()
-    }
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
     }
 }
 

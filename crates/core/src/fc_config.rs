@@ -1,12 +1,10 @@
 //! Unified flow-control configuration: one enum-of-structs carrying the
-//! scheme *and* its parameters, and the factory that turns it into a
-//! backend pair ([`crate::backend::FcRx`] / [`crate::backend::FcTx`]).
+//! scheme *and* its parameters, and the factories that turn it into a
+//! backend pair ([`AnyRx`] / [`AnyTx`]).
 //!
-//! This supersedes the scattered per-scheme knobs (the old
-//! [`FcMode`](crate::fc_mode::FcMode) plus a side-channel
-//! `gfc_stage_ratio` field on every config struct): each variant owns
-//! every parameter its scheme needs, so adding a scheme touches this file
-//! and nothing else. `From<FcMode>` keeps existing call sites compiling.
+//! Each variant owns every parameter its scheme needs, so adding a scheme
+//! means one variant here, one in each backend enum, and the adapters in
+//! its own module.
 
 use crate::backend::{
     CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
@@ -15,7 +13,6 @@ use crate::bfc::{BfcReceiver, BfcRx, BfcSender, BfcTx};
 use crate::cbfc::BLOCK_BYTES;
 use crate::conceptual::ConceptualSender;
 use crate::dcfit::{DcfitReceiver, DcfitRx, DcfitSender, DcfitTx};
-use crate::fc_mode::FcMode;
 use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
 use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::mapping::{LinearMapping, StageTable};
@@ -117,29 +114,40 @@ pub enum FcConfig {
     Dcfit(DcfitParams),
 }
 
-impl From<FcMode> for FcConfig {
-    fn from(mode: FcMode) -> FcConfig {
-        match mode {
-            FcMode::None => FcConfig::None,
-            FcMode::Pfc { xoff, xon } => FcConfig::Pfc(PfcParams { xoff, xon }),
-            FcMode::Cbfc { period } => FcConfig::Cbfc(CbfcParams { period }),
-            FcMode::GfcBuffer { bm, b1 } => {
-                // The legacy side-channel `gfc_stage_ratio` defaulted to
-                // the paper's halving everywhere; configs that tuned it
-                // now set it here directly.
-                FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (1, 2) })
-            }
-            FcMode::GfcTime { b0, bm, period } => {
-                FcConfig::GfcTime(GfcTimeParams { b0, bm, period })
-            }
-            FcMode::Conceptual { b0, bm, tau } => {
-                FcConfig::Conceptual(ConceptualParams { b0, bm, tau })
-            }
-        }
-    }
-}
-
 impl FcConfig {
+    /// PFC pausing at `xoff` and resuming at `xon` bytes.
+    pub const fn pfc(xoff: u64, xon: u64) -> FcConfig {
+        FcConfig::Pfc(PfcParams { xoff, xon })
+    }
+
+    /// CBFC advertising credits every `period`.
+    pub const fn cbfc(period: Dur) -> FcConfig {
+        FcConfig::Cbfc(CbfcParams { period })
+    }
+
+    /// Buffer-based GFC over `[b1, bm)` with the paper's halving stage
+    /// ratio `(1, 2)`.
+    pub const fn gfc_buffer(bm: u64, b1: u64) -> FcConfig {
+        FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (1, 2) })
+    }
+
+    /// Time-based GFC: linear mapping over `[b0, bm)`, credit feedback
+    /// every `period`.
+    pub const fn gfc_time(b0: u64, bm: u64, period: Dur) -> FcConfig {
+        FcConfig::GfcTime(GfcTimeParams { b0, bm, period })
+    }
+
+    /// Conceptual GFC: linear mapping over `[b0, bm)`, out-of-band
+    /// feedback with latency `tau`.
+    pub const fn conceptual(b0: u64, bm: u64, tau: Dur) -> FcConfig {
+        FcConfig::Conceptual(ConceptualParams { b0, bm, tau })
+    }
+
+    /// DCFIT on PFC thresholds `xoff`/`xon`.
+    pub const fn dcfit(xoff: u64, xon: u64) -> FcConfig {
+        FcConfig::Dcfit(DcfitParams { xoff, xon })
+    }
+
     /// Human-readable scheme name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -186,20 +194,7 @@ impl FcConfig {
     }
 
     /// Build the receiver backend for one watched ingress
-    /// `(port, priority)`, boxed behind the trait. Hot paths that want
-    /// static dispatch use [`FcConfig::make_rx_any`] instead.
-    pub fn make_rx(
-        &self,
-        capacity: Rate,
-        buffer_bytes: u64,
-        mtu: u64,
-        ident: PortIdent,
-    ) -> Box<dyn FcRx> {
-        Box::new(self.make_rx_any(capacity, buffer_bytes, mtu, ident))
-    }
-
-    /// Build the receiver backend as an [`AnyRx`] enum: the same backends
-    /// as [`FcConfig::make_rx`], dispatched by match instead of vtable.
+    /// `(port, priority)`.
     pub fn make_rx_any(
         &self,
         capacity: Rate,
@@ -236,12 +231,6 @@ impl FcConfig {
     /// `(port, priority)`. (The egress rate limiter stays with the
     /// simulator; backends only program it via
     /// [`crate::backend::CtrlOutcome::set_rate`].)
-    pub fn make_tx(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> Box<dyn FcTx> {
-        Box::new(self.make_tx_any(capacity, buffer_bytes, ident))
-    }
-
-    /// Build the sender backend as an [`AnyTx`] enum: the same backends
-    /// as [`FcConfig::make_tx`], dispatched by match instead of vtable.
     pub fn make_tx_any(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> AnyTx {
         use crate::backend as be;
         match *self {
@@ -272,11 +261,9 @@ impl FcConfig {
     }
 }
 
-/// A receiver backend with the built-in schemes inlined as enum variants,
-/// so the per-packet `on_arrival`/`on_drain` calls dispatch by match
-/// (statically, with the common variants branch-predicted) instead of
-/// through a vtable. Out-of-tree backends ride in [`AnyRx::Custom`] and
-/// keep exactly the old boxed-trait behaviour.
+/// A receiver backend, one enum variant per scheme, so the per-packet
+/// `on_arrival`/`on_drain` calls dispatch by match (statically, with the
+/// common variants branch-predicted). A new scheme adds one variant.
 #[derive(Debug, Clone)]
 pub enum AnyRx {
     /// Lossy (no flow control).
@@ -295,8 +282,6 @@ pub enum AnyRx {
     Bfc(BfcRx),
     /// DCFIT ingress.
     Dcfit(DcfitRx),
-    /// Any out-of-tree backend, boxed (the PR 9 extension point).
-    Custom(Box<dyn FcRx>),
 }
 
 macro_rules! any_rx {
@@ -310,7 +295,6 @@ macro_rules! any_rx {
             AnyRx::Conceptual($inner) => $body,
             AnyRx::Bfc($inner) => $body,
             AnyRx::Dcfit($inner) => $body,
-            AnyRx::Custom($inner) => $body,
         }
     };
 }
@@ -351,15 +335,10 @@ impl FcRx for AnyRx {
     fn messages_sent(&self) -> u64 {
         any_rx!(self, rx => rx.messages_sent())
     }
-
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
-/// A sender backend with the built-in schemes inlined as enum variants —
-/// the static-dispatch counterpart of [`AnyRx`] for the hot
-/// `hard_open`/`hard_blocked`/`on_sent` gate calls.
+/// A sender backend, one enum variant per scheme — the counterpart of
+/// [`AnyRx`] for the hot `hard_open`/`hard_blocked`/`on_sent` gate calls.
 #[derive(Debug, Clone)]
 pub enum AnyTx {
     /// Lossy (no flow control).
@@ -378,8 +357,6 @@ pub enum AnyTx {
     Bfc(BfcTx),
     /// DCFIT egress.
     Dcfit(DcfitTx),
-    /// Any out-of-tree backend, boxed (the PR 9 extension point).
-    Custom(Box<dyn FcTx>),
 }
 
 macro_rules! any_tx {
@@ -393,7 +370,6 @@ macro_rules! any_tx {
             AnyTx::Conceptual($inner) => $body,
             AnyTx::Bfc($inner) => $body,
             AnyTx::Dcfit($inner) => $body,
-            AnyTx::Custom($inner) => $body,
         }
     };
 }
@@ -433,10 +409,6 @@ impl FcTx for AnyTx {
     fn detections(&self) -> u64 {
         any_tx!(self, tx => tx.detections())
     }
-
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
@@ -450,56 +422,57 @@ mod tests {
     fn all_configs() -> Vec<FcConfig> {
         vec![
             FcConfig::None,
-            FcConfig::Pfc(PfcParams { xoff: 280_000, xon: 277_000 }),
-            FcConfig::Cbfc(CbfcParams { period: Dur::from_micros(52) }),
-            FcConfig::GfcBuffer(GfcBufferParams { bm: 300_000, b1: 281_000, stage_ratio: (1, 2) }),
-            FcConfig::GfcTime(GfcTimeParams {
-                b0: 100_000,
-                bm: 300_000,
-                period: Dur::from_micros(52),
-            }),
-            FcConfig::Conceptual(ConceptualParams {
-                b0: 50_000,
-                bm: 100_000,
-                tau: Dur::from_micros(25),
-            }),
+            FcConfig::pfc(280_000, 277_000),
+            FcConfig::cbfc(Dur::from_micros(52)),
+            FcConfig::gfc_buffer(300_000, 281_000),
+            FcConfig::gfc_time(100_000, 300_000, Dur::from_micros(52)),
+            FcConfig::conceptual(50_000, 100_000, Dur::from_micros(25)),
             FcConfig::Bfc(BfcConfig::derive(300_000, 1500)),
-            FcConfig::Dcfit(DcfitParams { xoff: 280_000, xon: 277_000 }),
+            FcConfig::dcfit(280_000, 277_000),
         ]
     }
 
     #[test]
-    fn from_fc_mode_preserves_parameters() {
-        let cases: Vec<(FcMode, FcConfig)> = vec![
-            (FcMode::None, FcConfig::None),
-            (FcMode::Pfc { xoff: 10, xon: 5 }, FcConfig::Pfc(PfcParams { xoff: 10, xon: 5 })),
-            (FcMode::Cbfc { period: Dur(7) }, FcConfig::Cbfc(CbfcParams { period: Dur(7) })),
+    fn constructors_equal_their_struct_literals() {
+        let cases = [
+            (FcConfig::pfc(10, 5), FcConfig::Pfc(PfcParams { xoff: 10, xon: 5 })),
+            (FcConfig::cbfc(Dur(7)), FcConfig::Cbfc(CbfcParams { period: Dur(7) })),
             (
-                FcMode::GfcBuffer { bm: 9, b1: 4 },
+                FcConfig::gfc_buffer(9, 4),
                 FcConfig::GfcBuffer(GfcBufferParams { bm: 9, b1: 4, stage_ratio: (1, 2) }),
             ),
             (
-                FcMode::GfcTime { b0: 1, bm: 2, period: Dur(3) },
+                FcConfig::gfc_time(1, 2, Dur(3)),
                 FcConfig::GfcTime(GfcTimeParams { b0: 1, bm: 2, period: Dur(3) }),
             ),
             (
-                FcMode::Conceptual { b0: 1, bm: 2, tau: Dur(3) },
+                FcConfig::conceptual(1, 2, Dur(3)),
                 FcConfig::Conceptual(ConceptualParams { b0: 1, bm: 2, tau: Dur(3) }),
             ),
+            (FcConfig::dcfit(10, 5), FcConfig::Dcfit(DcfitParams { xoff: 10, xon: 5 })),
         ];
-        for (mode, expect) in cases {
-            assert_eq!(FcConfig::from(mode), expect);
+        for (built, literal) in cases {
+            assert_eq!(built, literal);
         }
     }
 
     #[test]
-    fn classification_matches_legacy_plus_new_schemes() {
-        for fc in all_configs() {
-            let legacy_like =
-                matches!(fc, FcConfig::Pfc(_) | FcConfig::Cbfc(_) | FcConfig::Dcfit(_));
-            assert_eq!(fc.has_hard_gate(), legacy_like, "{}", fc.name());
+    fn classification() {
+        // (has_hard_gate, is_gfc) per scheme, in `all_configs` order.
+        let expect = [
+            (false, false), // lossy
+            (true, false),  // PFC
+            (true, false),  // CBFC
+            (false, true),  // buffer-based GFC
+            (false, true),  // time-based GFC
+            (false, true),  // conceptual GFC
+            (false, false), // BFC: per-flow gate only
+            (true, false),  // DCFIT
+        ];
+        for (fc, (hard, gfc)) in all_configs().into_iter().zip(expect) {
+            assert_eq!(fc.has_hard_gate(), hard, "{}", fc.name());
+            assert_eq!(fc.is_gfc(), gfc, "{}", fc.name());
         }
-        assert!(!FcConfig::Bfc(BfcConfig::derive(300_000, 1500)).has_hard_gate());
     }
 
     #[test]
@@ -508,8 +481,8 @@ mod tests {
         // reports the same scheme name as its sender.
         let cap = Rate::from_gbps(10);
         for fc in all_configs() {
-            let mut rx = fc.make_rx(cap, 300_000, 1500, IDENT);
-            let mut tx = fc.make_tx(cap, 300_000, IDENT);
+            let mut rx = fc.make_rx_any(cap, 300_000, 1500, IDENT);
+            let mut tx = fc.make_tx_any(cap, 300_000, IDENT);
             assert_eq!(rx.scheme(), tx.scheme(), "{}", fc.name());
             let mut out = Vec::new();
             let ctx = QueueCtx { q_bytes: 290_000, pkt_bytes: 1500, flow: 1, inherited_tag: None };
@@ -550,7 +523,7 @@ mod tests {
             ),
         ];
         for fc in &configs {
-            let mut tx = fc.make_tx(cap, 300_000, IDENT);
+            let mut tx = fc.make_tx_any(cap, 300_000, IDENT);
             for (pname, payload) in &payloads {
                 let compatible = match fc {
                     FcConfig::None => false,

@@ -11,8 +11,7 @@
 //! |---|---|
 //! | [`units`] | picosecond time, bit-rate, byte arithmetic |
 //! | [`backend`] | the [`backend::FcRx`]/[`backend::FcTx`] trait pair every scheme implements, the control-payload vocabulary, and the adapters for the five paper schemes |
-//! | [`fc_config`] | the fabric-wide scheme + parameter selector ([`FcConfig`]) and the backend factory |
-//! | [`fc_mode`] | the legacy parameter-less scheme selector ([`FcMode`]); converts into [`FcConfig`] |
+//! | [`fc_config`] | the fabric-wide scheme + parameter selector ([`FcConfig`]) and the backend factories building [`AnyRx`]/[`AnyTx`] |
 //! | [`mapping`] | the conceptual linear mapping (Fig. 4b) and the practical multi-stage step function (Fig. 6, Eq. 4/5) |
 //! | [`theorems`] | Theorem 4.1 / 5.1 parameter bounds and the Eq. (6) τ model |
 //! | [`pfc`] | IEEE 802.1Qbb Priority Flow Control (baseline) |
@@ -61,7 +60,6 @@ pub mod cbfc;
 pub mod conceptual;
 pub mod dcfit;
 pub mod fc_config;
-pub mod fc_mode;
 pub mod frames;
 pub mod fxhash;
 pub mod gfc_buffer;
@@ -75,7 +73,6 @@ pub mod units;
 
 pub use backend::{CtrlClass, CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, SchemeMismatch};
 pub use fc_config::{AnyRx, AnyTx, FcConfig, PortIdent};
-pub use fc_mode::FcMode;
 pub use mapping::{LinearMapping, StageTable};
 pub use rate_limiter::RateLimiter;
 pub use units::{Dur, Rate, Time};

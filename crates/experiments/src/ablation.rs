@@ -139,7 +139,7 @@ pub fn run_tau_sweep(seed: u64) -> Vec<TauSweepOutcome> {
     use gfc_core::params::LinkClass;
     use gfc_core::theorems::buffer_based_b1_bound;
     use gfc_core::units::{kb, Dur, Rate};
-    use gfc_sim::{FcMode, TraceConfig};
+    use gfc_sim::{FcConfig, TraceConfig};
     use gfc_topology::Incast;
 
     let mut out = Vec::new();
@@ -151,7 +151,7 @@ pub fn run_tau_sweep(seed: u64) -> Vec<TauSweepOutcome> {
             .expect("300 KB admits the bound for these taus");
         let inc = Incast::new(2);
         let mut cfg = sim_config_300k(Scheme::GfcBuffer, seed);
-        cfg.fc = FcMode::GfcBuffer { bm, b1 }.into();
+        cfg.fc = FcConfig::gfc_buffer(bm, b1);
         cfg.ctrl_proc_delay = Dur::from_micros(t_proc_us);
         let mut net = gfc_sim::Network::new(
             inc.topo.clone(),

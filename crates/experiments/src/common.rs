@@ -4,9 +4,7 @@ use gfc_analysis::TimeSeries;
 use gfc_core::bfc::BfcConfig;
 use gfc_core::theorems;
 use gfc_core::units::{kb, Dur, Rate};
-use gfc_sim::config::{
-    CbfcParams, DcfitParams, FcConfig, GfcBufferParams, GfcTimeParams, PfcParams, PumpPolicy,
-};
+use gfc_sim::config::{FcConfig, PumpPolicy};
 use gfc_sim::{PreflightPolicy, SimConfig};
 use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario};
 use gfc_topology::{Routing, Topology};
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The flow-control schemes under comparison: the paper's four plus the
-/// two out-of-enum backends (BFC, DCFIT) the shootout pits against them.
+/// two backends beyond the paper (BFC, DCFIT) the shootout pits against them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scheme {
     /// IEEE 802.1Qbb Priority Flow Control (baseline).
@@ -67,18 +65,12 @@ impl Scheme {
         let c = Rate::from_gbps(10);
         let period = theorems::cbfc_recommended_period(c);
         match self {
-            Scheme::Pfc => FcConfig::Pfc(PfcParams { xoff: kb(280), xon: kb(277) }),
-            Scheme::Cbfc => FcConfig::Cbfc(CbfcParams { period }),
-            Scheme::GfcBuffer => FcConfig::GfcBuffer(GfcBufferParams {
-                bm: kb(300),
-                b1: kb(281),
-                stage_ratio: (1, 2),
-            }),
-            Scheme::GfcTime => {
-                FcConfig::GfcTime(GfcTimeParams { b0: kb(159), bm: kb(300), period })
-            }
+            Scheme::Pfc => FcConfig::pfc(kb(280), kb(277)),
+            Scheme::Cbfc => FcConfig::cbfc(period),
+            Scheme::GfcBuffer => FcConfig::gfc_buffer(kb(300), kb(281)),
+            Scheme::GfcTime => FcConfig::gfc_time(kb(159), kb(300), period),
             Scheme::Bfc => FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500)),
-            Scheme::Dcfit => FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) }),
+            Scheme::Dcfit => FcConfig::dcfit(kb(280), kb(277)),
         }
     }
 
@@ -89,18 +81,12 @@ impl Scheme {
         let c = Rate::from_gbps(10);
         let period = theorems::cbfc_recommended_period(c);
         match self {
-            Scheme::Pfc => FcConfig::Pfc(PfcParams { xoff: kb(800), xon: kb(797) }),
-            Scheme::Cbfc => FcConfig::Cbfc(CbfcParams { period }),
-            Scheme::GfcBuffer => FcConfig::GfcBuffer(GfcBufferParams {
-                bm: kb(1024),
-                b1: kb(750),
-                stage_ratio: (1, 2),
-            }),
-            Scheme::GfcTime => {
-                FcConfig::GfcTime(GfcTimeParams { b0: kb(492), bm: kb(1024), period })
-            }
+            Scheme::Pfc => FcConfig::pfc(kb(800), kb(797)),
+            Scheme::Cbfc => FcConfig::cbfc(period),
+            Scheme::GfcBuffer => FcConfig::gfc_buffer(kb(1024), kb(750)),
+            Scheme::GfcTime => FcConfig::gfc_time(kb(492), kb(1024), period),
             Scheme::Bfc => FcConfig::Bfc(BfcConfig::derive(kb(1024) + 4 * 1500, 1500)),
-            Scheme::Dcfit => FcConfig::Dcfit(DcfitParams { xoff: kb(800), xon: kb(797) }),
+            Scheme::Dcfit => FcConfig::dcfit(kb(800), kb(797)),
         }
     }
 

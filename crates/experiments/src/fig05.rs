@@ -12,7 +12,7 @@
 use crate::common::{csv_track, row};
 use gfc_analysis::TimeSeries;
 use gfc_core::units::{kb, Dur, Time};
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_topology::{Incast, Routing};
 use serde::{Deserialize, Serialize};
 
@@ -77,11 +77,11 @@ pub struct Fig05Result {
     pub gfc: SchemeTrace,
 }
 
-fn run_one(params: &Fig05Params, fc: FcMode, extra_proc: Dur) -> SchemeTrace {
+fn run_one(params: &Fig05Params, fc: FcConfig, extra_proc: Dur) -> SchemeTrace {
     let inc = Incast::new(2);
     let mut cfg = SimConfig::default_10g();
     cfg.buffer_bytes = params.bm;
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.seed = params.seed;
     // The figure's PFC column deliberately provisions zero headroom above
     // XOFF (the paper's abstract model) — preflight flags it, we run anyway.
@@ -124,10 +124,10 @@ pub fn run(params: Fig05Params) -> Fig05Result {
     // t_r = τ − 2·MTU/C − 2·t_w  (Eq. 6 solved for the processing delay;
     // MTU 1500 B at 10 Gb/s = 1.2 µs, t_w = 1 µs).
     let pfc_proc = Dur(params.tau.0.saturating_sub(2 * 1_200_000 + 2 * 1_000_000));
-    let pfc = run_one(&params, FcMode::Pfc { xoff: params.xoff, xon: params.xon }, pfc_proc);
+    let pfc = run_one(&params, FcConfig::pfc(params.xoff, params.xon), pfc_proc);
     let gfc = run_one(
         &params,
-        FcMode::Conceptual { b0: params.b0, bm: params.bm, tau: params.tau },
+        FcConfig::conceptual(params.b0, params.bm, params.tau),
         Dur::from_micros(3),
     );
     Fig05Result { params, pfc, gfc }

@@ -9,6 +9,7 @@ use gfc_analysis::EmpiricalDist;
 use gfc_core::units::{Dur, Time};
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
+use gfc_telemetry::registry::percentile;
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
@@ -116,10 +117,11 @@ pub fn run(params: Fig19Params) -> Fig19Result {
         let net = run_case(&params, case);
         samples.extend(port_fractions(&net, params.horizon));
     }
+    let p99 = percentile(&samples, 99.0).unwrap_or(0.0);
     let dist = EmpiricalDist::new(samples);
     Fig19Result {
         mean: dist.mean(),
-        p99: dist.quantile(0.99).unwrap_or(0.0),
+        p99,
         max: dist.max().unwrap_or(0.0),
         port_fraction: dist,
         params,

@@ -10,7 +10,6 @@ pub use gfc_core::fc_config::{
     BfcConfig, CbfcParams, ConceptualParams, DcfitParams, FcConfig, GfcBufferParams, GfcTimeParams,
     PfcParams,
 };
-pub use gfc_core::fc_mode::FcMode;
 pub use gfc_telemetry::{TelemetryConfig, TimelineConfig};
 pub use gfc_verify::PreflightPolicy;
 
@@ -49,11 +48,7 @@ pub struct SimConfig {
     pub mtu: u64,
     /// Ingress buffer per (port, priority), bytes.
     pub buffer_bytes: u64,
-    /// The flow-control scheme under test, with its parameters. Legacy
-    /// [`FcMode`] values convert via `.into()` (buffer-based GFC picks up
-    /// the paper's 1/2 stage ratio; tune it through
-    /// [`GfcBufferParams::stage_ratio`] instead of the retired
-    /// `gfc_stage_ratio` side-channel field).
+    /// The flow-control scheme under test, with its parameters.
     pub fc: FcConfig,
     /// Output-sharing discipline of the switches.
     pub pump: PumpPolicy,
@@ -111,7 +106,7 @@ impl SimConfig {
             prop_delay: Dur::from_micros(1),
             mtu: 1500,
             buffer_bytes: buffer,
-            fc: FcConfig::Pfc(PfcParams { xoff: pfc.xoff, xon: pfc.xon }),
+            fc: FcConfig::pfc(pfc.xoff, pfc.xon),
             pump: PumpPolicy::RoundRobin,
             pump_batch: 1,
             stage_slots: 2,
@@ -126,16 +121,6 @@ impl SimConfig {
             stop_on_deadlock: false,
             preflight: PreflightPolicy::Enforce,
             telemetry: TelemetryConfig::default(),
-        }
-    }
-
-    /// The stage-width ratio of buffer-based GFC's step mapping, read out
-    /// of [`FcConfig::GfcBuffer`]; the paper's 1/2 for every other scheme.
-    #[deprecated(note = "read GfcBufferParams::stage_ratio from SimConfig::fc instead")]
-    pub fn gfc_stage_ratio(&self) -> (u64, u64) {
-        match self.fc {
-            FcConfig::GfcBuffer(p) => p.stage_ratio,
-            _ => (1, 2),
         }
     }
 
@@ -208,7 +193,7 @@ mod tests {
     #[should_panic(expected = "XON must be below XOFF")]
     fn rejects_bad_pfc() {
         let mut c = SimConfig::default_10g();
-        c.fc = FcMode::Pfc { xoff: 10, xon: 10 }.into();
+        c.fc = FcConfig::pfc(10, 10);
         c.validate();
     }
 
@@ -216,7 +201,7 @@ mod tests {
     #[should_panic(expected = "XON must be below XOFF")]
     fn rejects_bad_dcfit() {
         let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::Dcfit(DcfitParams { xoff: 10, xon: 10 });
+        c.fc = FcConfig::dcfit(10, 10);
         c.validate();
     }
 
@@ -245,22 +230,7 @@ mod tests {
     #[should_panic(expected = "Bm beyond buffer")]
     fn rejects_gfc_bm_beyond_buffer() {
         let mut c = SimConfig::default_10g();
-        c.fc = FcMode::GfcBuffer { bm: c.buffer_bytes + 1, b1: 10 }.into();
+        c.fc = FcConfig::gfc_buffer(c.buffer_bytes + 1, 10);
         c.validate();
-    }
-
-    #[test]
-    fn legacy_mode_converts() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcMode::GfcBuffer { bm: 300 * 1024, b1: 281 * 1024 }.into();
-        c.validate();
-        assert_eq!(
-            c.fc,
-            FcConfig::GfcBuffer(GfcBufferParams {
-                bm: 300 * 1024,
-                b1: 281 * 1024,
-                stage_ratio: (1, 2),
-            })
-        );
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! The heap itself holds only compact 32-byte keys, so sift-up/sift-down
 //! never moves an [`Event`] payload (which inlines a full [`Packet`] for
-//! `Arrive`). Payloads live in a slab indexed by [`EventId`]; slots freed
+//! `Arrive`). Payloads live in a slab indexed by `EventId`; slots freed
 //! by `pop` are recycled by the next `push`, so a steady-state run
 //! reaches a fixed pool size and stops allocating entirely.
 //!

@@ -1,15 +1,13 @@
 //! Per-port flow-control state: the bridge between the simulator's queues
-//! and the backend trait pair in `gfc_core::backend`.
+//! and the backend pair in `gfc_core::backend`.
 //!
-//! Each ingress `(port, priority)` owns an [`FcReceiver`]; each egress
-//! `(port, priority)` owns an [`FcSender`] plus a rate limiter. Both are
-//! thin wrappers around the [`gfc_core::AnyRx`] / [`gfc_core::AnyTx`]
-//! backend enums built by
-//! [`FcConfig::make_rx_any`]/[`FcConfig::make_tx_any`](gfc_core::FcConfig):
-//! the simulator dispatches through the backend interface and never
-//! matches on the scheme, while the built-in schemes resolve statically
-//! (out-of-tree backends ride in the enums' `Custom` variants). The
-//! sender additionally owns the §5.3 rate limiter and applies
+//! Each ingress `(port, priority)` holds a [`gfc_core::AnyRx`] directly;
+//! each egress `(port, priority)` owns an [`FcSender`], which wraps a
+//! [`gfc_core::AnyTx`]. Both enums are built by
+//! [`FcConfig::make_rx_any`](gfc_core::FcConfig::make_rx_any) /
+//! [`FcConfig::make_tx_any`](gfc_core::FcConfig::make_tx_any): the
+//! simulator calls the backend interface and never matches on the
+//! scheme. The sender additionally owns the §5.3 rate limiter and applies
 //! [`CtrlOutcome::set_rate`] to it, keeping pacing a simulator concern.
 //!
 //! Control messages between the halves are [`CtrlPayload`]s; the wire
@@ -18,71 +16,14 @@
 //! firmware implementation would emit.
 
 use crate::config::SimConfig;
-use gfc_core::backend::{FcRx, FcTx};
+use gfc_core::backend::FcTx;
 use gfc_core::rate_limiter::RateLimiter;
 use gfc_core::units::{Dur, Rate, Time};
-use gfc_core::{AnyRx, AnyTx, PortIdent};
+use gfc_core::{AnyTx, PortIdent};
 
 pub use gfc_core::backend::{
     CtrlOutcome, CtrlPayload, DcfitTag, QueueCtx, SchemeMismatch, Sense, TxHead,
 };
-
-/// Receiver-side (ingress) flow-control state for one `(port, priority)`.
-#[derive(Debug, Clone)]
-pub struct FcReceiver(AnyRx);
-
-impl FcReceiver {
-    /// Build the receiver backend for a config at the given port.
-    pub fn for_config(cfg: &SimConfig, ident: PortIdent) -> FcReceiver {
-        FcReceiver(cfg.fc.make_rx_any(cfg.capacity, cfg.buffer_bytes, cfg.mtu, ident))
-    }
-
-    /// Wrap an out-of-tree receiver backend (dynamic dispatch).
-    pub fn custom(rx: Box<dyn FcRx>) -> FcReceiver {
-        FcReceiver(AnyRx::Custom(rx))
-    }
-
-    /// Account an arrived packet and append any feedback messages driven
-    /// by the new queue state to `out`.
-    pub fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        self.0.on_arrival(ctx, out);
-    }
-
-    /// Account a drained packet (its last bit left this node) and append
-    /// any feedback to `out`. Per-flow schemes may emit several resumes
-    /// at once.
-    pub fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        self.0.on_drain(ctx, out);
-    }
-
-    /// The periodic feedback message (CBFC / time-based GFC); `None` for
-    /// event-driven schemes.
-    pub fn periodic(&mut self) -> Option<CtrlPayload> {
-        self.0.periodic()
-    }
-
-    /// A packet was consumed instantly at a host sink.
-    pub fn on_host_delivery(&mut self, bytes: u64) {
-        self.0.on_host_delivery(bytes);
-    }
-
-    /// Classify a payload this receiver just generated for the causal
-    /// layer.
-    pub fn sense(&self, payload: &CtrlPayload, ing_bytes: u64) -> Sense {
-        self.0.sense(payload, ing_bytes)
-    }
-
-    /// Whether arrivals should carry the forward egress's applied tag
-    /// (DCFIT inheritance).
-    pub fn wants_fwd_tag(&self) -> bool {
-        self.0.wants_fwd_tag()
-    }
-
-    /// Feedback messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.0.messages_sent()
-    }
-}
 
 /// The verdict of the sender-side gate for a candidate packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,14 +51,6 @@ impl FcSender {
         let mut limiter = RateLimiter::with_min_unit(cfg.capacity, cfg.min_rate_unit);
         limiter.set_rate(cfg.capacity);
         FcSender { inner: cfg.fc.make_tx_any(cfg.capacity, cfg.buffer_bytes, ident), limiter }
-    }
-
-    /// Wrap an out-of-tree sender backend (dynamic dispatch), with a
-    /// line-rate limiter.
-    pub fn custom(tx: Box<dyn FcTx>, cfg: &SimConfig) -> FcSender {
-        let mut limiter = RateLimiter::with_min_unit(cfg.capacity, cfg.min_rate_unit);
-        limiter.set_rate(cfg.capacity);
-        FcSender { inner: AnyTx::Custom(tx), limiter }
     }
 
     /// Human-readable name of the scheme this sender runs.
@@ -203,18 +136,22 @@ impl FcSender {
 mod tests {
     use super::*;
     use gfc_core::bfc::BfcConfig;
-    use gfc_core::fc_config::{DcfitParams, FcConfig};
+    use gfc_core::fc_config::FcConfig;
     use gfc_core::pfc::PfcEvent;
     use gfc_core::units::kb;
-    use gfc_core::FcMode;
+    use gfc_core::{AnyRx, FcRx};
 
     const IDENT: PortIdent = PortIdent { node: 0, port: 0 };
 
-    fn cfg(fc: impl Into<FcConfig>) -> SimConfig {
+    fn cfg(fc: FcConfig) -> SimConfig {
         let mut c = SimConfig::default_10g();
-        c.fc = fc.into();
+        c.fc = fc;
         c.validate();
         c
+    }
+
+    fn receiver(c: &SimConfig, ident: PortIdent) -> AnyRx {
+        c.fc.make_rx_any(c.capacity, c.buffer_bytes, c.mtu, ident)
     }
 
     fn ctx(q_bytes: u64, pkt_bytes: u64) -> QueueCtx {
@@ -226,8 +163,8 @@ mod tests {
     }
 
     fn one(
-        rx: &mut FcReceiver,
-        f: impl FnOnce(&mut FcReceiver, &mut Vec<CtrlPayload>),
+        rx: &mut AnyRx,
+        f: impl FnOnce(&mut AnyRx, &mut Vec<CtrlPayload>),
     ) -> Option<CtrlPayload> {
         let mut out = Vec::new();
         f(rx, &mut out);
@@ -237,8 +174,8 @@ mod tests {
 
     #[test]
     fn pfc_pair_pause_resume() {
-        let c = cfg(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let c = cfg(FcConfig::pfc(kb(280), kb(277)));
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         assert_eq!(tx.gate(&head(1500), Time::ZERO), Gate::Ready);
         let msg =
@@ -253,8 +190,8 @@ mod tests {
 
     #[test]
     fn gfc_buffer_pair_sets_rate() {
-        let c = cfg(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) });
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let c = cfg(FcConfig::gfc_buffer(kb(300), kb(281)));
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         let msg =
             one(&mut rx, |r, out| r.on_arrival(&ctx(kb(282), 1500), out)).expect("stage change");
@@ -270,8 +207,8 @@ mod tests {
 
     #[test]
     fn cbfc_pair_credits_through_wire_wrap() {
-        let c = cfg(FcMode::Cbfc { period: Dur::from_micros(52) });
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let c = cfg(FcConfig::cbfc(Dur::from_micros(52)));
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         // Consume all credits.
         let buffer = c.buffer_bytes;
@@ -296,8 +233,8 @@ mod tests {
 
     #[test]
     fn gfc_time_pair_rate_follows_credits() {
-        let c = cfg(FcMode::GfcTime { b0: kb(100), bm: kb(300), period: Dur::from_micros(52) });
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let c = cfg(FcConfig::gfc_time(kb(100), kb(300), Dur::from_micros(52)));
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         assert_eq!(tx.assigned_rate(), Rate::from_gbps(10));
         let mut sent = 0u64;
@@ -316,8 +253,8 @@ mod tests {
 
     #[test]
     fn conceptual_pair_linear() {
-        let c = cfg(FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(25) });
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let c = cfg(FcConfig::conceptual(kb(50), kb(100), Dur::from_micros(25)));
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         let msg = one(&mut rx, |r, out| r.on_arrival(&ctx(kb(75), 1500), out)).unwrap();
         tx.on_ctrl(msg, Time::ZERO).unwrap();
@@ -329,7 +266,7 @@ mod tests {
         let mut c = SimConfig::default_10g();
         c.fc = FcConfig::Bfc(BfcConfig::derive(c.buffer_bytes, c.mtu));
         c.validate();
-        let mut rx = FcReceiver::for_config(&c, IDENT);
+        let mut rx = receiver(&c, IDENT);
         let mut tx = FcSender::for_config(&c, IDENT);
         let flow7 = |q| QueueCtx { q_bytes: q, pkt_bytes: 1500, flow: 7, inherited_tag: None };
         // Build flow 7's footprint past flow_xoff (8 MTU by derivation).
@@ -359,10 +296,8 @@ mod tests {
 
     #[test]
     fn dcfit_pair_detects_own_tag() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) });
-        c.validate();
-        let mut rx = FcReceiver::for_config(&c, PortIdent { node: 4, port: 2 });
+        let c = cfg(FcConfig::dcfit(kb(280), kb(277)));
+        let mut rx = receiver(&c, PortIdent { node: 4, port: 2 });
         let mut tx = FcSender::for_config(&c, PortIdent { node: 4, port: 0 });
         assert!(rx.wants_fwd_tag());
         // Fresh pause minted at node 4 → applied at node 4's own egress:
@@ -388,7 +323,7 @@ mod tests {
 
     #[test]
     fn mismatched_ctrl_is_a_typed_error() {
-        let c = cfg(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let c = cfg(FcConfig::pfc(kb(280), kb(277)));
         let mut tx = FcSender::for_config(&c, IDENT);
         let err = tx.on_ctrl(CtrlPayload::GfcStage(1), Time::ZERO).unwrap_err();
         assert_eq!(err.payload, CtrlPayload::GfcStage(1));

@@ -10,8 +10,8 @@
 //!   the full control-frame path (strict priority, no preemption —
 //!   reproducing the Eq. (6) feedback latency);
 //! * hosts with closed-loop flow generation, optional per-flow DCQCN;
-//! * pluggable flow control per [`config::FcMode`]: PFC, CBFC, and the
-//!   three GFC variants, all driven by the pure state machines of
+//! * pluggable flow control per [`FcConfig`]: PFC, CBFC, the three GFC
+//!   variants, BFC and DCFIT, all driven by the pure state machines of
 //!   `gfc-core`, with every feedback message round-tripped through the
 //!   real wire codecs;
 //! * built-in measurement (queue/rate traces, throughput meters, flow
@@ -50,7 +50,7 @@ pub mod shard;
 mod telemetry;
 pub mod trace;
 
-pub use config::{FcMode, PreflightPolicy, SimConfig, TelemetryConfig, TimelineConfig};
+pub use config::{FcConfig, PreflightPolicy, SimConfig, TelemetryConfig, TimelineConfig};
 pub use flowgen::{ClosedLoopWorkload, FlowRequest, ListWorkload, Workload};
 pub use gfc_telemetry::{ChromeTrace, FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
 pub use network::{Network, SimStats};

@@ -31,6 +31,7 @@ use gfc_analysis::{FlowLedger, ProgressMonitor, ThroughputMeter};
 use gfc_core::fc_config::PortIdent;
 use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::{Dur, Rate, Time};
+use gfc_core::FcRx;
 use gfc_dcqcn::{CnpGenerator, ReactionPoint};
 use gfc_telemetry::{
     names, CausalReport, CauseToken, ChromeTrace, CtrlSense, EngineProbe, FlightRecorder,

@@ -13,9 +13,9 @@
 //! indexed as `ports[node][port]`.
 
 use crate::config::SimConfig;
-use crate::fc::{CtrlPayload, FcReceiver, FcSender};
+use crate::fc::{CtrlPayload, FcSender};
 use crate::packet::Packet;
-use gfc_core::fc_config::PortIdent;
+use gfc_core::{AnyRx, PortIdent};
 use gfc_telemetry::CauseToken;
 use gfc_topology::{LinkId, NodeId};
 use std::collections::VecDeque;
@@ -88,7 +88,7 @@ pub struct PrioState {
     /// blocking exactly like the paper's switches).
     pub ing_q: VecDeque<IngressPacket>,
     /// Ingress flow-control receiver.
-    pub ing_rx: FcReceiver,
+    pub ing_rx: AnyRx,
     /// Egress queue.
     pub eg: EgressQueue,
     /// Egress flow-control sender (+ rate limiter).
@@ -100,7 +100,7 @@ impl PrioState {
         PrioState {
             ing_bytes: 0,
             ing_q: VecDeque::new(),
-            ing_rx: FcReceiver::for_config(cfg, ident),
+            ing_rx: cfg.fc.make_rx_any(cfg.capacity, cfg.buffer_bytes, cfg.mtu, ident),
             eg: EgressQueue::default(),
             tx_fc: FcSender::for_config(cfg, ident),
         }

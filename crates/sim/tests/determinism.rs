@@ -10,9 +10,9 @@
 
 use gfc_core::bfc::BfcConfig;
 use gfc_core::units::{kb, Dur, Time};
-use gfc_sim::config::{DcfitParams, FcConfig, PumpPolicy};
+use gfc_sim::config::{FcConfig, PumpPolicy};
 use gfc_sim::flowgen::ClosedLoopWorkload;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::fattree::FatTree;
 use gfc_topology::{Ring, Routing};
@@ -43,7 +43,7 @@ fn run_ring(seed: u64) -> RunFingerprint {
 }
 
 fn run_ring_with(seed: u64, causal: bool) -> RunFingerprint {
-    let fc = FcMode::Pfc { xoff: kb(280), xon: kb(277) }.into();
+    let fc = FcConfig::pfc(kb(280), kb(277));
     run_ring_fc(fc, PumpPolicy::OutputQueued, seed, causal)
 }
 
@@ -69,7 +69,7 @@ fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, causal: bool) -> RunFi
 /// enterprise workload — exercises the arrival lane, SPF routing, stage
 /// feedback, and workload respawning.
 fn run_fattree(seed: u64) -> RunFingerprint {
-    let fc = FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }.into();
+    let fc = FcConfig::gfc_buffer(kb(300), kb(281));
     run_fattree_fc(fc, PumpPolicy::RoundRobin, seed)
 }
 
@@ -146,17 +146,13 @@ fn causal_tracking_is_observation_only() {
 
 #[test]
 fn bfc_and_dcfit_replays_are_bit_identical() {
-    // The out-of-enum backends honour the same replay contract as the
-    // built-ins, on both fixtures: BFC's per-flow pause books and DCFIT's
+    // BFC and DCFIT honour the same replay contract as the paper's
+    // schemes, on both fixtures: BFC's per-flow pause books and DCFIT's
     // tag minting/inheritance are all keyed off the deterministic event
     // order, so same-seed runs must agree on every observable.
     let backends: [(&str, FcConfig, PumpPolicy); 2] = [
         ("BFC", FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500)), PumpPolicy::RoundRobin),
-        (
-            "DCFIT",
-            FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) }),
-            PumpPolicy::OutputQueued,
-        ),
+        ("DCFIT", FcConfig::dcfit(kb(280), kb(277)), PumpPolicy::OutputQueued),
     ];
     for (name, fc, pump) in backends {
         let a = run_ring_fc(fc, pump, 9, false);
@@ -184,7 +180,7 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
     // change to the queue that alters the canonical dispatch order — not
     // just one that makes two runs disagree — moves these.
     let bfc = FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500));
-    let dcfit = FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) });
+    let dcfit = FcConfig::dcfit(kb(280), kb(277));
     let cases = [
         ("ring", run_ring(9), (11_092, 0xd289_0f2a_bbc3_0dbb, 0x4e7c_b668_d7f3_9966)),
         ("fat-tree", run_fattree(4242), (191_574, 0x27c3_0edd_0a9a_b14e, 0x5355_bc56_1e13_9c2e)),

@@ -4,14 +4,14 @@
 
 use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::config::PumpPolicy;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TelemetryConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TelemetryConfig, TraceConfig};
 use gfc_telemetry::ForensicsTrigger;
 use gfc_topology::{Ring, Routing};
 
-fn ring_network(fc: FcMode, pump: PumpPolicy, telemetry: TelemetryConfig) -> Network {
+fn ring_network(fc: FcConfig, pump: PumpPolicy, telemetry: TelemetryConfig) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.progress_window = Dur::from_millis(2);
     cfg.preflight = PreflightPolicy::Acknowledge;
@@ -24,12 +24,12 @@ fn ring_network(fc: FcMode, pump: PumpPolicy, telemetry: TelemetryConfig) -> Net
     net
 }
 
-fn pfc() -> FcMode {
-    FcMode::Pfc { xoff: kb(280), xon: kb(277) }
+fn pfc() -> FcConfig {
+    FcConfig::pfc(kb(280), kb(277))
 }
 
-fn gfc() -> FcMode {
-    FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }
+fn gfc() -> FcConfig {
+    FcConfig::gfc_buffer(kb(300), kb(281))
 }
 
 #[test]

@@ -19,17 +19,17 @@ use gfc_core::params::LinkClass;
 use gfc_core::theorems;
 use gfc_core::units::{kb, Dur, Rate, Time};
 use gfc_sim::config::PumpPolicy;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::{Ring, Routing};
 
 /// Build the Fig. 1 ring scenario: 3 switches, clockwise two-hop routes,
 /// every host sending an infinite flow at line rate. Parameters follow the
 /// paper's §6.2.2 values (300 KB buffers, 10 Gb/s).
-fn ring_network(fc: FcMode, pump: PumpPolicy, seed: u64) -> Network {
+fn ring_network(fc: FcConfig, pump: PumpPolicy, seed: u64) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.seed = seed;
     cfg.progress_window = Dur::from_millis(2);
@@ -48,29 +48,29 @@ fn link() -> LinkClass {
     LinkClass::cee(Rate::from_gbps(10))
 }
 
-fn pfc_mode() -> FcMode {
+fn pfc_mode() -> FcConfig {
     // Paper §6.2.2: XOFF = 280 KB, XON = 277 KB.
-    FcMode::Pfc { xoff: kb(280), xon: kb(277) }
+    FcConfig::pfc(kb(280), kb(277))
 }
 
-fn gfc_buffer_mode() -> FcMode {
+fn gfc_buffer_mode() -> FcConfig {
     // Paper §6.2.2: B1 = 281 KB of a 300 KB buffer — a few packets of
     // slack below the Bm − 2·C·τ bound.
     let bound = theorems::buffer_based_b1_bound(kb(300), link().capacity, link().tau()).unwrap();
     let b1 = kb(281);
     assert!(b1 <= bound, "paper B1 must satisfy the bound");
-    FcMode::GfcBuffer { bm: kb(300), b1 }
+    FcConfig::gfc_buffer(kb(300), b1)
 }
 
-fn cbfc_mode() -> FcMode {
-    FcMode::Cbfc { period: theorems::cbfc_recommended_period(link().capacity) }
+fn cbfc_mode() -> FcConfig {
+    FcConfig::cbfc(theorems::cbfc_recommended_period(link().capacity))
 }
 
-fn gfc_time_mode() -> FcMode {
+fn gfc_time_mode() -> FcConfig {
     // Paper §6.2.2: B0 = 159 KB of a 300 KB buffer (below the Theorem 5.1
     // bound for these parameters).
     let period = theorems::cbfc_recommended_period(link().capacity);
-    FcMode::GfcTime { b0: kb(159), bm: kb(300), period }
+    FcConfig::gfc_time(kb(159), kb(300), period)
 }
 
 #[test]
@@ -178,10 +178,10 @@ fn runs_are_deterministic() {
 #[test]
 fn larger_rings_behave_the_same() {
     // 5-switch ring: same qualitative split.
-    let build = |fc: FcMode, pump| {
+    let build = |fc: FcConfig, pump| {
         let ring = Ring::new(5);
         let mut cfg = SimConfig::default_10g();
-        cfg.fc = fc.into();
+        cfg.fc = fc;
         cfg.pump = pump;
         cfg.progress_window = Dur::from_millis(2);
         cfg.preflight = PreflightPolicy::Acknowledge;
@@ -214,7 +214,7 @@ fn cbfc_deadlocks_even_under_fair_switching_with_staggered_starts() {
     for seed in 1u64..=16 {
         let ring = Ring::new(3);
         let mut cfg = SimConfig::default_10g();
-        cfg.fc = cbfc_mode().into();
+        cfg.fc = cbfc_mode();
         cfg.pump = PumpPolicy::RoundRobin;
         cfg.seed = seed;
         cfg.progress_window = Dur::from_millis(2);

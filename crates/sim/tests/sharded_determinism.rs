@@ -8,8 +8,8 @@
 
 use gfc_core::bfc::BfcConfig;
 use gfc_core::units::{kb, Dur, Time};
-use gfc_sim::config::{DcfitParams, FcConfig, PumpPolicy};
-use gfc_sim::{FcMode, Network, PreflightPolicy, ShardedNetwork, SimConfig, TraceConfig};
+use gfc_sim::config::{FcConfig, PumpPolicy};
+use gfc_sim::{Network, PreflightPolicy, ShardedNetwork, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::fattree::{find_fig11_failures, FatTree, FIG11_FLOWS};
 use gfc_topology::{NodeId, Partition, Ring, Routing, SpfRouting, Topology};
@@ -30,24 +30,12 @@ struct Fingerprint {
 fn backends() -> [(&'static str, FcConfig, PumpPolicy); 6] {
     let period = gfc_core::theorems::cbfc_recommended_period(gfc_core::units::Rate::from_gbps(10));
     [
-        ("pfc", FcMode::Pfc { xoff: kb(280), xon: kb(277) }.into(), PumpPolicy::OutputQueued),
-        ("cbfc", FcMode::Cbfc { period }.into(), PumpPolicy::OutputQueued),
-        (
-            "gfc-buffer",
-            FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }.into(),
-            PumpPolicy::RoundRobin,
-        ),
-        (
-            "gfc-time",
-            FcMode::GfcTime { b0: kb(159), bm: kb(300), period }.into(),
-            PumpPolicy::RoundRobin,
-        ),
+        ("pfc", FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued),
+        ("cbfc", FcConfig::cbfc(period), PumpPolicy::OutputQueued),
+        ("gfc-buffer", FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin),
+        ("gfc-time", FcConfig::gfc_time(kb(159), kb(300), period), PumpPolicy::RoundRobin),
         ("bfc", FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500)), PumpPolicy::RoundRobin),
-        (
-            "dcfit",
-            FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) }),
-            PumpPolicy::OutputQueued,
-        ),
+        ("dcfit", FcConfig::dcfit(kb(280), kb(277)), PumpPolicy::OutputQueued),
     ]
 }
 

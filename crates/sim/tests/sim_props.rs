@@ -4,19 +4,19 @@
 use gfc_core::theorems::cbfc_recommended_period;
 use gfc_core::units::{kb, Rate, Time};
 use gfc_sim::flowgen::ClosedLoopWorkload;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_topology::{FatTree, Routing};
 use gfc_workload::{DestPolicy, FlowSizeDist};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-fn scheme(idx: usize) -> FcMode {
+fn scheme(idx: usize) -> FcConfig {
     let period = cbfc_recommended_period(Rate::from_gbps(10));
     match idx % 4 {
-        0 => FcMode::Pfc { xoff: kb(280), xon: kb(277) },
-        1 => FcMode::Cbfc { period },
-        2 => FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-        _ => FcMode::GfcTime { b0: kb(159), bm: kb(300), period },
+        0 => FcConfig::pfc(kb(280), kb(277)),
+        1 => FcConfig::cbfc(period),
+        2 => FcConfig::gfc_buffer(kb(300), kb(281)),
+        _ => FcConfig::gfc_time(kb(159), kb(300), period),
     }
 }
 
@@ -26,7 +26,7 @@ fn run_once(seed: u64, scheme_idx: usize, failure_prob: f64) -> (u64, u64, u64, 
     ft.inject_failures(&mut rng, failure_prob);
     let mut cfg = SimConfig::default_10g();
     cfg.buffer_bytes = kb(300) + 6000;
-    cfg.fc = scheme(scheme_idx).into();
+    cfg.fc = scheme(scheme_idx);
     cfg.seed = seed;
     // Random failures can hand SPF a CBD-forming re-route, which preflight
     // flags under the baselines — losslessness must hold regardless.

@@ -6,16 +6,16 @@
 use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::config::PumpPolicy;
 use gfc_sim::{
-    FcMode, Network, PreflightPolicy, SimConfig, SpanOutcome, TelemetryConfig, TimelineConfig,
+    FcConfig, Network, PreflightPolicy, SimConfig, SpanOutcome, TelemetryConfig, TimelineConfig,
     TraceConfig,
 };
 use gfc_telemetry::TrackKind;
 use gfc_topology::{Incast, Ring, Routing};
 
-fn ring_network(fc: FcMode, pump: PumpPolicy, timeline: TimelineConfig) -> Network {
+fn ring_network(fc: FcConfig, pump: PumpPolicy, timeline: TimelineConfig) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.preflight = PreflightPolicy::Acknowledge;
     cfg.telemetry = TelemetryConfig::default();
@@ -39,8 +39,7 @@ fn sampler_memory_stays_bounded_over_a_long_run() {
         spans: false,
         stall_gap_ps: 0,
     };
-    let mut net =
-        ring_network(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }, PumpPolicy::RoundRobin, tl);
+    let mut net = ring_network(FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin, tl);
     net.run_until(Time::from_millis(50));
     let s = net.timeline_samplers().expect("sampling on");
     assert!(s.len() <= 64, "budget exceeded: {} samples", s.len());
@@ -63,7 +62,7 @@ fn sampler_memory_stays_bounded_over_a_long_run() {
 #[test]
 fn standard_tracks_carry_sensible_values() {
     let mut net = ring_network(
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
+        FcConfig::gfc_buffer(kb(300), kb(281)),
         PumpPolicy::RoundRobin,
         TimelineConfig::full(),
     );
@@ -100,8 +99,8 @@ fn standard_tracks_carry_sensible_values() {
 #[test]
 fn every_span_has_exactly_one_outcome_wedged_and_healthy() {
     for (fc, pump, expect_stalled) in [
-        (FcMode::Pfc { xoff: kb(280), xon: kb(277) }, PumpPolicy::OutputQueued, true),
-        (FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }, PumpPolicy::RoundRobin, false),
+        (FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued, true),
+        (FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin, false),
     ] {
         let horizon = Time::from_millis(20);
         let mut net = ring_network(fc, pump, TimelineConfig::full());
@@ -170,7 +169,7 @@ fn finite_flows_finish_with_spans_and_fcts() {
 #[test]
 fn chrome_trace_export_contains_counters_and_spans() {
     let mut net = ring_network(
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
+        FcConfig::gfc_buffer(kb(300), kb(281)),
         PumpPolicy::RoundRobin,
         TimelineConfig::full(),
     );
@@ -192,7 +191,7 @@ fn chrome_trace_export_contains_counters_and_spans() {
 #[test]
 fn timeline_off_costs_nothing_and_returns_none() {
     let mut net = ring_network(
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
+        FcConfig::gfc_buffer(kb(300), kb(281)),
         PumpPolicy::RoundRobin,
         TimelineConfig::off(),
     );

@@ -86,21 +86,21 @@ pub fn preflight_params(spec: &FabricSpec) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfc_core::fc_mode::FcMode;
+    use gfc_core::fc_config::FcConfig;
     use gfc_core::theorems;
     use gfc_core::units::{kb, Dur, Rate};
     use gfc_topology::cbd::all_pairs_depgraph;
     use gfc_topology::{Ring, Routing, SparseRing};
 
     /// The §6.2.2 fabric: 10G CEE, 300 KB buffers, τ ≈ 7.4 µs.
-    fn spec_10g(fc: impl Into<gfc_core::fc_config::FcConfig>) -> FabricSpec {
+    fn spec_10g(fc: FcConfig) -> FabricSpec {
         FabricSpec {
             capacity: Rate::from_gbps(10),
             mtu: 1500,
             buffer_bytes: kb(300),
             t_wire: Dur::from_micros(1),
             t_proc: Dur::from_micros(3),
-            fc: fc.into(),
+            fc,
             min_rate_unit: Rate::from_kbps(8),
         }
     }
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn paper_gfc_buffer_config_is_clean() {
-        let r = preflight_params(&spec_10g(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }));
+        let r = preflight_params(&spec_10g(FcConfig::gfc_buffer(kb(300), kb(281))));
         assert!(!r.has_errors(), "{}", r.render());
     }
 
@@ -120,11 +120,11 @@ mod tests {
         // B0 above Bm − 4·C·τ (4·C·τ = 37 KB at 10G): flagged.
         let bm = kb(300);
         let bad_b0 = bm - kb(10);
-        let r = preflight_params(&spec_10g(FcMode::Conceptual {
-            b0: bad_b0,
+        let r = preflight_params(&spec_10g(FcConfig::conceptual(
+            bad_b0,
             bm,
-            tau: Dur::from_micros_f64(7.4),
-        }));
+            Dur::from_micros_f64(7.4),
+        )));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc001), "{}", r.render());
         assert!(r.render().contains("Theorem 4.1"), "{}", r.render());
     }
@@ -132,8 +132,7 @@ mod tests {
     #[test]
     fn theorem_41_unsatisfiable_buffer_is_an_error() {
         // Fig. 5's impossible case: 100 KB buffer, τ = 25 µs → 4Cτ = 125 KB.
-        let mut spec =
-            spec_10g(FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(25) });
+        let mut spec = spec_10g(FcConfig::conceptual(kb(50), kb(100), Dur::from_micros(25)));
         spec.buffer_bytes = kb(100);
         let r = preflight_params(&spec);
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc001), "{}", r.render());
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn b1_bound_violation_is_an_error() {
         // B1 within 2·C·τ of Bm (2·C·τ = 18.5 KB): stage-1 feedback late.
-        let r = preflight_params(&spec_10g(FcMode::GfcBuffer { bm: kb(300), b1: kb(300) - 1000 }));
+        let r = preflight_params(&spec_10g(FcConfig::gfc_buffer(kb(300), kb(300) - 1000)));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc002), "{}", r.render());
     }
 
@@ -151,7 +150,7 @@ mod tests {
     fn theorem_51_violation_is_an_error() {
         let c = Rate::from_gbps(10);
         let period = theorems::cbfc_recommended_period(c);
-        let r = preflight_params(&spec_10g(FcMode::GfcTime { b0: kb(290), bm: kb(300), period }));
+        let r = preflight_params(&spec_10g(FcConfig::gfc_time(kb(290), kb(300), period)));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc003), "{}", r.render());
     }
 
@@ -159,7 +158,7 @@ mod tests {
     fn paper_time_gfc_config_is_clean() {
         let c = Rate::from_gbps(10);
         let period = theorems::cbfc_recommended_period(c);
-        let r = preflight_params(&spec_10g(FcMode::GfcTime { b0: kb(159), bm: kb(300), period }));
+        let r = preflight_params(&spec_10g(FcConfig::gfc_time(kb(159), kb(300), period)));
         assert!(!r.has_errors(), "{}", r.render());
     }
 
@@ -167,7 +166,7 @@ mod tests {
     fn pfc_overflow_headroom_is_an_error() {
         // XOFF at the very top of the buffer: in-flight data has nowhere
         // to land.
-        let r = preflight_params(&spec_10g(FcMode::Pfc { xoff: kb(300) - 100, xon: kb(280) }));
+        let r = preflight_params(&spec_10g(FcConfig::pfc(kb(300) - 100, kb(280))));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc004), "{}", r.render());
     }
 
@@ -175,16 +174,16 @@ mod tests {
     fn pfc_tight_headroom_is_a_warning() {
         // Headroom exactly C·τ (the 802.1Qbb minimum): no Error, but the
         // conservative 2·C·τ + MTU provisioning note fires.
-        let spec = spec_10g(FcMode::None);
+        let spec = spec_10g(FcConfig::None);
         let xoff = kb(300) - spec.ctau_bytes();
-        let r = preflight_params(&spec_10g(FcMode::Pfc { xoff, xon: xoff - 3000 }));
+        let r = preflight_params(&spec_10g(FcConfig::pfc(xoff, xoff - 3000)));
         assert!(!r.has_errors(), "{}", r.render());
         assert!(codes(&r, Severity::Warning).contains(&Code::Gfc004), "{}", r.render());
     }
 
     #[test]
     fn pfc_degenerate_hysteresis_is_an_error() {
-        let r = preflight_params(&spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(280) }));
+        let r = preflight_params(&spec_10g(FcConfig::pfc(kb(280), kb(280))));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc005), "{}", r.render());
     }
 
@@ -193,7 +192,7 @@ mod tests {
         // 16 KB of buffer cannot cover the ~72 KB bandwidth–delay product
         // of a 52.4 µs feedback loop at 10G.
         let c = Rate::from_gbps(10);
-        let mut spec = spec_10g(FcMode::Cbfc { period: theorems::cbfc_recommended_period(c) });
+        let mut spec = spec_10g(FcConfig::cbfc(theorems::cbfc_recommended_period(c)));
         spec.buffer_bytes = kb(16);
         let r = preflight_params(&spec);
         assert!(codes(&r, Severity::Warning).contains(&Code::Gfc006), "{}", r.render());
@@ -214,7 +213,7 @@ mod tests {
 
     #[test]
     fn pacing_floor_above_line_rate_is_an_error() {
-        let mut spec = spec_10g(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) });
+        let mut spec = spec_10g(FcConfig::gfc_buffer(kb(300), kb(281)));
         spec.min_rate_unit = Rate::from_gbps(40);
         let r = preflight_params(&spec);
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc008), "{}", r.render());
@@ -222,13 +221,13 @@ mod tests {
 
     #[test]
     fn bm_beyond_buffer_is_an_error() {
-        let r = preflight_params(&spec_10g(FcMode::GfcBuffer { bm: kb(301), b1: kb(281) }));
+        let r = preflight_params(&spec_10g(FcConfig::gfc_buffer(kb(301), kb(281))));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc009), "{}", r.render());
     }
 
     #[test]
     fn zero_period_is_an_error() {
-        let r = preflight_params(&spec_10g(FcMode::Cbfc { period: Dur::ZERO }));
+        let r = preflight_params(&spec_10g(FcConfig::cbfc(Dur::ZERO)));
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc010), "{}", r.render());
     }
 
@@ -238,7 +237,7 @@ mod tests {
         // ring form a CBD; PFC's PAUSE gate makes the deadlock reachable.
         let ring = Ring::new(3);
         let routing = Routing::fixed(ring.clockwise_routes());
-        let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc011), "{}", r.render());
         // The exact analysis agrees (GFC012 Error) and the break-set
@@ -254,10 +253,10 @@ mod tests {
     fn clockwise_ring_under_dcfit_is_flagged_like_pfc() {
         // DCFIT detects deadlock at runtime but does not prevent it: the
         // static analysis must report it exactly as susceptible as PFC.
-        use gfc_core::fc_config::{DcfitParams, FcConfig};
+        use gfc_core::fc_config::FcConfig;
         let ring = Ring::new(3);
         let routing = Routing::fixed(ring.clockwise_routes());
-        let spec = spec_10g(FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) }));
+        let spec = spec_10g(FcConfig::dcfit(kb(280), kb(277)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(codes(&r, Severity::Error).contains(&Code::Gfc011), "{}", r.render());
         assert!(r.render().contains("PAUSE"), "{}", r.render());
@@ -306,7 +305,7 @@ mod tests {
     fn clockwise_ring_under_gfc_is_safe() {
         let ring = Ring::new(3);
         let routing = Routing::fixed(ring.clockwise_routes());
-        let spec = spec_10g(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) });
+        let spec = spec_10g(FcConfig::gfc_buffer(kb(300), kb(281)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(!r.has_errors(), "{}", r.render());
         let v = r.verdict();
@@ -319,7 +318,7 @@ mod tests {
         // even PFC is statically safe here.
         let ring = Ring::new(3);
         let routing = Routing::spf();
-        let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(!r.has_errors(), "{}", r.render());
         assert!(!r.verdict().cbd_prone);
@@ -329,9 +328,7 @@ mod tests {
     fn cycle_rendering_names_switches() {
         let ring = Ring::new(3);
         let routing = Routing::fixed(ring.clockwise_routes());
-        let spec = spec_10g(FcMode::Cbfc {
-            period: theorems::cbfc_recommended_period(Rate::from_gbps(10)),
-        });
+        let spec = spec_10g(FcConfig::cbfc(theorems::cbfc_recommended_period(Rate::from_gbps(10))));
         let r = preflight(&ring.topo, &routing, &spec);
         let text = r.render();
         assert!(text.contains("→"), "cycle rendering missing: {text}");
@@ -347,7 +344,7 @@ mod tests {
         // under PFC, the hold-and-wait scheme.
         let ring = SparseRing::new(6, 2);
         let routing = Routing::spf();
-        let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(!r.has_errors(), "{}", r.render());
         let v = r.verdict();
@@ -373,7 +370,7 @@ mod tests {
             "the showcase must be one the all-pairs basis would misflag"
         );
         let routing = Routing::fixed(routes);
-        let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
         let r = preflight(&ft.topo, &routing, &spec);
         assert!(!r.has_errors(), "{}", r.render());
         let v = r.verdict();
@@ -388,7 +385,7 @@ mod tests {
         let ring = Ring::new(3);
         let (s, d, p) = ring.clockwise_path(0);
         let routing = Routing::fixed([((s, d), p)].into_iter().collect());
-        let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+        let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
         let r = preflight(&ring.topo, &routing, &spec);
         assert!(!r.has_errors(), "{}", r.render());
         assert!(!r.verdict().cbd_prone, "{}", r.render());
@@ -403,7 +400,7 @@ mod tests {
             .stack_size(256 * 1024)
             .spawn(|| {
                 let ring = Ring::new(512);
-                let spec = spec_10g(FcMode::Pfc { xoff: kb(280), xon: kb(277) });
+                let spec = spec_10g(FcConfig::pfc(kb(280), kb(277)));
                 let r = preflight(&ring.topo, &Routing::spf(), &spec);
                 let v = r.verdict();
                 // Internal consistency, whatever the ring's verdict:

@@ -25,26 +25,26 @@ use gfc_core::theorems::cbfc_recommended_period;
 use gfc_core::units::{kb, Dur, Rate, Time};
 use gfc_sim::config::PumpPolicy;
 use gfc_sim::flowgen::ClosedLoopWorkload;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_topology::{FatTree, Ring, Routing, SparseRing};
 use gfc_workload::{DestPolicy, FlowSizeDist};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// The paper's §6.2.2 parameterization on the `default_10g` fabric.
-fn scheme(idx: usize) -> FcMode {
+fn scheme(idx: usize) -> FcConfig {
     let period = cbfc_recommended_period(Rate::from_gbps(10));
     match idx % 4 {
-        0 => FcMode::Pfc { xoff: kb(280), xon: kb(277) },
-        1 => FcMode::Cbfc { period },
-        2 => FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-        _ => FcMode::GfcTime { b0: kb(159), bm: kb(300), period },
+        0 => FcConfig::pfc(kb(280), kb(277)),
+        1 => FcConfig::cbfc(period),
+        2 => FcConfig::gfc_buffer(kb(300), kb(281)),
+        _ => FcConfig::gfc_time(kb(159), kb(300), period),
     }
 }
 
 fn config(scheme_idx: usize, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = scheme(scheme_idx).into();
+    cfg.fc = scheme(scheme_idx);
     // Baselines run under the deadlock literature's proportional-sharing
     // switch, GFC under the testbed's fair discipline (DESIGN.md §8).
     cfg.pump = if scheme_idx % 4 >= 2 { PumpPolicy::RoundRobin } else { PumpPolicy::OutputQueued };
@@ -129,12 +129,10 @@ fn pfc_ring_susceptibility_is_witnessed_at_runtime() {
 }
 
 /// DCFIT config on the §6.2.2 thresholds (PFC's gate plus the
-/// initial-trigger detector — no `FcMode` shorthand, it is an
-/// out-of-enum backend).
+/// initial-trigger detector).
 fn dcfit_config(seed: u64) -> SimConfig {
-    use gfc_sim::config::{DcfitParams, FcConfig};
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = FcConfig::Dcfit(DcfitParams { xoff: kb(280), xon: kb(277) });
+    cfg.fc = FcConfig::dcfit(kb(280), kb(277));
     cfg.pump = PumpPolicy::OutputQueued;
     cfg.seed = seed;
     cfg.progress_window = Dur::from_millis(1);

@@ -3,7 +3,7 @@
 //!
 //! The paper drives its large-scale simulations with "empirically observed
 //! enterprise traffic patterns" citing the Let-It-Flow measurement study
-//! [57]. The trace itself is not public; [`EmpiricalCdf::enterprise`] is a
+//! \[57\]. The trace itself is not public; [`EmpiricalCdf::enterprise`] is a
 //! piecewise log-linear fit to the published distribution (heavy-tailed:
 //! most flows ≤ 10 KB, a small fraction in the MB range), which is the
 //! only marginal the paper uses. Web-search and data-mining presets from

@@ -14,10 +14,10 @@ use gfc::prelude::*;
 use gfc_sim::config::PumpPolicy;
 use gfc_sim::PreflightPolicy;
 
-fn ring(fc: FcMode, pump: PumpPolicy) -> Network {
+fn ring(fc: FcConfig, pump: PumpPolicy) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     // The PFC scenario is deliberately deadlock-prone (that is the point);
     // acknowledge the static preflight errors instead of refusing to build.
@@ -35,7 +35,7 @@ fn ring(fc: FcMode, pump: PumpPolicy) -> Network {
 
 fn main() {
     println!("== PFC on the Fig. 1 ring (XOFF 280 KB / XON 277 KB) ==\n");
-    let mut net = ring(FcMode::Pfc { xoff: kb(280), xon: kb(277) }, PumpPolicy::OutputQueued);
+    let mut net = ring(FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued);
     net.run_until(Time::from_millis(20));
 
     let Some(report) = net.forensics() else {
@@ -53,7 +53,7 @@ fn main() {
     println!("metrics: {}\n", net.metrics_snapshot().brief());
 
     println!("== buffer-based GFC on the same ring (Bm 300 KB / B1 281 KB) ==\n");
-    let mut net = ring(FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }, PumpPolicy::RoundRobin);
+    let mut net = ring(FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin);
     net.run_until(Time::from_millis(20));
     if let Some(r) = net.forensics() {
         eprintln!("GFC run unexpectedly produced forensics:\n{}", r.render());

@@ -118,8 +118,7 @@ fn scenario(name: &str) -> Option<(String, Report)> {
             let inc = Incast::new(2);
             let mut cfg = SimConfig::default_10g();
             cfg.buffer_bytes = kb(100);
-            cfg.fc =
-                FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(25) }.into();
+            cfg.fc = FcConfig::conceptual(kb(50), kb(100), Dur::from_micros(25));
             let title = "thm41 — conceptual GFC, B0 beyond the Theorem 4.1 bound".to_string();
             Some((title, analyze(&inc.topo, &Routing::spf(), &cfg)))
         }

@@ -12,10 +12,10 @@
 use gfc::prelude::*;
 use gfc_sim::config::PumpPolicy;
 
-fn run(label: &str, fc: FcMode, pump: PumpPolicy) {
+fn run(label: &str, fc: FcConfig, pump: PumpPolicy) {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     // gfc-verify statically flags PFC-on-the-clockwise-ring as deadlock
     // prone (error[GFC011]) — demonstrating exactly that is the point
@@ -43,12 +43,8 @@ fn main() {
     println!("Fig. 1 ring, three clockwise flows, 20 ms:");
     // PFC under the classic proportional-sharing switch model (where the
     // deadlock literature lives) — wedges permanently.
-    run("PFC:", FcMode::Pfc { xoff: kb(280), xon: kb(277) }, PumpPolicy::OutputQueued);
+    run("PFC:", FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued);
     // Buffer-based GFC with the paper's parameters — every port keeps
     // flowing; the queue parks one stage above B1 and each flow gets 5G.
-    run(
-        "buffer-based GFC:",
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-        PumpPolicy::RoundRobin,
-    );
+    run("buffer-based GFC:", FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin);
 }

@@ -32,9 +32,9 @@ struct Fingerprint {
     structural: bool,
 }
 
-fn config(fc: FcMode, pump: PumpPolicy) -> SimConfig {
+fn config(fc: FcConfig, pump: PumpPolicy) -> SimConfig {
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.buffer_bytes = kb(300) + 4 * 1500;
     cfg.seed = 17;
@@ -57,12 +57,8 @@ fn main() {
     let part = Partition::by_pods(&ft);
     let horizon = Time::from_millis(1);
     let backends = [
-        ("PFC", FcMode::Pfc { xoff: kb(280), xon: kb(277) }, PumpPolicy::OutputQueued),
-        (
-            "buffer-based GFC",
-            FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-            PumpPolicy::RoundRobin,
-        ),
+        ("PFC", FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued),
+        ("buffer-based GFC", FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin),
     ];
     println!(
         "sharded smoke: k=8 fat-tree ({} nodes, {} flows, {} pod domains), {} ms horizon",

@@ -24,10 +24,10 @@ use gfc_sim::PreflightPolicy;
 const FLOW_BYTES: u64 = 6_000_000;
 const HORIZON_MS: u64 = 20;
 
-fn ring(fc: FcMode, pump: PumpPolicy) -> Network {
+fn ring(fc: FcConfig, pump: PumpPolicy) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.preflight = PreflightPolicy::Acknowledge; // PFC run is deliberately unsound
                                                   // Metrics, flight recorder, forensics, AND the timeline: 10 µs
@@ -41,7 +41,7 @@ fn ring(fc: FcMode, pump: PumpPolicy) -> Network {
     net
 }
 
-fn run(label: &str, fc: FcMode, pump: PumpPolicy) -> (usize, usize) {
+fn run(label: &str, fc: FcConfig, pump: PumpPolicy) -> (usize, usize) {
     println!("== {label} on the Fig. 1 ring ==");
     let mut net = ring(fc, pump);
     net.run_until(Time::from_millis(HORIZON_MS));
@@ -115,9 +115,9 @@ fn run(label: &str, fc: FcMode, pump: PumpPolicy) -> (usize, usize) {
 
 fn main() {
     let (pfc_fin, pfc_stalled) =
-        run("pfc", FcMode::Pfc { xoff: kb(280), xon: kb(277) }, PumpPolicy::OutputQueued);
+        run("pfc", FcConfig::pfc(kb(280), kb(277)), PumpPolicy::OutputQueued);
     let (gfc_fin, gfc_stalled) =
-        run("gfc", FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }, PumpPolicy::RoundRobin);
+        run("gfc", FcConfig::gfc_buffer(kb(300), kb(281)), PumpPolicy::RoundRobin);
 
     // The spans must tell the two schemes apart: the PFC ring wedges
     // before any 6 MB flow can complete; GFC finishes all three.

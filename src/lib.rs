@@ -4,26 +4,26 @@
 //! in Lossless Networks* (Qian, Cheng, Zhang, Ren — SIGCOMM 2019),
 //! including every substrate the paper depends on:
 //!
-//! * [`core`](gfc_core) — the flow-control state machines (PFC, CBFC, and
+//! * [`core`] — the flow-control state machines (PFC, CBFC, and
 //!   the three GFC variants), wire codecs, rate limiter, and the
 //!   Theorem 4.1/5.1 parameter mathematics;
-//! * [`sim`](gfc_sim) — a deterministic packet-level discrete-event
+//! * [`sim`] — a deterministic packet-level discrete-event
 //!   simulator for lossless fabrics;
-//! * [`topology`](gfc_topology) — fat-trees, rings, routing, failures,
+//! * [`topology`] — fat-trees, rings, routing, failures,
 //!   and cyclic-buffer-dependency analysis;
-//! * [`workload`](gfc_workload) — empirical flow-size distributions and
+//! * [`workload`] — empirical flow-size distributions and
 //!   traffic patterns;
-//! * [`dcqcn`](gfc_dcqcn) — DCQCN congestion control for the interaction
+//! * [`dcqcn`] — DCQCN congestion control for the interaction
 //!   study;
-//! * [`analysis`](gfc_analysis) — traces, statistics, and deadlock
+//! * [`analysis`] — traces, statistics, and deadlock
 //!   verdicts;
-//! * [`telemetry`](gfc_telemetry) — the observability layer: metrics
+//! * [`telemetry`] — the observability layer: metrics
 //!   registry with JSON/CSV snapshots, flight recorder, and automatic
 //!   deadlock forensics (wait-for graph + DOT);
-//! * [`verify`](gfc_verify) — static preflight analysis: lint-style
+//! * [`verify`] — static preflight analysis: lint-style
 //!   diagnostics (`GFC001`…) for configs, topologies, and the paper's
 //!   theorem preconditions;
-//! * [`experiments`](gfc_experiments) — one module per table/figure of
+//! * [`experiments`] — one module per table/figure of
 //!   the paper's evaluation.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the architecture and
@@ -40,7 +40,7 @@
 //! // flows keep moving at their 5 Gb/s fair shares.
 //! let ring = Ring::new(3);
 //! let mut cfg = SimConfig::default_10g();
-//! cfg.fc = FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }.into();
+//! cfg.fc = FcConfig::gfc_buffer(kb(300), kb(281));
 //! let routing = Routing::fixed(ring.clockwise_routes());
 //! let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
 //! for (src, dst) in ring.clockwise_flows() {
@@ -70,8 +70,8 @@ pub mod prelude {
     pub use gfc_core::units::{kb, mb, Dur, Rate, Time};
     pub use gfc_core::{LinearMapping, RateLimiter, StageTable};
     pub use gfc_sim::{
-        ClosedLoopWorkload, FcMode, FlowRequest, ListWorkload, Network, ShardedNetwork, SimConfig,
-        SpanOutcome, TelemetryConfig, TimelineConfig, TraceConfig, Workload,
+        ClosedLoopWorkload, FcConfig, FlowRequest, ListWorkload, Network, ShardedNetwork,
+        SimConfig, SpanOutcome, TelemetryConfig, TimelineConfig, TraceConfig, Workload,
     };
     pub use gfc_telemetry::{names as metric_names, ChromeTrace, Percentiles, Snapshot};
     pub use gfc_topology::{FatTree, Incast, Partition, Ring, Routing, Topology};

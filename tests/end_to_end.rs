@@ -5,18 +5,18 @@
 use gfc::prelude::*;
 use gfc_sim::config::PumpPolicy;
 
-fn base_cfg(fc: FcMode, seed: u64) -> SimConfig {
+fn base_cfg(fc: FcConfig, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::default_10g();
     // Packet-granular stage crossings can overshoot Bm by a few frames in
     // coupled scenarios; keep the experiments' 4-MTU headroom above Bm.
     cfg.buffer_bytes = kb(300) + 4 * 1500;
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.seed = seed;
     cfg
 }
 
-fn gfc_mode() -> FcMode {
-    FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }
+fn gfc_mode() -> FcConfig {
+    FcConfig::gfc_buffer(kb(300), kb(281))
 }
 
 #[test]
@@ -55,10 +55,10 @@ fn all_schemes_are_lossless_under_incast() {
     use gfc_core::theorems::cbfc_recommended_period;
     let period = cbfc_recommended_period(Rate::from_gbps(10));
     let schemes = [
-        FcMode::Pfc { xoff: kb(280), xon: kb(277) },
-        FcMode::Cbfc { period },
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-        FcMode::GfcTime { b0: kb(159), bm: kb(300), period },
+        FcConfig::pfc(kb(280), kb(277)),
+        FcConfig::cbfc(period),
+        FcConfig::gfc_buffer(kb(300), kb(281)),
+        FcConfig::gfc_time(kb(159), kb(300), period),
     ];
     for fc in schemes {
         for senders in [2usize, 4, 8] {
@@ -143,8 +143,7 @@ fn multi_priority_queues_isolate_traffic() {
 #[test]
 fn conceptual_gfc_runs_end_to_end() {
     let inc = Incast::new(2);
-    let mut cfg =
-        base_cfg(FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(10) }, 9);
+    let mut cfg = base_cfg(FcConfig::conceptual(kb(50), kb(100), Dur::from_micros(10)), 9);
     cfg.buffer_bytes = kb(120);
     let mut net = Network::new(inc.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
     for &s in &inc.senders {
