@@ -7,6 +7,14 @@
 //! the sequential run's — the speedup must come from the schedule,
 //! never the simulation.
 //!
+//! Each cell also records what the network costs to build: the best
+//! set-up wall time (`setup_ms`: `Network::new`/`ShardedNetwork::new`
+//! plus starting every flow) and `rss_growth_mb`, the largest growth of
+//! the process's resident set (`VmRSS`) over its value before the first
+//! build, measured right after the build. The allocator may keep memory
+//! an earlier cell freed, so a cell's figure can include some of it, but
+//! never hides the cell's own network.
+//!
 //! Writes `BENCH_scaling.json` at the repo root and appends one
 //! trajectory line (`ft_k16:scaling:seq`, `:w1`, `:w2`, ...) to
 //! `BENCH_history.jsonl`, so the speedup curve accumulates next to the
@@ -27,7 +35,7 @@ use gfc_bench::{append_history, meta_json, run_meta};
 use gfc_core::units::Time;
 use gfc_experiments::common::{sim_config_300k, Scheme};
 use gfc_sim::{Network, ShardedNetwork, TraceConfig};
-use gfc_telemetry::names;
+use gfc_telemetry::{names, Snapshot};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::{NodeId, Partition, Routing};
 use std::time::Instant;
@@ -70,36 +78,117 @@ fn sharded_net(ft: &FatTree, part: &Partition, workers: usize) -> ShardedNetwork
     net
 }
 
-/// One timed point: best wall across `runs` repetitions, the (asserted
+/// The process's resident set size (`VmRSS`), MB; 0 where `/proc` is
+/// unavailable.
+fn rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// What one repetition measured.
+struct Rep {
+    events: u64,
+    setup_s: f64,
+    /// `VmRSS` right after the build.
+    rss_mb: f64,
+    wall_s: f64,
+    metrics: Vec<gfc_telemetry::MetricEntry>,
+}
+
+/// The two engines, as this bench drives them.
+trait Engine {
+    fn advance(&mut self, horizon: Time);
+    fn snapshot(&self) -> Snapshot;
+}
+
+impl Engine for Network {
+    fn advance(&mut self, horizon: Time) {
+        self.run_until(horizon);
+    }
+    fn snapshot(&self) -> Snapshot {
+        self.metrics_snapshot()
+    }
+}
+
+impl Engine for ShardedNetwork {
+    fn advance(&mut self, horizon: Time) {
+        self.run_until(horizon);
+    }
+    fn snapshot(&self) -> Snapshot {
+        self.metrics_snapshot()
+    }
+}
+
+/// One repetition: time the build (network plus flows) and read `VmRSS`
+/// after it, then time the run to `horizon`.
+fn rep<T: Engine>(horizon: Time, build: impl FnOnce() -> T) -> Rep {
+    let start = Instant::now();
+    let mut net = build();
+    let setup_s = start.elapsed().as_secs_f64();
+    let rss_mb = rss_mb();
+    let start = Instant::now();
+    net.advance(horizon);
+    let wall_s = start.elapsed().as_secs_f64();
+    let snap = net.snapshot();
+    let events = snap.counter(names::EVENTS).unwrap_or(0);
+    Rep { events, setup_s, rss_mb, wall_s, metrics: snap.entries }
+}
+
+/// One timed point: best wall and set-up time across `runs` repetitions,
+/// the largest `VmRSS` growth over `rss_base_mb`, the (asserted
 /// run-invariant) event count, and the first repetition's full metrics
 /// snapshot for the fingerprint check.
 struct Point {
     name: String,
     events: u64,
     wall_s: f64,
+    setup_s: f64,
+    rss_growth_mb: f64,
     metrics: Vec<gfc_telemetry::MetricEntry>,
 }
 
 fn measure_point(
     name: impl Into<String>,
     runs: usize,
-    run: impl Fn() -> (u64, f64, Vec<gfc_telemetry::MetricEntry>),
+    rss_base_mb: f64,
+    run: impl Fn() -> Rep,
 ) -> Point {
     let name = name.into();
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    let mut metrics = Vec::new();
-    for r in 0..runs {
-        let (ev, wall, m) = run();
-        if r == 0 {
-            events = ev;
-            metrics = m;
-        } else {
-            assert_eq!(ev, events, "{name}: event count varied across identical runs");
-        }
-        best = best.min(wall);
+    let first = run();
+    let mut p = Point {
+        name,
+        events: first.events,
+        wall_s: first.wall_s,
+        setup_s: first.setup_s,
+        rss_growth_mb: first.rss_mb - rss_base_mb,
+        metrics: first.metrics,
+    };
+    for _ in 1..runs {
+        let r = run();
+        assert_eq!(r.events, p.events, "{}: event count varied across identical runs", p.name);
+        p.wall_s = p.wall_s.min(r.wall_s);
+        p.setup_s = p.setup_s.min(r.setup_s);
+        p.rss_growth_mb = p.rss_growth_mb.max(r.rss_mb - rss_base_mb);
     }
-    Point { name, events, wall_s: best, metrics }
+    p
+}
+
+fn print_point(p: &Point, speedup: Option<f64>) {
+    print!(
+        "  {:<22} {:>10} events in {:>9.2} ms wall  =>  {:>11.0} events/sec",
+        p.name,
+        p.events,
+        p.wall_s * 1e3,
+        p.events as f64 / p.wall_s
+    );
+    if let Some(x) = speedup {
+        print!("  ({x:>5.2}x)");
+    }
+    println!("  set-up {:>8.2} ms, +{:.1} MB RSS", p.setup_s * 1e3, p.rss_growth_mb);
 }
 
 fn main() {
@@ -121,44 +210,20 @@ fn main() {
         part.num_domains()
     );
 
-    let seq = measure_point("ft_k16:scaling:seq", runs, || {
-        let mut net = seq_net(&ft);
-        let start = Instant::now();
-        net.run_until(horizon);
-        let wall = start.elapsed().as_secs_f64();
-        let snap = net.metrics_snapshot();
-        (snap.counter(names::EVENTS).unwrap_or(0), wall, snap.entries)
-    });
-    println!(
-        "  {:<22} {:>10} events in {:>9.2} ms wall  =>  {:>11.0} events/sec",
-        seq.name,
-        seq.events,
-        seq.wall_s * 1e3,
-        seq.events as f64 / seq.wall_s
-    );
+    let rss_base = rss_mb();
+    let seq = measure_point("ft_k16:scaling:seq", runs, rss_base, || rep(horizon, || seq_net(&ft)));
+    print_point(&seq, None);
 
     let mut points = vec![seq];
     for &w in &WORKERS {
-        let p = measure_point(format!("ft_k16:scaling:w{w}"), runs, || {
-            let mut net = sharded_net(&ft, &part, w);
-            let start = Instant::now();
-            net.run_until(horizon);
-            let wall = start.elapsed().as_secs_f64();
-            let snap = net.metrics_snapshot();
-            (snap.counter(names::EVENTS).unwrap_or(0), wall, snap.entries)
+        let p = measure_point(format!("ft_k16:scaling:w{w}"), runs, rss_base, || {
+            rep(horizon, || sharded_net(&ft, &part, w))
         });
         // The tentpole contract, enforced at bench scale too: the sharded
         // engine replays the *same simulation* at every worker count.
         assert_eq!(p.events, points[0].events, "w{w}: event count diverged from sequential");
         assert_eq!(p.metrics, points[0].metrics, "w{w}: metrics snapshot diverged from sequential");
-        let speedup = points[0].wall_s / p.wall_s;
-        println!(
-            "  {:<22} {:>10} events in {:>9.2} ms wall  =>  {:>11.0} events/sec  ({speedup:>5.2}x)",
-            p.name,
-            p.events,
-            p.wall_s * 1e3,
-            p.events as f64 / p.wall_s
-        );
+        print_point(&p, Some(points[0].wall_s / p.wall_s));
         points.push(p);
     }
 
@@ -191,12 +256,15 @@ fn main() {
     for (i, p) in points.iter().enumerate() {
         json += &format!(
             "    {{\"name\": \"{}\", \"sim_horizon_ms\": {:.3}, \"events\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"runs\": {}}}{}\n",
+             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"setup_ms\": {:.3}, \
+             \"rss_growth_mb\": {:.1}, \"runs\": {}}}{}\n",
             p.name,
             horizon.as_millis_f64(),
             p.events,
             p.wall_s * 1e3,
             p.events as f64 / p.wall_s,
+            p.setup_s * 1e3,
+            p.rss_growth_mb,
             runs,
             if i + 1 < points.len() { "," } else { "" }
         );

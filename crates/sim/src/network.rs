@@ -194,6 +194,23 @@ impl Network {
     /// configurations on purpose (the Fig. 9/12 deadlock studies) set
     /// [`PreflightPolicy::Acknowledge`](gfc_verify::PreflightPolicy).
     pub fn new(topo: Topology, routing: Routing, cfg: SimConfig, trace_cfg: TraceConfig) -> Self {
+        Self::build(topo, routing, cfg, trace_cfg, None)
+    }
+
+    /// [`Self::new`], optionally as one shard of a partitioned run:
+    /// `domain = Some((domain_of, d))` restricts the instance to the nodes
+    /// of domain `d` (see the shard plumbing below) and builds ports for
+    /// those nodes only — foreign nodes get empty port slices.
+    pub(crate) fn build(
+        topo: Topology,
+        routing: Routing,
+        cfg: SimConfig,
+        trace_cfg: TraceConfig,
+        domain: Option<(Arc<[u32]>, u32)>,
+    ) -> Self {
+        if let Some((domain_of, _)) = &domain {
+            assert_eq!(domain_of.len(), topo.num_nodes(), "partition table size mismatch");
+        }
         let preflight_report = match cfg.preflight {
             gfc_verify::PreflightPolicy::Skip => None,
             policy => {
@@ -216,8 +233,12 @@ impl Network {
         );
         let mut nested: Vec<Vec<PortState>> = Vec::with_capacity(topo.num_nodes());
         for n in topo.node_ids() {
+            // A shard builds ports for its own domain's nodes only; foreign
+            // nodes get empty slices, which no handler ever indexes.
+            let foreign = domain.as_ref().is_some_and(|(dom, me)| dom[n.0 as usize] != *me);
+            let wired = if foreign { &[][..] } else { topo.ports(n) };
             let mut node_ports = Vec::new();
-            for (idx, &(peer, link)) in topo.ports(n).iter().enumerate() {
+            for (idx, &(peer, link)) in wired.iter().enumerate() {
                 let peer_port = topo.port_of(peer, link);
                 let ident =
                     PortIdent { node: n.0, port: u16::try_from(idx).expect("port index fits u16") };
@@ -276,7 +297,7 @@ impl Network {
             now: Time::ZERO,
             rng,
             ecn_seq: vec![0; num_nodes],
-            domain_filter: None,
+            domain_filter: domain,
             outbox: Vec::new(),
             workload: None,
             ledger: FlowLedger::new(),
@@ -624,9 +645,16 @@ impl Network {
         bytes: Option<u64>,
         prio: u8,
     ) -> Option<u64> {
-        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
-        let path: Arc<[LinkId]> = Arc::from(path.into_boxed_slice());
+        let path = self.route(src, dst)?;
         self.start_flow_on_path(src, dst, bytes, prio, path)
+    }
+
+    /// The path the next started flow from `src` to `dst` takes: the
+    /// routing's choice under the ECMP hash of the next flow id, or `None`
+    /// if no route exists.
+    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
+        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
+        Some(Arc::from(path.into_boxed_slice()))
     }
 
     /// Start a flow on an explicit path (scenario constructions).
@@ -761,12 +789,14 @@ impl Network {
     // ----------------------------------------------------------------
     // Shard plumbing (see `shard.rs`)
     //
-    // A sharded run builds one full `Network` per domain over the whole
-    // topology and restricts each instance to *animating* its own nodes:
-    // every event handler is shared verbatim with the sequential engine
-    // (the bit-identity argument needs exactly one copy of the physics),
-    // and the only divergence is at push time — an event bound for a
-    // foreign node diverts to the outbox for the coordinator to deliver.
+    // A sharded run builds one `Network` per domain (see `Self::build`):
+    // each knows the whole topology and every flow, but holds ports only
+    // for its own domain's nodes and *animates* only those. Every event
+    // handler is shared verbatim with the sequential engine (the
+    // bit-identity argument needs exactly one copy of the physics) and
+    // touches only the ports of the node it runs at; the one divergence
+    // is at push time — an event bound for a foreign node diverts to the
+    // outbox for the coordinator to deliver.
     // Every cross-node event carries at least the fabric lookahead of
     // delay (propagation, control processing, or the OOB τ), which is
     // what makes the coordinator's conservative windows safe.
@@ -807,22 +837,29 @@ impl Network {
         }
     }
 
-    /// Restrict this instance to the nodes of `domain` (sharded mode).
-    /// Must be called before the first event runs; the restrictions the
-    /// sharded engine's v1 contract imposes (no workload, no monitor-side
-    /// observers) are asserted by the coordinator, which owns the config.
-    pub(crate) fn set_domain(&mut self, domain_of: Arc<[u32]>, domain: u32) {
-        assert!(!self.started, "set_domain must precede the first event");
-        assert!(self.workload.is_none(), "sharded runs drive explicit flows only");
-        assert_eq!(domain_of.len(), self.topo.num_nodes(), "partition table size mismatch");
-        self.domain_filter = Some((domain_of, domain));
-    }
-
     /// Run deferred start-of-run work (timers, monitor scheduling) so the
     /// coordinator can observe a meaningful [`Self::next_event_time`]
     /// before the first window.
     pub(crate) fn prime(&mut self) {
         self.ensure_started();
+    }
+
+    /// This instance's port table (tests of the domain-sized shards).
+    #[cfg(test)]
+    pub(crate) fn port_table(&self) -> &PortTable {
+        &self.ports
+    }
+
+    /// The id the next started flow gets.
+    #[cfg(test)]
+    pub(crate) fn next_flow_id(&self) -> u64 {
+        self.next_flow_id
+    }
+
+    /// The routing oracle (tests of route resolution in sharded runs).
+    #[cfg(test)]
+    pub(crate) fn routing(&self) -> &Routing {
+        &self.routing
     }
 
     /// Earliest pending local event, if any.

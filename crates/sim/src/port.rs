@@ -10,7 +10,8 @@
 //! in [`PortState`]: the headline configurations run a single priority,
 //! and inlining it removes the last pointer chase from the per-packet
 //! path. All ports of all nodes live in one contiguous [`PortTable`]
-//! indexed as `ports[node][port]`.
+//! indexed as `ports[node][port]`; a shard of a sharded run builds only
+//! its own domain's ports, and every foreign node's slice is empty.
 
 use crate::config::SimConfig;
 use crate::fc::{CtrlPayload, FcSender};
@@ -226,6 +227,7 @@ impl PortState {
 /// `table[node][port]` — `table[node]` yields the node's ports as a
 /// slice. One allocation instead of one per node, so sweeping the fabric
 /// (pump scans, timeline samples, backlog sums) walks memory linearly.
+/// A node may have an empty slice (a foreign node in a shard's table).
 #[derive(Debug)]
 pub struct PortTable {
     states: Vec<PortState>,

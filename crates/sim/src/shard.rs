@@ -3,18 +3,30 @@
 //!
 //! [`ShardedNetwork`] partitions the fabric into domains (per-pod in a
 //! fat-tree, contiguous arcs in a ring — any [`Partition`]) and runs one
-//! event queue per domain on a scoped worker pool, **bit-identical** to
-//! the sequential [`Network`]: the replay fingerprint (metrics snapshot,
-//! flow ledger, delivered/drop counters) matches the sequential engine
-//! exactly, at every worker count.
+//! event queue per domain, **bit-identical** to the sequential
+//! [`Network`]: the replay fingerprint (metrics snapshot, flow ledger,
+//! delivered/drop counters) matches the sequential engine exactly, at
+//! every worker count.
+//!
+//! ## Workers
+//!
+//! The shards are cut into `workers` contiguous chunks. During a
+//! [`ShardedNetwork::run_until`] the calling thread is worker 0: it
+//! serves the first chunk itself and spawns one scoped thread per
+//! further chunk, so one worker means no thread and no channel hand-off
+//! at all. Each window is one lockstep round — a command to every
+//! worker, then one reply from each.
 //!
 //! ## How it stays exact
 //!
-//! * **One copy of the physics.** Each shard *is* a full [`Network`] over
-//!   the complete topology, restricted to animating its own domain's
-//!   nodes. Every event handler is the sequential code, byte for byte;
-//!   the only divergence is at push time, where an event bound for a
-//!   foreign node diverts to a per-shard outbox.
+//! * **One copy of the physics.** Each shard is a [`Network`] that knows
+//!   the whole topology and registers every flow, but holds ports only
+//!   for its own domain's nodes and animates only those. Every event
+//!   handler is the sequential code, byte for byte, and touches only the
+//!   ports of the node it runs at; the only divergence is at push time,
+//!   where an event bound for a foreign node diverts to a per-shard
+//!   outbox. Each flow's route is resolved once, on the first shard,
+//!   and handed to every shard.
 //! * **Conservative windows.** Every cross-node event carries at least
 //!   the fabric *lookahead* of delay: the link propagation delay for wire
 //!   traffic (data arrivals, control frames, CNPs, completion notices)
@@ -58,17 +70,17 @@ use crate::trace::TraceConfig;
 use gfc_analysis::{FlowLedger, ProgressMonitor};
 use gfc_core::units::{Dur, Time};
 use gfc_telemetry::{names, MetricValue, Snapshot, WaitForGraph};
-use gfc_topology::{NodeId, Partition, Routing, Topology};
-use std::sync::mpsc::{Receiver, Sender};
+use gfc_topology::{LinkId, NodeId, Partition, Routing, Topology};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// One shard's window result: `(shard index, outbox, earliest pending
 /// event)` — what a worker reports back per owned shard after a `Run`.
 type RanShard = (usize, Vec<(Time, Event)>, Option<Time>);
 
-/// Commands the coordinator broadcasts to the worker pool. The protocol
-/// is strict lockstep: one broadcast, then one reply per worker, before
-/// the next broadcast — reply types never interleave.
+/// Commands the coordinator broadcasts to the workers. The protocol is
+/// strict lockstep: one command per worker, then one reply per worker,
+/// before the next round — reply types never interleave.
 enum Cmd {
     /// Run start-of-run setup so peek times become meaningful.
     Prime,
@@ -82,14 +94,11 @@ enum Cmd {
     Graph,
     /// Advance clocks to the end of the run horizon.
     Finish { at: Time },
-    /// Tear down the pool.
-    Exit,
 }
 
 enum Reply {
-    /// `(shard index, earliest pending event)` per owned shard.
-    Primed(Vec<(usize, Option<Time>)>),
-    /// One [`RanShard`] per owned shard.
+    /// One [`RanShard`] per owned shard (`Prime` answers with empty
+    /// outboxes).
     Ran(Vec<RanShard>),
     /// OR-ed backlog and summed deliveries over owned shards.
     Monitored {
@@ -101,63 +110,87 @@ enum Reply {
     Finished,
 }
 
-fn worker_loop(base: usize, shards: &mut [Network], rx: &Receiver<Cmd>, tx: &Sender<Reply>) {
-    while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
-            Cmd::Prime => Reply::Primed(
+/// Execute one command on a worker's chunk of shards, whose first shard
+/// has index `base`. Spawned workers call this in a loop; the calling
+/// thread calls it directly for the first chunk.
+fn serve(base: usize, shards: &mut [Network], cmd: Cmd) -> Reply {
+    match cmd {
+        Cmd::Prime => Reply::Ran(
+            shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, n)| {
+                    n.prime();
+                    (base + i, Vec::new(), n.next_event_time())
+                })
+                .collect(),
+        ),
+        Cmd::Run { until, inject } => {
+            for (idx, evs) in inject {
+                let n = &mut shards[idx - base];
+                for (t, ev) in evs {
+                    n.inject(t, ev);
+                }
+            }
+            Reply::Ran(
                 shards
                     .iter_mut()
                     .enumerate()
                     .map(|(i, n)| {
-                        n.prime();
-                        (base + i, n.next_event_time())
+                        if n.next_event_time().is_some_and(|t| t < until) {
+                            n.run_window(until);
+                        }
+                        (base + i, n.take_outbox(), n.next_event_time())
                     })
                     .collect(),
-            ),
-            Cmd::Run { until, inject } => {
-                for (idx, evs) in inject {
-                    let n = &mut shards[idx - base];
-                    for (t, ev) in evs {
-                        n.inject(t, ev);
-                    }
-                }
-                Reply::Ran(
-                    shards
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, n)| {
-                            if n.next_event_time().is_some_and(|t| t < until) {
-                                n.run_window(until);
-                            }
-                            (base + i, n.take_outbox(), n.next_event_time())
-                        })
-                        .collect(),
-                )
+            )
+        }
+        Cmd::Monitor { at } => {
+            let mut backlogged = false;
+            let mut delivered = 0;
+            for n in shards.iter_mut() {
+                n.set_now(at);
+                n.probe_queue_sample();
+                backlogged |= n.backlogged();
+                delivered += n.stats().delivered_packets;
             }
-            Cmd::Monitor { at } => {
-                let mut backlogged = false;
-                let mut delivered = 0;
-                for n in shards.iter_mut() {
-                    n.set_now(at);
-                    n.probe_queue_sample();
-                    backlogged |= n.backlogged();
-                    delivered += n.stats().delivered_packets;
-                }
-                Reply::Monitored { backlogged, delivered }
+            Reply::Monitored { backlogged, delivered }
+        }
+        Cmd::Graph => Reply::Graphs(
+            shards.iter().enumerate().map(|(i, n)| (base + i, n.waitfor_graph())).collect(),
+        ),
+        Cmd::Finish { at } => {
+            for n in shards.iter_mut() {
+                n.set_now(at);
             }
-            Cmd::Graph => Reply::Graphs(
-                shards.iter().enumerate().map(|(i, n)| (base + i, n.waitfor_graph())).collect(),
-            ),
-            Cmd::Finish { at } => {
-                for n in shards.iter_mut() {
-                    n.set_now(at);
-                }
-                Reply::Finished
-            }
-            Cmd::Exit => break,
-        };
-        if tx.send(reply).is_err() {
-            break;
+            Reply::Finished
+        }
+    }
+}
+
+/// Fold one round of `Ran` replies for the window ending at `until` into
+/// the coordinator's view, in source-shard order (the deterministic
+/// concatenation the exactness argument relies on): refresh each shard's
+/// peek time and queue its outbox for the destination shards.
+fn absorb(
+    replies: Vec<Reply>,
+    until: Time,
+    domain_of: &[u32],
+    peeks: &mut [Option<Time>],
+    pending: &mut [Vec<(Time, Event)>],
+) {
+    let mut ran: Vec<RanShard> = Vec::with_capacity(peeks.len());
+    for reply in replies {
+        let Reply::Ran(rows) = reply else { unreachable!("lockstep protocol") };
+        ran.extend(rows);
+    }
+    ran.sort_by_key(|(idx, ..)| *idx);
+    for (idx, outbox, peek) in ran {
+        peeks[idx] = peek;
+        for (t, ev) in outbox {
+            debug_assert!(t >= until, "cross-shard event inside its own window");
+            let dest = domain_of[target_of(&ev).0 as usize] as usize;
+            pending[dest].push((t, ev));
         }
     }
 }
@@ -227,8 +260,9 @@ pub struct ShardedNetwork {
 
 impl ShardedNetwork {
     /// Build a sharded simulator over `topo`, one shard per domain of
-    /// `partition`, driven by up to `workers` threads (clamped to the
-    /// domain count). Preflight (if configured) runs once, not per shard.
+    /// `partition`, driven by up to `workers` workers (clamped to the
+    /// domain count; see [`Self::workers`]). Preflight (if configured)
+    /// runs once, not per shard.
     ///
     /// # Panics
     /// On a v1-contract violation: a partition that does not cover the
@@ -270,17 +304,22 @@ impl ShardedNetwork {
             }
         }
         let domain_of: Arc<[u32]> = Arc::from(partition.domains().to_vec().into_boxed_slice());
-        let num_domains = partition.num_domains();
         let mut shard_cfg = cfg;
         shard_cfg.preflight = gfc_verify::PreflightPolicy::Skip;
         let monitor = ProgressMonitor::new(shard_cfg.progress_window.0);
-        let mut shards = Vec::with_capacity(num_domains);
-        for d in 0..num_domains {
-            let mut net =
-                Network::new(topo.clone(), routing.clone(), shard_cfg.clone(), TraceConfig::none());
-            net.set_domain(Arc::clone(&domain_of), u32::try_from(d).expect("domain fits u32"));
-            shards.push(net);
-        }
+        let shards: Vec<Network> = (0..partition.num_domains())
+            .map(|d| {
+                let d = u32::try_from(d).expect("domain fits u32");
+                Network::build(
+                    topo.clone(),
+                    routing.clone(),
+                    shard_cfg.clone(),
+                    TraceConfig::none(),
+                    Some((Arc::clone(&domain_of), d)),
+                )
+            })
+            .collect();
+        let num_domains = shards.len();
         ShardedNetwork {
             shards,
             domain_of,
@@ -302,14 +341,19 @@ impl ShardedNetwork {
         self.shards.len()
     }
 
-    /// Worker threads driving the shards.
+    /// Workers driving the shards, the calling thread included: each
+    /// [`Self::run_until`] serves the first chunk of shards on the calling
+    /// thread and spawns one thread per further chunk — at most
+    /// `workers() - 1`, none for one worker.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Start an explicit flow; returns its id, or `None` if no route
-    /// exists. Every shard registers the flow (ledger and telemetry stay
-    /// in lockstep); only the source's shard packetizes.
+    /// exists. The route is resolved once, on the first shard (every
+    /// shard's flow-id counter, hence the ECMP hash, is the same), and
+    /// every shard registers the flow on that one path (ledger and
+    /// telemetry stay in lockstep); only the source's shard packetizes.
     pub fn start_flow(
         &mut self,
         src: NodeId,
@@ -317,15 +361,8 @@ impl ShardedNetwork {
         bytes: Option<u64>,
         prio: u8,
     ) -> Option<u64> {
-        let mut id = None;
-        for net in &mut self.shards {
-            let this = net.start_flow(src, dst, bytes, prio);
-            match (id, this) {
-                (None, _) => id = Some(this),
-                (Some(prev), _) => assert_eq!(prev, this, "shards disagreed on flow admission"),
-            }
-        }
-        id.expect("at least one shard")
+        let path = self.shards[0].route(src, dst)?;
+        self.start_flow_on_path(src, dst, bytes, prio, path)
     }
 
     /// Start a flow on an explicit path (scenario constructions).
@@ -335,7 +372,7 @@ impl ShardedNetwork {
         dst: NodeId,
         bytes: Option<u64>,
         prio: u8,
-        path: Arc<[gfc_topology::LinkId]>,
+        path: Arc<[LinkId]>,
     ) -> Option<u64> {
         let mut id = None;
         for net in &mut self.shards {
@@ -358,9 +395,9 @@ impl ShardedNetwork {
         let interval = self.shards[0].config().monitor_interval;
         let stop_on_deadlock = self.shards[0].config().stop_on_deadlock;
         let lookahead = self.lookahead;
-        let workers = self.workers;
         let num_shards = self.shards.len();
-        let chunk = num_shards.div_ceil(workers);
+        let chunk = num_shards.div_ceil(self.workers);
+        let pool = num_shards.div_ceil(chunk);
         let monitor_due = &mut self.monitor_due;
         let monitor = &mut self.monitor;
         let monitor_ticks = &mut self.monitor_ticks;
@@ -370,39 +407,48 @@ impl ShardedNetwork {
         let now = &mut self.now;
         let halted = &mut self.halted;
         let domain_of = &self.domain_of;
-        let shards = &mut self.shards;
+        let (own, rest) = self.shards.split_at_mut(chunk);
         std::thread::scope(|s| {
+            // Worker 0 is this thread, serving `own`; workers 1.. each get
+            // a thread and a later chunk. Dropping `cmd_txs` at the end of
+            // the scope ends their loops.
             let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
-            let mut cmd_txs: Vec<Sender<Cmd>> = Vec::new();
-            let mut base = 0;
-            for chunk_shards in shards.chunks_mut(chunk) {
-                let (tx, rx) = std::sync::mpsc::channel::<Cmd>();
-                let rtx = reply_tx.clone();
-                let b = base;
-                base += chunk_shards.len();
-                cmd_txs.push(tx);
-                s.spawn(move || worker_loop(b, chunk_shards, &rx, &rtx));
-            }
+            let cmd_txs: Vec<Sender<Cmd>> = rest
+                .chunks_mut(chunk)
+                .enumerate()
+                .map(|(w, part)| {
+                    let (tx, rx) = std::sync::mpsc::channel::<Cmd>();
+                    let reply_tx = reply_tx.clone();
+                    let base = (w + 1) * chunk;
+                    s.spawn(move || {
+                        while let Ok(cmd) = rx.recv() {
+                            if reply_tx.send(serve(base, part, cmd)).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    tx
+                })
+                .collect();
             drop(reply_tx);
-            let pool = cmd_txs.len();
-            let send_all = |cmd: &dyn Fn() -> Cmd| {
-                for tx in &cmd_txs {
-                    tx.send(cmd()).expect("worker alive");
+            // One lockstep round, `cmds[w]` for worker `w`: hand the
+            // spawned workers their commands, serve our own chunk, then
+            // collect the other replies (in any order).
+            let mut round = |cmds: Vec<Cmd>| -> Vec<Reply> {
+                let mut cmds = cmds.into_iter();
+                let first = cmds.next().expect("one command per worker");
+                for (tx, cmd) in cmd_txs.iter().zip(cmds) {
+                    tx.send(cmd).expect("worker alive");
                 }
+                let mut replies = Vec::with_capacity(pool);
+                replies.push(serve(0, own, first));
+                replies.extend(cmd_txs.iter().map(|_| reply_rx.recv().expect("worker alive")));
+                replies
             };
+            let every = |cmd: &dyn Fn() -> Cmd| (0..pool).map(|_| cmd()).collect::<Vec<_>>();
             // Peek times, refreshed from every Run reply.
             let mut peeks: Vec<Option<Time>> = vec![None; num_shards];
-            send_all(&|| Cmd::Prime);
-            for _ in 0..pool {
-                match reply_rx.recv().expect("worker alive") {
-                    Reply::Primed(rows) => {
-                        for (idx, t) in rows {
-                            peeks[idx] = t;
-                        }
-                    }
-                    _ => unreachable!("lockstep protocol"),
-                }
-            }
+            absorb(round(every(&|| Cmd::Prime)), Time::ZERO, domain_of, &mut peeks, pending);
             let mut due = *monitor_due.get_or_insert(*now + interval);
             loop {
                 // Global minimum pending timestamp: shard queues plus
@@ -425,65 +471,44 @@ impl ShardedNetwork {
                     None => due,
                 };
                 if next_ev.is_some_and(|t| t < w1) {
-                    let mut inject: Vec<Vec<(Time, Event)>> =
-                        pending.iter_mut().map(std::mem::take).collect();
-                    for (w, tx) in cmd_txs.iter().enumerate() {
-                        let lo = w * chunk;
-                        let hi = (lo + chunk).min(num_shards);
-                        let mut per: Vec<(usize, Vec<(Time, Event)>)> = Vec::new();
-                        for (i, evs) in inject.iter_mut().enumerate().take(hi).skip(lo) {
-                            if !evs.is_empty() {
-                                per.push((i, std::mem::take(evs)));
-                            }
-                        }
-                        tx.send(Cmd::Run { until: w1, inject: per }).expect("worker alive");
-                    }
-                    let mut ran: Vec<RanShard> = Vec::with_capacity(num_shards);
-                    for _ in 0..pool {
-                        match reply_rx.recv().expect("worker alive") {
-                            Reply::Ran(rows) => ran.extend(rows),
-                            _ => unreachable!("lockstep protocol"),
-                        }
-                    }
-                    // Source-shard order: the deterministic concatenation
-                    // the exactness argument relies on.
-                    ran.sort_by_key(|(idx, ..)| *idx);
-                    for (idx, outbox, peek) in ran {
-                        peeks[idx] = peek;
-                        for (t, ev) in outbox {
-                            debug_assert!(t >= w1, "cross-shard event inside its own window");
-                            let dest = domain_of[target_of(&ev).0 as usize] as usize;
-                            pending[dest].push((t, ev));
-                        }
-                    }
+                    let cmds = pending
+                        .chunks_mut(chunk)
+                        .enumerate()
+                        .map(|(w, part)| {
+                            let inject = part
+                                .iter_mut()
+                                .enumerate()
+                                .filter(|(_, evs)| !evs.is_empty())
+                                .map(|(i, evs)| (w * chunk + i, std::mem::take(evs)))
+                                .collect();
+                            Cmd::Run { until: w1, inject }
+                        })
+                        .collect();
+                    absorb(round(cmds), w1, domain_of, &mut peeks, pending);
                 }
                 if w1 == due && due <= t_end {
                     // Monitor barrier — the sequential MonitorTick,
                     // replayed at the same instant over merged state.
-                    send_all(&|| Cmd::Monitor { at: due });
                     let mut backlogged = false;
                     let mut delivered = 0;
-                    for _ in 0..pool {
-                        match reply_rx.recv().expect("worker alive") {
-                            Reply::Monitored { backlogged: b, delivered: d } => {
-                                backlogged |= b;
-                                delivered += d;
-                            }
-                            _ => unreachable!("lockstep protocol"),
-                        }
+                    for reply in round(every(&|| Cmd::Monitor { at: due })) {
+                        let Reply::Monitored { backlogged: b, delivered: d } = reply else {
+                            unreachable!("lockstep protocol")
+                        };
+                        backlogged |= b;
+                        delivered += d;
                     }
                     *monitor_ticks += 1;
                     let progressed = delivered > *last_delivered;
                     *last_delivered = delivered;
                     monitor.sample(due.0, delivered, backlogged);
                     if structural_at.is_none() && backlogged && !progressed {
-                        send_all(&|| Cmd::Graph);
                         let mut graphs: Vec<(usize, WaitForGraph)> = Vec::new();
-                        for _ in 0..pool {
-                            match reply_rx.recv().expect("worker alive") {
-                                Reply::Graphs(rows) => graphs.extend(rows),
-                                _ => unreachable!("lockstep protocol"),
-                            }
+                        for reply in round(every(&|| Cmd::Graph)) {
+                            let Reply::Graphs(rows) = reply else {
+                                unreachable!("lockstep protocol")
+                            };
+                            graphs.extend(rows);
                         }
                         graphs.sort_by_key(|(idx, _)| *idx);
                         let mut union = WaitForGraph::new();
@@ -514,16 +539,11 @@ impl ShardedNetwork {
             }
             *monitor_due = Some(due);
             if !*halted {
-                send_all(&|| Cmd::Finish { at: t_end });
-                for _ in 0..pool {
-                    match reply_rx.recv().expect("worker alive") {
-                        Reply::Finished => {}
-                        _ => unreachable!("lockstep protocol"),
-                    }
+                for reply in round(every(&|| Cmd::Finish { at: t_end })) {
+                    debug_assert!(matches!(reply, Reply::Finished), "lockstep protocol");
                 }
                 *now = t_end;
             }
-            send_all(&|| Cmd::Exit);
         });
     }
 
@@ -633,5 +653,69 @@ impl ShardedNetwork {
             }
         }
         snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gfc_topology::fattree::FatTree;
+
+    fn cfg() -> SimConfig {
+        let mut cfg = SimConfig::default_10g();
+        cfg.preflight = gfc_verify::PreflightPolicy::Skip;
+        cfg
+    }
+
+    /// Each shard holds ports for its own domain only, and the shards
+    /// together hold exactly the sequential table.
+    #[test]
+    fn shards_hold_only_their_own_domains_ports() {
+        let ft = FatTree::new(4);
+        let part = Partition::by_pods(&ft);
+        let seq = Network::new(ft.topo.clone(), Routing::spf(), cfg(), TraceConfig::none());
+        let net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 2);
+        assert!(net.num_domains() > 1);
+        let mut total = 0;
+        for (d, shard) in net.shards.iter().enumerate() {
+            let table = shard.port_table();
+            for (n, ports) in table.nodes().enumerate() {
+                let full = ft.topo.ports(NodeId(n as u32)).len();
+                let want = if part.domains()[n] as usize == d { full } else { 0 };
+                assert_eq!(ports.len(), want, "shard {d}, node {n}");
+            }
+            total += table.all().len();
+        }
+        assert_eq!(total, seq.port_table().all().len());
+    }
+
+    /// A flow's route is resolved once, on the first shard: no other
+    /// shard builds an SPF tree.
+    #[test]
+    fn routes_are_resolved_on_the_first_shard_only() {
+        let ft = FatTree::new(4);
+        let part = Partition::by_pods(&ft);
+        let mut net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 2);
+        for (s, d) in [(0, 15), (5, 9), (12, 1)] {
+            net.start_flow(ft.hosts[s], ft.hosts[d], Some(50_000), 0).expect("route");
+        }
+        assert_eq!(net.shards[0].routing().cached_trees(), 3);
+        assert!(net.shards[1..].iter().all(|s| s.routing().cached_trees() == 0));
+    }
+
+    /// An unroutable flow is refused before any shard registers it, so
+    /// every shard's flow-id counter stays in lockstep.
+    #[test]
+    fn unroutable_flow_leaves_every_shard_in_lockstep() {
+        let mut ft = FatTree::new(4);
+        let (_, access) = ft.topo.ports(ft.hosts[15])[0];
+        ft.topo.fail_link(access);
+        let part = Partition::by_pods(&ft);
+        let mut net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 2);
+        assert_eq!(net.start_flow(ft.hosts[0], ft.hosts[8], None, 0), Some(0));
+        assert_eq!(net.start_flow(ft.hosts[0], ft.hosts[15], None, 0), None);
+        assert!(net.shards.iter().all(|s| s.next_flow_id() == 1));
+        assert_eq!(net.start_flow(ft.hosts[4], ft.hosts[8], None, 0), Some(1));
+        assert!(net.shards.iter().all(|s| s.next_flow_id() == 2));
     }
 }

@@ -136,7 +136,14 @@ fn run_sequential(sc: &Scenario, cfg: SimConfig) -> Fingerprint {
     }
 }
 
-fn run_sharded(sc: &Scenario, cfg: SimConfig, part: &Partition, workers: usize) -> Fingerprint {
+/// The sharded run, driven by one `run_until` call per entry of `ends`.
+fn run_sharded(
+    sc: &Scenario,
+    cfg: SimConfig,
+    part: &Partition,
+    workers: usize,
+    ends: &[Time],
+) -> Fingerprint {
     let mut net = ShardedNetwork::new(sc.topo.clone(), sc.routing.clone(), cfg, part, workers);
     for &(s, d, b) in &sc.flows {
         net.start_flow(s, d, b, 0).expect("route exists");
@@ -144,13 +151,54 @@ fn run_sharded(sc: &Scenario, cfg: SimConfig, part: &Partition, workers: usize) 
     for (s, d, b, p) in &sc.pinned {
         net.start_flow_on_path(*s, *d, *b, 0, Arc::clone(p)).expect("pinned route");
     }
-    net.run_until(sc.horizon);
+    for &t in ends {
+        net.run_until(t);
+    }
     let snap = net.metrics_snapshot();
     Fingerprint {
         metrics: snap.entries,
         ledger: format!("{:?}", net.ledger()),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
+    }
+}
+
+/// Uneven slice ends over `horizon`, the way a caller that reports
+/// progress cuts a run: pseudo-random steps, every monitor barrier
+/// (multiples of `interval`) as an end of its own, one end repeated, and
+/// the horizon last.
+fn slice_ends(horizon: Time, interval: Dur) -> Vec<Time> {
+    let mut ends: Vec<Time> =
+        (1..).map(|k| Time(interval.0 * k)).take_while(|&b| b < horizon).collect();
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut t = 0;
+    while t < horizon.0 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        t = (t + 1 + x % (interval.0 * 2 / 3)).min(horizon.0);
+        ends.push(Time(t));
+    }
+    ends.sort_unstable();
+    let mid = ends.len() / 2;
+    ends.insert(mid, ends[mid]);
+    ends
+}
+
+/// Every backend on `sc`, the sharded run driven through many uneven
+/// `run_until` slices at 1, 2 and 8 workers, against the sequential run
+/// in one call.
+fn assert_sliced_matches(sc: &Scenario, part: &Partition, what: &str) {
+    for (name, fc, pump) in backends() {
+        let cfg = base_cfg(fc, pump);
+        let ends = slice_ends(sc.horizon, cfg.monitor_interval);
+        assert!(ends.len() > 60, "too few slices");
+        assert_eq!(ends.last(), Some(&sc.horizon));
+        let seq = run_sequential(sc, cfg.clone());
+        for workers in [1usize, 2, 8] {
+            let shd = run_sharded(sc, cfg.clone(), part, workers, &ends);
+            assert_identical(&seq, &shd, &format!("{what}:{name}:sliced:w{workers}"));
+        }
     }
 }
 
@@ -178,7 +226,7 @@ fn ring_matrix_matches_sequential_at_every_worker_count() {
         for arcs in [2usize, 3] {
             let part = Partition::ring_arcs(&ring, arcs);
             for workers in [1usize, 2, 4, 8] {
-                let shd = run_sharded(&sc, cfg.clone(), &part, workers);
+                let shd = run_sharded(&sc, cfg.clone(), &part, workers, &[sc.horizon]);
                 assert_identical(&seq, &shd, &format!("ring:{name}:arcs{arcs}:w{workers}"));
             }
         }
@@ -194,10 +242,25 @@ fn fattree_matrix_matches_sequential_at_every_worker_count() {
         let cfg = base_cfg(fc, pump);
         let seq = run_sequential(&sc, cfg.clone());
         for workers in [1usize, 2, 4, 8] {
-            let shd = run_sharded(&sc, cfg.clone(), &part, workers);
+            let shd = run_sharded(&sc, cfg.clone(), &part, workers, &[sc.horizon]);
             assert_identical(&seq, &shd, &format!("fattree:{name}:pods:w{workers}"));
         }
     }
+}
+
+/// Sliced runs on the ring: a caller invoking `run_until` over and over
+/// (ends on barriers, repeated ends) sees the one-call simulation.
+#[test]
+fn ring_sliced_runs_match_sequential() {
+    let ring = Ring::new(3);
+    assert_sliced_matches(&ring_scenario(), &Partition::ring_arcs(&ring, 3), "ring");
+}
+
+/// Sliced runs on the Fig. 11 fat-tree under the pod partition.
+#[test]
+fn fattree_sliced_runs_match_sequential() {
+    let part = Partition::by_pods(&fig11_case().0);
+    assert_sliced_matches(&fattree_scenario(), &part, "fattree");
 }
 
 /// The partition must be *free*: any assignment of nodes to domains
@@ -228,7 +291,7 @@ mod random_partitions {
             let (_, fc, pump) = backends()[2]; // buffer-GFC: live scheme
             let cfg = base_cfg(fc, pump);
             let seq = run_sequential(&sc, cfg.clone());
-            let shd = run_sharded(&sc, cfg, &part, workers);
+            let shd = run_sharded(&sc, cfg, &part, workers, &[sc.horizon]);
             assert_identical(&seq, &shd, &format!("random partition {doms:?} w{workers}"));
         }
     }

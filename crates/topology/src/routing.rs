@@ -152,6 +152,13 @@ impl Routing {
         Routing::Static { paths, fallback: SpfRouting::new() }
     }
 
+    /// Destination trees the SPF oracle has computed and cached so far.
+    pub fn cached_trees(&self) -> usize {
+        match self {
+            Routing::Spf(r) | Routing::Static { fallback: r, .. } => r.trees.len(),
+        }
+    }
+
     /// Resolve a flow's path.
     pub fn path(
         &mut self,
