@@ -1,11 +1,22 @@
 //! **bench_matrix** — the topology × scheme × load grid behind the perf
-//! trajectory: 13 cells = {ring3/greedy, ft_k4/uniform, ft_k4/incast} ×
-//! {PFC, CBFC, buffer-GFC, time-GFC} plus the BFC ring cell, each timed
-//! with the shared hand-rolled runner (event counts are asserted
-//! bit-identical across repetitions; the fastest run is reported).
+//! trajectory and the CI regression gate. 15 cells:
 //!
-//! Writes `BENCH_matrix.json` at the repo root with a `meta` block
-//! (commit, rustc, CPU model, core count, mode) and one cell per line.
+//! * {ring3/greedy, ft_k4/uniform, ft_k4/incast} × {PFC, CBFC,
+//!   buffer-GFC, time-GFC};
+//! * `ring3:greedy:bfc`, the per-flow backend on the ring;
+//! * `ring3:greedy:pfc+probe`, the PFC ring again with the engine
+//!   self-profiler on. It must replay the same event count as
+//!   `ring3:greedy:pfc` and keep at least 40 % of its events/s;
+//! * `ft_k8:uniform:gfc_buffer`, a failed k = 8 fat-tree under
+//!   buffer-GFC with the closed-loop enterprise workload (one Fig. 16
+//!   panel-(a) case, the scaling axis of the §6.2 sweeps).
+//!
+//! The whole grid is one interleaved group of [`gfc_bench::measure`]:
+//! each round runs every cell once. Event counts are asserted identical
+//! across repetitions; the fastest run is reported. Writes `BENCH_matrix.json` at the repo root with a
+//! `meta` block (commit, rustc, CPU model, core count, mode) and one
+//! cell per line.
+//!
 //! With `GFC_BENCH_BASELINE=path` set, the run additionally gates itself
 //! against the committed baseline: each cell's events/s ratio is
 //! normalized by the median ratio across cells (the machine-speed
@@ -17,22 +28,20 @@
 //! measured under a different mode (CI's smoke step vs the committed
 //! full-mode `BENCH_matrix.json`), the gate compares against the most
 //! recent *same-mode* point in the committed `BENCH_history.jsonl`
-//! instead, and skips with a note when no such point exists yet.
+//! instead, and skips with a note when no such point exists yet. The
+//! probe floor is checked after the retries.
 //!
-//! Environment knobs (shared with `core_throughput`):
+//! Environment knobs: the shared ones of [`gfc_bench`] (the output
+//! defaults to `<repo root>/BENCH_matrix.json`), plus
 //!
-//! * `GFC_BENCH_SMOKE=1` — shortened horizons for the CI smoke step;
-//! * `GFC_BENCH_RUNS=N` — timed repetitions per cell (default 3);
-//! * `GFC_BENCH_OUT=path` — output path (default
-//!   `<repo root>/BENCH_matrix.json`);
 //! * `GFC_BENCH_BASELINE=path` — enable the regression gate against
 //!   this baseline JSON;
-//! * `GFC_BENCH_HISTORY=path` — where to append the one-line-per-run
-//!   trajectory log (default `<repo root>/BENCH_history.jsonl`).
+//! * `GFC_BENCH_ONLY=name` — measure just that cell and print one
+//!   `GFC_CELL name events events/s` line (the gate's retry child).
 
 use gfc_bench::{
-    append_history, cell_json, latest_history_cells, measure, meta_json, parse_cells, parse_mode,
-    regression_gate, run_meta, Measurement,
+    bench_json, cell_json, latest_history_cells, measure, parse_cells, parse_mode, record_history,
+    regression_gate, run_meta, Cell, GateReport, Measurement, RunMeta,
 };
 use gfc_core::units::{Dur, Time};
 use gfc_experiments::common::{sim_config_300k, sim_config_testbed, Scheme};
@@ -44,6 +53,13 @@ use gfc_topology::{Ring, Routing};
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
+
+/// The gate's per-cell tolerance, normalized.
+const TOLERANCE: f64 = 0.10;
+
+/// The probed ring must keep at least this share of its twin's events/s.
+const PROBE_FLOOR: f64 = 0.4;
 
 /// Stable slug for a scheme, used in cell names and the JSON.
 fn slug(scheme: Scheme) -> &'static str {
@@ -57,92 +73,295 @@ fn slug(scheme: Scheme) -> &'static str {
     }
 }
 
-/// One matrix cell plus its grid coordinates (for the JSON columns).
-struct Cell {
+/// Where a cell sits in the grid (the JSON columns), and whether the
+/// engine probe is on.
+#[derive(Debug, Clone, Copy)]
+struct Coord {
     topo: &'static str,
     load: &'static str,
-    scheme: &'static str,
-    m: Measurement,
-}
-
-/// ring3/greedy: the Fig. 9 testbed ring, three staggered clockwise
-/// greedy flows. Under PFC the fabric wedges and the tail of the horizon
-/// exercises the idle monitor loop; the other schemes keep it saturated.
-fn ring_cell(scheme: Scheme, horizon: Time, runs: usize) -> Cell {
-    let m = measure(format!("ring3:greedy:{}", slug(scheme)), horizon, runs, || {
-        let ring = Ring::new(3);
-        let cfg = sim_config_testbed(scheme, 9);
-        let routing = Routing::fixed(ring.clockwise_routes());
-        let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
-        let stagger = Dur::from_micros(500);
-        for (i, (src, dst)) in ring.clockwise_flows().into_iter().enumerate() {
-            net.run_until(Time(stagger.0 * i as u64));
-            net.start_flow(src, dst, None, 0).expect("clockwise route");
-        }
-        net
-    });
-    Cell { topo: "ring3", load: "greedy", scheme: slug(scheme), m }
-}
-
-/// The first connected, CBD-free k = 4 fat-tree under 5 % link failures —
-/// the same search the k = 8 core scenario uses, scaled down so twelve
-/// cells stay CI-sized.
-fn failed_ft4() -> FatTree {
-    let mut seed = 440u64;
-    loop {
-        seed = seed.wrapping_add(1);
-        let mut ft = FatTree::new(4);
-        let mut rng = StdRng::seed_from_u64(seed);
-        ft.inject_failures(&mut rng, 0.05);
-        if ft.topo.hosts_connected() && all_pairs_depgraph(&ft.topo).find_cycle().is_none() {
-            return ft;
-        }
-    }
-}
-
-/// ft_k4 under a closed-loop enterprise workload with the given
-/// destination policy ("uniform" inter-rack or "incast" all-to-one).
-fn ft4_cell(
-    ft: &FatTree,
     scheme: Scheme,
-    load: &'static str,
-    dests: &DestPolicy,
-    horizon: Time,
-    runs: usize,
-) -> Cell {
-    let m = measure(format!("ft_k4:{load}:{}", slug(scheme)), horizon, runs, || {
-        let cfg = sim_config_300k(scheme, 440);
-        let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-        net.install_workload(Box::new(ClosedLoopWorkload {
-            sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
-            dests: dests.clone(),
-            num_hosts: ft.hosts.len(),
-            prio: 0,
-            stop_after: None,
-        }));
-        net
-    });
-    Cell { topo: "ft_k4", load, scheme: slug(scheme), m }
+    probe: bool,
 }
 
-/// Render the full output JSON: meta block plus one cell per line.
-fn render_json(cells: &[Cell], meta: &gfc_bench::RunMeta, mode: &str, runs: usize) -> String {
-    let mut json = String::from("{\n  \"bench\": \"bench_matrix\",\n");
-    json += &meta_json(meta, mode, runs);
-    json += ",\n  \"cells\": [\n";
-    for (i, c) in cells.iter().enumerate() {
-        let extra = format!(
-            "\"topo\": \"{}\", \"load\": \"{}\", \"scheme\": \"{}\", ",
-            c.topo, c.load, c.scheme
-        );
-        json += &format!(
-            "    {}{}\n",
-            cell_json(&c.m, &extra),
-            if i + 1 < cells.len() { "," } else { "" }
-        );
+impl Coord {
+    fn new(topo: &'static str, load: &'static str, scheme: Scheme) -> Coord {
+        Coord { topo, load, scheme, probe: false }
     }
-    json += "  ]\n}\n";
-    json
+
+    fn ring(scheme: Scheme) -> Coord {
+        Coord::new("ring3", "greedy", scheme)
+    }
+
+    fn probed(self) -> Coord {
+        Coord { probe: true, ..self }
+    }
+
+    /// The scheme column: the slug, with `+probe` for a probed cell.
+    fn scheme_col(self) -> String {
+        format!("{}{}", slug(self.scheme), if self.probe { "+probe" } else { "" })
+    }
+
+    fn name(self) -> String {
+        format!("{}:{}:{}", self.topo, self.load, self.scheme_col())
+    }
+}
+
+/// Every cell of the grid. They form one interleaved group of
+/// [`measure`]: a slow phase of the host lands on every cell, which the
+/// gate's median normalization then cancels, and each cell's repetitions
+/// are spread over the whole run instead of back to back. The PFC ring
+/// and its probed twin sit next to each other, so each round times them
+/// one right after the other, in alternating order.
+fn cells() -> Vec<Coord> {
+    let pfc_ring = Coord::ring(Scheme::Pfc);
+    let mut cells = vec![pfc_ring, pfc_ring.probed()];
+    cells.extend(Scheme::ALL.iter().filter(|&&s| s != Scheme::Pfc).map(|&s| Coord::ring(s)));
+    // The per-flow backend's trajectory cell: BFC's per-flow books and
+    // pause chatter cost more per event than the aggregate schemes, and
+    // this cell keeps that cost on the BENCH_history.jsonl record.
+    cells.push(Coord::ring(Scheme::Bfc));
+    for load in ["uniform", "incast"] {
+        cells.extend(Scheme::ALL.iter().map(|&s| Coord::new("ft_k4", load, s)));
+    }
+    cells.push(Coord::new("ft_k8", "uniform", Scheme::GfcBuffer));
+    cells
+}
+
+/// The first connected, CBD-free k-ary fat-tree under 5 % link failures,
+/// trying failure seeds from `first_seed` up.
+fn failed_fattree(k: usize, first_seed: u64) -> FatTree {
+    (first_seed..)
+        .map(|seed| {
+            let mut ft = FatTree::new(k);
+            ft.inject_failures(&mut StdRng::seed_from_u64(seed), 0.05);
+            ft
+        })
+        .find(|ft| ft.topo.hosts_connected() && all_pairs_depgraph(&ft.topo).find_cycle().is_none())
+        .expect("some failure seed leaves a connected, CBD-free fat-tree")
+}
+
+/// The Fig. 9 testbed ring with three staggered clockwise greedy flows.
+/// Under PFC the fabric wedges and the tail of the horizon exercises the
+/// idle monitor loop; the other schemes keep it saturated.
+fn ring_net(scheme: Scheme, probe: bool) -> Network {
+    let ring = Ring::new(3);
+    let mut cfg = sim_config_testbed(scheme, 9);
+    cfg.telemetry.probe = probe;
+    let routing = Routing::fixed(ring.clockwise_routes());
+    let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
+    let stagger = Dur::from_micros(500);
+    for (i, (src, dst)) in ring.clockwise_flows().into_iter().enumerate() {
+        net.run_until(Time(stagger.0 * i as u64));
+        net.start_flow(src, dst, None, 0).expect("clockwise route");
+    }
+    net
+}
+
+/// Builds cells: the mode's horizons, and the failed fat-trees, searched
+/// on first use (a retry child needs at most one of them).
+struct Grid {
+    ring_h: Time,
+    ft_h: Time,
+    ft4: OnceCell<FatTree>,
+    ft8: OnceCell<FatTree>,
+}
+
+impl Grid {
+    fn new(smoke: bool) -> Grid {
+        // Even the smoke cells need a few ms of wall time each: on shared
+        // runners, scheduler steal bursts outlast sub-millisecond runs and
+        // min-of-N stops converging, which makes the gate flaky.
+        let (ring_h, ft_h) = if smoke {
+            (Time::from_millis(4), Time::from_millis(2))
+        } else {
+            (Time::from_millis(12), Time::from_millis(3))
+        };
+        Grid { ring_h, ft_h, ft4: OnceCell::new(), ft8: OnceCell::new() }
+    }
+
+    /// A fat-tree cell's fabric and config seed. Failure seeds are
+    /// searched from the config seed + 1.
+    fn fattree(&self, topo: &str) -> (&FatTree, u64) {
+        match topo {
+            "ft_k4" => (self.ft4.get_or_init(|| failed_fattree(4, 441)), 440),
+            "ft_k8" => (self.ft8.get_or_init(|| failed_fattree(8, 4243)), 4242),
+            other => unreachable!("no fat-tree named {other}"),
+        }
+    }
+
+    fn cell(&self, c: Coord) -> Cell<'_> {
+        if c.topo == "ring3" {
+            // BFC's per-flow scheduling throttles the wedged ring to a
+            // steady trickle (~a fifth of the aggregate schemes' event
+            // rate), so at the shared ring horizon its cell measures
+            // mostly warm-up. Triple the horizon so the cell's event work
+            // sizes comparably with its grid siblings.
+            let h = if c.scheme == Scheme::Bfc { Time(self.ring_h.0 * 3) } else { self.ring_h };
+            return Cell::new(c.name(), h, move || ring_net(c.scheme, c.probe));
+        }
+        // A closed-loop enterprise workload with the load's destination
+        // policy: "uniform" inter-rack or "incast" all-to-one.
+        let (ft, seed) = self.fattree(c.topo);
+        let dests = match c.load {
+            "uniform" => DestPolicy::inter_rack(
+                (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect(),
+            ),
+            "incast" => DestPolicy::AllToOne { sink: 0 },
+            other => unreachable!("no load named {other}"),
+        };
+        Cell::new(c.name(), self.ft_h, move || {
+            let cfg = sim_config_300k(c.scheme, seed);
+            let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
+            net.install_workload(Box::new(ClosedLoopWorkload {
+                sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
+                dests: dests.clone(),
+                num_hosts: ft.hosts.len(),
+                prio: 0,
+                stop_after: None,
+            }));
+            net
+        })
+    }
+}
+
+/// The output JSON: meta block plus one cell per line.
+fn render_json(
+    coords: &[Coord],
+    ms: &[Measurement],
+    meta: &RunMeta,
+    mode: &str,
+    runs: usize,
+) -> String {
+    let lines: Vec<String> = coords
+        .iter()
+        .zip(ms)
+        .map(|(c, m)| {
+            let extra = format!(
+                "\"topo\": \"{}\", \"load\": \"{}\", \"scheme\": \"{}\", ",
+                c.topo,
+                c.load,
+                c.scheme_col()
+            );
+            cell_json(m, &extra)
+        })
+        .collect();
+    bench_json("bench_matrix", meta, mode, runs, &lines)
+}
+
+fn throughputs(ms: &[Measurement]) -> Vec<(String, f64)> {
+    ms.iter().map(|m| (m.name.clone(), m.events_per_sec)).collect()
+}
+
+/// Re-measure cell `name` in a fresh process (`GFC_BENCH_ONLY` child
+/// mode); returns its events and events/s.
+fn remeasure(name: &str) -> (u64, f64) {
+    let out = std::process::Command::new(std::env::current_exe().expect("current exe"))
+        .env("GFC_BENCH_ONLY", name)
+        .env_remove("GFC_BENCH_BASELINE")
+        .output()
+        .expect("spawn re-measure child");
+    assert!(out.status.success(), "re-measure child failed for {name}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("GFC_CELL "))
+        .unwrap_or_else(|| panic!("no GFC_CELL line from child for {name}"));
+    let mut fields = line.split_whitespace();
+    assert_eq!(fields.next(), Some(name), "child measured the wrong cell");
+    let events = fields.next().and_then(|f| f.parse().ok()).expect("events");
+    let eps = fields.next().and_then(|f| f.parse().ok()).expect("events/s");
+    (events, eps)
+}
+
+/// Gate `ms` against the baseline JSON at `baseline_path`, re-measuring
+/// tripped cells. Returns the final report and what it compared against,
+/// or `None` when no same-mode baseline exists.
+fn gate(baseline_path: &str, mode: &str, ms: &mut [Measurement]) -> Option<(GateReport, String)> {
+    // Cargo runs bench binaries with the package dir as cwd; resolve
+    // a relative baseline path against the repo root as well, so the
+    // CI invocation (`GFC_BENCH_BASELINE=BENCH_matrix.json`) works.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let baseline = std::fs::read_to_string(baseline_path)
+        .or_else(|_| std::fs::read_to_string(format!("{root}/{baseline_path}")))
+        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
+    // Smoke and full horizons change each cell's warm-up/steady-state
+    // mix differently, so cross-mode ratios are not a regression
+    // signal: when the baseline JSON was measured under another mode,
+    // gate against the most recent same-mode point in the committed
+    // trajectory log instead.
+    let baseline_mode = parse_mode(&baseline).unwrap_or_else(|| "unknown".into());
+    let (base, base_desc) = if baseline_mode == mode {
+        (parse_cells(&baseline), baseline_path.to_string())
+    } else {
+        let committed = format!("{root}/BENCH_history.jsonl");
+        let log = std::fs::read_to_string(&committed).unwrap_or_default();
+        let Some(cells) = latest_history_cells(&log, "bench_matrix", mode) else {
+            println!(
+                "  baseline {baseline_path} is \"{baseline_mode}\"-mode and the committed \
+                 trajectory log holds no \"{mode}\" point; gate skipped"
+            );
+            return None;
+        };
+        println!(
+            "  baseline {baseline_path} is \"{baseline_mode}\"-mode; gating against \
+             the latest \"{mode}\" point in the committed trajectory log"
+        );
+        (cells, format!("{committed} (latest \"{mode}\" point)"))
+    };
+    let mut report = regression_gate(&base, &throughputs(ms), TOLERANCE);
+    // Noise on a shared runner only ever makes a min-of-N measurement
+    // of deterministic work *slower*, never faster. So a tripped cell
+    // that clears the bar when re-measured was noise, while a genuine
+    // regression stays slow on every retry: keep the max events/s per
+    // cell and only then fail. Each retry runs the cell in a *fresh
+    // process* because the slow modes are process-level (code layout,
+    // scheduler state) and an in-process re-measure inherits them.
+    // (Cell-set mismatches are not retried.)
+    for retry in 1..=3 {
+        if !report.failed || report.regressed.is_empty() {
+            break;
+        }
+        println!(
+            "  {} cell(s) below threshold; re-measuring in fresh processes (retry {retry}/3)",
+            report.regressed.len()
+        );
+        for name in &report.regressed {
+            let m = ms.iter_mut().find(|m| &m.name == name).expect("regressed cell is in the grid");
+            let (events, eps) = remeasure(name);
+            assert_eq!(events, m.events, "event count changed on re-measure");
+            if eps > m.events_per_sec {
+                m.events_per_sec = eps;
+                m.wall_ms = events as f64 / eps * 1e3;
+            }
+        }
+        report = regression_gate(&base, &throughputs(ms), TOLERANCE);
+    }
+    Some((report, base_desc))
+}
+
+/// The probed PFC ring replays its twin's events, and its dispatch loop
+/// keeps at least [`PROBE_FLOOR`] of the twin's events/s: a deeper drop
+/// means the probed loop stopped being a cheap out-of-line copy.
+fn check_probe_floor(ms: &[Measurement]) {
+    let find = |c: Coord| {
+        let name = c.name();
+        ms.iter().find(|m| m.name == name).expect("probe pair is in the grid")
+    };
+    let off = find(Coord::ring(Scheme::Pfc));
+    let on = find(Coord::ring(Scheme::Pfc).probed());
+    assert_eq!(off.events, on.events, "probe changed the event sequence");
+    println!(
+        "probed/unprobed events/s: {:.3} ({:.0} -> {:.0}), floor {PROBE_FLOOR}",
+        on.events_per_sec / off.events_per_sec,
+        off.events_per_sec,
+        on.events_per_sec
+    );
+    assert!(
+        on.events_per_sec >= PROBE_FLOOR * off.events_per_sec,
+        "probe overhead out of range: {:.0} vs {:.0} events/sec",
+        on.events_per_sec,
+        off.events_per_sec
+    );
 }
 
 fn main() {
@@ -150,203 +369,47 @@ fn main() {
     let runs: usize =
         std::env::var("GFC_BENCH_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
     let mode = if smoke { "smoke" } else { "full" };
-    // Thirteen cells: the smoke horizons keep the whole grid (runs ×
-    // cells) inside the CI smoke budget.
-    // Even the smoke cells need a few ms of wall time each: on shared
-    // runners, scheduler steal bursts outlast sub-millisecond runs and
-    // min-of-N stops converging, which makes the gate flaky.
-    let (ring_h, ft_h) = if smoke {
-        (Time::from_millis(4), Time::from_millis(2))
-    } else {
-        (Time::from_millis(12), Time::from_millis(3))
-    };
-    // BFC's per-flow scheduling throttles the wedged ring to a steady
-    // trickle (~a fifth of the aggregate schemes' event rate), so at the
-    // shared ring horizon its cell measures mostly warm-up. Triple the
-    // horizon so the cell's event work sizes comparably with its grid
-    // siblings and the events/s number reflects steady state.
-    let ring_h_for =
-        |scheme: Scheme| if matches!(scheme, Scheme::Bfc) { Time(ring_h.0 * 3) } else { ring_h };
-    let ft = failed_ft4();
-    let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
-    let uniform = DestPolicy::inter_rack(racks);
-    let incast = DestPolicy::AllToOne { sink: 0 };
+    let grid = Grid::new(smoke);
+    let coords = cells();
 
     // Child mode for gate retries: measure exactly one cell in a fresh
-    // process and print a single machine-readable line. The slow
-    // measurement modes seen on shared runners are *process-level*
-    // (code layout, scheduler state), so an in-process re-measure
-    // inherits them — a re-exec draws fresh.
+    // process and print a single machine-readable line.
     if let Ok(name) = std::env::var("GFC_BENCH_ONLY") {
-        let parts: Vec<&str> = name.split(':').collect();
-        assert_eq!(parts.len(), 3, "GFC_BENCH_ONLY wants topo:load:scheme, got {name}");
-        let scheme = Scheme::SHOOTOUT
+        let coord = coords
             .iter()
-            .copied()
-            .find(|s| slug(*s) == parts[2])
-            .unwrap_or_else(|| panic!("unknown scheme slug {}", parts[2]));
-        let cell = match parts[0] {
-            "ring3" => ring_cell(scheme, ring_h_for(scheme), runs),
-            "ft_k4" => {
-                let (load, dests): (&'static str, _) = match parts[1] {
-                    "uniform" => ("uniform", &uniform),
-                    "incast" => ("incast", &incast),
-                    other => panic!("unknown load {other}"),
-                };
-                ft4_cell(&ft, scheme, load, dests, ft_h, runs)
-            }
-            other => panic!("unknown topo {other}"),
-        };
-        println!("GFC_CELL {} {} {}", cell.m.name, cell.m.events, cell.m.events_per_sec);
+            .find(|c| c.name() == name)
+            .unwrap_or_else(|| panic!("GFC_BENCH_ONLY: no cell named {name}"));
+        let m = &measure(&[grid.cell(*coord)], runs)[0];
+        println!("GFC_CELL {} {} {}", m.name, m.events, m.events_per_sec);
         return;
     }
     println!("bench_matrix ({mode}, {runs} runs per cell)");
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for &scheme in &Scheme::ALL {
-        cells.push(ring_cell(scheme, ring_h, runs));
-    }
-    // The per-flow backend's trajectory cell: BFC's per-flow books and
-    // pause chatter cost more per event than the aggregate schemes, and
-    // this cell keeps that cost on the BENCH_history.jsonl record.
-    cells.push(ring_cell(Scheme::Bfc, ring_h_for(Scheme::Bfc), runs));
-    for &scheme in &Scheme::ALL {
-        cells.push(ft4_cell(&ft, scheme, "uniform", &uniform, ft_h, runs));
-    }
-    for &scheme in &Scheme::ALL {
-        cells.push(ft4_cell(&ft, scheme, "incast", &incast, ft_h, runs));
-    }
-    for c in &cells {
+    let cells: Vec<Cell<'_>> = coords.iter().map(|&c| grid.cell(c)).collect();
+    let mut ms = measure(&cells, runs);
+    for m in &ms {
         println!(
             "  {:<26} {:>10} events in {:>9.2} ms wall  =>  {:>11.0} events/sec",
-            c.m.name, c.m.events, c.m.wall_ms, c.m.events_per_sec
+            m.name, m.events, m.wall_ms, m.events_per_sec
         );
     }
 
+    let gated = std::env::var("GFC_BENCH_BASELINE").ok().and_then(|p| gate(&p, mode, &mut ms));
     let meta = run_meta();
-    let json = render_json(&cells, &meta, mode, runs);
     let out = std::env::var("GFC_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_matrix.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &json).expect("write BENCH_matrix.json");
+    std::fs::write(&out, render_json(&coords, &ms, &meta, mode, runs))
+        .expect("write BENCH_matrix.json");
     println!("wrote {out}");
-
-    // One trajectory line per run, recorded after any gate retries so the
-    // log holds the accepted numbers (see `append_history`).
-    let record_history = |cells: &[Cell]| {
-        let eps: Vec<(String, f64)> =
-            cells.iter().map(|c| (c.m.name.clone(), c.m.events_per_sec)).collect();
-        let hist = gfc_bench::history_path();
-        match append_history(&hist, "bench_matrix", &meta, mode, &eps) {
-            Ok(()) => println!("appended trajectory point to {hist}"),
-            Err(e) => println!("history append skipped ({hist}: {e})"),
-        }
-    };
-
-    if let Ok(baseline_path) = std::env::var("GFC_BENCH_BASELINE") {
-        // Cargo runs bench binaries with the package dir as cwd; resolve
-        // a relative baseline path against the repo root as well, so the
-        // CI invocation (`GFC_BENCH_BASELINE=BENCH_matrix.json`) works.
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .or_else(|_| {
-                std::fs::read_to_string(format!(
-                    "{}/../../{baseline_path}",
-                    env!("CARGO_MANIFEST_DIR")
-                ))
-            })
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        // Smoke and full horizons change each cell's warm-up/steady-state
-        // mix differently, so cross-mode ratios are not a regression
-        // signal: when the baseline JSON was measured under another mode,
-        // gate against the most recent same-mode point in the committed
-        // trajectory log instead.
-        let baseline_mode = parse_mode(&baseline).unwrap_or_else(|| "unknown".into());
-        let (base_cells, base_desc) = if baseline_mode == mode {
-            (parse_cells(&baseline), baseline_path.clone())
-        } else {
-            let committed = format!("{}/../../BENCH_history.jsonl", env!("CARGO_MANIFEST_DIR"));
-            let log = std::fs::read_to_string(&committed).unwrap_or_default();
-            match latest_history_cells(&log, "bench_matrix", mode) {
-                Some(cells) => {
-                    println!(
-                        "  baseline {baseline_path} is \"{baseline_mode}\"-mode; gating against \
-                         the latest \"{mode}\" point in the committed trajectory log"
-                    );
-                    (cells, format!("{committed} (latest \"{mode}\" point)"))
-                }
-                None => {
-                    println!(
-                        "  baseline {baseline_path} is \"{baseline_mode}\"-mode and the committed \
-                         trajectory log holds no \"{mode}\" point; gate skipped"
-                    );
-                    record_history(&cells);
-                    return;
-                }
-            }
-        };
-        let current = |cells: &[Cell]| -> Vec<(String, f64)> {
-            cells.iter().map(|c| (c.m.name.clone(), c.m.events_per_sec)).collect()
-        };
-        let mut report = regression_gate(&base_cells, &current(&cells), 0.10);
-        // Noise on a shared runner only ever makes a min-of-N measurement
-        // of deterministic work *slower*, never faster. So a tripped cell
-        // that clears the bar when re-measured was noise, while a genuine
-        // regression stays slow on every retry: keep the max events/s per
-        // cell and only then fail. Each retry runs the cell in a *fresh
-        // process* (GFC_BENCH_ONLY child mode) because the slow modes are
-        // process-level and an in-process re-measure inherits them.
-        // (Cell-set mismatches are not retried.)
-        let exe = std::env::current_exe().expect("current exe");
-        let mut remeasured = false;
-        for retry in 1..=3 {
-            if !report.failed || report.regressed.is_empty() {
-                break;
-            }
-            println!(
-                "  {} cell(s) below threshold; re-measuring in fresh processes (retry {retry}/3)",
-                report.regressed.len()
-            );
-            for name in &report.regressed {
-                let i = cells
-                    .iter()
-                    .position(|c| &c.m.name == name)
-                    .expect("regressed cell is in the grid");
-                let out = std::process::Command::new(&exe)
-                    .env("GFC_BENCH_ONLY", name)
-                    .env_remove("GFC_BENCH_BASELINE")
-                    .output()
-                    .expect("spawn re-measure child");
-                assert!(out.status.success(), "re-measure child failed for {name}");
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                let line = stdout
-                    .lines()
-                    .find_map(|l| l.strip_prefix("GFC_CELL "))
-                    .unwrap_or_else(|| panic!("no GFC_CELL line from child for {name}"));
-                let mut fields = line.split_whitespace();
-                assert_eq!(fields.next(), Some(name.as_str()), "child measured the wrong cell");
-                let events: u64 = fields.next().and_then(|f| f.parse().ok()).expect("events");
-                let eps: f64 = fields.next().and_then(|f| f.parse().ok()).expect("events/s");
-                assert_eq!(events, cells[i].m.events, "event count changed on re-measure");
-                if eps > cells[i].m.events_per_sec {
-                    cells[i].m.events_per_sec = eps;
-                    cells[i].m.wall_ms = events as f64 / eps * 1e3;
-                    remeasured = true;
-                }
-            }
-            report = regression_gate(&base_cells, &current(&cells), 0.10);
-        }
-        if remeasured {
-            std::fs::write(&out, render_json(&cells, &meta, mode, runs))
-                .expect("rewrite BENCH_matrix.json");
-        }
-        record_history(&cells);
+    record_history("bench_matrix", &meta, mode, &ms);
+    let failed = gated.is_some_and(|(report, base_desc)| {
         println!("regression gate vs {base_desc}:");
         print!("{}", report.table);
-        if report.failed {
-            println!("regression gate FAILED");
-            std::process::exit(1);
-        }
-        println!("regression gate passed");
-    } else {
-        record_history(&cells);
+        println!("regression gate {}", if report.failed { "FAILED" } else { "passed" });
+        report.failed
+    });
+    check_probe_floor(&ms);
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,24 +1,27 @@
 //! **sharded_scaling** — the scaling curve of the sharded parallel
 //! engine on the paper-scale fabric: a k = 16 fat-tree (1024 hosts)
-//! under cross-pod permutation traffic, run once on the sequential
-//! engine and once per worker count on [`gfc_sim::ShardedNetwork`]
-//! with the pod partition. Every sharded run's replay fingerprint
+//! under cross-pod permutation traffic, on the sequential engine and at
+//! each worker count on [`gfc_sim::ShardedNetwork`] with the pod
+//! partition. The points form one interleaved group of
+//! [`gfc_bench::measure`]: every round runs each of them once, so the
+//! speedup ratios compare runs made within one round of each other,
+//! not a whole curve apart. Every sharded run's replay fingerprint
 //! (event count + full metrics snapshot) is asserted bit-identical to
 //! the sequential run's — the speedup must come from the schedule,
 //! never the simulation.
 //!
 //! Each cell also records what the network costs to build: the best
 //! set-up wall time (`setup_ms`: `Network::new`/`ShardedNetwork::new`
-//! plus starting every flow) and `rss_growth_mb`, the largest growth of
+//! plus starting every flow) and `rss_growth_mb`, the smallest growth of
 //! the process's resident set (`VmRSS`) over its value before the first
-//! build, measured right after the build. The allocator may keep memory
-//! an earlier cell freed, so a cell's figure can include some of it, but
+//! build, measured right after each build. The allocator may keep memory
+//! an earlier build freed, so a cell's figure can include some of it, but
 //! never hides the cell's own network.
 //!
 //! Writes `BENCH_scaling.json` at the repo root and appends one
 //! trajectory line (`ft_k16:scaling:seq`, `:w1`, `:w2`, ...) to
 //! `BENCH_history.jsonl`, so the speedup curve accumulates next to the
-//! single-engine numbers.
+//! `bench_matrix` numbers.
 //!
 //! Wall-clock speedup is bounded by the machine: with `N` cores the
 //! curve flattens at `N` workers, and on a single-core runner the
@@ -27,25 +30,25 @@
 //! the 8-worker point therefore arms only when the host actually has 8
 //! cores — set `GFC_SCALING_REQUIRE=speedup` to force a custom floor.
 //!
-//! Environment knobs (shared with `core_throughput`/`bench_matrix`):
-//! `GFC_BENCH_SMOKE=1`, `GFC_BENCH_RUNS=N`, `GFC_BENCH_OUT=path`,
-//! `GFC_BENCH_HISTORY=path`.
+//! Environment knobs: the shared ones of [`gfc_bench`] (the output
+//! defaults to `<repo root>/BENCH_scaling.json`), plus
+//! `GFC_SCALING_REQUIRE`.
 
-use gfc_bench::{append_history, meta_json, run_meta};
+use gfc_bench::{
+    bench_json, cell_json, measure, record_history, rss_mb, run_meta, Cell, Measurement,
+};
 use gfc_core::units::Time;
 use gfc_experiments::common::{sim_config_300k, Scheme};
 use gfc_sim::{Network, ShardedNetwork, TraceConfig};
-use gfc_telemetry::{names, Snapshot};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::{NodeId, Partition, Routing};
-use std::time::Instant;
 
 /// Worker counts of the scaling curve.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// The measured fabric: a healthy k = 16 fat-tree. No failure injection —
 /// the curve should measure engine scaling, not a particular degraded
-/// topology (the degraded cases are `core_throughput`'s job).
+/// topology (the degraded k = 8 case is a `bench_matrix` cell).
 fn fabric() -> FatTree {
     FatTree::new(16)
 }
@@ -78,117 +81,15 @@ fn sharded_net(ft: &FatTree, part: &Partition, workers: usize) -> ShardedNetwork
     net
 }
 
-/// The process's resident set size (`VmRSS`), MB; 0 where `/proc` is
-/// unavailable.
-fn rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
-/// What one repetition measured.
-struct Rep {
-    events: u64,
-    setup_s: f64,
-    /// `VmRSS` right after the build.
-    rss_mb: f64,
-    wall_s: f64,
-    metrics: Vec<gfc_telemetry::MetricEntry>,
-}
-
-/// The two engines, as this bench drives them.
-trait Engine {
-    fn advance(&mut self, horizon: Time);
-    fn snapshot(&self) -> Snapshot;
-}
-
-impl Engine for Network {
-    fn advance(&mut self, horizon: Time) {
-        self.run_until(horizon);
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.metrics_snapshot()
-    }
-}
-
-impl Engine for ShardedNetwork {
-    fn advance(&mut self, horizon: Time) {
-        self.run_until(horizon);
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.metrics_snapshot()
-    }
-}
-
-/// One repetition: time the build (network plus flows) and read `VmRSS`
-/// after it, then time the run to `horizon`.
-fn rep<T: Engine>(horizon: Time, build: impl FnOnce() -> T) -> Rep {
-    let start = Instant::now();
-    let mut net = build();
-    let setup_s = start.elapsed().as_secs_f64();
-    let rss_mb = rss_mb();
-    let start = Instant::now();
-    net.advance(horizon);
-    let wall_s = start.elapsed().as_secs_f64();
-    let snap = net.snapshot();
-    let events = snap.counter(names::EVENTS).unwrap_or(0);
-    Rep { events, setup_s, rss_mb, wall_s, metrics: snap.entries }
-}
-
-/// One timed point: best wall and set-up time across `runs` repetitions,
-/// the largest `VmRSS` growth over `rss_base_mb`, the (asserted
-/// run-invariant) event count, and the first repetition's full metrics
-/// snapshot for the fingerprint check.
-struct Point {
-    name: String,
-    events: u64,
-    wall_s: f64,
-    setup_s: f64,
-    rss_growth_mb: f64,
-    metrics: Vec<gfc_telemetry::MetricEntry>,
-}
-
-fn measure_point(
-    name: impl Into<String>,
-    runs: usize,
-    rss_base_mb: f64,
-    run: impl Fn() -> Rep,
-) -> Point {
-    let name = name.into();
-    let first = run();
-    let mut p = Point {
-        name,
-        events: first.events,
-        wall_s: first.wall_s,
-        setup_s: first.setup_s,
-        rss_growth_mb: first.rss_mb - rss_base_mb,
-        metrics: first.metrics,
-    };
-    for _ in 1..runs {
-        let r = run();
-        assert_eq!(r.events, p.events, "{}: event count varied across identical runs", p.name);
-        p.wall_s = p.wall_s.min(r.wall_s);
-        p.setup_s = p.setup_s.min(r.setup_s);
-        p.rss_growth_mb = p.rss_growth_mb.max(r.rss_mb - rss_base_mb);
-    }
-    p
-}
-
-fn print_point(p: &Point, speedup: Option<f64>) {
+fn print_point(p: &Measurement, speedup: Option<f64>, rss_base_mb: f64) {
     print!(
         "  {:<22} {:>10} events in {:>9.2} ms wall  =>  {:>11.0} events/sec",
-        p.name,
-        p.events,
-        p.wall_s * 1e3,
-        p.events as f64 / p.wall_s
+        p.name, p.events, p.wall_ms, p.events_per_sec
     );
     if let Some(x) = speedup {
         print!("  ({x:>5.2}x)");
     }
-    println!("  set-up {:>8.2} ms, +{:.1} MB RSS", p.setup_s * 1e3, p.rss_growth_mb);
+    println!("  set-up {:>8.2} ms, +{:.1} MB RSS", p.setup_ms, p.rss_mb - rss_base_mb);
 }
 
 fn main() {
@@ -210,27 +111,29 @@ fn main() {
         part.num_domains()
     );
 
+    let (ft, part) = (&ft, &part);
+    let mut cells = vec![Cell::new("ft_k16:scaling:seq", horizon, || seq_net(ft))];
+    for w in WORKERS {
+        cells.push(Cell::new(format!("ft_k16:scaling:w{w}"), horizon, move || {
+            sharded_net(ft, part, w)
+        }));
+    }
     let rss_base = rss_mb();
-    let seq = measure_point("ft_k16:scaling:seq", runs, rss_base, || rep(horizon, || seq_net(&ft)));
-    print_point(&seq, None);
-
-    let mut points = vec![seq];
-    for &w in &WORKERS {
-        let p = measure_point(format!("ft_k16:scaling:w{w}"), runs, rss_base, || {
-            rep(horizon, || sharded_net(&ft, &part, w))
-        });
-        // The tentpole contract, enforced at bench scale too: the sharded
-        // engine replays the *same simulation* at every worker count.
-        assert_eq!(p.events, points[0].events, "w{w}: event count diverged from sequential");
-        assert_eq!(p.metrics, points[0].metrics, "w{w}: metrics snapshot diverged from sequential");
-        print_point(&p, Some(points[0].wall_s / p.wall_s));
-        points.push(p);
+    let points = measure(&cells, runs);
+    let seq = &points[0];
+    print_point(seq, None, rss_base);
+    for (p, w) in points[1..].iter().zip(WORKERS) {
+        // The sharded engine replays the *same simulation* at every
+        // worker count.
+        assert_eq!(p.events, seq.events, "w{w}: event count diverged from sequential");
+        assert_eq!(p.metrics, seq.metrics, "w{w}: metrics snapshot diverged from sequential");
+        print_point(p, Some(seq.wall_ms / p.wall_ms), rss_base);
     }
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let max_w = *WORKERS.last().expect("worker list non-empty");
     let best = points.last().expect("points non-empty");
-    let speedup = points[0].wall_s / best.wall_s;
+    let speedup = seq.wall_ms / best.wall_ms;
     // Arm the speedup floor only where the hardware can express it.
     let required: Option<f64> = std::env::var("GFC_SCALING_REQUIRE")
         .ok()
@@ -250,36 +153,21 @@ fn main() {
     }
 
     let meta = run_meta();
-    let mut json = String::from("{\n  \"bench\": \"sharded_scaling\",\n");
-    json += &meta_json(&meta, mode, runs);
-    json += ",\n  \"cells\": [\n";
-    for (i, p) in points.iter().enumerate() {
-        json += &format!(
-            "    {{\"name\": \"{}\", \"sim_horizon_ms\": {:.3}, \"events\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"setup_ms\": {:.3}, \
-             \"rss_growth_mb\": {:.1}, \"runs\": {}}}{}\n",
-            p.name,
-            horizon.as_millis_f64(),
-            p.events,
-            p.wall_s * 1e3,
-            p.events as f64 / p.wall_s,
-            p.setup_s * 1e3,
-            p.rss_growth_mb,
-            runs,
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    json += "  ]\n}\n";
+    let lines: Vec<String> = points
+        .iter()
+        .map(|p| {
+            let extra = format!(
+                "\"setup_ms\": {:.3}, \"rss_growth_mb\": {:.1}, ",
+                p.setup_ms,
+                p.rss_mb - rss_base
+            );
+            cell_json(p, &extra)
+        })
+        .collect();
     let out = std::env::var("GFC_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_scaling.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &json).expect("write BENCH_scaling.json");
+    std::fs::write(&out, bench_json("sharded_scaling", &meta, mode, runs, &lines))
+        .expect("write BENCH_scaling.json");
     println!("wrote {out}");
-
-    let cells: Vec<(String, f64)> =
-        points.iter().map(|p| (p.name.clone(), p.events as f64 / p.wall_s)).collect();
-    let hist = gfc_bench::history_path();
-    match append_history(&hist, "sharded_scaling", &meta, mode, &cells) {
-        Ok(()) => println!("appended trajectory point to {hist}"),
-        Err(e) => println!("history append skipped ({hist}: {e})"),
-    }
+    record_history("sharded_scaling", &meta, mode, &points);
 }

@@ -39,15 +39,35 @@ fn fingerprint(net: &Network) -> RunFingerprint {
 /// The Fig. 1 ring under PFC (wedges, then idles) — exercises the
 /// control-frame lane, pause state, and the deadlock monitor.
 fn run_ring(seed: u64) -> RunFingerprint {
-    run_ring_with(seed, false)
+    run_ring_with(seed, None)
 }
 
-fn run_ring_with(seed: u64, causal: bool) -> RunFingerprint {
+/// A telemetry layer that observes a run and must never steer it.
+#[derive(Debug, Clone, Copy)]
+enum Layer {
+    /// Causal stall attribution (`TelemetryConfig::causal`).
+    Causal,
+    /// The engine self-profiler (`TelemetryConfig::probe`), which swaps
+    /// in the probed dispatch loop.
+    Probe,
+}
+
+impl Layer {
+    /// The prefix of the snapshot entries the layer adds.
+    fn prefix(self) -> &'static str {
+        match self {
+            Layer::Causal => "causal.",
+            Layer::Probe => "probe.",
+        }
+    }
+}
+
+fn run_ring_with(seed: u64, layer: Option<Layer>) -> RunFingerprint {
     let fc = FcConfig::pfc(kb(280), kb(277));
-    run_ring_fc(fc, PumpPolicy::OutputQueued, seed, causal)
+    run_ring_fc(fc, PumpPolicy::OutputQueued, seed, layer)
 }
 
-fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, causal: bool) -> RunFingerprint {
+fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, layer: Option<Layer>) -> RunFingerprint {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
     cfg.fc = fc;
@@ -55,7 +75,11 @@ fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, causal: bool) -> RunFi
     cfg.seed = seed;
     cfg.progress_window = Dur::from_millis(2);
     cfg.preflight = PreflightPolicy::Acknowledge;
-    cfg.telemetry.causal = causal;
+    match layer {
+        Some(Layer::Causal) => cfg.telemetry.causal = true,
+        Some(Layer::Probe) => cfg.telemetry.probe = true,
+        None => {}
+    }
     let routing = Routing::fixed(ring.clockwise_routes());
     let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
     for (src, dst) in ring.clockwise_flows() {
@@ -122,26 +146,38 @@ fn fattree_replay_is_bit_identical() {
     assert_eq!(a.ledger, b.ledger, "same-seed fat-tree runs disagree on flow records");
 }
 
+/// After dropping the layer's own snapshot entries, a run with `layer`
+/// on is bit-identical to a run with it off, on the same seed.
+fn assert_observation_only(layer: Layer) {
+    let prefix = layer.prefix();
+    let off = run_ring_with(9, None);
+    let mut on = run_ring_with(9, Some(layer));
+    assert!(
+        on.metrics.iter().any(|e| e.name.starts_with(prefix)),
+        "{layer:?}-on run produced no {prefix}* entries"
+    );
+    assert!(
+        !off.metrics.iter().any(|e| e.name.starts_with(prefix)),
+        "{layer:?}-off run leaked {prefix}* entries"
+    );
+    on.metrics.retain(|e| !e.name.starts_with(prefix));
+    assert_eq!(off.metrics, on.metrics, "{layer:?} perturbed the metrics");
+    assert_eq!(off.ledger, on.ledger, "{layer:?} perturbed the flow records");
+    assert_eq!(off.events, on.events, "{layer:?} changed the event count");
+}
+
 #[test]
 fn causal_tracking_is_observation_only() {
     // The causal layer rides lineage tokens on queued and relayed control
-    // frames, but it must never perturb the run itself: after dropping
-    // its own `causal.*` snapshot entries, a tracker-on run is
-    // bit-identical to a tracker-off run of the same seed.
-    let off = run_ring_with(9, false);
-    let mut on = run_ring_with(9, true);
-    assert!(
-        on.metrics.iter().any(|e| e.name.starts_with("causal.")),
-        "tracker-on run produced no causal entries"
-    );
-    assert!(
-        !off.metrics.iter().any(|e| e.name.starts_with("causal.")),
-        "tracker-off run leaked causal entries"
-    );
-    on.metrics.retain(|e| !e.name.starts_with("causal."));
-    assert_eq!(off.metrics, on.metrics, "causal tracking perturbed the metrics");
-    assert_eq!(off.ledger, on.ledger, "causal tracking perturbed the flow records");
-    assert_eq!(off.events, on.events, "causal tracking changed the event count");
+    // frames, but it must never perturb the run itself.
+    assert_observation_only(Layer::Causal);
+}
+
+#[test]
+fn engine_probe_is_observation_only() {
+    // The probe runs every event through its own out-of-line dispatch
+    // loop, which must dispatch exactly what the unprobed loop does.
+    assert_observation_only(Layer::Probe);
 }
 
 #[test]
@@ -155,8 +191,8 @@ fn bfc_and_dcfit_replays_are_bit_identical() {
         ("DCFIT", FcConfig::dcfit(kb(280), kb(277)), PumpPolicy::OutputQueued),
     ];
     for (name, fc, pump) in backends {
-        let a = run_ring_fc(fc, pump, 9, false);
-        let b = run_ring_fc(fc, pump, 9, false);
+        let a = run_ring_fc(fc, pump, 9, None);
+        let b = run_ring_fc(fc, pump, 9, None);
         assert!(a.events > 1000, "{name} ring run too small ({} events)", a.events);
         assert_eq!(a.metrics, b.metrics, "same-seed {name} ring runs disagree on metrics");
         assert_eq!(a.ledger, b.ledger, "same-seed {name} ring runs disagree on flow records");
@@ -186,7 +222,7 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
         ("fat-tree", run_fattree(4242), (191_574, 0x27c3_0edd_0a9a_b14e, 0x5355_bc56_1e13_9c2e)),
         (
             "BFC ring",
-            run_ring_fc(bfc, PumpPolicy::RoundRobin, 9, false),
+            run_ring_fc(bfc, PumpPolicy::RoundRobin, 9, None),
             (109_180, 0xa181_2dfa_e286_017e, 0x4e7c_b668_d7f3_9966),
         ),
         (
