@@ -21,9 +21,10 @@
 //!
 //! The heap itself holds only compact 32-byte keys, so sift-up/sift-down
 //! never moves an [`Event`] payload (which inlines a full [`Packet`] for
-//! `Arrive`). Payloads live in a slab indexed by `EventId`; slots freed
-//! by `pop` are recycled by the next `push`, so a steady-state run
-//! reaches a fixed pool size and stops allocating entirely.
+//! `Arrive`). Heap payloads live in a slab indexed by `EventId`; slots
+//! freed by `pop` are recycled by the next `push`, so a steady-state run
+//! reaches a fixed pool size and stops allocating entirely. Payloads of
+//! FIFO-lane events (below) stay in their lane instead.
 //!
 //! ## FIFO lanes
 //!
@@ -38,6 +39,9 @@
 //! the heap instead ([`QueueStats::lane_diverted`] counts these). The
 //! heap is left with timers, kicks, CNPs, flow-completion notices, the
 //! diverted lane pushes, and events injected by the sharded coordinator.
+//! A lane keeps the payloads of its keys in a second deque in the same
+//! order, so an `Arrive` or `CtrlApply` that stays in its lane never
+//! touches the pool; only the diverted ones take a pool slot.
 //!
 //! | lane | event class | due at | diverted to the heap (ring / enterprise / perm) |
 //! |---|---|---|---|
@@ -255,16 +259,19 @@ fn event_of_rank(rank: u64) -> Event {
 }
 
 /// Always-on scheduler counters: how pushes split between events their
-/// rank encodes and events with a pooled payload, how often the pool
+/// rank encodes and events with a stored payload, how often the pool
 /// had to grow instead of recycling a freed slot, and how many lane
 /// pushes went to the heap. Cheap enough to never gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes whose rank encodes the whole event (no pool round-trip).
+    /// Pushes whose rank encodes the whole event (no stored payload).
     pub pushes_inline: u64,
-    /// Pushes that took a payload-pool slot (recycled or fresh).
+    /// Pushes that stored a payload: in their FIFO lane, or in a pool
+    /// slot (recycled or fresh) for heap keys. With `pushes_inline`, this
+    /// counts every push.
     pub pushes_pooled: u64,
-    /// Pool slots allocated because the free list was empty.
+    /// Pool slots allocated because the free list was empty. The pool
+    /// holds heap payloads only.
     pub pool_grown: u64,
     /// Per lane, `push_fifo` calls whose key sorted before the lane's
     /// tail and so went to the heap.
@@ -281,8 +288,8 @@ struct EventId(u32);
 /// (a `u128` field aligns it to 48, and made the ring and enterprise
 /// perfbench workloads 15–20% slower in paired runs); the slot word
 /// locates the payload and never decides a comparison (seqs are unique):
-/// [`INLINE`] when the rank is the whole event, otherwise an [`EventId`]
-/// into the pool.
+/// [`INLINE`] when the rank is the whole event, [`LANE`] when the payload
+/// waits in the key's FIFO lane, otherwise an [`EventId`] into the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     t: Time,
@@ -344,8 +351,14 @@ impl PartialOrd for Key {
 /// read of a random pool slot is a near-guaranteed cache miss.
 const INLINE: u32 = u32::MAX;
 
+/// Slot word of a FIFO-lane key whose payload waits at the same position
+/// of its lane's payload deque ([`EventQueue::push_fifo`]): lane storage
+/// is sequential, so the push and the pop hit memory the prefetcher has
+/// already brought in, where a recycled pool slot is a random one.
+const LANE: u32 = u32::MAX - 1;
+
 /// Min-heap of canonically ordered keys (see the module docs) over a slab
-/// of event payloads.
+/// of event payloads, merged with FIFO lanes that hold their own.
 ///
 /// The heap is 4-ary: half the depth of a binary heap, and the four
 /// children of a node sit in two cache lines, so the pop-side sift
@@ -357,6 +370,9 @@ pub struct EventQueue {
     /// Constant-delay FIFO lanes (see the module docs), merged with the
     /// heap at pop time; each holds its keys in canonical order.
     lanes: [VecDeque<Key>; Self::NUM_LANES],
+    /// Per lane, the payloads of its [`LANE`] keys, in the same order.
+    lane_events: [VecDeque<Event>; Self::NUM_LANES],
+    /// Payloads of the heap keys that carry one.
     pool: Vec<Option<Event>>,
     free: Vec<EventId>,
     seq: u64,
@@ -383,8 +399,15 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Park `ev`'s payload in the pool, recycling a freed slot if any.
-    fn alloc_slot(&mut self, ev: Event) -> u32 {
+    /// The slot word of a heap key for `ev`: [`INLINE`] when its rank
+    /// encodes it, otherwise a pool slot holding its payload (a freed
+    /// slot recycled if any).
+    #[inline(always)]
+    fn heap_slot(&mut self, ev: Event, inline: bool) -> u32 {
+        if inline {
+            self.stats.pushes_inline += 1;
+            return INLINE;
+        }
         self.stats.pushes_pooled += 1;
         match self.free.pop() {
             Some(id) => {
@@ -394,7 +417,7 @@ impl EventQueue {
             }
             None => {
                 let id = u32::try_from(self.pool.len()).expect("event pool overflow");
-                assert!(id < INLINE, "event pool overflow");
+                assert!(id < LANE, "event pool overflow");
                 self.stats.pool_grown += 1;
                 self.pool.push(Some(ev));
                 id
@@ -402,9 +425,11 @@ impl EventQueue {
         }
     }
 
-    /// Key `ev` due at `t` into canonical order and intern its payload.
+    /// Key an event of dispatch rank `rank` due at `t` into canonical
+    /// order. The slot word is left [`INLINE`]: the caller sets it once it
+    /// knows where the payload goes.
     #[inline(always)]
-    fn key(&mut self, t: Time, ev: Event) -> Key {
+    fn key(&mut self, t: Time, rank: u64) -> Key {
         debug_assert!(t >= self.cur.0, "event scheduled in the past");
         self.seq += 1;
         let gen = if t == self.cur.0 { self.cur.1 + 1 } else { 0 };
@@ -413,17 +438,17 @@ impl EventQueue {
         // generations at one instant is a livelock.
         debug_assert!(self.seq < 1 << SEQ_BITS, "event sequence overflow");
         debug_assert!(gen < 1 << GEN_BITS, "zero-delay cascade too deep");
-        let (rank, inline) = rank_of(&ev);
-        let slot = if inline {
-            self.stats.pushes_inline += 1;
-            INLINE
-        } else {
-            self.alloc_slot(ev)
-        };
         let order = u128::from(gen) << (64 + SEQ_BITS)
             | u128::from(rank) << SEQ_BITS
             | u128::from(self.seq);
-        Key { t, hi: (order >> 64) as u64, lo: order as u64, slot }
+        Key { t, hi: (order >> 64) as u64, lo: order as u64, slot: INLINE }
+    }
+
+    /// Insert `key` into the heap.
+    #[inline(always)]
+    fn heap_push(&mut self, key: Key) {
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Schedule `ev` at time `t`. Node ids must be below 2^20, the
@@ -432,26 +457,34 @@ impl EventQueue {
     // variant, so the rank folds to a constant instead of a jump table.
     #[inline(always)]
     pub fn push(&mut self, t: Time, ev: Event) {
-        let key = self.key(t, ev);
-        self.heap.push(key);
-        self.sift_up(self.heap.len() - 1);
+        let (rank, inline) = rank_of(&ev);
+        let mut key = self.key(t, rank);
+        key.slot = self.heap_slot(ev, inline);
+        self.heap_push(key);
     }
 
     /// Schedule `ev` at time `t` on FIFO `lane`, a hint that `lane`'s
     /// due times never decrease (a constant delay from the monotone
     /// simulation clock). The order of every pop is identical to
     /// [`EventQueue::push`]: a key that would sort before the lane's tail
-    /// goes to the heap instead.
+    /// goes to the heap instead. A payload that stays in the lane is kept
+    /// in the lane too, never in the pool.
     #[inline(always)]
     pub fn push_fifo(&mut self, lane: usize, t: Time, ev: Event) {
-        let key = self.key(t, ev);
-        let keys = &mut self.lanes[lane];
-        if keys.back().is_some_and(|b| key < *b) {
+        let (rank, inline) = rank_of(&ev);
+        let mut key = self.key(t, rank);
+        if self.lanes[lane].back().is_some_and(|b| key < *b) {
             self.stats.lane_diverted[lane] += 1;
-            self.heap.push(key);
-            self.sift_up(self.heap.len() - 1);
+            key.slot = self.heap_slot(ev, inline);
+            self.heap_push(key);
+        } else if inline {
+            self.stats.pushes_inline += 1;
+            self.lanes[lane].push_back(key);
         } else {
-            keys.push_back(key);
+            self.stats.pushes_pooled += 1;
+            key.slot = LANE;
+            self.lanes[lane].push_back(key);
+            self.lane_events[lane].push_back(ev);
         }
     }
 
@@ -489,6 +522,7 @@ impl EventQueue {
         self.cur = (key.t, key.gen());
         let ev = match key.slot {
             INLINE => event_of_rank(key.rank()),
+            LANE => self.lane_events[src].pop_front().expect("lane key without payload"),
             slot => {
                 let ev = self.pool[slot as usize].take().expect("key without pooled payload");
                 self.free.push(EventId(slot));
@@ -550,7 +584,8 @@ impl EventQueue {
         self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
-    /// Total payload slots ever allocated (occupied + recycled). A
+    /// Total payload slots ever allocated (occupied + recycled). Only
+    /// heap keys take a slot; lane payloads stay in their lane. A
     /// steady-state run converges to its high-water pending count and
     /// stops growing — observable in tests and capacity planning.
     pub fn pool_slots(&self) -> usize {
@@ -714,6 +749,7 @@ mod tests {
         // lane events at constant delays — transmission completions at
         // two serialization delays, so some sort before their lane's tail
         // — over few enough coordinates that ranks tie.
+        let mut arrive_diverted = 0;
         for seed in 1..=40u64 {
             let mut q = EventQueue::new();
             let mut reference = BatchSortReference::default();
@@ -752,7 +788,55 @@ mod tests {
             }
             let diverted = q.stats().lane_diverted[EventQueue::LANE_TX];
             assert!(diverted > 0 && tx_laned, "seed {seed}: both transmission paths must run");
+            arrive_diverted += q.stats().lane_diverted[EventQueue::LANE_ARRIVE];
         }
+        // The arrival lane's payloads take the pool only when diverted:
+        // that fallback must run too.
+        assert!(arrive_diverted > 0, "no arrival was diverted to the heap");
+    }
+
+    #[test]
+    fn lane_payloads_pop_with_their_keys() {
+        // Arrivals and control applications ride their lanes with their
+        // payloads; one arrival sorts before its lane's tail and goes to
+        // the heap, the only push that takes a pool slot. Pops interleave
+        // with pushes, so both lanes' payload deques wrap around, and
+        // every event must still pop with its own payload.
+        let arrive_id = |id: u64, node: u32| {
+            let mut ev = arrive(node);
+            if let Event::Arrive { pkt, .. } = &mut ev {
+                pkt.id = id;
+            }
+            ev
+        };
+        let mut q = EventQueue::new();
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive_id(1, 5));
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive_id(2, 3)); // diverted
+        q.push_fifo(EventQueue::LANE_CTRL, Time(10), ctrl(1, 7));
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(11), arrive_id(3, 1));
+        assert_eq!(q.stats().lane_diverted, [1, 0, 0, 0]);
+        assert_eq!(q.pool_slots(), 1, "only the diverted arrival takes a pool slot");
+        assert_eq!(q.lane_lens(), [2, 1, 0, 0]);
+        assert_eq!(q.pop(), Some((Time(10), arrive_id(2, 3))));
+        assert_eq!(q.pop(), Some((Time(10), arrive_id(1, 5))));
+        q.push_fifo(EventQueue::LANE_CTRL, Time(12), ctrl(2, 8));
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(12), arrive_id(4, 2));
+        assert_eq!(q.pop(), Some((Time(10), ctrl(1, 7))));
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(13), arrive_id(5, 0));
+        let rest: Vec<(Time, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            rest,
+            vec![
+                (Time(11), arrive_id(3, 1)),
+                (Time(12), arrive_id(4, 2)),
+                (Time(12), ctrl(2, 8)),
+                (Time(13), arrive_id(5, 0)),
+            ]
+        );
+        assert_eq!(q.pool_slots(), 1, "lane payloads never touch the pool");
+        let s = q.stats();
+        assert_eq!(s.pushes_inline + s.pushes_pooled, 7, "every push is counted once");
+        assert!(q.is_empty());
     }
 
     /// The same-instant dispatch rule as a batch: pop everything due at

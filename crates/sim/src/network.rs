@@ -19,7 +19,7 @@
 //! * **Determinism**: a single seeded RNG, and a totally ordered event
 //!   queue. Two runs with the same seed are bit-identical.
 
-use crate::config::SimConfig;
+use crate::config::{PumpPolicy, SimConfig};
 use crate::event::{Event, EventQueue};
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
@@ -765,11 +765,14 @@ impl Network {
     }
 
     /// The probed twin of [`Self::run_events`]: times every dispatch with
-    /// a monotonic clock and feeds the per-class histograms. Kept out of
-    /// line so the unprofiled loop carries exactly one predictable branch
-    /// for the whole feature.
+    /// a monotonic clock and feeds the per-class histograms. The clock is
+    /// read once per dispatch, after the handler; the interval since the
+    /// previous read — this event's pop plus its handler — is charged to
+    /// the class just dispatched. Kept out of line so the unprofiled loop
+    /// carries exactly one predictable branch for the whole feature.
     #[cold]
     fn run_events_probed(&mut self, horizon: Time) {
+        let mut last = std::time::Instant::now();
         while !self.halted {
             let Some((t, ev)) = self.queue.pop_at_or_before(horizon) else {
                 break;
@@ -777,9 +780,10 @@ impl Network {
             debug_assert!(t >= self.now, "event time went backwards");
             self.now = t;
             let class = ev.class();
-            let start = std::time::Instant::now();
             self.handle(ev);
-            let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let now = std::time::Instant::now();
+            let wall_ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
+            last = now;
             if let Some(p) = self.tel.probe.as_deref_mut() {
                 p.record(class, wall_ns);
             }
@@ -1171,13 +1175,23 @@ impl Network {
             };
             self.send_ctrl(node, port, pkt.prio, payload, fwd);
         }
-        // Queue in the ingress FIFO (input-buffered switch): the packet
-        // moves to its egress only when a staging slot frees.
         pkt.hop += 1;
         let n = node.0 as usize;
+        let eg = &mut self.ports[n][out_port].pq_mut(prio).eg;
+        eg.voq_bytes += bytes;
+        if self.cfg.pump == PumpPolicy::OutputQueued {
+            // Output-queued switch: the packet joins its egress queue on
+            // arrival. There is no ingress FIFO to wait in — the egress is
+            // unbounded, so a pump would move every head at once anyway.
+            eg.bytes += bytes;
+            eg.q.push_back(StagedPacket { pkt, ingress_port: Some(port) });
+            self.try_transmit(node, out_port);
+            return;
+        }
+        // Input-buffered switch: queue in the ingress FIFO; the packet
+        // moves to its egress only when a staging slot frees.
         let arrival_seq = self.arrival_seq[n];
         self.arrival_seq[n] += 1;
-        self.ports[n][out_port].pq_mut(prio).eg.voq_bytes += bytes;
         self.ports[n][port].pq_mut(prio).ing_q.push_back(IngressPacket {
             pkt,
             out_port,
@@ -1193,16 +1207,16 @@ impl Network {
 
     /// Move packets from ingress FIFOs into free egress staging slots,
     /// kicking each egress that receives work. Runs to a fixed point. The
-    /// selection among competing FIFO heads follows [`PumpPolicy`].
+    /// selection among competing FIFO heads follows [`PumpPolicy`]; only
+    /// the input-buffered policies pump (an output-queued switch has no
+    /// ingress FIFO, see [`Self::forward_at_switch`]).
     fn pump(&mut self, node: NodeId) {
+        debug_assert!(self.cfg.pump != PumpPolicy::OutputQueued, "output-queued switch pumped");
         let n = node.0 as usize;
         let num_ports = self.ports[n].len();
         let np = self.cfg.num_priorities;
-        let round_robin = matches!(self.cfg.pump, crate::config::PumpPolicy::RoundRobin);
-        let slots = match self.cfg.pump {
-            crate::config::PumpPolicy::OutputQueued => usize::MAX,
-            _ => self.cfg.stage_slots,
-        };
+        let round_robin = self.cfg.pump == PumpPolicy::RoundRobin;
+        let slots = self.cfg.stage_slots;
         loop {
             // One load answers the common case: no ingress FIFO holds
             // anything, nothing to move.
@@ -1688,7 +1702,7 @@ impl Network {
             let ps = &self.ports[n][port];
             (ps.peer, ps.peer_port)
         };
-        // Hand the frame to the wire — moved into the event pool by
+        // Hand the frame to the wire — moved into the arrival lane by
         // value, no per-hop clone. Constant propagation delay ⇒ arrivals
         // are due in push order: they ride the O(1) FIFO lane.
         self.push_wire(
@@ -1719,7 +1733,9 @@ impl Network {
                 self.send_ctrl(node, ing, prio, payload, fwd);
             }
             // A staging slot freed: pull waiting ingress FIFO heads.
-            self.pump(node);
+            if self.cfg.pump != PumpPolicy::OutputQueued {
+                self.pump(node);
+            }
         } else {
             // Host NIC: feed DCQCN's byte counter and top the queue up.
             if self.cfg.dcqcn.is_some() {

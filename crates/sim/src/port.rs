@@ -43,12 +43,15 @@ pub struct IngressPacket {
     pub arrival_seq: u64,
 }
 
-/// One egress priority queue: a *small* staging area (the switch is
-/// input-buffered, per the paper's Fig. 2 — packets wait in ingress FIFOs
-/// and move to the egress only when a staging slot frees).
+/// One egress priority queue. Under the input-buffered pump policies it
+/// is a *small* staging area (per the paper's Fig. 2, packets wait in
+/// ingress FIFOs and move to the egress only when a staging slot frees);
+/// an output-queued switch enqueues every arrival here directly.
 #[derive(Debug, Clone, Default)]
 pub struct EgressQueue {
-    /// FIFO of staged packets (at most [`EgressQueue::STAGE_SLOTS`]).
+    /// FIFO of staged packets: at most `SimConfig::stage_slots` under the
+    /// input-buffered pump policies, unbounded under
+    /// `PumpPolicy::OutputQueued`.
     pub q: VecDeque<StagedPacket>,
     /// Total bytes staged.
     pub bytes: u64,
@@ -57,14 +60,6 @@ pub struct EgressQueue {
     /// or in flight on this port). This is the congestion signal ECN marks
     /// against.
     pub voq_bytes: u64,
-}
-
-impl EgressQueue {
-    /// Staging slots per egress priority queue. Two slots keep the wire
-    /// busy (one transmitting, one next) while preserving the paper's
-    /// input-buffer semantics: everything else queues — and head-of-line
-    /// waits — at the ingress.
-    pub const STAGE_SLOTS: usize = 2;
 }
 
 /// A control message queued for transmission on the reverse channel.
@@ -86,7 +81,8 @@ pub struct PrioState {
     /// released when the last bit leaves the node).
     pub ing_bytes: u64,
     /// Ingress FIFO (the input buffer of Fig. 2; subject to head-of-line
-    /// blocking exactly like the paper's switches).
+    /// blocking exactly like the paper's switches). Always empty on an
+    /// output-queued switch.
     pub ing_q: VecDeque<IngressPacket>,
     /// Ingress flow-control receiver.
     pub ing_rx: AnyRx,

@@ -63,7 +63,7 @@ pub struct TelemetryConfig {
     pub timeline: TimelineConfig,
     /// Engine self-profiler (see [`EngineProbe`]): per-event-class
     /// wall-time histograms and scheduler occupancy gauges. Costs one
-    /// `Instant::now()` pair per dispatched event when on.
+    /// `Instant::now()` read per dispatched event when on.
     pub probe: bool,
     /// Causal stall attribution (see [`CausalTracker`]): control-message
     /// lineage, pause-propagation trees, and per-flow blame. When off,

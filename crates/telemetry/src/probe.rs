@@ -6,9 +6,11 @@
 //! and the payload pool, and how well the pool recycles slots. It is
 //! deliberately simulator-agnostic — classes are opaque indices with
 //! caller-supplied labels — and the embedder owns the wiring (see
-//! `gfc_sim::Network`): the dispatch loop stamps `Instant::now()` around
-//! each handler only when a probe is installed, so the disabled
-//! configuration pays a single `Option` discriminant test per event.
+//! `gfc_sim::Network`): only when a probe is installed, the dispatch
+//! loop reads `Instant::now()` once after each handler and charges the
+//! interval since the previous read (the event's pop plus its handler)
+//! to that event's class, so the disabled configuration pays a single
+//! `Option` discriminant test per event.
 //!
 //! Wall-clock durations land in power-of-two bucket histograms: bucket
 //! `b` holds durations whose bit length is `b` (so bucket 5 covers
@@ -37,7 +39,8 @@ pub struct EngineProbe {
     gauges: [(u64, u64); Self::GAUGE_NAMES.len()],
     /// Events scheduled inline (payload-free slot encoding).
     pub pushes_inline: u64,
-    /// Events that took a payload-pool slot.
+    /// Events that stored a payload (in a FIFO lane, or a pool slot for
+    /// heap events); with `pushes_inline`, every scheduled event.
     pub pushes_pooled: u64,
     /// Pool slots allocated because the free list was empty — growth, as
     /// opposed to recycling.
