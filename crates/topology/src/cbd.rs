@@ -19,6 +19,10 @@
 //!   the above (only dependencies some complete host-to-host flow can
 //!   exercise), the basis of the exact deadlock-freedom verdict.
 //!
+//! [`spf_all_pairs_depgraphs`] builds the last two together. Both take one
+//! BFS per switch with single-homed hosts, not one per host: the DAG
+//! toward such a host is its switch's DAG plus one link.
+//!
 //! On top of the graph, [`DepGraph::condensation`] computes the strongly
 //! connected components with an *iterative* Tarjan (generated topologies
 //! produce DFS stacks deep enough to overflow a recursive one),
@@ -29,15 +33,22 @@
 //! and [`DepGraph::break_set`] names a small set of directed links whose
 //! removal acyclifies a component (greedy feedback-vertex heuristic).
 
-use crate::graph::{DirLink, NodeId, NodeKind, Topology};
+use crate::graph::{DirLink, LinkId, NodeId, NodeKind, Topology};
 use crate::routing::{path_dirlinks, DstTree};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A buffer-dependency graph over directed links.
+///
+/// Dense: vertex `v` is the directed link with [`DirLink::index`] `v`, and
+/// the adjacency is a vector indexed by it. Each successor list is kept
+/// sorted and deduplicated on insert, so every traversal visits vertices
+/// and successors in ascending index order without sorting.
 #[derive(Debug, Default, Clone)]
 pub struct DepGraph {
-    /// Adjacency: directed-link index → set of successor directed links.
-    edges: HashMap<u64, HashSet<u64>>,
+    /// `succ[v]`: the successors of vertex `v`, ascending, no duplicates.
+    succ: Vec<Vec<u64>>,
+    /// `present[v]`: whether `v` is the source or target of some edge.
+    present: Vec<bool>,
 }
 
 impl DepGraph {
@@ -48,52 +59,43 @@ impl DepGraph {
 
     /// Insert the dependency `from → to`.
     pub fn add_edge(&mut self, from: DirLink, to: DirLink) {
-        self.edges.entry(from.index()).or_default().insert(to.index());
+        let (f, t) = (from.index(), to.index());
+        let len = f.max(t) as usize + 1;
+        if self.succ.len() < len {
+            self.succ.resize_with(len, Vec::new);
+            self.present.resize(len, false);
+        }
+        self.present[f as usize] = true;
+        self.present[t as usize] = true;
+        let succs = &mut self.succ[f as usize];
+        if let Err(at) = succs.binary_search(&t) {
+            succs.insert(at, t);
+        }
     }
 
     /// Number of dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.values().map(std::collections::HashSet::len).sum()
+        self.succ.iter().map(Vec::len).sum()
     }
 
     /// All vertices (directed links appearing as a source or target of
     /// some dependency), sorted by [`DirLink::index`].
     pub fn vertices(&self) -> Vec<u64> {
-        let mut set: HashSet<u64> = self.edges.keys().copied().collect();
-        for succs in self.edges.values() {
-            set.extend(succs.iter().copied());
-        }
-        let mut vs: Vec<u64> = set.into_iter().collect();
-        vs.sort_unstable();
-        vs
+        (0..self.present.len() as u64).filter(|&v| self.present[v as usize]).collect()
     }
 
     /// Sorted successors of a vertex (empty if it has no out-edges).
     pub fn successors(&self, v: u64) -> Vec<u64> {
-        let mut s: Vec<u64> =
-            self.edges.get(&v).map(|s| s.iter().copied().collect()).unwrap_or_default();
-        s.sort_unstable();
-        s
+        self.succ_of(v).to_vec()
     }
 
     /// Whether the dependency edge `from → to` is present (by index).
     pub fn has_edge_idx(&self, from: u64, to: u64) -> bool {
-        self.edges.get(&from).is_some_and(|s| s.contains(&to))
+        self.succ_of(from).binary_search(&to).is_ok()
     }
 
-    /// The subgraph induced by the vertex set `keep`.
-    fn induced(&self, keep: &HashSet<u64>) -> DepGraph {
-        let mut edges: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for (&from, succs) in &self.edges {
-            if !keep.contains(&from) {
-                continue;
-            }
-            let kept: HashSet<u64> = succs.iter().copied().filter(|t| keep.contains(t)).collect();
-            if !kept.is_empty() {
-                edges.insert(from, kept);
-            }
-        }
-        DepGraph { edges }
+    fn succ_of(&self, v: u64) -> &[u64] {
+        self.succ.get(v as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Strongly connected components by *iterative* Tarjan — no recursion,
@@ -101,13 +103,15 @@ impl DepGraph {
     /// overflow the thread stack. Components come out in Tarjan's reverse
     /// topological order; members are sorted.
     pub fn condensation(&self) -> Condensation {
-        let verts = self.vertices();
-        let n = verts.len();
-        let idx_of: HashMap<u64, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let adj: Vec<Vec<usize>> =
-            verts.iter().map(|&v| self.successors(v).iter().map(|t| idx_of[t]).collect()).collect();
+        Condensation { sccs: self.sccs_within(&self.present) }
+    }
 
+    /// Tarjan over the subgraph induced by the vertices `keep` marks
+    /// (indexed like `succ`). Roots and successors are taken in ascending
+    /// index order.
+    fn sccs_within(&self, keep: &[bool]) -> Vec<Scc> {
         const UNSET: usize = usize::MAX;
+        let n = self.succ.len();
         let mut index = vec![UNSET; n];
         let mut low = vec![0usize; n];
         let mut on_stack = vec![false; n];
@@ -116,22 +120,26 @@ impl DepGraph {
         let mut sccs: Vec<Scc> = Vec::new();
 
         for root in 0..n {
-            if index[root] != UNSET {
+            if !keep[root] || index[root] != UNSET {
                 continue;
             }
             // Explicit DFS frames: (vertex, next-successor cursor).
             let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
             while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor == 0 {
+                if index[v] == UNSET {
                     index[v] = next_index;
                     low[v] = next_index;
                     next_index += 1;
                     stack.push(v);
                     on_stack[v] = true;
                 }
-                if *cursor < adj[v].len() {
-                    let u = adj[v][*cursor];
+                let succs = &self.succ[v];
+                if *cursor < succs.len() {
+                    let u = succs[*cursor] as usize;
                     *cursor += 1;
+                    if !keep[u] {
+                        continue;
+                    }
                     if index[u] == UNSET {
                         frames.push((u, 0));
                     } else if on_stack[u] {
@@ -143,7 +151,7 @@ impl DepGraph {
                         loop {
                             let w = stack.pop().expect("Tarjan stack holds the component");
                             on_stack[w] = false;
-                            members.push(verts[w]);
+                            members.push(w as u64);
                             if w == v {
                                 break;
                             }
@@ -159,7 +167,7 @@ impl DepGraph {
                 }
             }
         }
-        Condensation { sccs }
+        sccs
     }
 
     /// A representative cycle inside a cyclic component: walk from the
@@ -169,20 +177,21 @@ impl DepGraph {
         if !scc.cyclic {
             return Vec::new();
         }
-        let set: HashSet<u64> = scc.members.iter().copied().collect();
-        let mut pos: HashMap<u64, usize> = HashMap::new();
+        // Members are sorted: a member's rank is its binary-search slot.
+        let rank = |v: u64| scc.members.binary_search(&v).ok();
+        let mut pos = vec![usize::MAX; scc.members.len()];
         let mut path: Vec<u64> = Vec::new();
-        let mut v = scc.members[0];
+        let (mut v, mut r) = (scc.members[0], 0);
         loop {
-            if let Some(&p) = pos.get(&v) {
-                return path[p..].to_vec();
+            if pos[r] != usize::MAX {
+                return path[pos[r]..].to_vec();
             }
-            pos.insert(v, path.len());
+            pos[r] = path.len();
             path.push(v);
-            v = self
-                .successors(v)
-                .into_iter()
-                .find(|t| set.contains(t))
+            (v, r) = self
+                .succ_of(v)
+                .iter()
+                .find_map(|&t| rank(t).map(|r| (t, r)))
                 .expect("every vertex of a cyclic SCC has an in-SCC successor");
         }
     }
@@ -197,27 +206,46 @@ impl DepGraph {
         if !scc.cyclic {
             return Vec::new();
         }
-        let mut alive: HashSet<u64> = scc.members.iter().copied().collect();
+        let n = self.succ.len();
+        let mut alive = vec![false; n];
+        for &v in &scc.members {
+            alive[v as usize] = true;
+        }
+        let mut in_worst = vec![false; n];
+        let mut in_deg = vec![0usize; n];
         let mut removed = Vec::new();
         loop {
-            let sub = self.induced(&alive);
-            let cond = sub.condensation();
+            let cond = Condensation { sccs: self.sccs_within(&alive) };
             let Some(worst) = cond.cyclic_by_size().into_iter().next() else {
                 break;
             };
-            let wset: HashSet<u64> = worst.members.iter().copied().collect();
+            // One sweep over the members' successor lists counts every
+            // in-component in-degree.
+            for &v in &worst.members {
+                in_worst[v as usize] = true;
+                in_deg[v as usize] = 0;
+            }
+            for &u in &worst.members {
+                for &t in &self.succ[u as usize] {
+                    if in_worst[t as usize] {
+                        in_deg[t as usize] += 1;
+                    }
+                }
+            }
             let mut best: Option<(usize, u64)> = None;
             for &v in &worst.members {
-                let out = sub.successors(v).iter().filter(|t| wset.contains(t)).count();
-                let inn = worst.members.iter().filter(|&&u| sub.has_edge_idx(u, v)).count();
-                let score = inn * out;
+                let out = self.succ[v as usize].iter().filter(|&&t| in_worst[t as usize]).count();
+                let score = in_deg[v as usize] * out;
                 // Members ascend, so `>` keeps the lowest index on ties.
                 if best.is_none_or(|(s, _)| score > s) {
                     best = Some((score, v));
                 }
             }
+            for &v in &worst.members {
+                in_worst[v as usize] = false;
+            }
             let (_, v) = best.expect("cyclic component has members");
-            alive.remove(&v);
+            alive[v as usize] = false;
             removed.push(v);
         }
         removed
@@ -231,19 +259,17 @@ impl DepGraph {
     /// graph empties — the leftover vertices are exactly the links that
     /// can reach a dependency cycle.
     pub fn peel(&self) -> PeelOutcome {
-        let verts = self.vertices();
-        let n = verts.len();
-        let idx_of: HashMap<u64, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut out_deg = vec![0usize; n];
+        let n = self.succ.len();
+        let mut out_deg: Vec<usize> = self.succ.iter().map(Vec::len).collect();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &v) in verts.iter().enumerate() {
-            for t in self.successors(v) {
-                out_deg[i] += 1;
-                preds[idx_of[&t]].push(i);
+        for (v, succs) in self.succ.iter().enumerate() {
+            for &t in succs {
+                preds[t as usize].push(v);
             }
         }
         let mut removed = vec![false; n];
-        let mut frontier: Vec<usize> = (0..n).filter(|&i| out_deg[i] == 0).collect();
+        let mut frontier: Vec<usize> =
+            (0..n).filter(|&v| self.present[v] && out_deg[v] == 0).collect();
         let mut rounds = 0;
         let mut peeled = 0;
         while !frontier.is_empty() {
@@ -265,7 +291,7 @@ impl DepGraph {
             frontier = next;
         }
         let residual =
-            verts.iter().enumerate().filter(|&(i, _)| !removed[i]).map(|(_, &v)| v).collect();
+            (0..n).filter(|&v| self.present[v] && !removed[v]).map(|v| v as u64).collect();
         PeelOutcome { peeled, rounds, residual }
     }
 
@@ -278,52 +304,44 @@ impl DepGraph {
     /// element repeated implicitly), if any exists.
     pub fn find_cycle(&self) -> Option<Vec<u64>> {
         // Iterative DFS with colors: 0 = white, 1 = on stack, 2 = done.
-        let mut color: HashMap<u64, u8> = HashMap::new();
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        let mut roots: Vec<u64> = self.edges.keys().copied().collect();
-        roots.sort_unstable(); // determinism
-        for &root in &roots {
-            if color.get(&root).copied().unwrap_or(0) != 0 {
+        let n = self.succ.len();
+        let mut color = vec![0u8; n];
+        let mut parent = vec![0usize; n];
+        for root in 0..n {
+            if self.succ[root].is_empty() || color[root] != 0 {
                 continue;
             }
-            // Stack of (node, next-successor cursor).
-            let mut stack: Vec<(u64, Vec<u64>)> = Vec::new();
-            let mut succs: Vec<u64> =
-                self.edges.get(&root).map(|s| s.iter().copied().collect()).unwrap_or_default();
-            succs.sort_unstable();
-            color.insert(root, 1);
-            stack.push((root, succs));
-            while let Some((v, rest)) = stack.last_mut() {
-                let v = *v;
-                if let Some(u) = rest.pop() {
-                    match color.get(&u).copied().unwrap_or(0) {
-                        0 => {
-                            parent.insert(u, v);
-                            color.insert(u, 1);
-                            let mut s: Vec<u64> = self
-                                .edges
-                                .get(&u)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default();
-                            s.sort_unstable();
-                            stack.push((u, s));
-                        }
-                        1 => {
-                            // Back edge v → u closes a cycle u → … → v → u.
-                            let mut cyc = vec![v];
-                            let mut w = v;
-                            while w != u {
-                                w = parent[&w];
-                                cyc.push(w);
-                            }
-                            cyc.reverse();
-                            return Some(cyc);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color.insert(v, 2);
+            // Stack of (node, successors left to try); successors are tried
+            // from the largest index down.
+            color[root] = 1;
+            let mut stack: Vec<(usize, usize)> = vec![(root, self.succ[root].len())];
+            while let Some(top) = stack.last_mut() {
+                let v = top.0;
+                if top.1 == 0 {
+                    color[v] = 2;
                     stack.pop();
+                    continue;
+                }
+                top.1 -= 1;
+                let u = self.succ[v][top.1] as usize;
+                match color[u] {
+                    0 => {
+                        parent[u] = v;
+                        color[u] = 1;
+                        stack.push((u, self.succ[u].len()));
+                    }
+                    1 => {
+                        // Back edge v → u closes a cycle u → … → v → u.
+                        let mut cyc = vec![v as u64];
+                        let mut w = v;
+                        while w != u {
+                            w = parent[w];
+                            cyc.push(w as u64);
+                        }
+                        cyc.reverse();
+                        return Some(cyc);
+                    }
+                    _ => {}
                 }
             }
         }
@@ -414,30 +432,43 @@ pub fn spf_depgraph_for_pairs(
 ) {
     for (dst, srcs) in pairs_by_dst {
         let tree = DstTree::compute(topo, *dst);
-        let mut reach = vec![false; topo.num_nodes()];
-        let mut stack: Vec<NodeId> = Vec::new();
-        for &s in srcs {
-            if tree.dist[s.0 as usize] != u32::MAX && !reach[s.0 as usize] {
-                reach[s.0 as usize] = true;
-                stack.push(s);
-            }
+        add_reachable_edges(topo, &tree, srcs.iter().copied(), g);
+    }
+}
+
+/// Walk `tree`'s equal-cost DAG from `seeds` and add every dependency
+/// `(u→v, v→w)` through a switch `v` on the way: `u` reached, `u→v` and
+/// `v→w` both DAG edges. Returns the reached-node mask.
+fn add_reachable_edges(
+    topo: &Topology,
+    tree: &DstTree,
+    seeds: impl IntoIterator<Item = NodeId>,
+    g: &mut DepGraph,
+) -> Vec<bool> {
+    let mut reach = vec![false; topo.num_nodes()];
+    let mut stack: Vec<NodeId> = Vec::new();
+    for s in seeds {
+        if tree.dist[s.0 as usize] != u32::MAX && !reach[s.0 as usize] {
+            reach[s.0 as usize] = true;
+            stack.push(s);
         }
-        while let Some(u) = stack.pop() {
-            for &l in &tree.next_hops[u.0 as usize] {
-                let v = topo.peer(l, u);
-                if topo.node(v).kind == NodeKind::Switch {
-                    let incoming = topo.dir_from(l, u);
-                    for &lo in &tree.next_hops[v.0 as usize] {
-                        g.add_edge(incoming, topo.dir_from(lo, v));
-                    }
+    }
+    while let Some(u) = stack.pop() {
+        for &l in &tree.next_hops[u.0 as usize] {
+            let v = topo.peer(l, u);
+            if topo.node(v).kind == NodeKind::Switch {
+                let incoming = topo.dir_from(l, u);
+                for &lo in &tree.next_hops[v.0 as usize] {
+                    g.add_edge(incoming, topo.dir_from(lo, v));
                 }
-                if !reach[v.0 as usize] {
-                    reach[v.0 as usize] = true;
-                    stack.push(v);
-                }
+            }
+            if !reach[v.0 as usize] {
+                reach[v.0 as usize] = true;
+                stack.push(v);
             }
         }
     }
+    reach
 }
 
 /// The host-realizable restriction of [`all_pairs_depgraph`]: only
@@ -446,20 +477,101 @@ pub fn spf_depgraph_for_pairs(
 /// acyclicity here; the converse can fail (see the sparse ring in
 /// `scenarios`), which is exactly when the Table 1 prefilter cries wolf.
 pub fn realizable_all_pairs_depgraph(topo: &Topology) -> DepGraph {
-    let hosts = topo.hosts();
-    let pairs: Vec<(NodeId, Vec<NodeId>)> =
-        hosts.iter().map(|&d| (d, hosts.iter().copied().filter(|&s| s != d).collect())).collect();
     let mut g = DepGraph::new();
-    spf_depgraph_for_pairs(topo, &pairs, &mut g);
+    spf_all_pairs(topo, None, Some(&mut g));
     g
+}
+
+/// Both SPF/ECMP all-pairs graphs from one pass: the conservative union
+/// ([`all_pairs_depgraph`]) and its host-realizable restriction
+/// ([`realizable_all_pairs_depgraph`]), sharing one BFS tree per
+/// attachment switch.
+pub fn spf_all_pairs_depgraphs(topo: &Topology) -> (DepGraph, DepGraph) {
+    let (mut union, mut realizable) = (DepGraph::new(), DepGraph::new());
+    spf_all_pairs(topo, Some(&mut union), Some(&mut realizable));
+    (union, realizable)
+}
+
+/// The alive link of a host whose only alive link goes to a switch.
+fn attachment(topo: &Topology, host: NodeId) -> Option<(NodeId, LinkId)> {
+    let mut alive = topo.neighbors(host);
+    let (t, l) = alive.next()?;
+    (alive.next().is_none() && topo.node(t).kind == NodeKind::Switch).then_some((t, l))
+}
+
+/// Build the SPF/ECMP all-pairs graphs over every host destination into
+/// `union` ([`all_pairs_depgraph`]) and `realizable`
+/// ([`realizable_all_pairs_depgraph`]), whichever are given.
+///
+/// One BFS serves every host single-homed to the same switch `t`. Such a
+/// host `h` is a leaf, so toward `h` every node other than `t` and `h`
+/// keeps the next hops it has toward `t` (each distance is one more):
+/// the DAG toward `h` is `t`'s DAG plus the link `t→h`. The dependency
+/// edges therefore equal those of `t`'s DAG everywhere except at `t`,
+/// where they are `(u→t, t→h)` — from every neighbour `u ≠ h` for the
+/// union; for the realizable graph, from the nodes the other hosts reach
+/// in `t`'s DAG plus `t`'s other single-homed hosts. Any other host keeps
+/// its own per-destination BFS.
+fn spf_all_pairs(
+    topo: &Topology,
+    mut union: Option<&mut DepGraph>,
+    mut realizable: Option<&mut DepGraph>,
+) {
+    let hosts = topo.hosts();
+    let mut group: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); topo.num_nodes()];
+    for &h in &hosts {
+        match attachment(topo, h) {
+            Some((t, l)) => group[t.0 as usize].push((h, l)),
+            None => {
+                let tree = DstTree::compute(topo, h);
+                if let Some(g) = union.as_deref_mut() {
+                    add_dag_edges(topo, &tree, g);
+                }
+                if let Some(g) = realizable.as_deref_mut() {
+                    add_reachable_edges(topo, &tree, hosts.iter().copied().filter(|&s| s != h), g);
+                }
+            }
+        }
+    }
+    for t in topo.node_ids() {
+        let members = &group[t.0 as usize];
+        if members.is_empty() {
+            continue;
+        }
+        let tree = DstTree::compute(topo, t);
+        let is_member = |u: NodeId| members.iter().any(|&(h, _)| h == u);
+        // `(u→t, t→h)` for each in-link `u→t` other than `h`'s own.
+        let add_into_t = |g: &mut DepGraph, into_t: &[(DirLink, LinkId)]| {
+            for &(_, lh) in members {
+                let out = topo.dir_from(lh, t);
+                for &(incoming, l) in into_t {
+                    if l != lh {
+                        g.add_edge(incoming, out);
+                    }
+                }
+            }
+        };
+        if let Some(g) = union.as_deref_mut() {
+            add_dag_edges(topo, &tree, g);
+            let into_t: Vec<_> = topo.neighbors(t).map(|(u, l)| (topo.dir_from(l, u), l)).collect();
+            add_into_t(g, &into_t);
+        }
+        if let Some(g) = realizable.as_deref_mut() {
+            let seeds = hosts.iter().copied().filter(|&s| !is_member(s));
+            let reach = add_reachable_edges(topo, &tree, seeds, g);
+            let into_t: Vec<_> = topo
+                .neighbors(t)
+                .filter(|&(u, _)| reach[u.0 as usize] || is_member(u))
+                .map(|(u, l)| (topo.dir_from(l, u), l))
+                .collect();
+            add_into_t(g, &into_t);
+        }
+    }
 }
 
 /// Build the dependency graph induced by concrete flows, each given as
 /// `(src node, path links)`.
-pub fn depgraph_for_flows(
-    topo: &Topology,
-    flows: &[(NodeId, Vec<crate::graph::LinkId>)],
-) -> DepGraph {
+pub fn depgraph_for_flows(topo: &Topology, flows: &[(NodeId, Vec<LinkId>)]) -> DepGraph {
     let mut g = DepGraph::new();
     for (src, path) in flows {
         let dirs = path_dirlinks(topo, *src, path);
@@ -482,35 +594,38 @@ pub fn depgraph_for_flows(
 /// predicate.
 pub fn all_pairs_depgraph(topo: &Topology) -> DepGraph {
     let mut g = DepGraph::new();
-    for dst in topo.hosts() {
-        let tree = DstTree::compute(topo, dst);
-        for v in topo.node_ids() {
-            if topo.node(v).kind != NodeKind::Switch {
-                continue;
-            }
-            let dv = tree.dist[v.0 as usize];
-            if dv == u32::MAX || dv == 0 {
-                continue;
-            }
-            // Outgoing candidates from v toward dst.
-            let outs = &tree.next_hops[v.0 as usize];
-            if outs.is_empty() {
-                continue;
-            }
-            // Incoming candidates: links (u,v) where u routes via v,
-            // i.e. dist[u] == dv + 1 (and u is not the destination side).
-            for (u, l) in topo.neighbors(v) {
-                if tree.dist[u.0 as usize] == dv + 1 {
-                    let incoming = topo.dir_from(l, u);
-                    for &lo in outs {
-                        let outgoing = topo.dir_from(lo, v);
-                        g.add_edge(incoming, outgoing);
-                    }
+    spf_all_pairs(topo, Some(&mut g), None);
+    g
+}
+
+/// Add every dependency of `tree`'s equal-cost DAG: `(u→v, v→w)` for each
+/// switch `v`, DAG edge `v→w`, and neighbour `u` one hop farther from the
+/// root than `v`.
+fn add_dag_edges(topo: &Topology, tree: &DstTree, g: &mut DepGraph) {
+    for v in topo.node_ids() {
+        if topo.node(v).kind != NodeKind::Switch {
+            continue;
+        }
+        let dv = tree.dist[v.0 as usize];
+        if dv == u32::MAX || dv == 0 {
+            continue;
+        }
+        // Outgoing candidates from v toward the root.
+        let outs = &tree.next_hops[v.0 as usize];
+        if outs.is_empty() {
+            continue;
+        }
+        // Incoming candidates: links (u,v) where u routes via v,
+        // i.e. dist[u] == dv + 1 (and u is not the root side).
+        for (u, l) in topo.neighbors(v) {
+            if tree.dist[u.0 as usize] == dv + 1 {
+                let incoming = topo.dir_from(l, u);
+                for &lo in outs {
+                    g.add_edge(incoming, topo.dir_from(lo, v));
                 }
             }
         }
     }
-    g
 }
 
 /// The Table 1 prefilter: can any combination of host-to-host SPF/ECMP
@@ -528,10 +643,7 @@ pub fn cbd_prone(topo: &Topology) -> bool {
 ///
 /// Returns `(src, dst, path)` per cycle edge, or `None` if some edge
 /// cannot be realized with simple (node-disjoint prefix/suffix) paths.
-pub fn realize_cycle(
-    topo: &Topology,
-    cycle: &[u64],
-) -> Option<Vec<(NodeId, NodeId, Vec<crate::graph::LinkId>)>> {
+pub fn realize_cycle(topo: &Topology, cycle: &[u64]) -> Option<Vec<(NodeId, NodeId, Vec<LinkId>)>> {
     use crate::routing::walk_nodes;
     let hosts = topo.hosts();
     let decode = DirLink::from_index;
@@ -587,7 +699,7 @@ fn walk_toward(
     from: NodeId,
     to: NodeId,
     avoid: &[NodeId],
-) -> Option<Vec<crate::graph::LinkId>> {
+) -> Option<Vec<LinkId>> {
     if avoid.contains(&from) {
         return None;
     }
@@ -617,7 +729,6 @@ fn walk_toward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::LinkId;
     use crate::routing::SpfRouting;
 
     /// The Fig. 1 scenario: 3 switches in a triangle, one host each, flows
@@ -794,9 +905,14 @@ mod tests {
             let bs = g.break_set(scc);
             assert_eq!(bs.len(), 1, "a simple cycle needs exactly one removal: {bs:?}");
             // Removing it acyclifies the component.
-            let keep: std::collections::HashSet<u64> =
-                scc.members.iter().copied().filter(|v| !bs.contains(v)).collect();
-            assert_eq!(g.induced(&keep).condensation().num_cyclic(), 0);
+            let keep: Vec<u64> = scc.members.iter().copied().filter(|v| !bs.contains(v)).collect();
+            let mut rest = DepGraph::new();
+            for &v in &keep {
+                for t in g.successors(v).into_iter().filter(|t| keep.contains(t)) {
+                    rest.add_edge(DirLink::from_index(v), DirLink::from_index(t));
+                }
+            }
+            assert_eq!(rest.condensation().num_cyclic(), 0);
         }
     }
 
@@ -903,6 +1019,82 @@ mod tests {
         let real = realizable_all_pairs_depgraph(&ring.topo);
         assert!(!real.has_cycle());
         assert!(real.peel().deadlock_free());
+    }
+
+    /// The per-destination construction the grouped pass replaces: one
+    /// BFS per host, each contributing its whole DAG.
+    fn per_destination_depgraphs(topo: &Topology) -> (DepGraph, DepGraph) {
+        let hosts = topo.hosts();
+        let (mut union, mut realizable) = (DepGraph::new(), DepGraph::new());
+        for &dst in &hosts {
+            let tree = DstTree::compute(topo, dst);
+            add_dag_edges(topo, &tree, &mut union);
+            let srcs = hosts.iter().copied().filter(|&s| s != dst);
+            add_reachable_edges(topo, &tree, srcs, &mut realizable);
+        }
+        (union, realizable)
+    }
+
+    fn assert_same_graph(name: &str, grouped: &DepGraph, reference: &DepGraph) {
+        let verts = grouped.vertices();
+        assert_eq!(verts, reference.vertices(), "{name}: vertex sets differ");
+        for v in verts {
+            assert_eq!(grouped.successors(v), reference.successors(v), "{name}: successors of {v}");
+        }
+    }
+
+    #[test]
+    fn grouped_graphs_equal_the_per_destination_construction() {
+        use crate::fattree::FatTree;
+        use crate::scenarios::{Ring, SparseRing};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut cases: Vec<(String, Topology)> = Vec::new();
+        for k in [4, 6, 8] {
+            for draw in 0..40u64 {
+                let p = 0.14 * draw as f64 / 39.0;
+                let mut ft = FatTree::new(k);
+                ft.inject_failures(&mut StdRng::seed_from_u64(1000 * k as u64 + draw), p);
+                cases.push((format!("k={k} p={p:.3} draw {draw}"), ft.topo));
+            }
+        }
+        for n in 3..=8 {
+            cases.push((format!("Ring::new({n})"), Ring::new(n).topo));
+        }
+        for (n, stride) in [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)] {
+            cases
+                .push((format!("SparseRing::new({n}, {stride})"), SparseRing::new(n, stride).topo));
+        }
+        // Hosts the grouping must leave to the per-destination fallback: one
+        // dual-homed, one with two cables to the same switch, one behind a
+        // host, and (in a fat-tree) one whose only link has failed.
+        let mut odd = Ring::new(4).topo;
+        let sw = odd.switches();
+        let dual = odd.add_host("HD");
+        odd.add_link(dual, sw[0]);
+        odd.add_link(dual, sw[1]);
+        let twin = odd.add_host("HT");
+        odd.add_link(twin, sw[2]);
+        odd.add_link(twin, sw[2]);
+        let behind = odd.add_host("HB");
+        odd.add_link(behind, dual);
+        cases.push(("ring with odd hosts".into(), odd));
+        let mut ft = FatTree::new(4);
+        let (_, l) = ft.topo.neighbors(ft.hosts[0]).next().expect("host link");
+        ft.topo.fail_link(l);
+        cases.push(("k=4, failed host link".into(), ft.topo));
+
+        for (name, topo) in &cases {
+            let (union, realizable) = spf_all_pairs_depgraphs(topo);
+            let (ref_union, ref_realizable) = per_destination_depgraphs(topo);
+            assert_same_graph(&format!("{name}, union"), &union, &ref_union);
+            assert_same_graph(&format!("{name}, realizable"), &realizable, &ref_realizable);
+            assert_same_graph(&format!("{name}, union alone"), &all_pairs_depgraph(topo), &union);
+            assert_same_graph(
+                &format!("{name}, realizable alone"),
+                &realizable_all_pairs_depgraph(topo),
+                &realizable,
+            );
+        }
     }
 
     #[test]

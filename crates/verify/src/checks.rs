@@ -14,9 +14,7 @@ use gfc_core::fc_config::{
 use gfc_core::mapping::StageTable;
 use gfc_core::theorems;
 use gfc_core::units::{Dur, Rate};
-use gfc_topology::cbd::{
-    all_pairs_depgraph, depgraph_for_flows, realizable_all_pairs_depgraph, spf_depgraph_for_pairs,
-};
+use gfc_topology::cbd::{depgraph_for_flows, spf_all_pairs_depgraphs, spf_depgraph_for_pairs};
 use gfc_topology::render::{self, render_dirlink_cycle};
 use gfc_topology::{DepGraph, DirLink, NodeId, Routing, Scc, Topology};
 
@@ -533,7 +531,9 @@ fn check_rate_limiter(spec: &FabricSpec, report: &mut Report) {
 ///
 /// 1. Condense the *conservative* dependency graph (the Table 1 prefilter
 ///    basis) into strongly connected components and report each cyclic
-///    SCC under GFC011, with a representative cycle and a break-set hint.
+///    SCC under GFC011, with a representative cycle; an Error finding (hard
+///    gate, not exactly deadlock-free) also carries a break-set hint, the
+///    only place it is printed.
 /// 2. Peel the *witnessed* (host-realizable) graph: deadlock is reachable
 ///    iff some vertex survives every peeling round. That exact verdict is
 ///    GFC012, and it can downgrade a cyclic-but-safe GFC011 finding from
@@ -546,8 +546,7 @@ pub(crate) fn check_cbd(
     spec: &FabricSpec,
     report: &mut Report,
 ) {
-    let conservative = conservative_depgraph(topo, routing);
-    let witnessed = witnessed_depgraph(topo, routing, &conservative);
+    let (conservative, witnessed) = depgraphs(topo, routing);
     let condensation = conservative.condensation();
     let cyclic: Vec<&Scc> = condensation.cyclic_by_size();
     let peel = witnessed.peel();
@@ -571,7 +570,6 @@ pub(crate) fn check_cbd(
         let cycle = conservative.cycle_in_scc(scc);
         let subject =
             format!("routing: {}", render_dirlink_cycle(topo, &cycle, render::CHAIN_MAX_HOPS));
-        let break_hint = break_set_hint(topo, &conservative, scc);
         if spec.fc.has_hard_gate() {
             if exact_free {
                 push(
@@ -586,6 +584,7 @@ pub(crate) fn check_cbd(
                     "no action needed — see the GFC012 peeling certificate".into(),
                 );
             } else {
+                let break_hint = break_set_hint(topo, &conservative, scc);
                 push(
                     report,
                     Code::Gfc011,
@@ -719,16 +718,19 @@ pub(crate) fn check_cbd(
     }
 }
 
-/// The conservative dependency graph — the basis of the GFC011 prefilter.
+/// The two dependency graphs of the CBD pipeline: the conservative one
+/// GFC011 condenses, and the witnessed one GFC012 peels.
 ///
-/// SPF routing contributes the full all-pairs equal-cost union (Table 1).
-/// Static routing contributes its configured paths *exactly*, plus the
-/// SPF fallback's DAGs for only those host pairs that actually lack a
-/// configured path — a fully configured fabric is judged purely on its
-/// own routes instead of being drowned in phantom all-pairs edges.
-fn conservative_depgraph(topo: &Topology, routing: &Routing) -> DepGraph {
+/// SPF routing contributes the full all-pairs equal-cost union (Table 1)
+/// and its host-realizable restriction, built in one pass. Static routing
+/// contributes its configured paths *exactly*, plus the SPF fallback's
+/// DAGs for only those host pairs that actually lack a configured path —
+/// a fully configured fabric is judged purely on its own routes instead
+/// of being drowned in phantom all-pairs edges. That graph is already
+/// flow-exact, so it serves as the witnessed graph too.
+fn depgraphs(topo: &Topology, routing: &Routing) -> (DepGraph, DepGraph) {
     match routing {
-        Routing::Spf(_) => all_pairs_depgraph(topo),
+        Routing::Spf(_) => spf_all_pairs_depgraphs(topo),
         Routing::Static { paths, .. } => {
             let flows: Vec<_> =
                 paths.iter().map(|(&(src, _), links)| (src, links.clone())).collect();
@@ -746,18 +748,8 @@ fn conservative_depgraph(topo: &Topology, routing: &Routing) -> DepGraph {
                 })
                 .collect();
             spf_depgraph_for_pairs(topo, &unconfigured, &mut g);
-            g
+            (g.clone(), g)
         }
-    }
-}
-
-/// The witnessed dependency graph GFC012 peels: only dependencies some
-/// complete host-to-host flow can exercise. For static routing the
-/// conservative graph is already flow-exact, so it is reused as-is.
-fn witnessed_depgraph(topo: &Topology, routing: &Routing, conservative: &DepGraph) -> DepGraph {
-    match routing {
-        Routing::Spf(_) => realizable_all_pairs_depgraph(topo),
-        Routing::Static { .. } => conservative.clone(),
     }
 }
 

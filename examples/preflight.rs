@@ -22,6 +22,9 @@
 //! * `fattree`        — the Fig. 11 failed fat-tree under PFC;
 //! * `sparse-ring`    — CBD-prone prefilter, exactly deadlock-free (GFC012);
 //! * `fattree-updown` — failed fat-tree on complete up/down routes (clean);
+//! * `fattree-failed` — k=8 fat-tree, 5% of links failed, buffer GFC: the
+//!   all-pairs union cycles, the realizable graph peels empty (clean);
+//! * `fattree-failed-pfc` — k=8 fat-tree, 8% failed, PFC (deadlock reachable);
 //! * `ring-512`       — 1024-node ring, the susceptible case at scale;
 //! * `thm41`          — a conceptual-GFC config violating Theorem 4.1.
 
@@ -29,6 +32,7 @@ use gfc::prelude::*;
 use gfc::verify::Report;
 use gfc_experiments::common::{sim_config_testbed, Scheme};
 use gfc_topology::SparseRing;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn analyze(topo: &Topology, routing: &Routing, cfg: &SimConfig) -> Report {
     gfc_sim::preflight(topo, routing, cfg)
@@ -45,6 +49,8 @@ const CORPUS: &[(&str, bool)] = &[
     ("fattree", true),
     ("sparse-ring", false),
     ("fattree-updown", false),
+    ("fattree-failed", false),
+    ("fattree-failed-pfc", true),
     ("ring-512", true),
     ("thm41", true),
 ];
@@ -103,6 +109,25 @@ fn scenario(name: &str) -> Option<(String, Report)> {
                 "fattree-updown — failed k=4 fat-tree, complete up/down routes, PFC".to_string();
             Some((title, analyze(&ft.topo, &Routing::fixed(routes), &cfg)))
         }
+        "fattree-failed" | "fattree-failed-pfc" => {
+            // Random failure draws on a k=8 fat-tree. At 5% (seed 4641)
+            // the all-pairs SPF union has a 482-link cyclic SCC, yet every
+            // host-realizable dependency drains; at 8% (seed 5) a residual
+            // survives peeling and PFC can wedge on it.
+            let (p, seed, scheme) = match name {
+                "fattree-failed" => (0.05, 4641, Scheme::GfcBuffer),
+                _ => (0.08, 5, Scheme::Pfc),
+            };
+            let mut ft = FatTree::new(8);
+            ft.inject_failures(&mut StdRng::seed_from_u64(seed), p);
+            let cfg = gfc_experiments::common::sim_config_300k(scheme, 1);
+            let title = format!(
+                "{name} — k=8 fat-tree, {:.0}% of links failed (seed {seed}), SPF, {}",
+                p * 100.0,
+                scheme.name()
+            );
+            Some((title, analyze(&ft.topo, &Routing::spf(), &cfg)))
+        }
         "ring-512" => {
             // Scale check: the iterative SCC/peel pipeline over a
             // 1024-node ring. Antipodal ECMP pairs realize the full ring
@@ -149,7 +174,7 @@ fn run_corpus(sarif_dir: Option<&str>) -> i32 {
         let verdict = report.verdict();
         let ok = report.has_errors() == expect_errors;
         println!(
-            "{} {name:<16} {} — {verdict}",
+            "{} {name:<18} {} — {verdict}",
             if ok { "PASS" } else { "FAIL" },
             if report.has_errors() { "errors " } else { "clean  " },
         );
