@@ -38,24 +38,39 @@
 //! shorter frame completes before a longer one started earlier — goes to
 //! the heap instead ([`QueueStats::lane_diverted`] counts these). The
 //! heap is left with timers, kicks, CNPs, flow-completion notices, the
-//! diverted lane pushes, and events injected by the sharded coordinator.
-//! A lane keeps the payloads of its keys in a second deque in the same
-//! order, so an `Arrive` or `CtrlApply` that stays in its lane never
-//! touches the pool; only the diverted ones take a pool slot.
+//! diverted lane pushes, and the non-arrival events injected by the
+//! sharded coordinator. A lane keeps the payloads of its keys in a second
+//! deque in the same order, so an `Arrive` or `CtrlApply` that stays in
+//! its lane never touches the pool; only the diverted ones take a pool
+//! slot.
 //!
 //! | lane | event class | due at | diverted to the heap (ring / enterprise / perm) |
 //! |---|---|---|---|
-//! | [`EventQueue::LANE_ARRIVE`] | `Arrive` | `now + prop_delay` | 0.03% / 2.6% / 16% |
+//! | [`EventQueue::LANE_ARRIVE`] | `Arrive` | `now + prop_delay` | 0.03% / 2.6% / 23% |
 //! | [`EventQueue::LANE_CTRL`] | wire `CtrlApply` | `now + prop_delay + t_r` | 0 / 0.04% / 0 |
 //! | [`EventQueue::LANE_CTRL_OOB`] | out-of-band `CtrlApply` | `now + τ` | idle outside conceptual GFC |
 //! | [`EventQueue::LANE_TX`] | `TxComplete` | `now + tx_time(frame)` | 0.01% / 3.9% / 0.15% |
+//! | [`EventQueue::LANE_INBOUND`] | injected `Arrive` | window batch, sorted | idle / idle / 0 |
 //!
-//! (Shares of each lane's pushes over the three perfbench workloads,
-//! `ring3_gfc`, `ft8_enterprise_pfc`, `ft8_perm_w1`, seed variant 1.)
+//! (Diverted shares of each lane's own pushes over the three perfbench
+//! workloads, `ring3_gfc`, `ft8_enterprise_pfc`, `ft8_perm_w1`, seed
+//! variant 1; `ft8_perm_w1` runs sharded, where 0.82M of its 2.78M
+//! arrivals cross a domain and ride the inbound lane.)
 //! A transmission completion is due one serialization delay after the
 //! frame starts, which is constant for the full-size data frames that
 //! make up almost all of them; control frames and short last packets of
-//! a flow are the diverted share.
+//! a flow are the diverted share. Same-instant arrivals fan in from many
+//! senders in arbitrary rank order, which is the arrival lane's diverted
+//! share — most of it on the synchronized permutation.
+//!
+//! The inbound lane takes the data arrivals a sharded run hands from one
+//! domain to another. The coordinator injects them once per window,
+//! stable-sorted by `(time, rank)`; every one is due at or after the
+//! window edge, later than anything the shard has popped, so its key is
+//! the one a heap push would give it. A window's arrivals leave strictly
+//! after the previous window's, and each is due one propagation delay
+//! later, so a batch never starts behind the lane's tail and nothing
+//! diverts; the heap fallback stays as on every lane.
 //!
 //! ## The pop path
 //!
@@ -391,8 +406,11 @@ impl EventQueue {
     pub const LANE_CTRL_OOB: usize = 2;
     /// Lane for transmission completions (`now + tx_time`).
     pub const LANE_TX: usize = 3;
+    /// Lane for data arrivals injected by the sharded coordinator, each
+    /// window's batch pushed in canonical order (see `shard.rs`).
+    pub const LANE_INBOUND: usize = 4;
     /// Number of FIFO lanes.
-    pub const NUM_LANES: usize = 4;
+    pub const NUM_LANES: usize = 5;
 
     /// Empty queue.
     pub fn new() -> Self {
@@ -704,9 +722,9 @@ mod tests {
         }
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(7), arrive(4));
         q.push(Time(20), Event::TimelineSample);
-        assert_eq!(q.lane_lens(), [3, 0, 0, 0], "nodes 5, 9, 3 stay in the lane");
+        assert_eq!(q.lane_lens(), [3, 0, 0, 0, 0], "nodes 5, 9, 3 stay in the lane");
         assert_eq!(q.heap_len(), 4, "nodes 2, 1, 4 and the sample go to the heap");
-        assert_eq!(q.stats().lane_diverted, [3, 0, 0, 0]);
+        assert_eq!(q.stats().lane_diverted, [3, 0, 0, 0, 0]);
         let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
             .map(|(t, ev)| match ev {
                 Event::Arrive { node, .. } => (t.0, node.0),
@@ -732,9 +750,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.push_fifo(EventQueue::LANE_TX, now + Dur(1_200_000), data.clone());
         q.push_fifo(EventQueue::LANE_TX, now + Dur(51_200), ctrl.clone());
-        assert_eq!(q.lane_lens(), [0, 0, 0, 1]);
+        assert_eq!(q.lane_lens(), [0, 0, 0, 1, 0]);
         assert_eq!(q.heap_len(), 1);
-        assert_eq!(q.stats().lane_diverted, [0, 0, 0, 1]);
+        assert_eq!(q.stats().lane_diverted, [0, 0, 0, 1, 0]);
         assert_eq!(q.pop(), Some((now + Dur(51_200), ctrl)));
         assert_eq!(q.pop(), Some((now + Dur(1_200_000), data)));
         assert!(q.is_empty());
@@ -814,9 +832,9 @@ mod tests {
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive_id(2, 3)); // diverted
         q.push_fifo(EventQueue::LANE_CTRL, Time(10), ctrl(1, 7));
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(11), arrive_id(3, 1));
-        assert_eq!(q.stats().lane_diverted, [1, 0, 0, 0]);
+        assert_eq!(q.stats().lane_diverted, [1, 0, 0, 0, 0]);
         assert_eq!(q.pool_slots(), 1, "only the diverted arrival takes a pool slot");
-        assert_eq!(q.lane_lens(), [2, 1, 0, 0]);
+        assert_eq!(q.lane_lens(), [2, 1, 0, 0, 0]);
         assert_eq!(q.pop(), Some((Time(10), arrive_id(2, 3))));
         assert_eq!(q.pop(), Some((Time(10), arrive_id(1, 5))));
         q.push_fifo(EventQueue::LANE_CTRL, Time(12), ctrl(2, 8));
@@ -837,6 +855,63 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.pushes_inline + s.pushes_pooled, 7, "every push is counted once");
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn sorted_inbound_batches_pop_like_heap_pushes_in_source_order() {
+        // The sharded coordinator's contract for the inbound lane: a
+        // window's batch of injected events, stable-sorted by `(time,
+        // rank)` with its arrivals on the lane, pops exactly as the same
+        // batch pushed to the heap in source order would. Batches span
+        // `span` past their window edge and the edge advances by `step`;
+        // each round pops up to a pseudo-random point before the new
+        // edge, as a clipped window does, so the lane is not always empty
+        // when a batch lands. With `span <= step` every batch starts at or
+        // after the lane's tail; with `span > step` some start behind it
+        // and their early keys divert to the heap.
+        for (step, span, diverts) in [(6, 6, false), (4, 9, true)] {
+            let mut diverted = 0;
+            let mut landed_on_keys = false;
+            for seed in 1..=30u64 {
+                let mut rng = seed;
+                let mut laned = EventQueue::new();
+                let mut heap = EventQueue::new();
+                let mut edge = 0;
+                for _ in 0..40 {
+                    let mut batch: Vec<(Time, Event)> = (0..next(&mut rng) % 8)
+                        .map(|_| (Time(edge + next(&mut rng) % span), random_event(&mut rng)))
+                        .filter(|(_, ev)| !matches!(ev, Event::MonitorTick))
+                        .collect();
+                    for (t, ev) in &batch {
+                        heap.push(*t, ev.clone());
+                    }
+                    batch.sort_by_key(|(t, ev)| (*t, ev.order_major()));
+                    landed_on_keys |= laned.lane_lens()[EventQueue::LANE_INBOUND] > 0;
+                    for (t, ev) in batch {
+                        match ev {
+                            Event::Arrive { .. } => {
+                                laned.push_fifo(EventQueue::LANE_INBOUND, t, ev);
+                            }
+                            _ => laned.push(t, ev),
+                        }
+                    }
+                    edge += step;
+                    let horizon = Time(edge - 1 - next(&mut rng) % step);
+                    loop {
+                        let got = laned.pop_at_or_before(horizon);
+                        assert_eq!(got, heap.pop_at_or_before(horizon), "seed {seed}");
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                let rest: Vec<(Time, Event)> = std::iter::from_fn(|| laned.pop()).collect();
+                assert_eq!(rest, std::iter::from_fn(|| heap.pop()).collect::<Vec<_>>());
+                diverted += laned.stats().lane_diverted[EventQueue::LANE_INBOUND];
+            }
+            assert!(landed_on_keys, "step {step}: no batch landed on a non-empty lane");
+            assert_eq!(diverted > 0, diverts, "step {step}, span {span}: {diverted} diverted");
+        }
     }
 
     /// The same-instant dispatch rule as a batch: pop everything due at
@@ -1096,7 +1171,7 @@ mod tests {
         assert_eq!(s.pushes_pooled, 2);
         assert_eq!(s.pool_grown, 1, "second pooled push must recycle, not grow");
         assert_eq!(q.heap_len(), 1);
-        assert_eq!(q.lane_lens(), [0, 0, 0, 0]);
+        assert_eq!(q.lane_lens(), [0; EventQueue::NUM_LANES]);
         assert_eq!(q.free_slots(), 0);
         q.pop().unwrap();
         assert_eq!(q.free_slots(), 1);

@@ -54,7 +54,7 @@ pub use config::{FcConfig, PreflightPolicy, SimConfig, TelemetryConfig, Timeline
 pub use flowgen::{ClosedLoopWorkload, FlowRequest, ListWorkload, Workload};
 pub use gfc_telemetry::{ChromeTrace, FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
 pub use network::{Network, SimStats};
-pub use shard::ShardedNetwork;
+pub use shard::{ShardedNetwork, SyncStats};
 pub use trace::{TraceConfig, Traces};
 
 /// Run the `gfc-verify` static preflight analysis on a full simulator

@@ -20,7 +20,7 @@
 //!   queue. Two runs with the same seed are bit-identical.
 
 use crate::config::{PumpPolicy, SimConfig};
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, QueueStats};
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
 use crate::packet::Packet;
@@ -119,8 +119,9 @@ pub struct Network {
     /// round-robin ≤ 64-port fast path; a set bit is *exact*, never
     /// stale: it is cleared on every transition that can make the head
     /// movable again — a staging slot freeing at a target egress (see
-    /// [`Self::start_data_tx`] waking `head_waiters`), a new arrival at
-    /// the port, or the head itself changing.
+    /// [`Self::start_data_tx`] waking `head_waiters`), or an arrival
+    /// installing a new head in an empty priority FIFO of the port. An
+    /// arrival behind an existing head leaves the bit alone.
     ing_blocked: Vec<u64>,
     /// `head_waiters[node][egress_port]`: bitmask of this node's ingress
     /// ports whose blocked FIFO head targets that egress. Cleared
@@ -818,9 +819,10 @@ impl Network {
 
     /// Push a wire event (FIFO lane) bound for `target`, diverting to the
     /// outbox when the target belongs to another shard. The far side
-    /// injects into its heap: within one `(time, dispatch-rank)` group all
-    /// events share a single causal source, so outbox order — preserved
-    /// end-to-end by the coordinator — reproduces the lane's FIFO order.
+    /// injects it (see [`Self::inject`]): within one `(time,
+    /// dispatch-rank)` group all events share a single causal source, so
+    /// outbox order — preserved end-to-end by the coordinator — reproduces
+    /// the lane's FIFO order.
     #[inline]
     fn push_wire(&mut self, lane: usize, t: Time, target: NodeId, ev: Event) {
         if self.is_local(target) {
@@ -871,16 +873,32 @@ impl Network {
         self.queue.peek_time()
     }
 
-    /// Inject a cross-shard event delivered by the coordinator.
+    /// Inject a cross-shard event delivered by the coordinator, which
+    /// hands over each window's batch sorted by `(time, dispatch rank)`.
+    /// Data arrivals ride [`EventQueue::LANE_INBOUND`]: every batch is
+    /// due at or after the window edge, so it gets the same key it would
+    /// in the heap and the lane stays sorted (a key behind the tail still
+    /// goes to the heap). Every other class goes to the heap.
     pub(crate) fn inject(&mut self, t: Time, ev: Event) {
         debug_assert!(t >= self.now, "injected event in this shard's past");
-        self.queue.push(t, ev);
+        if let Event::Arrive { .. } = ev {
+            self.queue.push_fifo(EventQueue::LANE_INBOUND, t, ev);
+        } else {
+            self.queue.push(t, ev);
+        }
+    }
+
+    /// The event queue's push counters (see [`QueueStats`]).
+    pub(crate) fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Drain the cross-domain events generated since the last call, in
-    /// generation order.
+    /// generation order. The outbox starts over at the same capacity, so
+    /// it does not grow anew every window.
     pub(crate) fn take_outbox(&mut self) -> Vec<(Time, Event)> {
-        std::mem::take(&mut self.outbox)
+        let next = Vec::with_capacity(self.outbox.capacity());
+        std::mem::replace(&mut self.outbox, next)
     }
 
     /// Advance the local clock to a barrier instant (monitor ticks and
@@ -1192,14 +1210,15 @@ impl Network {
         // moves to its egress only when a staging slot frees.
         let arrival_seq = self.arrival_seq[n];
         self.arrival_seq[n] += 1;
-        self.ports[n][port].pq_mut(prio).ing_q.push_back(IngressPacket {
-            pkt,
-            out_port,
-            arrival_seq,
-        });
-        if self.ports[n].len() <= 64 {
+        let ing_q = &mut self.ports[n][port].pq_mut(prio).ing_q;
+        let new_head = ing_q.is_empty();
+        ing_q.push_back(IngressPacket { pkt, out_port, arrival_seq });
+        if new_head && self.ports[n].len() <= 64 {
+            // The arrival installed a new (maybe movable) head. Behind an
+            // existing head it changes nothing: that head is still
+            // registered in `head_waiters` if blocked, and the port's
+            // pending bit is already set.
             self.ing_pending[n] |= 1 << port;
-            // The arrival may have installed a new (movable) head.
             self.ing_blocked[n] &= !(1 << port);
         }
         self.pump(node);

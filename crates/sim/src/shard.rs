@@ -40,11 +40,17 @@
 //!   order). The order within an instant is thus a pure function of the
 //!   event set, not of which queue the events waited in.
 //! * **Deterministic merge.** At each window barrier the coordinator
-//!   drains the per-shard outboxes in shard-index order and injects each
-//!   event into its destination shard's queue; within one
-//!   `(time, rank)` group all events come from a single causal source
-//!   (one upstream peer per `(node, port)`, one destination per flow),
-//!   so concatenation order reproduces the sequential FIFO order.
+//!   drains the per-shard outboxes in shard-index order into one batch
+//!   per destination shard. Within one `(time, rank)` group all events
+//!   come from a single causal source (one upstream peer per
+//!   `(node, port)`, one destination per flow), so concatenation order
+//!   reproduces the sequential FIFO order. The destination stable-sorts
+//!   its batch by `(time, rank)`, which keeps that order, and injects
+//!   it: data arrivals onto its inbound FIFO lane
+//!   ([`EventQueue::LANE_INBOUND`]), everything else into its heap. Each
+//!   key equals the one a heap push would get, since every injected
+//!   event is due at or after the window edge — checked on every
+//!   cross-shard event, release builds included.
 //! * **Coordinator-owned observers.** The progress monitor and the
 //!   deadlock verdicts run on the coordinator at the exact instants the
 //!   sequential engine would run its `MonitorTick`, over merged state
@@ -53,6 +59,13 @@
 //! Shared-RNG coupling is eliminated at the source: ECN mark draws and
 //! periodic-feedback phases are pure counter/port hashes (see
 //! `network.rs`), identical in both engines.
+//!
+//! ## Sync counters
+//!
+//! [`ShardedNetwork::sync_stats`] counts the windows (and those a
+//! barrier or the run horizon clipped), the monitor barriers, the
+//! injected events by where they went, and the largest batch. They stay
+//! out of the metrics snapshot, whose layout is the sequential engine's.
 //!
 //! ## v1 contract
 //!
@@ -64,7 +77,7 @@
 //! (the deadlock *verdicts* themselves are identical).
 
 use crate::config::SimConfig;
-use crate::event::Event;
+use crate::event::{Event, EventQueue};
 use crate::network::{Network, SimStats};
 use crate::trace::TraceConfig;
 use gfc_analysis::{FlowLedger, ProgressMonitor};
@@ -126,7 +139,11 @@ fn serve(base: usize, shards: &mut [Network], cmd: Cmd) -> Reply {
                 .collect(),
         ),
         Cmd::Run { until, inject } => {
-            for (idx, evs) in inject {
+            for (idx, mut evs) in inject {
+                // Canonical order, so the batch's arrivals stay on the
+                // inbound lane; the sort is stable, keeping the source
+                // order of `(time, rank)` ties.
+                evs.sort_by_key(|(t, ev)| (*t, ev.order_major()));
                 let n = &mut shards[idx - base];
                 for (t, ev) in evs {
                     n.inject(t, ev);
@@ -171,27 +188,41 @@ fn serve(base: usize, shards: &mut [Network], cmd: Cmd) -> Reply {
 /// Fold one round of `Ran` replies for the window ending at `until` into
 /// the coordinator's view, in source-shard order (the deterministic
 /// concatenation the exactness argument relies on): refresh each shard's
-/// peek time and queue its outbox for the destination shards.
+/// peek time, queue its outbox for the destination shards, and count the
+/// queued events into `sync`. Returns the earliest queued due time.
 fn absorb(
     replies: Vec<Reply>,
     until: Time,
     domain_of: &[u32],
     peeks: &mut [Option<Time>],
     pending: &mut [Vec<(Time, Event)>],
-) {
+    sync: &mut SyncStats,
+) -> Option<Time> {
     let mut ran: Vec<RanShard> = Vec::with_capacity(peeks.len());
     for reply in replies {
         let Reply::Ran(rows) = reply else { unreachable!("lockstep protocol") };
         ran.extend(rows);
     }
     ran.sort_by_key(|(idx, ..)| *idx);
+    let mut earliest = None;
     for (idx, outbox, peek) in ran {
         peeks[idx] = peek;
         for (t, ev) in outbox {
-            debug_assert!(t >= until, "cross-shard event inside its own window");
+            assert!(t >= until, "cross-shard event inside its own window");
+            earliest = Some(earliest.map_or(t, |e: Time| e.min(t)));
+            *injected_count(sync, &ev) += 1;
             let dest = domain_of[target_of(&ev).0 as usize] as usize;
             pending[dest].push((t, ev));
         }
+    }
+    earliest
+}
+
+/// The counter of `sync` that an injected event like `ev` adds to.
+fn injected_count<'a>(sync: &'a mut SyncStats, ev: &Event) -> &'a mut u64 {
+    match ev {
+        Event::Arrive { .. } => &mut sync.inbound_lane,
+        _ => &mut sync.injected_heap,
     }
 }
 
@@ -232,6 +263,31 @@ fn merge_value(a: &mut MetricValue, b: MetricValue) {
     }
 }
 
+/// Window-synchronization counters of a [`ShardedNetwork`] run (see
+/// [`ShardedNetwork::sync_stats`]). They describe the coordinator, not
+/// the simulation, so they stay out of the metrics snapshot, whose
+/// layout equals the sequential engine's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyncStats {
+    /// Lockstep windows run (one `Run` round each).
+    pub windows: u64,
+    /// Windows a monitor barrier or the run horizon cut short of the
+    /// full lookahead.
+    pub clipped_windows: u64,
+    /// Monitor barriers taken (the sequential engine's monitor ticks).
+    pub monitor_barriers: u64,
+    /// Injected data arrivals that stayed on the inbound FIFO lane.
+    pub inbound_lane: u64,
+    /// Injected data arrivals whose key sorted before the inbound lane's
+    /// tail, so they went to the heap.
+    pub inbound_diverted: u64,
+    /// Other injected events (control frames, CNPs, completion
+    /// notices), all pushed to the heap.
+    pub injected_heap: u64,
+    /// The most events injected into one shard in one window.
+    pub max_batch: u64,
+}
+
 /// The parallel engine: a sequential-identical simulation run sharded
 /// across per-domain event queues. See the module docs for the
 /// synchronization scheme and the exactness argument.
@@ -256,6 +312,10 @@ pub struct ShardedNetwork {
     /// Cross-shard events awaiting injection, per destination shard, in
     /// (window, source-shard, generation) order.
     pending: Vec<Vec<(Time, Event)>>,
+    /// Coordinator counters. The injected counts also cover the events
+    /// still in `pending`, and `inbound_lane` the diverted arrivals;
+    /// [`Self::sync_stats`] takes both out.
+    sync: SyncStats,
 }
 
 impl ShardedNetwork {
@@ -333,6 +393,7 @@ impl ShardedNetwork {
             last_monitor_delivered: 0,
             structural_deadlock_at: None,
             pending: vec![Vec::new(); num_domains],
+            sync: SyncStats::default(),
         }
     }
 
@@ -404,6 +465,7 @@ impl ShardedNetwork {
         let last_delivered = &mut self.last_monitor_delivered;
         let structural_at = &mut self.structural_deadlock_at;
         let pending = &mut self.pending;
+        let sync = &mut self.sync;
         let now = &mut self.now;
         let halted = &mut self.halted;
         let domain_of = &self.domain_of;
@@ -448,17 +510,15 @@ impl ShardedNetwork {
             let every = |cmd: &dyn Fn() -> Cmd| (0..pool).map(|_| cmd()).collect::<Vec<_>>();
             // Peek times, refreshed from every Run reply.
             let mut peeks: Vec<Option<Time>> = vec![None; num_shards];
-            absorb(round(every(&|| Cmd::Prime)), Time::ZERO, domain_of, &mut peeks, pending);
+            absorb(round(every(&|| Cmd::Prime)), Time::ZERO, domain_of, &mut peeks, pending, sync);
+            // Earliest cross-shard event not yet injected: what the last
+            // call left over, then each window's outboxes.
+            let mut queued = pending.iter().flatten().map(|(t, _)| *t).min();
             let mut due = *monitor_due.get_or_insert(*now + interval);
             loop {
                 // Global minimum pending timestamp: shard queues plus
                 // cross-shard events not yet injected.
-                let m = peeks
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(pending.iter().flatten().map(|(t, _)| *t))
-                    .min();
+                let m = peeks.iter().flatten().copied().chain(queued).min();
                 let next_ev = m.filter(|t| *t <= t_end);
                 if next_ev.is_none() && due > t_end {
                     break;
@@ -470,21 +530,30 @@ impl ShardedNetwork {
                     Some(t) => (t + lookahead).min(due).min(Time(t_end.0 + 1)),
                     None => due,
                 };
-                if next_ev.is_some_and(|t| t < w1) {
+                if let Some(m) = next_ev.filter(|t| *t < w1) {
+                    sync.windows += 1;
+                    sync.clipped_windows += u64::from(w1 < m + lookahead);
+                    let batch = pending.iter().map(Vec::len).max().unwrap_or(0);
+                    sync.max_batch = sync.max_batch.max(batch as u64);
                     let cmds = pending
                         .chunks_mut(chunk)
                         .enumerate()
                         .map(|(w, part)| {
+                            // Each batch leaves a buffer of its size behind:
+                            // the next window's is about as large.
                             let inject = part
                                 .iter_mut()
                                 .enumerate()
                                 .filter(|(_, evs)| !evs.is_empty())
-                                .map(|(i, evs)| (w * chunk + i, std::mem::take(evs)))
+                                .map(|(i, evs)| {
+                                    let next = Vec::with_capacity(evs.capacity());
+                                    (w * chunk + i, std::mem::replace(evs, next))
+                                })
                                 .collect();
                             Cmd::Run { until: w1, inject }
                         })
                         .collect();
-                    absorb(round(cmds), w1, domain_of, &mut peeks, pending);
+                    queued = absorb(round(cmds), w1, domain_of, &mut peeks, pending, sync);
                 }
                 if w1 == due && due <= t_end {
                     // Monitor barrier — the sequential MonitorTick,
@@ -499,6 +568,7 @@ impl ShardedNetwork {
                         delivered += d;
                     }
                     *monitor_ticks += 1;
+                    sync.monitor_barriers += 1;
                     let progressed = delivered > *last_delivered;
                     *last_delivered = delivered;
                     monitor.sample(due.0, delivered, backlogged);
@@ -550,6 +620,24 @@ impl ShardedNetwork {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
+    }
+
+    /// The coordinator's window-synchronization counters so far (see
+    /// [`SyncStats`]).
+    pub fn sync_stats(&self) -> SyncStats {
+        let mut sync = self.sync;
+        // Counted when queued; not injected yet.
+        for (_, ev) in self.pending.iter().flatten() {
+            *injected_count(&mut sync, ev) -= 1;
+        }
+        let diverted: u64 = self
+            .shards
+            .iter()
+            .map(|s| s.queue_stats().lane_diverted[EventQueue::LANE_INBOUND])
+            .sum();
+        sync.inbound_lane -= diverted;
+        sync.inbound_diverted = diverted;
+        sync
     }
 
     /// Merged run statistics.

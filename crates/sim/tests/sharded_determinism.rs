@@ -9,7 +9,7 @@
 use gfc_core::bfc::BfcConfig;
 use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::config::{FcConfig, PumpPolicy};
-use gfc_sim::{Network, PreflightPolicy, ShardedNetwork, SimConfig, TraceConfig};
+use gfc_sim::{Network, PreflightPolicy, ShardedNetwork, SimConfig, SyncStats, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::fattree::{find_fig11_failures, FatTree, FIG11_FLOWS};
 use gfc_topology::{NodeId, Partition, Ring, Routing, SpfRouting, Topology};
@@ -144,6 +144,17 @@ fn run_sharded(
     workers: usize,
     ends: &[Time],
 ) -> Fingerprint {
+    run_sharded_with_sync(sc, cfg, part, workers, ends).0
+}
+
+/// [`run_sharded`], also returning the coordinator's sync counters.
+fn run_sharded_with_sync(
+    sc: &Scenario,
+    cfg: SimConfig,
+    part: &Partition,
+    workers: usize,
+    ends: &[Time],
+) -> (Fingerprint, SyncStats) {
     let mut net = ShardedNetwork::new(sc.topo.clone(), sc.routing.clone(), cfg, part, workers);
     for &(s, d, b) in &sc.flows {
         net.start_flow(s, d, b, 0).expect("route exists");
@@ -155,12 +166,13 @@ fn run_sharded(
         net.run_until(t);
     }
     let snap = net.metrics_snapshot();
-    Fingerprint {
+    let fp = Fingerprint {
         metrics: snap.entries,
         ledger: format!("{:?}", net.ledger()),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
-    }
+    };
+    (fp, net.sync_stats())
 }
 
 /// Uneven slice ends over `horizon`, the way a caller that reports
@@ -244,6 +256,33 @@ fn fattree_matrix_matches_sequential_at_every_worker_count() {
         for workers in [1usize, 2, 4, 8] {
             let shd = run_sharded(&sc, cfg.clone(), &part, workers, &[sc.horizon]);
             assert_identical(&seq, &shd, &format!("fattree:{name}:pods:w{workers}"));
+        }
+    }
+}
+
+/// Monitor barriers clip the windows they fall inside: with a monitor
+/// interval that is no multiple of the lookahead, the clipped windows
+/// land off the lookahead grid, and the fingerprints still match. Every
+/// cross-shard arrival rides the inbound lane: arrivals are due one
+/// propagation delay after they leave, and each window leaves strictly
+/// after the last, so no injected batch can start behind the lane's
+/// tail — clipped windows included.
+#[test]
+fn clipped_windows_match_sequential() {
+    let sc = fattree_scenario();
+    let part = Partition::by_pods(&fig11_case().0);
+    for (name, fc, pump) in backends() {
+        let mut cfg = base_cfg(fc, pump);
+        cfg.monitor_interval = Dur(cfg.prop_delay.0 * 37 + cfg.prop_delay.0 / 3);
+        let seq = run_sequential(&sc, cfg.clone());
+        for workers in [1usize, 4] {
+            let what = format!("clipped:{name}:w{workers}");
+            let (shd, sync) =
+                run_sharded_with_sync(&sc, cfg.clone(), &part, workers, &[sc.horizon]);
+            assert_identical(&seq, &shd, &what);
+            assert!(sync.clipped_windows > 0, "{what}: no window was clipped: {sync:?}");
+            assert!(sync.inbound_lane > 0, "{what}: no arrival crossed shards: {sync:?}");
+            assert_eq!(sync.inbound_diverted, 0, "{what}: an inbound arrival left the lane");
         }
     }
 }

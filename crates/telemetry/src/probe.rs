@@ -54,17 +54,18 @@ impl EngineProbe {
     /// The scheduler's FIFO lanes, in lane order: each has a
     /// `probe.queue.lane_<label>` occupancy gauge and a
     /// `probe.queue.lane_<label>.diverted` counter.
-    pub const LANE_LABELS: [&'static str; 4] = ["arrive", "ctrl", "ctrl_oob", "tx"];
+    pub const LANE_LABELS: [&'static str; 5] = ["arrive", "ctrl", "ctrl_oob", "tx", "inbound"];
 
     /// Occupancy gauges sampled via [`EngineProbe::queue_sample`], in
-    /// storage order: heap keys, the four FIFO lanes, live pool slots,
+    /// storage order: heap keys, the five FIFO lanes, live pool slots,
     /// free (recyclable) pool slots, and queued control frames.
-    pub const GAUGE_NAMES: [&'static str; 8] = [
+    pub const GAUGE_NAMES: [&'static str; 9] = [
         "probe.queue.heap",
         "probe.queue.lane_arrive",
         "probe.queue.lane_ctrl",
         "probe.queue.lane_ctrl_oob",
         "probe.queue.lane_tx",
+        "probe.queue.lane_inbound",
         "probe.pool.slots",
         "probe.pool.free",
         "probe.ctrl.backlog_frames",
@@ -105,8 +106,8 @@ impl EngineProbe {
         pool_free: u64,
         ctrl_backlog: u64,
     ) {
-        let [a, b, c, d] = lanes;
-        let vals = [heap, a, b, c, d, pool_slots, pool_free, ctrl_backlog];
+        let [a, b, c, d, e] = lanes;
+        let vals = [heap, a, b, c, d, e, pool_slots, pool_free, ctrl_backlog];
         for (g, v) in self.gauges.iter_mut().zip(vals) {
             g.0 = v;
             g.1 = g.1.max(v);
@@ -230,13 +231,14 @@ mod tests {
     #[test]
     fn queue_gauges_track_high_water() {
         let mut p = EngineProbe::new(&[]);
-        p.queue_sample(10, [1, 2, 3, 6], 40, 5, 7);
-        p.queue_sample(4, [0, 0, 0, 2], 40, 39, 0);
+        p.queue_sample(10, [1, 2, 3, 6, 8], 40, 5, 7);
+        p.queue_sample(4, [0, 0, 0, 2, 1], 40, 39, 0);
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.gauge("probe.queue.heap"), Some((4, 10)));
         assert_eq!(snap.gauge("probe.queue.lane_ctrl_oob"), Some((0, 3)));
         assert_eq!(snap.gauge("probe.queue.lane_tx"), Some((2, 6)));
+        assert_eq!(snap.gauge("probe.queue.lane_inbound"), Some((1, 8)));
         assert_eq!(snap.gauge("probe.pool.free"), Some((39, 39)));
         assert_eq!(snap.gauge("probe.ctrl.backlog_frames"), Some((0, 7)));
     }
@@ -248,7 +250,7 @@ mod tests {
         p.pushes_inline = 3;
         p.pushes_pooled = 2;
         p.pool_grown = 1;
-        p.lane_diverted = [4, 0, 0, 9];
+        p.lane_diverted = [4, 0, 0, 9, 2];
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.counter("probe.dispatch.arrive.count"), Some(1));
@@ -260,5 +262,6 @@ mod tests {
         assert_eq!(snap.counter("probe.queue.lane_arrive.diverted"), Some(4));
         assert_eq!(snap.counter("probe.queue.lane_ctrl_oob.diverted"), Some(0));
         assert_eq!(snap.counter("probe.queue.lane_tx.diverted"), Some(9));
+        assert_eq!(snap.counter("probe.queue.lane_inbound.diverted"), Some(2));
     }
 }

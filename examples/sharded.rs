@@ -13,6 +13,10 @@
 //! non-zero
 //! unless every sharded fingerprint (event count, full metrics
 //! snapshot, flow ledger, deadlock verdicts) equals the sequential one.
+//! It prints the coordinator's window counters
+//! (`ShardedNetwork::sync_stats`) of each 1-worker run, and also exits
+//! non-zero if more than 1% of the cross-shard data arrivals there left
+//! the inbound FIFO lane for the heap — the lane's silent fallback.
 //! CI runs this as the determinism gate of `gfc_sim::shard`; the full
 //! backend × partition × worker matrix lives in
 //! `crates/sim/tests/sharded_determinism.rs`, and the k = 16 scaling
@@ -118,6 +122,26 @@ fn main() {
                 (reference.deadlocked, reference.structural),
                 "{label} w{workers}: deadlock verdicts diverged from sequential"
             );
+            if workers == 1 {
+                let sync = net.sync_stats();
+                let arrivals = sync.inbound_lane + sync.inbound_diverted;
+                println!(
+                    "  {label:<18} w1 sync: {} windows ({} clipped), {} barriers, {} arrivals \
+                     injected ({} diverted to the heap), {} other events, batch <= {}",
+                    sync.windows,
+                    sync.clipped_windows,
+                    sync.monitor_barriers,
+                    arrivals,
+                    sync.inbound_diverted,
+                    sync.injected_heap,
+                    sync.max_batch
+                );
+                assert!(
+                    sync.inbound_diverted * 100 <= arrivals,
+                    "{label} w1: {} of {arrivals} injected arrivals diverted to the heap (> 1%)",
+                    sync.inbound_diverted
+                );
+            }
         }
         println!(
             "  {label:<18} {:>9} events, deadlocked={:<5} — w1 and w4 fingerprints bit-identical",
