@@ -24,7 +24,9 @@ use crate::event::{Event, EventQueue, QueueStats};
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
 use crate::packet::Packet;
-use crate::port::{IngressPacket, PortState, PortTable, QueuedCtrl, StagedPacket};
+use crate::port::{
+    IngressPacket, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
+};
 use crate::telemetry::{PortSample, SimTelemetry};
 use crate::trace::{TraceConfig, Traces};
 use gfc_analysis::{FlowLedger, ProgressMonitor, ThroughputMeter};
@@ -70,6 +72,39 @@ struct HostState {
     workload_done: bool,
 }
 
+/// Per-node switching state: the pump's cursor and masks and the node's
+/// arrival and ECN-draw counters, in one record so a handler reaches all
+/// of it through one index.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSw {
+    /// Rotating start port for fair ingress pumping.
+    pump_rr: usize,
+    /// Arrival sequence counter (for arrival-ordered pumping).
+    arrival_seq: u64,
+    /// Bitmask of ports whose ingress FIFOs hold packets, so
+    /// [`Network::pump`] exits in one load on the (common) empty case and
+    /// skips idle ports otherwise. Nodes with more than 64 ports are
+    /// pinned at `u64::MAX` (= always scan; correctness never depends on
+    /// a clear bit).
+    ing_pending: u64,
+    /// Bitmask of ports whose ingress FIFO heads are known head-of-line
+    /// blocked (every non-empty priority's head targets an egress with no
+    /// free staging slot). Maintained only on the round-robin ≤ 64-port
+    /// fast path; a set bit is *exact*, never stale: it is cleared on
+    /// every transition that can make the head movable again — a staging
+    /// slot freeing at a target egress (see [`Network::start_data_tx`]
+    /// waking that egress's [`PortState::head_waiters`]), or an arrival
+    /// installing a new head in an empty priority FIFO of the port. An
+    /// arrival behind an existing head leaves the bit alone.
+    ing_blocked: u64,
+    /// Counter driving the node-local ECN mark draws: draw `k` at node
+    /// `n` hashes `(seed, n, k)` through splitmix64, so the sequence a
+    /// node sees is independent of every other node's activity — the
+    /// property that lets a sharded run reproduce the sequential engine's
+    /// draws exactly.
+    ecn_seq: u64,
+}
+
 /// Global metadata of a flow (live at source, counted at destination).
 #[derive(Debug)]
 struct FlowMeta {
@@ -102,34 +137,11 @@ pub struct Network {
     pub topo: Topology,
     cfg: SimConfig,
     routing: Routing,
+    /// Every port of every node. Handlers resolve each `(node, port)`
+    /// once into a [`PortIx`] and pass it on (see `port.rs`).
     ports: PortTable,
-    /// Per-node rotating offset for fair ingress pumping.
-    pump_rr: Vec<usize>,
-    /// Per-node arrival sequence counters (for arrival-ordered pumping).
-    arrival_seq: Vec<u64>,
-    /// Per-node bitmask of ports whose ingress FIFOs hold packets, so
-    /// [`Self::pump`] exits in one load on the (common) empty case and
-    /// skips idle ports otherwise. Nodes with more than 64 ports are
-    /// pinned at `u64::MAX` (= always scan; correctness never depends on
-    /// a clear bit).
-    ing_pending: Vec<u64>,
-    /// Per-node bitmask of ports whose ingress FIFO heads are known
-    /// head-of-line blocked (every non-empty priority's head targets an
-    /// egress with no free staging slot). Maintained only on the
-    /// round-robin ≤ 64-port fast path; a set bit is *exact*, never
-    /// stale: it is cleared on every transition that can make the head
-    /// movable again — a staging slot freeing at a target egress (see
-    /// [`Self::start_data_tx`] waking `head_waiters`), or an arrival
-    /// installing a new head in an empty priority FIFO of the port. An
-    /// arrival behind an existing head leaves the bit alone.
-    ing_blocked: Vec<u64>,
-    /// `head_waiters[node][egress_port]`: bitmask of this node's ingress
-    /// ports whose blocked FIFO head targets that egress. Cleared
-    /// wholesale when the egress frees a slot (the woken ingresses are
-    /// re-checked and re-marked if still blocked), so bits may linger
-    /// after a head unblocks by other means — a spurious wake is a
-    /// harmless re-check.
-    head_waiters: Vec<Box<[u64]>>,
+    /// Per-node switching state, by node id.
+    sw: Vec<NodeSw>,
     /// Per-link `(a, port on a, port on b)`: O(1) next-hop port lookup on
     /// the per-hop forwarding path (replaces the adjacency scan).
     link_ports: Vec<(NodeId, u16, u16)>,
@@ -142,12 +154,6 @@ pub struct Network {
     queue: EventQueue,
     now: Time,
     rng: StdRng,
-    /// Per-node counters driving the node-local ECN mark draws: draw `k`
-    /// at node `n` hashes `(seed, n, k)` through splitmix64, so the
-    /// sequence a node sees is independent of every other node's activity
-    /// — the property that lets a sharded run reproduce the sequential
-    /// engine's draws exactly.
-    ecn_seq: Vec<u64>,
     /// Sharded-mode node filter: `Some((domain_of, my_domain))` when this
     /// network instance is one shard of a partitioned run. Events
     /// targeting nodes of other domains divert to [`Self::outbox`]
@@ -266,12 +272,13 @@ impl Network {
         }
         let traces = Traces::for_config(&trace_cfg);
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let pump_rr = vec![0; ports.num_nodes()];
-        let arrival_seq = vec![0u64; ports.num_nodes()];
-        let ing_pending =
-            ports.nodes().map(|np| if np.len() > 64 { u64::MAX } else { 0 }).collect();
-        let ing_blocked = vec![0; ports.num_nodes()];
-        let head_waiters = ports.nodes().map(|np| vec![0; np.len()].into_boxed_slice()).collect();
+        let sw = ports
+            .nodes()
+            .map(|np| NodeSw {
+                ing_pending: if np.len() > 64 { u64::MAX } else { 0 },
+                ..NodeSw::default()
+            })
+            .collect();
         let link_ports = topo
             .link_ids()
             .map(|l| {
@@ -285,11 +292,7 @@ impl Network {
             topo,
             routing,
             ports,
-            pump_rr,
-            arrival_seq,
-            ing_pending,
-            ing_blocked,
-            head_waiters,
+            sw,
             link_ports,
             hosts,
             host_of_node,
@@ -297,7 +300,6 @@ impl Network {
             queue: EventQueue::new(),
             now: Time::ZERO,
             rng,
-            ecn_seq: vec![0; num_nodes],
             domain_filter: domain,
             outbox: Vec::new(),
             workload: None,
@@ -686,7 +688,7 @@ impl Network {
             let mut path_ports = Vec::with_capacity(path.len());
             for &l in path.iter() {
                 let out = self.out_port(cur, l);
-                let ps = &self.ports[cur.0 as usize][out];
+                let ps = &self.ports[self.ports.ix(cur.0 as usize, out)];
                 path_ports.push((ps.peer.0, ps.peer_port as u16));
                 cur = ps.peer;
             }
@@ -1014,11 +1016,12 @@ impl Network {
                 self.on_ctrl_apply(node, port, prio, payload, cause);
             }
             Event::TxKick { node, port } => {
-                let ps = &mut self.ports[node.0 as usize][port];
+                let px = self.ports.ix(node.0 as usize, port);
+                let ps = &mut self.ports[px];
                 if ps.kick_at.is_some_and(|t| t <= self.now) {
                     ps.kick_at = None;
                 }
-                self.try_transmit(node, port);
+                self.try_transmit(node, port, px);
             }
             Event::TxComplete { node, port } => self.on_tx_complete(node, port),
             Event::PeriodicFeedback { node, port } => self.on_periodic_feedback(node, port),
@@ -1082,10 +1085,8 @@ impl Network {
         self.tel.on_flow_delivery(pkt.flow, pkt.bytes, self.now.0);
         // Keep credit accounting alive on the host's ingress (the switch's
         // egress towards us spends credits) — the sink drains instantly.
-        self.ports[node.0 as usize][port]
-            .pq_mut(pkt.prio as usize)
-            .ing_rx
-            .on_host_delivery(pkt.bytes);
+        let px = self.ports.ix(node.0 as usize, port);
+        self.ports[px].pq_mut(pkt.prio as usize).ing_rx.on_host_delivery(pkt.bytes);
         // ECN → CNP at the receiver.
         if pkt.ecn_marked {
             if let Some(dc) = self.cfg.dcqcn {
@@ -1156,18 +1157,22 @@ impl Network {
     fn forward_at_switch(&mut self, node: NodeId, port: usize, mut pkt: Packet) {
         let prio = pkt.prio as usize;
         let bytes = pkt.bytes;
+        let n = node.0 as usize;
+        let span = self.ports.span(n);
+        let ing_ix = span.ix(port);
         // Ingress admission.
-        {
-            let ps = &mut self.ports[node.0 as usize][port];
-            if ps.pq(prio).ing_bytes + bytes > self.cfg.buffer_bytes {
-                ps.drops += 1;
-                self.stats.drops += 1;
-                self.tel.on_drop(self.now.0, node, port, pkt.prio, bytes);
-                return;
-            }
-            ps.pq_mut(prio).ing_bytes += bytes;
+        let ps = &mut self.ports[ing_ix];
+        if ps.pq(prio).ing_bytes + bytes > self.cfg.buffer_bytes {
+            ps.drops += 1;
+            self.stats.drops += 1;
+            self.tel.on_drop(self.now.0, node, port, pkt.prio, bytes);
+            return;
         }
-        let q = self.ports[node.0 as usize][port].pq(prio).ing_bytes;
+        let q = {
+            let cnt = &mut ps.pq_mut(prio).ing_bytes;
+            *cnt += bytes;
+            *cnt
+        };
         self.tel.on_enqueue(self.now.0, node, port, pkt.prio, bytes, q);
         // Route first: backends that chain causality along the forwarding
         // direction (DCFIT) need the forward egress resolved before the
@@ -1177,25 +1182,25 @@ impl Network {
             .unwrap_or_else(|| panic!("packet {} stranded at switch {node:?}", pkt.id));
         debug_assert!(self.topo.link_alive(link), "routing used a failed link");
         let out_port = self.out_port(node, link);
-        let inherited_tag = if self.ports[node.0 as usize][port].pq(prio).ing_rx.wants_fwd_tag() {
-            self.ports[node.0 as usize][out_port].pq(prio).tx_fc.applied_tag()
+        let out = span.ix(out_port);
+        let inherited_tag = if self.ports[ing_ix].pq(prio).ing_rx.wants_fwd_tag() {
+            self.ports[out].pq(prio).tx_fc.applied_tag()
         } else {
             None
         };
         let ctx = QueueCtx { q_bytes: q, pkt_bytes: bytes, flow: pkt.flow, inherited_tag };
-        let mut out = Vec::new();
-        self.ports[node.0 as usize][port].pq_mut(prio).ing_rx.on_arrival(&ctx, &mut out);
-        for payload in out {
+        let mut msgs = Vec::new();
+        self.ports[ing_ix].pq_mut(prio).ing_rx.on_arrival(&ctx, &mut msgs);
+        for payload in msgs {
             let fwd = if self.tel.causal_on() {
                 self.causal_fwd_hint(node, port, prio, &pkt)
             } else {
                 None
             };
-            self.send_ctrl(node, port, pkt.prio, payload, fwd);
+            self.send_ctrl(node, port, ing_ix, pkt.prio, payload, fwd);
         }
         pkt.hop += 1;
-        let n = node.0 as usize;
-        let eg = &mut self.ports[n][out_port].pq_mut(prio).eg;
+        let eg = &mut self.ports[out].pq_mut(prio).eg;
         eg.voq_bytes += bytes;
         if self.cfg.pump == PumpPolicy::OutputQueued {
             // Output-queued switch: the packet joins its egress queue on
@@ -1203,43 +1208,47 @@ impl Network {
             // unbounded, so a pump would move every head at once anyway.
             eg.bytes += bytes;
             eg.q.push_back(StagedPacket { pkt, ingress_port: Some(port) });
-            self.try_transmit(node, out_port);
+            self.try_transmit(node, out_port, out);
             return;
         }
         // Input-buffered switch: queue in the ingress FIFO; the packet
         // moves to its egress only when a staging slot frees.
-        let arrival_seq = self.arrival_seq[n];
-        self.arrival_seq[n] += 1;
-        let ing_q = &mut self.ports[n][port].pq_mut(prio).ing_q;
+        let sw = &mut self.sw[n];
+        let arrival_seq = sw.arrival_seq;
+        sw.arrival_seq += 1;
+        let ing_q = &mut self.ports[ing_ix].pq_mut(prio).ing_q;
         let new_head = ing_q.is_empty();
         ing_q.push_back(IngressPacket { pkt, out_port, arrival_seq });
-        if new_head && self.ports[n].len() <= 64 {
+        if new_head && span.len() <= 64 {
             // The arrival installed a new (maybe movable) head. Behind an
             // existing head it changes nothing: that head is still
-            // registered in `head_waiters` if blocked, and the port's
-            // pending bit is already set.
-            self.ing_pending[n] |= 1 << port;
-            self.ing_blocked[n] &= !(1 << port);
+            // registered in its target's `head_waiters` if blocked, and
+            // the port's pending bit is already set.
+            let sw = &mut self.sw[n];
+            sw.ing_pending |= 1 << port;
+            sw.ing_blocked &= !(1 << port);
         }
-        self.pump(node);
+        self.pump(node, span);
     }
 
     /// Move packets from ingress FIFOs into free egress staging slots,
     /// kicking each egress that receives work. Runs to a fixed point. The
     /// selection among competing FIFO heads follows [`PumpPolicy`]; only
     /// the input-buffered policies pump (an output-queued switch has no
-    /// ingress FIFO, see [`Self::forward_at_switch`]).
-    fn pump(&mut self, node: NodeId) {
+    /// ingress FIFO, see [`Self::forward_at_switch`]). `span` is the
+    /// node's range of the port table, resolved once by the caller; every
+    /// port the pump touches is checked against it.
+    fn pump(&mut self, node: NodeId, span: PortSpan) {
         debug_assert!(self.cfg.pump != PumpPolicy::OutputQueued, "output-queued switch pumped");
         let n = node.0 as usize;
-        let num_ports = self.ports[n].len();
+        let num_ports = span.len();
         let np = self.cfg.num_priorities;
         let round_robin = self.cfg.pump == PumpPolicy::RoundRobin;
         let slots = self.cfg.stage_slots;
         loop {
             // One load answers the common case: no ingress FIFO holds
             // anything, nothing to move.
-            let pending = self.ing_pending[n];
+            let pending = self.sw[n].ing_pending;
             if pending == 0 {
                 return;
             }
@@ -1251,34 +1260,35 @@ impl Network {
                 // take the first movable head — the same selection the
                 // generic scan below makes, without touching idle or
                 // known-blocked ports. Ports that turn out blocked are
-                // recorded in `ing_blocked` + `head_waiters`, so a node
-                // whose every waiting head is staged-out resolves the
-                // next pump in two loads.
-                let start = self.pump_rr[n]; // < num_ports <= 64
-                let avail = pending & !self.ing_blocked[n];
+                // recorded in `ing_blocked` + the target's
+                // `head_waiters`, so a node whose every waiting head is
+                // staged-out resolves the next pump in two loads.
+                let start = self.sw[n].pump_rr; // < num_ports <= 64
+                let avail = pending & !self.sw[n].ing_blocked;
                 let lo = (1u64 << start) - 1;
                 let mut found = None;
                 'scan: for m0 in [avail & !lo, avail & lo] {
                     let mut m = m0;
                     while m != 0 {
                         let ing = m.trailing_zeros() as usize;
+                        let ing_ix = span.ix(ing);
                         let mut any_head = false;
                         for prio in 0..np {
-                            let Some(head) = self.ports[n][ing].pq(prio).ing_q.front() else {
+                            let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
                                 continue;
                             };
                             any_head = true;
-                            let out_port = head.out_port;
-                            if self.ports[n][out_port].pq(prio).eg.q.len() < slots {
+                            let out = span.ix(head.out_port);
+                            if self.ports[out].pq(prio).eg.q.len() < slots {
                                 found = Some((ing, prio));
                                 break 'scan;
                             }
                             // Head-of-line wait: wake this ingress when
                             // the target egress frees a slot.
-                            self.head_waiters[n][out_port] |= 1 << ing;
+                            self.ports[out].head_waiters |= 1 << ing;
                         }
                         if any_head {
-                            self.ing_blocked[n] |= 1 << ing;
+                            self.sw[n].ing_blocked |= 1 << ing;
                         }
                         m &= m - 1;
                     }
@@ -1286,7 +1296,7 @@ impl Network {
                 found
             } else {
                 let mut best: Option<(usize, usize, u64)> = None; // (ing, prio, seq)
-                let start = self.pump_rr[n];
+                let start = self.sw[n].pump_rr;
                 for i in 0..num_ports {
                     let ing = (start + i) % num_ports;
                     // Skip ports with empty FIFOs without touching their
@@ -1295,11 +1305,12 @@ impl Network {
                     if ing < 64 && pending & (1 << ing) == 0 {
                         continue;
                     }
+                    let ing_ix = span.ix(ing);
                     for prio in 0..np {
-                        let Some(head) = self.ports[n][ing].pq(prio).ing_q.front() else {
+                        let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
                             continue;
                         };
-                        if self.ports[n][head.out_port].pq(prio).eg.q.len() >= slots {
+                        if self.ports[span.ix(head.out_port)].pq(prio).eg.q.len() >= slots {
                             continue; // head-of-line wait at the ingress FIFO
                         }
                         if round_robin {
@@ -1317,29 +1328,31 @@ impl Network {
                 best.map(|(ing, prio, _)| (ing, prio))
             };
             let Some((ing, prio)) = best else { return };
+            let ing_ix = span.ix(ing);
             // Grant: move up to `pump_batch` packets from the chosen FIFO
             // (the DPDK testbed switch forwards in such bursts).
             let mut granted = 0usize;
             while granted < self.cfg.pump_batch {
-                let Some(head) = self.ports[n][ing].pq(prio).ing_q.front() else {
+                let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
                     break;
                 };
-                if self.ports[n][head.out_port].pq(prio).eg.q.len() >= slots {
+                let out = span.ix(head.out_port);
+                if self.ports[out].pq(prio).eg.q.len() >= slots {
                     break;
                 }
                 let IngressPacket { pkt, out_port, .. } =
-                    self.ports[n][ing].pq_mut(prio).ing_q.pop_front().expect("head vanished");
+                    self.ports[ing_ix].pq_mut(prio).ing_q.pop_front().expect("head vanished");
                 let bytes = pkt.bytes;
-                let eg = &mut self.ports[n][out_port].pq_mut(prio).eg;
+                let eg = &mut self.ports[out].pq_mut(prio).eg;
                 eg.bytes += bytes;
                 eg.q.push_back(StagedPacket { pkt, ingress_port: Some(ing) });
                 granted += 1;
-                self.try_transmit(node, out_port);
+                self.try_transmit(node, out_port, out);
             }
-            if num_ports <= 64 && self.ports[n][ing].pqs().all(|pq| pq.ing_q.is_empty()) {
-                self.ing_pending[n] &= !(1 << ing);
+            if num_ports <= 64 && self.ports[ing_ix].pqs().all(|pq| pq.ing_q.is_empty()) {
+                self.sw[n].ing_pending &= !(1 << ing);
             }
-            self.pump_rr[n] = if ing + 1 >= num_ports { 0 } else { ing + 1 };
+            self.sw[n].pump_rr = if ing + 1 >= num_ports { 0 } else { ing + 1 };
         }
     }
 
@@ -1352,20 +1365,18 @@ impl Network {
         cause: CauseToken,
     ) {
         let wire = payload.wire_bytes();
-        {
-            let ps = &mut self.ports[node.0 as usize][port];
-            ps.ctrl_bytes_rx += wire;
-            ps.ctrl_msgs_rx += 1;
-        }
+        let px = self.ports.ix(node.0 as usize, port);
+        let ps = &mut self.ports[px];
+        ps.ctrl_bytes_rx += wire;
+        ps.ctrl_msgs_rx += 1;
         self.stats.ctrl_msgs += 1;
         self.stats.ctrl_bytes += wire;
-        let rate_before = self.ports[node.0 as usize][port].pq(prio as usize).tx_fc.assigned_rate();
-        let outcome = self.ports[node.0 as usize][port]
-            .pq_mut(prio as usize)
-            .tx_fc
+        let tx_fc = &mut ps.pq_mut(prio as usize).tx_fc;
+        let rate_before = tx_fc.assigned_rate();
+        let outcome = tx_fc
             .on_ctrl(payload, self.now)
             .expect("control payload matches the scheme fixed at construction");
-        let rate_after = self.ports[node.0 as usize][port].pq(prio as usize).tx_fc.assigned_rate();
+        let rate_after = tx_fc.assigned_rate();
         self.tel.on_ctrl_rx(
             self.now.0,
             node,
@@ -1379,7 +1390,7 @@ impl Network {
             self.on_fc_detection();
         }
         if outcome.opened {
-            self.try_transmit(node, port);
+            self.try_transmit(node, port, px);
         }
     }
 
@@ -1403,21 +1414,18 @@ impl Network {
         let Some(period) = self.cfg.fc.period() else {
             return;
         };
+        let px = self.ports.ix(node.0 as usize, port);
         for prio in 0..self.cfg.num_priorities {
-            let msg = self.ports[node.0 as usize][port].pq_mut(prio).ing_rx.periodic();
+            let msg = self.ports[px].pq_mut(prio).ing_rx.periodic();
             if let Some(payload) = msg {
                 // Lineage hint: where this ingress's queued traffic heads —
                 // the FIFO head's routed egress (None when idle or a host).
                 let fwd = if self.tel.causal_on() {
-                    self.ports[node.0 as usize][port]
-                        .pq(prio)
-                        .ing_q
-                        .front()
-                        .map(|h| h.out_port as u16)
+                    self.ports[px].pq(prio).ing_q.front().map(|h| h.out_port as u16)
                 } else {
                     None
                 };
-                self.send_ctrl(node, port, prio as u8, payload, fwd);
+                self.send_ctrl(node, port, px, prio as u8, payload, fwd);
             }
         }
         self.queue.push(self.now + period, Event::PeriodicFeedback { node, port });
@@ -1512,13 +1520,13 @@ impl Network {
     /// the backlog lives in egress staging), and finally the arriving
     /// packet's route. A pure read; only evaluated with the tracker on.
     fn causal_fwd_hint(&self, node: NodeId, port: usize, prio: usize, pkt: &Packet) -> Option<u16> {
-        let n = node.0 as usize;
-        if let Some(head) = self.ports[n][port].pq(prio).ing_q.front() {
+        let node_ports = &self.ports[node.0 as usize];
+        if let Some(head) = node_ports[port].pq(prio).ing_q.front() {
             return Some(head.out_port as u16);
         }
         let routed = pkt.next_link().map(|l| self.out_port(node, l));
         let blocked = |p: usize| {
-            let pq = self.ports[n][p].pq(prio);
+            let pq = node_ports[p].pq(prio);
             pq.eg.q.front().is_some_and(|h| {
                 pq.tx_fc.hard_blocked(&TxHead { bytes: h.pkt.bytes, flow: h.pkt.flow }, self.now)
             })
@@ -1528,11 +1536,11 @@ impl Network {
                 return Some(out as u16);
             }
         }
-        for p in 0..self.ports[n].len() {
+        for (p, ps) in node_ports.iter().enumerate() {
             if Some(p) == routed || !blocked(p) {
                 continue;
             }
-            if self.ports[n][p].pq(prio).eg.q.iter().any(|sp| sp.ingress_port == Some(port)) {
+            if ps.pq(prio).eg.q.iter().any(|sp| sp.ingress_port == Some(port)) {
                 return Some(p as u16);
             }
         }
@@ -1540,14 +1548,15 @@ impl Network {
     }
 
     /// Queue a feedback message generated by ingress `(node, port, prio)`
-    /// for transmission to the upstream peer. `fwd_egress` is the local
-    /// egress this ingress's traffic forwards through (the causal layer's
-    /// lineage hint; callers pass `None` when the tracker is off or the
-    /// forwarding direction is unknown).
+    /// (resolved as `px`) for transmission to the upstream peer.
+    /// `fwd_egress` is the local egress this ingress's traffic forwards
+    /// through (the causal layer's lineage hint; callers pass `None` when
+    /// the tracker is off or the forwarding direction is unknown).
     fn send_ctrl(
         &mut self,
         node: NodeId,
         port: usize,
+        px: PortIx,
         prio: u8,
         payload: CtrlPayload,
         fwd_egress: Option<u16>,
@@ -1556,7 +1565,7 @@ impl Network {
         let sense = self.tel.causal_on().then(|| {
             // The generating receiver classifies its own message — it is
             // the only party that knows the scheme's assert/clear intent.
-            let pq = self.ports[node.0 as usize][port].pq(prio as usize);
+            let pq = self.ports[px].pq(prio as usize);
             let sense = match pq.ing_rx.sense(&payload, pq.ing_bytes) {
                 Sense::AssertHard => CtrlSense::AssertHard,
                 Sense::AssertSoft => CtrlSense::AssertSoft,
@@ -1568,10 +1577,8 @@ impl Network {
         if payload.wire_bytes() == 0 {
             // Conceptual out-of-band channel: fixed latency τ.
             let tau = self.cfg.fc.oob_latency();
-            let (peer, peer_port) = {
-                let ps = &self.ports[node.0 as usize][port];
-                (ps.peer, ps.peer_port)
-            };
+            let ps = &self.ports[px];
+            let (peer, peer_port) = (ps.peer, ps.peer_port);
             self.push_wire(
                 EventQueue::LANE_CTRL_OOB,
                 self.now + tau,
@@ -1580,24 +1587,24 @@ impl Network {
             );
             return;
         }
-        self.ports[node.0 as usize][port].ctrl_q.push_back(QueuedCtrl { payload, prio, cause });
-        self.try_transmit(node, port);
+        self.ports[px].ctrl_q.push_back(QueuedCtrl { payload, prio, cause });
+        self.try_transmit(node, port, px);
     }
 
-    /// Attempt to start a transmission on `(node, port)`.
-    fn try_transmit(&mut self, node: NodeId, port: usize) {
+    /// Attempt to start a transmission on `(node, port)`, resolved as
+    /// `px`.
+    fn try_transmit(&mut self, node: NodeId, port: usize, px: PortIx) {
         let np = self.cfg.num_priorities;
         let now = self.now;
-        let n = node.0 as usize;
-        if self.ports[n][port].tx_busy {
+        let ps = &mut self.ports[px];
+        if ps.tx_busy {
             return;
         }
         // Control frames first (strict priority, immune to pause).
-        if let Some(ctrl) = self.ports[n][port].ctrl_q.pop_front() {
+        if let Some(ctrl) = ps.ctrl_q.pop_front() {
             let wire = ctrl.payload.wire_bytes();
             let tx_time = Dur::for_bytes(wire, self.cfg.capacity);
             let done = now + tx_time;
-            let ps = &mut self.ports[n][port];
             ps.bytes_tx += wire;
             ps.tx_busy = true;
             ps.current_ctrl = Some(ctrl);
@@ -1609,15 +1616,17 @@ impl Network {
         for i in 0..np {
             // wrr_next < np, i < np: one conditional subtract is an exact
             // modulo (hardware division is too hot on this path).
-            let mut prio = self.ports[n][port].wrr_next + i;
+            let ps = &mut self.ports[px];
+            let mut prio = ps.wrr_next + i;
             if prio >= np {
                 prio -= np;
             }
-            let head = match self.ports[n][port].pq(prio).eg.q.front() {
+            let pq = ps.pq_mut(prio);
+            let head = match pq.eg.q.front() {
                 Some(sp) => TxHead { bytes: sp.pkt.bytes, flow: sp.pkt.flow },
                 None => continue,
             };
-            match self.ports[n][port].pq_mut(prio).tx_fc.gate(&head, now) {
+            match pq.tx_fc.gate(&head, now) {
                 Gate::Blocked => {
                     self.tel.on_gate_blocked();
                     continue;
@@ -1627,13 +1636,13 @@ impl Network {
                     continue;
                 }
                 Gate::Ready => {
-                    self.start_data_tx(node, port, prio);
+                    self.start_data_tx(node, port, px, prio);
                     return;
                 }
             }
         }
         if let Some(t) = wake {
-            let ps = &mut self.ports[n][port];
+            let ps = &mut self.ports[px];
             if ps.kick_at.is_none_or(|pending| t < pending) {
                 ps.kick_at = Some(t);
                 self.tel.on_gate_paced(t.0 - now.0);
@@ -1642,7 +1651,7 @@ impl Network {
         }
     }
 
-    fn start_data_tx(&mut self, node: NodeId, port: usize, prio: usize) {
+    fn start_data_tx(&mut self, node: NodeId, port: usize, px: PortIx, prio: usize) {
         let n = node.0 as usize;
         let now = self.now;
         // ECN marking at switch egress, based on the egress queue length
@@ -1651,12 +1660,13 @@ impl Network {
             (false, Some(m)) => {
                 // Mark against the virtual output queue: everything in the
                 // node currently destined to this egress. The uniform draw
-                // is a node-local counter hash (see `ecn_seq`), not a
-                // shared-stream draw, so the sequence is identical whether
-                // this node runs in the sequential engine or in a shard.
-                let qlen = self.ports[n][port].pq(prio).eg.voq_bytes;
-                let k = self.ecn_seq[n];
-                self.ecn_seq[n] = k + 1;
+                // is a node-local counter hash (see `NodeSw::ecn_seq`), not
+                // a shared-stream draw, so the sequence is identical
+                // whether this node runs in the sequential engine or in a
+                // shard.
+                let qlen = self.ports[px].pq(prio).eg.voq_bytes;
+                let k = self.sw[n].ecn_seq;
+                self.sw[n].ecn_seq = k + 1;
                 let h =
                     splitmix(self.cfg.seed ^ 0x9E37_79B9_7F4A_7C15 ^ (u64::from(node.0) << 40) ^ k);
                 let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -1664,38 +1674,37 @@ impl Network {
             }
             _ => false,
         };
-        let ps = &mut self.ports[n][port];
-        let mut sp = ps.pq_mut(prio).eg.q.pop_front().expect("gate passed on empty queue");
-        ps.pq_mut(prio).eg.bytes -= sp.pkt.bytes;
+        let ps = &mut self.ports[px];
+        let pq = ps.pq_mut(prio);
+        let mut sp = pq.eg.q.pop_front().expect("gate passed on empty queue");
+        pq.eg.bytes -= sp.pkt.bytes;
         if mark {
             sp.pkt.ecn_marked = true;
         }
         let tx_time = Dur::for_bytes(sp.pkt.bytes, self.cfg.capacity);
         let done = now + tx_time;
         let head = TxHead { bytes: sp.pkt.bytes, flow: sp.pkt.flow };
-        ps.pq_mut(prio).tx_fc.on_sent(&head, tx_time, done);
+        pq.tx_fc.on_sent(&head, tx_time, done);
         ps.bytes_tx += sp.pkt.bytes;
         ps.tx_busy = true;
         ps.current_data = Some((sp, prio as u8));
         ps.wrr_next = if prio + 1 >= self.cfg.num_priorities { 0 } else { prio + 1 };
-        self.queue.push_fifo(EventQueue::LANE_TX, done, Event::TxComplete { node, port });
         // This egress just freed a staging slot: ingress FIFO heads that
         // head-of-line blocked on it are movable again.
-        let w = self.head_waiters[n][port];
+        let w = std::mem::take(&mut ps.head_waiters);
         if w != 0 {
-            self.ing_blocked[n] &= !w;
-            self.head_waiters[n][port] = 0;
+            self.sw[n].ing_blocked &= !w;
         }
+        self.queue.push_fifo(EventQueue::LANE_TX, done, Event::TxComplete { node, port });
     }
 
     fn on_tx_complete(&mut self, node: NodeId, port: usize) {
-        let n = node.0 as usize;
-        self.ports[n][port].tx_busy = false;
-        if let Some(ctrl) = self.ports[n][port].current_ctrl.take() {
-            let (peer, peer_port) = {
-                let ps = &self.ports[n][port];
-                (ps.peer, ps.peer_port)
-            };
+        let span = self.ports.span(node.0 as usize);
+        let px = span.ix(port);
+        let ps = &mut self.ports[px];
+        ps.tx_busy = false;
+        let (peer, peer_port) = (ps.peer, ps.peer_port);
+        if let Some(ctrl) = ps.current_ctrl.take() {
             let due = self.now + self.cfg.prop_delay + self.cfg.ctrl_proc_delay;
             self.push_wire(
                 EventQueue::LANE_CTRL,
@@ -1709,18 +1718,13 @@ impl Network {
                     cause: ctrl.cause,
                 },
             );
-            self.try_transmit(node, port);
+            self.try_transmit(node, port, px);
             return;
         }
-        let (sp, prio) =
-            self.ports[n][port].current_data.take().expect("tx completed with no frame");
+        let (sp, prio) = ps.current_data.take().expect("tx completed with no frame");
         let StagedPacket { pkt, ingress_port } = sp;
         let bytes = pkt.bytes;
         let flow = pkt.flow;
-        let (peer, peer_port) = {
-            let ps = &self.ports[n][port];
-            (ps.peer, ps.peer_port)
-        };
         // Hand the frame to the wire — moved into the arrival lane by
         // value, no per-hop clone. Constant propagation delay ⇒ arrivals
         // are due in push order: they ride the O(1) FIFO lane.
@@ -1733,27 +1737,26 @@ impl Network {
         // Release the local ingress charge (switch transit traffic).
         if let Some(ing) = ingress_port {
             {
-                let voq = &mut self.ports[n][port].pq_mut(prio as usize).eg.voq_bytes;
+                let voq = &mut self.ports[px].pq_mut(prio as usize).eg.voq_bytes;
                 debug_assert!(*voq >= bytes, "VOQ accounting underflow");
                 *voq -= bytes;
             }
-            let q_after = {
-                let cnt = &mut self.ports[n][ing].pq_mut(prio as usize).ing_bytes;
-                debug_assert!(*cnt >= bytes, "ingress accounting underflow");
-                *cnt -= bytes;
-                *cnt
-            };
-            let ctx = QueueCtx { q_bytes: q_after, pkt_bytes: bytes, flow, inherited_tag: None };
-            let mut out = Vec::new();
-            self.ports[n][ing].pq_mut(prio as usize).ing_rx.on_drain(&ctx, &mut out);
-            for payload in out {
+            let ing_ix = span.ix(ing);
+            let ing_pq = self.ports[ing_ix].pq_mut(prio as usize);
+            debug_assert!(ing_pq.ing_bytes >= bytes, "ingress accounting underflow");
+            ing_pq.ing_bytes -= bytes;
+            let ctx =
+                QueueCtx { q_bytes: ing_pq.ing_bytes, pkt_bytes: bytes, flow, inherited_tag: None };
+            let mut msgs = Vec::new();
+            ing_pq.ing_rx.on_drain(&ctx, &mut msgs);
+            for payload in msgs {
                 // Lineage hint: the drain happened through this egress.
                 let fwd = if self.tel.causal_on() { Some(port as u16) } else { None };
-                self.send_ctrl(node, ing, prio, payload, fwd);
+                self.send_ctrl(node, ing, ing_ix, prio, payload, fwd);
             }
             // A staging slot freed: pull waiting ingress FIFO heads.
             if self.cfg.pump != PumpPolicy::OutputQueued {
-                self.pump(node);
+                self.pump(node, span);
             }
         } else {
             // Host NIC: feed DCQCN's byte counter and top the queue up.
@@ -1767,7 +1770,7 @@ impl Network {
             }
             self.refill_host(node);
         }
-        self.try_transmit(node, port);
+        self.try_transmit(node, port, px);
     }
 
     // ----------------------------------------------------------------
@@ -1784,8 +1787,9 @@ impl Network {
             Wake(Time),
             Send { pkt: Packet },
         }
+        let px = self.ports.ix(host.0 as usize, 0);
         loop {
-            let staged: usize = self.ports[host.0 as usize][0].pqs().map(|pq| pq.eg.q.len()).sum();
+            let staged: usize = self.ports[px].pqs().map(|pq| pq.eg.q.len()).sum();
             if staged >= 2 {
                 return;
             }
@@ -1870,10 +1874,10 @@ impl Network {
                     self.next_pkt_id += 1;
                     let prio = pkt.prio as usize;
                     let bytes = pkt.bytes;
-                    let eg = &mut self.ports[host.0 as usize][0].pq_mut(prio).eg;
+                    let eg = &mut self.ports[px].pq_mut(prio).eg;
                     eg.bytes += bytes;
                     eg.q.push_back(StagedPacket { pkt, ingress_port: None });
-                    self.try_transmit(host, 0);
+                    self.try_transmit(host, 0, px);
                 }
             }
         }
@@ -1977,7 +1981,7 @@ impl Network {
         let occupancies = port_set
             .iter()
             .map(|&(n, p)| {
-                let ps = &self.ports[n as usize][p as usize];
+                let ps = &self.ports[self.ports.ix(n as usize, p as usize)];
                 PortOccupancy {
                     label: format!("{}:p{p}", self.topo.node(NodeId(n)).name),
                     node: n,
@@ -2025,4 +2029,146 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gfc_core::units::kb;
+    use gfc_core::FcConfig;
+    use gfc_topology::Ring;
+
+    impl Network {
+        /// Check the pump's masks against the FIFOs they summarise, at a
+        /// node of at most 64 ports: a port's `ing_pending` bit is set iff
+        /// its ingress holds a packet, and an `ing_blocked` bit means every
+        /// non-empty head targets a full egress whose `head_waiters` has
+        /// the port's bit. A wider node keeps `ing_pending` pinned at
+        /// `u64::MAX` and never marks a head blocked. Returns the number of
+        /// ports marked blocked.
+        fn assert_pump_masks(&self) -> u32 {
+            let slots = self.cfg.stage_slots;
+            let mut blocked = 0;
+            for (n, node_ports) in self.ports.nodes().enumerate() {
+                let sw = &self.sw[n];
+                if node_ports.len() > 64 {
+                    assert_eq!(sw.ing_pending, u64::MAX, "node {n}: wide node's pending mask");
+                    assert_eq!(sw.ing_blocked, 0, "node {n}: wide node marked a head blocked");
+                    assert!(node_ports.iter().all(|ps| ps.head_waiters == 0), "node {n}");
+                    continue;
+                }
+                for (p, ps) in node_ports.iter().enumerate() {
+                    let bit = 1u64 << p;
+                    let holds = ps.pqs().any(|pq| !pq.ing_q.is_empty());
+                    assert_eq!(sw.ing_pending & bit != 0, holds, "node {n} port {p}: pending bit");
+                    if sw.ing_blocked & bit == 0 {
+                        continue;
+                    }
+                    blocked += 1;
+                    for prio in 0..self.cfg.num_priorities {
+                        let Some(head) = ps.pq(prio).ing_q.front() else { continue };
+                        let target = &node_ports[head.out_port];
+                        assert!(
+                            target.pq(prio).eg.q.len() >= slots,
+                            "node {n} port {p}: marked blocked, but egress {} has a free slot",
+                            head.out_port
+                        );
+                        assert!(
+                            target.head_waiters & bit != 0,
+                            "node {n} port {p}: blocked on egress {} without its waiter bit",
+                            head.out_port
+                        );
+                    }
+                }
+            }
+            blocked
+        }
+    }
+
+    /// Run `net` to `horizon` one event at a time — so also across every
+    /// instant boundary — checking the pump masks after each; returns how
+    /// many checks saw a port marked blocked. Within an instant the masks
+    /// must hold too: a stale bit can be repaired by a later event of the
+    /// same instant, which a per-instant check would miss.
+    fn run_checking_masks(mut net: Network, horizon: Time) -> u64 {
+        net.ensure_started();
+        let mut checks_blocked = 0;
+        while let Some((t, ev)) = net.queue.pop_at_or_before(horizon) {
+            net.now = t;
+            net.handle(ev);
+            checks_blocked += u64::from(net.assert_pump_masks() > 0);
+        }
+        checks_blocked
+    }
+
+    fn gfc_cfg(prios: u8) -> SimConfig {
+        let mut cfg = SimConfig::default_10g();
+        cfg.buffer_bytes = kb(300) + 4 * 1500;
+        cfg.fc = FcConfig::gfc_buffer(kb(300), kb(281));
+        cfg.pump = PumpPolicy::RoundRobin;
+        cfg.num_priorities = usize::from(prios);
+        cfg.preflight = gfc_verify::PreflightPolicy::Acknowledge;
+        cfg
+    }
+
+    /// The Fig. 1 ring with every clockwise flow on each of `prios`
+    /// priorities.
+    fn ring(prios: u8) -> Network {
+        let ring = Ring::new(3);
+        let routing = Routing::fixed(ring.clockwise_routes());
+        let mut net = Network::new(ring.topo.clone(), routing, gfc_cfg(prios), TraceConfig::none());
+        for (src, dst) in ring.clockwise_flows() {
+            for prio in 0..prios {
+                net.start_flow(src, dst, None, prio).expect("clockwise route");
+            }
+        }
+        net
+    }
+
+    /// One switch with `hosts` hosts: hosts `2k` and `2k + 1` both send to
+    /// host `2k + 2`, and every host also sends half the star away (on
+    /// priority 1 when there are two), so FIFO heads block on two
+    /// egresses.
+    fn star(hosts: usize, prios: u8) -> Network {
+        let mut topo = Topology::new();
+        let sw = topo.add_switch("S");
+        let hs: Vec<NodeId> = (0..hosts).map(|i| topo.add_host(format!("H{i}"))).collect();
+        for &h in &hs {
+            topo.add_link(h, sw);
+        }
+        let mut net = Network::new(topo, Routing::spf(), gfc_cfg(prios), TraceConfig::none());
+        for i in 0..hosts {
+            let far = (i + hosts / 2) % hosts;
+            net.start_flow(hs[i], hs[(i / 2 * 2 + 2) % hosts], None, 0).expect("star route");
+            net.start_flow(hs[i], hs[far], None, prios - 1).expect("star route");
+        }
+        net
+    }
+
+    #[test]
+    fn pump_masks_stay_exact_on_a_round_robin_gfc_ring() {
+        for prios in [1, 2] {
+            let blocked = run_checking_masks(ring(prios), Time::from_millis(5));
+            assert!(
+                blocked > 0,
+                "{prios} priorities: no head ever blocked, the check proved nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn pump_masks_stay_exact_on_a_40_port_star() {
+        for prios in [1, 2] {
+            let blocked = run_checking_masks(star(40, prios), Time::from_millis(1));
+            assert!(
+                blocked > 0,
+                "{prios} priorities: no head ever blocked, the check proved nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn pump_masks_stay_pinned_on_a_70_port_star() {
+        run_checking_masks(star(70, 1), Time::from_millis(1));
+    }
 }

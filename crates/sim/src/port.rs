@@ -9,9 +9,19 @@
 //! egress, sender) sit in one cache region. Priority 0 is stored inline
 //! in [`PortState`]: the headline configurations run a single priority,
 //! and inlining it removes the last pointer chase from the per-packet
-//! path. All ports of all nodes live in one contiguous [`PortTable`]
-//! indexed as `ports[node][port]`; a shard of a sharded run builds only
-//! its own domain's ports, and every foreign node's slice is empty.
+//! path. All ports of all nodes live in one contiguous [`PortTable`]; a
+//! shard of a sharded run builds only its own domain's ports, and every
+//! foreign node's slice is empty.
+//!
+//! ## Addressing
+//!
+//! A handler resolves each `(node, port)` it touches once, with
+//! [`PortTable::ix`] (or [`PortSpan::ix`] after resolving the node with
+//! [`PortTable::span`]), and carries the flat [`PortIx`] to every helper
+//! it calls; `table[ix]` is then one slab load. Resolution keeps the
+//! range check of a slice index: a port past the node's last one panics
+//! instead of aliasing the next node's first port. `table[node]` still
+//! yields a node's ports as a slice, for code that sweeps a whole node.
 
 use crate::config::SimConfig;
 use crate::fc::{CtrlPayload, FcSender};
@@ -144,6 +154,13 @@ pub struct PortState {
     /// control frames) — the basis of the timeline's link-utilization
     /// track.
     pub bytes_tx: u64,
+    /// Bitmask of this node's ingress ports whose blocked FIFO head
+    /// targets this egress (round-robin pump, nodes of at most 64 ports).
+    /// Cleared wholesale when the egress frees a staging slot — the woken
+    /// ingresses are re-checked and re-marked if still blocked — so a bit
+    /// may linger after a head unblocks by other means; a spurious wake
+    /// is a harmless re-check.
+    pub head_waiters: u64,
 }
 
 impl PortState {
@@ -173,6 +190,7 @@ impl PortState {
             ctrl_msgs_rx: 0,
             drops: 0,
             bytes_tx: 0,
+            head_waiters: 0,
         }
     }
 
@@ -219,11 +237,45 @@ impl PortState {
     }
 }
 
-/// All ports of all nodes in one contiguous slab, indexed
-/// `table[node][port]` — `table[node]` yields the node's ports as a
-/// slice. One allocation instead of one per node, so sweeping the fabric
-/// (pump scans, timeline samples, backlog sums) walks memory linearly.
-/// A node may have an empty slice (a foreign node in a shard's table).
+/// A flat index into a [`PortTable`]: one port of one node, resolved
+/// once by [`PortTable::ix`] or [`PortSpan::ix`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortIx(u32);
+
+/// One node's range of a [`PortTable`]: its first flat index and its
+/// port count.
+#[derive(Debug, Clone, Copy)]
+pub struct PortSpan {
+    base: u32,
+    len: u32,
+}
+
+impl PortSpan {
+    /// Number of ports on the node.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the node has no ports (a foreign node in a shard's table).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The flat index of `port`. Panics if the node has no such port.
+    #[inline]
+    pub fn ix(self, port: usize) -> PortIx {
+        assert!(port < self.len as usize, "port {port} out of range ({} ports)", self.len);
+        PortIx(self.base + port as u32)
+    }
+}
+
+/// All ports of all nodes in one contiguous slab, one allocation instead
+/// of one per node, so sweeping the fabric (pump scans, timeline samples,
+/// backlog sums) walks memory linearly. `table[ix]` addresses one port by
+/// its [`PortIx`]; `table[node]` yields a node's ports as a slice. A node
+/// may have an empty slice (a foreign node in a shard's table).
 #[derive(Debug)]
 pub struct PortTable {
     states: Vec<PortState>,
@@ -249,6 +301,20 @@ impl PortTable {
         self.base.len() - 1
     }
 
+    /// Node `node`'s range of the table.
+    #[inline]
+    pub fn span(&self, node: usize) -> PortSpan {
+        let base = self.base[node];
+        PortSpan { base, len: self.base[node + 1] - base }
+    }
+
+    /// The flat index of `(node, port)`. Panics if `node` has no such
+    /// port, exactly as `table[node][port]` would.
+    #[inline]
+    pub fn ix(&self, node: usize, port: usize) -> PortIx {
+        self.span(node).ix(port)
+    }
+
     /// Every port of every node, in node order.
     pub fn all(&self) -> &[PortState] {
         &self.states
@@ -266,6 +332,22 @@ impl PortTable {
     }
 }
 
+impl Index<PortIx> for PortTable {
+    type Output = PortState;
+
+    #[inline]
+    fn index(&self, ix: PortIx) -> &PortState {
+        &self.states[ix.0 as usize]
+    }
+}
+
+impl IndexMut<PortIx> for PortTable {
+    #[inline]
+    fn index_mut(&mut self, ix: PortIx) -> &mut PortState {
+        &mut self.states[ix.0 as usize]
+    }
+}
+
 impl Index<usize> for PortTable {
     type Output = [PortState];
 
@@ -275,9 +357,61 @@ impl Index<usize> for PortTable {
     }
 }
 
-impl IndexMut<usize> for PortTable {
-    #[inline]
-    fn index_mut(&mut self, node: usize) -> &mut [PortState] {
-        &mut self.states[self.base[node] as usize..self.base[node + 1] as usize]
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Node 0 has 2 ports, node 1 none (a shard's foreign node), node 2
+    /// has 3. Each port's `peer_port` is its flat position, so a lookup
+    /// shows where it landed.
+    fn table() -> PortTable {
+        let cfg = SimConfig::default_10g();
+        let mut flat = 0;
+        let mut node = |n: u32, ports: usize| -> Vec<PortState> {
+            (0..ports)
+                .map(|p| {
+                    let ident = PortIdent { node: n, port: p as u16 };
+                    flat += 1;
+                    PortState::new(&cfg, ident, LinkId(0), NodeId(0), flat - 1)
+                })
+                .collect()
+        };
+        let nested = vec![node(0, 2), node(1, 0), node(2, 3)];
+        PortTable::new(nested)
+    }
+
+    #[test]
+    fn ix_addresses_the_same_port_as_the_node_slice() {
+        let t = table();
+        for n in 0..t.num_nodes() {
+            assert_eq!(t.span(n).len(), t[n].len());
+            for p in 0..t[n].len() {
+                assert_eq!(t[t.ix(n, p)].peer_port, t[n][p].peer_port, "node {n} port {p}");
+            }
+        }
+        assert!(t.span(1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ix_rejects_the_port_one_past_the_last() {
+        let t = table();
+        t.ix(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ix_rejects_a_port_in_the_next_nodes_range() {
+        // Flat 3 is node 2's port 1: an unchecked `base + port` would
+        // alias it.
+        let t = table();
+        t.ix(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn ix_rejects_every_port_of_a_foreign_node() {
+        let t = table();
+        t.ix(1, 0);
     }
 }

@@ -15,7 +15,7 @@ use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::fattree::FatTree;
-use gfc_topology::{Ring, Routing};
+use gfc_topology::{NodeId, Ring, Routing, Topology};
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,10 +68,23 @@ fn run_ring_with(seed: u64, layer: Option<Layer>) -> RunFingerprint {
 }
 
 fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, layer: Option<Layer>) -> RunFingerprint {
+    run_ring_prios(fc, pump, 1, seed, layer)
+}
+
+/// [`run_ring_fc`] with `prios` priorities: every clockwise flow runs
+/// once on each, so the pump and the transmitter walk every priority.
+fn run_ring_prios(
+    fc: FcConfig,
+    pump: PumpPolicy,
+    prios: u8,
+    seed: u64,
+    layer: Option<Layer>,
+) -> RunFingerprint {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
     cfg.fc = fc;
     cfg.pump = pump;
+    cfg.num_priorities = usize::from(prios);
     cfg.seed = seed;
     cfg.progress_window = Dur::from_millis(2);
     cfg.preflight = PreflightPolicy::Acknowledge;
@@ -83,9 +96,46 @@ fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, layer: Option<Layer>) 
     let routing = Routing::fixed(ring.clockwise_routes());
     let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
     for (src, dst) in ring.clockwise_flows() {
-        net.start_flow(src, dst, None, 0).expect("clockwise route");
+        for prio in 0..prios {
+            net.start_flow(src, dst, None, prio).expect("clockwise route");
+        }
     }
     net.run_until(Time::from_millis(10));
+    fingerprint(&net)
+}
+
+/// One switch with `hosts` single-port hosts, built link by link.
+fn star(hosts: usize) -> (Topology, Vec<NodeId>) {
+    let mut topo = Topology::new();
+    let sw = topo.add_switch("S");
+    let hs: Vec<NodeId> = (0..hosts).map(|i| topo.add_host(format!("H{i}"))).collect();
+    for &h in &hs {
+        topo.add_link(h, sw);
+    }
+    (topo, hs)
+}
+
+/// A 70-host star under buffer-based GFC: one switch with more than 64
+/// ports, so its pump takes the generic scan. Hosts `2k` and `2k + 1`
+/// both send to host `2k + 2` (a 2:1 incast on every even host), and
+/// every host also sends half the star away, so each ingress FIFO holds
+/// packets for two egresses and its head can block on either.
+fn run_star(pump: PumpPolicy, seed: u64) -> RunFingerprint {
+    let (topo, hosts) = star(70);
+    let mut cfg = SimConfig::default_10g();
+    cfg.buffer_bytes = kb(300) + 4 * 1500;
+    cfg.fc = FcConfig::gfc_buffer(kb(300), kb(281));
+    cfg.pump = pump;
+    cfg.seed = seed;
+    cfg.preflight = PreflightPolicy::Acknowledge;
+    let mut net = Network::new(topo, Routing::spf(), cfg, TraceConfig::none());
+    let n = hosts.len();
+    for i in 0..n {
+        for dst in [(i / 2 * 2 + 2) % n, (i + n / 2) % n] {
+            net.start_flow(hosts[i], hosts[dst], None, 0).expect("star route");
+        }
+    }
+    net.run_until(Time::from_millis(1));
     fingerprint(&net)
 }
 
@@ -217,6 +267,7 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
     // just one that makes two runs disagree — moves these.
     let bfc = FcConfig::Bfc(BfcConfig::derive(kb(300) + 4 * 1500, 1500));
     let dcfit = FcConfig::dcfit(kb(280), kb(277));
+    let gfc = FcConfig::gfc_buffer(kb(300), kb(281));
     let cases = [
         ("ring", run_ring(9), (11_092, 0xd289_0f2a_bbc3_0dbb, 0x4e7c_b668_d7f3_9966)),
         ("fat-tree", run_fattree(4242), (191_574, 0x27c3_0edd_0a9a_b14e, 0x5355_bc56_1e13_9c2e)),
@@ -229,6 +280,29 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
             "DCFIT fat-tree",
             run_fattree_fc(dcfit, PumpPolicy::OutputQueued, 4242),
             (271_451, 0xc6ec_3819_95ca_9161, 0x506c_9963_da85_01fe),
+        ),
+        // The input-buffered pump's other paths: arrival-order selection,
+        // priorities past the inline one, and a node too wide for the
+        // 64-bit pending/blocked masks.
+        (
+            "ArrivalOrder GFC ring",
+            run_ring_fc(gfc, PumpPolicy::ArrivalOrder, 9, None),
+            (18_931, 0xe3c1_33b0_80f6_90f2, 0x4e7c_b668_d7f3_9966),
+        ),
+        (
+            "two-priority GFC ring",
+            run_ring_prios(gfc, PumpPolicy::RoundRobin, 2, 9, None),
+            (31_327, 0xde34_d57d_c00b_4d8d, 0x4e7c_b668_d7f3_9966),
+        ),
+        (
+            "70-host RoundRobin star",
+            run_star(PumpPolicy::RoundRobin, 9),
+            (196_045, 0x6db4_0176_4e49_a00f, 0x4e7c_b668_d7f3_9966),
+        ),
+        (
+            "70-host ArrivalOrder star",
+            run_star(PumpPolicy::ArrivalOrder, 9),
+            (208_422, 0x8d67_7066_ce7c_4495, 0x4e7c_b668_d7f3_9966),
         ),
     ];
     for (name, fp, want) in cases {
