@@ -1,11 +1,11 @@
 //! Shared scaffolding for the per-figure experiment modules.
 
-use gfc_analysis::TimeSeries;
 use gfc_core::bfc::BfcConfig;
 use gfc_core::theorems;
 use gfc_core::units::{kb, Dur, Rate};
 use gfc_sim::config::{FcConfig, PumpPolicy};
 use gfc_sim::{PreflightPolicy, SimConfig};
+use gfc_telemetry::{SamplerSet, TimeSeries, TrackKind};
 use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario};
 use gfc_topology::{Routing, Topology};
 use serde::{Deserialize, Serialize};
@@ -187,48 +187,38 @@ pub fn row(label: &str, paper: &str, measured: &str) -> String {
     format!("{label:<44} | paper: {paper:<24} | measured: {measured}\n")
 }
 
-/// Parse a timeline-sampler CSV export (header `t_ps,<track>,...`, see
-/// [`gfc_sim::Network::timeline_csv`]) back into per-track series,
-/// keeping the tracks whose name ends with `suffix` (e.g. `" ingress"`
-/// for the occupancy curves). This is how the figure modules derive
-/// their occupancy data — from the exported artifact itself, so the
-/// plotted curves and the CSV a user saves are one and the same.
-pub fn csv_track_series(csv: &str, suffix: &str) -> Vec<(String, TimeSeries)> {
-    let mut lines = csv.lines();
-    let Some(header) = lines.next() else {
-        return Vec::new();
-    };
-    let names = split_csv_row(header);
-    let keep: Vec<(usize, String)> = names
+/// Every timeline-sampler track of `kind` (see
+/// [`gfc_sim::Network::timeline_samplers`]) with its name, in
+/// registration order — how the figure modules read their per-port
+/// curves.
+pub fn tracks_of_kind(samplers: &SamplerSet, kind: TrackKind) -> Vec<(String, TimeSeries)> {
+    samplers
+        .tracks()
         .iter()
         .enumerate()
-        .skip(1) // column 0 is t_ps
-        .filter(|(_, n)| n.ends_with(suffix))
-        .map(|(i, n)| (i, n.clone()))
-        .collect();
-    let mut out: Vec<(String, TimeSeries)> =
-        keep.iter().map(|(_, n)| (n.clone(), TimeSeries::new())).collect();
-    for line in lines {
-        let fields = split_csv_row(line);
-        let t: u64 = fields[0].parse().expect("sampler CSV t_ps column");
-        for (k, (col, _)) in keep.iter().enumerate() {
-            let v: f64 = fields[*col].parse().expect("sampler CSV value");
-            out[k].1.push(t, v);
-        }
-    }
-    out
+        .filter(|(_, meta)| meta.kind == kind)
+        .map(|(idx, meta)| (meta.name.clone(), series_of(samplers, idx)))
+        .collect()
 }
 
-/// Extract exactly one named track from a timeline-sampler CSV export —
-/// the single-port companion of [`csv_track_series`] for figures that
-/// watch one observation point. Panics (with the name) when the track is
-/// absent, so a renamed port label fails loudly rather than plotting an
-/// empty series.
-pub fn csv_track(csv: &str, name: &str) -> TimeSeries {
-    let mut found = csv_track_series(csv, name);
-    found.retain(|(n, _)| n == name);
-    assert_eq!(found.len(), 1, "expected exactly one timeline track named {name:?}");
-    found.remove(0).1
+/// Exactly one named timeline-sampler track, for figures that watch one
+/// observation point. Panics (with the name) when the track is absent, so
+/// a renamed port label fails loudly rather than plotting an empty
+/// series.
+pub fn track(samplers: &SamplerSet, name: &str) -> TimeSeries {
+    let mut hits = samplers.tracks().iter().enumerate().filter(|(_, meta)| meta.name == name);
+    match (hits.next(), hits.next()) {
+        (Some((idx, _)), None) => series_of(samplers, idx),
+        _ => panic!("expected exactly one timeline track named {name:?}"),
+    }
+}
+
+fn series_of(samplers: &SamplerSet, idx: usize) -> TimeSeries {
+    let mut s = TimeSeries::new();
+    for (t, v) in samplers.series(idx) {
+        s.push(t, v);
+    }
+    s
 }
 
 /// Run `work` over every case on a scoped worker pool and return the
@@ -345,28 +335,6 @@ where
     MatrixReport { schemes: schemes.to_vec(), cells }
 }
 
-/// Split one CSV row with the same quoting convention the sampler's
-/// `to_csv` uses (fields containing commas or quotes are double-quoted).
-fn split_csv_row(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                cur.push('"');
-                chars.next();
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => fields.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    fields.push(cur);
-    fields
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,20 +379,35 @@ mod tests {
         }
     }
 
+    fn two_port_samplers() -> SamplerSet {
+        let mut s = SamplerSet::new(50, 100);
+        s.register_port(1, 0, "S1:p0");
+        s.register_port(2, 3, "odd,name");
+        s.sample(0, &[100.0, 1e9, 0.0, 0.5, 7.0, 2.5e9, 1.0, 0.1]);
+        s.sample(50, &[200.0, 5e8, 1.0, 0.25, 8.0, 1.0 / 3.0, 0.0, 0.2]);
+        s
+    }
+
     #[test]
-    fn csv_round_trips_sampler_tracks() {
-        let csv = "t_ps,S1:p0 ingress,S1:p0 rate,\"odd,name ingress\"\n\
-                   0,100,1e9,7\n\
-                   50,200,5e8,8\n";
-        let occ = csv_track_series(csv, " ingress");
+    fn track_lookup_returns_the_sampler_points() {
+        let s = two_port_samplers();
+        assert_eq!(track(&s, "S1:p0 ingress").points(), &[(0, 100.0), (50, 200.0)]);
+        assert_eq!(track(&s, "odd,name rate").points(), &[(0, 2.5e9), (50, 1.0 / 3.0)]);
+        let occ = tracks_of_kind(&s, TrackKind::IngressOccupancy);
         assert_eq!(occ.len(), 2);
         assert_eq!(occ[0].0, "S1:p0 ingress");
         assert_eq!(occ[0].1.points(), &[(0, 100.0), (50, 200.0)]);
         assert_eq!(occ[1].0, "odd,name ingress");
         assert_eq!(occ[1].1.points(), &[(0, 7.0), (50, 8.0)]);
-        let rates = csv_track_series(csv, " rate");
-        assert_eq!(rates.len(), 1);
-        assert_eq!(rates[0].1.points(), &[(0, 1e9), (50, 5e8)]);
+        let util = tracks_of_kind(&s, TrackKind::LinkUtilization);
+        assert_eq!(util[1].0, "odd,name util");
+        assert_eq!(util[1].1.points(), &[(0, 0.1), (50, 0.2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"S1:p7 ingress\"")]
+    fn track_lookup_names_a_missing_track() {
+        track(&two_port_samplers(), "S1:p7 ingress");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! converges to the steady value `Bs = 75 KB` where the mapped rate
 //! equals the 5 Gb/s drain rate, and the rate settles at 5 Gb/s.
 
-use crate::common::{csv_track, row};
-use gfc_analysis::TimeSeries;
+use crate::common::{row, track};
 use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_telemetry::TimeSeries;
 use gfc_topology::{Incast, Routing};
 use serde::{Deserialize, Serialize};
 
@@ -103,11 +103,11 @@ fn run_one(params: &Fig05Params, fc: FcConfig, extra_proc: Dur) -> SchemeTrace {
     }
     net.run_until(params.horizon);
 
-    let csv = net.timeline_csv().expect("timeline samplers are on");
-    let queue = csv_track(&csv, &queue_track);
+    let samplers = net.timeline_samplers().expect("timeline samplers are on");
+    let queue = track(samplers, &queue_track);
     // The watched port's input rate is whatever its sender puts on the
     // access link: the sender NIC's utilization track scaled by C.
-    let util = csv_track(&csv, &util_track);
+    let util = track(samplers, &util_track);
     let mut rate = TimeSeries::new();
     for &(t, v) in util.points() {
         rate.push(t, v * capacity);

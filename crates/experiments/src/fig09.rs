@@ -10,11 +10,10 @@
 //! host rate, i.e. stage 2), then parks in stage 1 (paper: 840 KB) with
 //! the input rate steady at 5 Gb/s.
 
-use crate::common::{csv_track, row, sim_config_testbed, static_verdict, Scheme};
-use gfc_analysis::TimeSeries;
+use crate::common::{row, sim_config_testbed, static_verdict, track, Scheme};
 use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, TraceConfig};
-use gfc_telemetry::names;
+use gfc_telemetry::{names, TimeSeries};
 use gfc_topology::{Ring, Routing};
 use serde::{Deserialize, Serialize};
 
@@ -102,11 +101,11 @@ pub fn run_scheme(params: &RingParams, scheme: Scheme) -> RingTrace {
     let snap = net.metrics_snapshot();
     let tail_goodput = snap.delta_goodput_bps(&mid_snap);
 
-    let csv = net.timeline_csv().expect("timeline samplers are on");
-    let queue = csv_track(&csv, &queue_track);
+    let samplers = net.timeline_samplers().expect("timeline samplers are on");
+    let queue = track(samplers, &queue_track);
     // The watched port's input rate is what H1 puts on its access link:
     // the H1 NIC's utilization track scaled by C.
-    let util = csv_track(&csv, &util_track);
+    let util = track(samplers, &util_track);
     let mut rate = TimeSeries::new();
     for &(t, v) in util.points() {
         rate.push(t, v * capacity);

@@ -5,12 +5,10 @@
 //! deadlocks and every flow's throughput collapses to zero; under GFC
 //! each flow holds its ~5 Gb/s share.
 
-use crate::common::{
-    csv_track_series, fig11_scenario, row, sim_config_300k, static_verdict, Scheme,
-};
-use gfc_analysis::TimeSeries;
+use crate::common::{fig11_scenario, row, sim_config_300k, static_verdict, tracks_of_kind, Scheme};
 use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, SpanOutcome, TimelineConfig, TraceConfig};
+use gfc_telemetry::{TimeSeries, TrackKind};
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::{Routing, SpfRouting};
 use serde::{Deserialize, Serialize};
@@ -158,13 +156,12 @@ pub fn run_scheme_with_extra(
         .map(|s| s.time_weighted_mean(tail_from, params.horizon.0).unwrap_or(0.0))
         .collect();
 
-    // Occupancy curves via the CSV export (not the in-memory sampler):
-    // what the figure plots is exactly what a user saves to disk.
-    let csv = net.timeline_csv().expect("timeline sampling is enabled above");
-    let occupancy: Vec<(String, TimeSeries)> = csv_track_series(&csv, " ingress")
-        .into_iter()
-        .filter(|(_, s)| s.max().unwrap_or(0.0) > 0.0)
-        .collect();
+    let samplers = net.timeline_samplers().expect("timeline sampling is enabled above");
+    let occupancy: Vec<(String, TimeSeries)> =
+        tracks_of_kind(samplers, TrackKind::IngressOccupancy)
+            .into_iter()
+            .filter(|(_, s)| s.max().unwrap_or(0.0) > 0.0)
+            .collect();
     let occupancy_peak_bytes = occupancy.iter().filter_map(|(_, s)| s.max()).fold(0.0, f64::max);
 
     let spans = net.flow_spans().expect("span tracking is enabled above");

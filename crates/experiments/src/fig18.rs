@@ -11,10 +11,10 @@
 //! the absolute aggregate differs. `Scale::Paper` raises k.
 
 use crate::common::{row, sim_config_300k, Scale, Scheme};
-use gfc_analysis::TimeSeries;
 use gfc_core::units::{Dur, Time};
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
+use gfc_telemetry::TimeSeries;
 use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;

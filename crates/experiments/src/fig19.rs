@@ -5,11 +5,10 @@
 //! below 0.4 %, and a maximum of 0.49 %.
 
 use crate::common::{row, sim_config_300k, Scale, Scheme};
-use gfc_analysis::EmpiricalDist;
 use gfc_core::units::{Dur, Time};
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
-use gfc_telemetry::registry::percentile;
+use gfc_telemetry::registry::{percentile, Summary};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
@@ -68,8 +67,9 @@ impl Default for Fig19Params {
 pub struct Fig19Result {
     /// Parameters used.
     pub params: Fig19Params,
-    /// Distribution of per-port mean occupied bandwidth fraction (0..1).
-    pub port_fraction: EmpiricalDist,
+    /// Per-port mean occupied bandwidth fractions (0..1), sorted
+    /// ascending: the figure's CDF.
+    pub port_fraction: Vec<f64>,
     /// Mean fraction across ports.
     pub mean: f64,
     /// 99th-percentile fraction.
@@ -118,12 +118,13 @@ pub fn run(params: Fig19Params) -> Fig19Result {
         samples.extend(port_fractions(&net, params.horizon));
     }
     let p99 = percentile(&samples, 99.0).unwrap_or(0.0);
-    let dist = EmpiricalDist::new(samples);
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN port fraction"));
+    let summary = Summary::of(&samples);
     Fig19Result {
-        mean: dist.mean(),
+        mean: summary.map_or(0.0, |s| s.mean),
         p99,
-        max: dist.max().unwrap_or(0.0),
-        port_fraction: dist,
+        max: summary.map_or(0.0, |s| s.max),
+        port_fraction: samples,
         params,
     }
 }

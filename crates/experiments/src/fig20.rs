@@ -9,11 +9,11 @@
 //! drains under `B1`, GFC releases the port back to line rate, and DCQCN
 //! alone governs the steady state — "GFC only works as a safeguard".
 
-use crate::common::{csv_track, row, sim_config_300k, Scheme};
-use gfc_analysis::TimeSeries;
+use crate::common::{row, sim_config_300k, track, Scheme};
 use gfc_core::units::{kb, Dur, Time};
 use gfc_dcqcn::{DcqcnParams, EcnMarker};
 use gfc_sim::{Network, TraceConfig};
+use gfc_telemetry::TimeSeries;
 use gfc_topology::{Incast, Routing};
 use serde::{Deserialize, Serialize};
 
@@ -81,10 +81,10 @@ pub fn run(params: Fig20Params) -> Fig20Result {
     }
     net.run_until(params.horizon);
 
-    let csv = net.timeline_csv().expect("timeline samplers are on");
-    let queue = csv_track(&csv, &queue_track);
+    let samplers = net.timeline_samplers().expect("timeline samplers are on");
+    let queue = track(samplers, &queue_track);
     let dcqcn_rate = net.traces().dcqcn_rate[&0].clone();
-    let gfc_rate = csv_track(&csv, &rate_track);
+    let gfc_rate = track(samplers, &rate_track);
     let tail_from = params.horizon.0 * 3 / 4;
     Fig20Result {
         steady_dcqcn: dcqcn_rate.time_weighted_mean(tail_from, params.horizon.0).unwrap_or(0.0),

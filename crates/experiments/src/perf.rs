@@ -10,11 +10,11 @@
 //! CBD-free numbers.
 
 use crate::common::{parallel_cases, row, sim_config_300k, Scale, Scheme};
-use gfc_analysis::Summary;
 use gfc_core::units::Time;
 use gfc_sim::config::PumpPolicy;
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
+use gfc_telemetry::Summary;
 use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;

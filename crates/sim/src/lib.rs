@@ -14,9 +14,10 @@
 //!   variants, BFC and DCFIT, all driven by the pure state machines of
 //!   `gfc-core`, with every feedback message round-tripped through the
 //!   real wire codecs;
-//! * built-in measurement (queue/rate traces, throughput meters, flow
-//!   ledger) and two independent deadlock detectors (progress-based and
-//!   wait-for-graph).
+//! * built-in measurement — timeline samplers, per-flow DCQCN rate
+//!   traces and throughput meters ([`trace`]), the [`FlowLedger`] of FCT
+//!   and slowdown records — and two independent deadlock detectors
+//!   (progress-based and wait-for-graph).
 //!
 //! ## Quick example
 //!
@@ -43,9 +44,11 @@ pub mod config;
 pub mod event;
 pub mod fc;
 pub mod flowgen;
+mod ledger;
 pub mod network;
 pub mod packet;
 pub mod port;
+mod progress;
 pub mod shard;
 mod telemetry;
 pub mod trace;
@@ -53,6 +56,7 @@ pub mod trace;
 pub use config::{FcConfig, PreflightPolicy, SimConfig, TelemetryConfig, TimelineConfig};
 pub use flowgen::{ClosedLoopWorkload, FlowRequest, ListWorkload, Workload};
 pub use gfc_telemetry::{ChromeTrace, FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
+pub use ledger::{FlowLedger, FlowRecord};
 pub use network::{Network, SimStats};
 pub use shard::{ShardedNetwork, SyncStats};
 pub use trace::{TraceConfig, Traces};
@@ -67,4 +71,27 @@ pub fn preflight(
     cfg: &SimConfig,
 ) -> gfc_verify::Report {
     gfc_verify::preflight(topo, routing, &cfg.fabric_spec())
+}
+
+/// The builders' preflight gate, shared by [`Network`] and
+/// [`ShardedNetwork`]: runs [`preflight`] unless `cfg.preflight` is
+/// `Skip`, and panics with the full report when it is `Enforce` and the
+/// report has errors.
+pub(crate) fn preflight_gate(
+    topo: &gfc_topology::Topology,
+    routing: &gfc_topology::Routing,
+    cfg: &SimConfig,
+) -> Option<gfc_verify::Report> {
+    if cfg.preflight == PreflightPolicy::Skip {
+        return None;
+    }
+    let report = preflight(topo, routing, cfg);
+    if cfg.preflight == PreflightPolicy::Enforce && report.has_errors() {
+        panic!(
+            "preflight rejected this configuration (set SimConfig::preflight to \
+             PreflightPolicy::Acknowledge to run it anyway):\n{}",
+            report.render()
+        );
+    }
+    Some(report)
 }

@@ -23,13 +23,14 @@ use crate::config::{PumpPolicy, SimConfig};
 use crate::event::{Event, EventQueue, QueueStats};
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
+use crate::ledger::FlowLedger;
 use crate::packet::Packet;
 use crate::port::{
     IngressPacket, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
 };
+use crate::progress::ProgressMonitor;
 use crate::telemetry::{PortSample, SimTelemetry};
-use crate::trace::{TraceConfig, Traces};
-use gfc_analysis::{FlowLedger, ProgressMonitor, ThroughputMeter};
+use crate::trace::{ThroughputMeter, TraceConfig, Traces};
 use gfc_core::fc_config::PortIdent;
 use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::{Dur, Rate, Time};
@@ -174,8 +175,6 @@ pub struct Network {
     stats: SimStats,
     started: bool,
     halted: bool,
-    /// Delivered-packet count at the previous monitor tick.
-    last_monitor_delivered: u64,
     /// First observation of a wait-for cycle during a stalled tick.
     structural_deadlock_at: Option<Time>,
     /// First runtime deadlock detection raised by the flow-control backend
@@ -218,20 +217,7 @@ impl Network {
         if let Some((domain_of, _)) = &domain {
             assert_eq!(domain_of.len(), topo.num_nodes(), "partition table size mismatch");
         }
-        let preflight_report = match cfg.preflight {
-            gfc_verify::PreflightPolicy::Skip => None,
-            policy => {
-                let report = gfc_verify::preflight(&topo, &routing, &cfg.fabric_spec());
-                if policy == gfc_verify::PreflightPolicy::Enforce && report.has_errors() {
-                    panic!(
-                        "preflight rejected this configuration (set SimConfig::preflight to \
-                         PreflightPolicy::Acknowledge to run it anyway):\n{}",
-                        report.render()
-                    );
-                }
-                Some(report)
-            }
-        };
+        let preflight_report = crate::preflight_gate(&topo, &routing, &cfg);
         cfg.validate();
         let num_nodes = topo.num_nodes();
         assert!(
@@ -313,7 +299,6 @@ impl Network {
             stats: SimStats::default(),
             started: false,
             halted: false,
-            last_monitor_delivered: 0,
             structural_deadlock_at: None,
             first_fc_detection_at: None,
             preflight_report,
@@ -1475,9 +1460,7 @@ impl Network {
     fn on_monitor_tick(&mut self) {
         self.probe_queue_sample();
         let backlog = self.backlogged();
-        let progressed = self.stats.delivered_packets > self.last_monitor_delivered;
-        self.last_monitor_delivered = self.stats.delivered_packets;
-        self.monitor.sample(self.now.0, self.stats.delivered_packets, backlog);
+        let progressed = self.monitor.sample(self.now.0, self.stats.delivered_packets, backlog);
         // Structural check only on stalled ticks (free when healthy): a
         // wait-for cycle observed while nothing moves is a deadlock in the
         // paper's sense — circular hold-and-wait.

@@ -5,15 +5,15 @@
 //! monitor a sample per check interval — total packets delivered so far
 //! and whether any buffer still holds packets. If the backlog persists
 //! with zero deliveries for a full window, the run is declared
-//! deadlocked. (The structural wait-for-cycle detector lives in `gfc-sim`,
-//! next to the queue state it inspects; this monitor is the
-//! implementation-independent referee used by the experiment harness.)
-
-use serde::{Deserialize, Serialize};
+//! deadlocked. (The structural wait-for-cycle detector lives in the
+//! engines, next to the queue state it inspects; this monitor is the
+//! implementation-independent referee.) Both engines feed it: the
+//! sequential one on its monitor ticks, the sharded one at its monitor
+//! barriers.
 
 /// Verdict state machine over `(time, delivered, backlog)` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProgressMonitor {
+#[derive(Debug, Clone)]
+pub(crate) struct ProgressMonitor {
     window_ps: u64,
     /// Last instant at which progress was observed (or the network had no
     /// backlog).
@@ -26,43 +26,43 @@ pub struct ProgressMonitor {
 impl ProgressMonitor {
     /// New monitor declaring deadlock after `window_ps` of backlogged
     /// zero-progress.
-    pub fn new(window_ps: u64) -> Self {
+    pub(crate) fn new(window_ps: u64) -> Self {
         assert!(window_ps > 0);
         ProgressMonitor { window_ps, last_progress_ps: 0, last_delivered: 0, deadlock_at_ps: None }
     }
 
     /// Feed a sample: at `t_ps` the network has delivered `delivered`
     /// packets in total and `backlogged` says whether any queue is
-    /// non-empty.
-    pub fn sample(&mut self, t_ps: u64, delivered: u64, backlogged: bool) {
+    /// non-empty. Returns whether deliveries advanced since the previous
+    /// sample (the engines run their structural check only when not).
+    pub(crate) fn sample(&mut self, t_ps: u64, delivered: u64, backlogged: bool) -> bool {
         assert!(delivered >= self.last_delivered, "delivered counter went backwards");
         let progressed = delivered > self.last_delivered;
         self.last_delivered = delivered;
         if progressed || !backlogged {
             self.last_progress_ps = t_ps;
-            return;
-        }
-        if self.deadlock_at_ps.is_none()
+        } else if self.deadlock_at_ps.is_none()
             && t_ps.saturating_sub(self.last_progress_ps) >= self.window_ps
         {
             self.deadlock_at_ps = Some(self.last_progress_ps);
         }
+        progressed
     }
 
     /// When the deadlock (start of the fatal stall) was detected, if ever.
-    pub fn deadlock_at_ps(&self) -> Option<u64> {
+    pub(crate) fn deadlock_at_ps(&self) -> Option<u64> {
         self.deadlock_at_ps
     }
 
     /// Last sampled instant at which progress was observed (or the
     /// network held no backlog) — the "no progress since" line of a
     /// forensics report.
-    pub fn last_progress_ps(&self) -> u64 {
+    pub(crate) fn last_progress_ps(&self) -> u64 {
         self.last_progress_ps
     }
 
     /// Whether a deadlock verdict has been reached.
-    pub fn deadlocked(&self) -> bool {
+    pub(crate) fn deadlocked(&self) -> bool {
         self.deadlock_at_ps.is_some()
     }
 }
@@ -105,10 +105,10 @@ mod tests {
     #[test]
     fn progress_resets_the_window() {
         let mut m = ProgressMonitor::new(1000);
-        m.sample(0, 0, true);
-        m.sample(900, 0, true);
-        m.sample(950, 1, true); // progress!
-        m.sample(1900, 1, true);
+        assert!(!m.sample(0, 0, true));
+        assert!(!m.sample(900, 0, true));
+        assert!(m.sample(950, 1, true)); // progress!
+        assert!(!m.sample(1900, 1, true));
         assert!(!m.deadlocked());
         m.sample(2000, 1, true);
         assert!(m.deadlocked());

@@ -78,9 +78,10 @@
 
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
+use crate::ledger::FlowLedger;
 use crate::network::{Network, SimStats};
+use crate::progress::ProgressMonitor;
 use crate::trace::TraceConfig;
-use gfc_analysis::{FlowLedger, ProgressMonitor};
 use gfc_core::units::{Dur, Time};
 use gfc_telemetry::{names, MetricValue, Snapshot, WaitForGraph};
 use gfc_topology::{LinkId, NodeId, Partition, Routing, Topology};
@@ -307,7 +308,6 @@ pub struct ShardedNetwork {
     /// Barrier ticks taken so far — the sequential engine dispatches each
     /// tick as an event, so the merged event counter adds these back.
     monitor_ticks: u64,
-    last_monitor_delivered: u64,
     structural_deadlock_at: Option<Time>,
     /// Cross-shard events awaiting injection, per destination shard, in
     /// (window, source-shard, generation) order.
@@ -353,16 +353,7 @@ impl ShardedNetwork {
             "zero cross-domain lookahead: prop_delay (and conceptual tau) must be positive"
         );
         // Preflight once, against the caller's policy; shards skip it.
-        if cfg.preflight != gfc_verify::PreflightPolicy::Skip {
-            let report = gfc_verify::preflight(&topo, &routing, &cfg.fabric_spec());
-            if cfg.preflight == gfc_verify::PreflightPolicy::Enforce && report.has_errors() {
-                panic!(
-                    "preflight rejected this configuration (set SimConfig::preflight to \
-                     PreflightPolicy::Acknowledge to run it anyway):\n{}",
-                    report.render()
-                );
-            }
-        }
+        crate::preflight_gate(&topo, &routing, &cfg);
         let domain_of: Arc<[u32]> = Arc::from(partition.domains().to_vec().into_boxed_slice());
         let mut shard_cfg = cfg;
         shard_cfg.preflight = gfc_verify::PreflightPolicy::Skip;
@@ -390,7 +381,6 @@ impl ShardedNetwork {
             monitor,
             monitor_due: None,
             monitor_ticks: 0,
-            last_monitor_delivered: 0,
             structural_deadlock_at: None,
             pending: vec![Vec::new(); num_domains],
             sync: SyncStats::default(),
@@ -462,7 +452,6 @@ impl ShardedNetwork {
         let monitor_due = &mut self.monitor_due;
         let monitor = &mut self.monitor;
         let monitor_ticks = &mut self.monitor_ticks;
-        let last_delivered = &mut self.last_monitor_delivered;
         let structural_at = &mut self.structural_deadlock_at;
         let pending = &mut self.pending;
         let sync = &mut self.sync;
@@ -569,9 +558,7 @@ impl ShardedNetwork {
                     }
                     *monitor_ticks += 1;
                     sync.monitor_barriers += 1;
-                    let progressed = delivered > *last_delivered;
-                    *last_delivered = delivered;
-                    monitor.sample(due.0, delivered, backlogged);
+                    let progressed = monitor.sample(due.0, delivered, backlogged);
                     if structural_at.is_none() && backlogged && !progressed {
                         let mut graphs: Vec<(usize, WaitForGraph)> = Vec::new();
                         for reply in round(every(&|| Cmd::Graph)) {

@@ -11,9 +11,9 @@
 //! with no sampler equivalent: per-flow DCQCN rate traces and per-source
 //! delivered-throughput meters.
 
-use gfc_analysis::{ThroughputMeter, TimeSeries};
 use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::Dur;
+use gfc_telemetry::TimeSeries;
 use gfc_topology::NodeId;
 
 /// What to record.
@@ -56,6 +56,46 @@ impl Traces {
     }
 }
 
+/// Accumulates delivered bytes into fixed time bins ("counting sent
+/// bytes every 100 µs", §6.2.3) and reports a bits-per-second series.
+#[derive(Debug, Clone)]
+pub struct ThroughputMeter {
+    bin_ps: u64,
+    /// `bins[i]` = bytes delivered in `[i·bin, (i+1)·bin)`.
+    bins: Vec<u64>,
+}
+
+impl ThroughputMeter {
+    /// New meter with the given bin width (the paper uses 100 µs).
+    pub(crate) fn new(bin_ps: u64) -> Self {
+        assert!(bin_ps > 0);
+        ThroughputMeter { bin_ps, bins: Vec::new() }
+    }
+
+    /// Record `bytes` delivered at time `t_ps`.
+    pub(crate) fn record(&mut self, t_ps: u64, bytes: u64) {
+        let idx = (t_ps / self.bin_ps) as usize;
+        if idx >= self.bins.len() {
+            self.bins.resize(idx + 1, 0);
+        }
+        self.bins[idx] += bytes;
+    }
+
+    /// Throughput per bin in bits/s as a time series (bin start time).
+    /// `until_ps` extends trailing zero bins to that horizon, so a stalled
+    /// network shows as zeros rather than a truncated series.
+    pub fn series_bps(&self, until_ps: u64) -> TimeSeries {
+        let n = (until_ps / self.bin_ps) as usize;
+        let mut s = TimeSeries::new();
+        for i in 0..n.max(self.bins.len()) {
+            let bytes = self.bins.get(i).copied().unwrap_or(0);
+            let bps = bytes as f64 * 8.0 * 1e12 / self.bin_ps as f64;
+            s.push(i as u64 * self.bin_ps, bps);
+        }
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,5 +117,26 @@ mod tests {
         let t = Traces::for_config(&tc);
         assert_eq!(t.dcqcn_rate.len(), 2);
         assert!(t.dcqcn_rate.contains_key(&7));
+    }
+
+    #[test]
+    fn bins_accumulate() {
+        let mut m = ThroughputMeter::new(100);
+        m.record(0, 10);
+        m.record(99, 10);
+        m.record(100, 5);
+        let s = m.series_bps(300);
+        assert_eq!(s.len(), 3);
+        // Bin 0: 20 bytes/100 ps = 1.6e12 bps.
+        assert_eq!(s.points()[0].1, 20.0 * 8.0 * 1e12 / 100.0);
+        assert_eq!(s.points()[2].1, 0.0);
+    }
+
+    #[test]
+    fn zero_extension() {
+        let m = ThroughputMeter::new(100);
+        let s = m.series_bps(1000);
+        assert_eq!(s.len(), 10);
+        assert_eq!(s.max(), Some(0.0));
     }
 }

@@ -37,10 +37,10 @@ pub use probe::EngineProbe;
 pub use recorder::{CtrlClass, EventRecord, FlightRecorder, RecordKind};
 pub use registry::{
     names, percentile, CounterId, GaugeId, HistId, MetricEntry, MetricValue, MetricsRegistry,
-    Percentiles, Snapshot,
+    Percentiles, Snapshot, Summary,
 };
 pub use timeline::{
-    FlowSpan, FlowSpans, SamplerSet, SpanOutcome, TimelineConfig, TrackKind, TrackMeta,
+    FlowSpan, FlowSpans, SamplerSet, SpanOutcome, TimeSeries, TimelineConfig, TrackKind, TrackMeta,
 };
 
 use serde::{Deserialize, Serialize};

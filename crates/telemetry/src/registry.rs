@@ -446,6 +446,36 @@ impl core::fmt::Display for Percentiles {
     }
 }
 
+/// Summary statistics of a sample set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// Number of samples.
+    pub n: usize,
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Population standard deviation.
+    pub stddev: f64,
+    /// Smallest sample.
+    pub min: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Summary {
+    /// Compute over a sample slice; `None` when empty.
+    pub fn of(samples: &[f64]) -> Option<Summary> {
+        if samples.is_empty() {
+            return None;
+        }
+        let n = samples.len();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        Some(Summary { n, mean, stddev: var.sqrt(), min, max })
+    }
+}
+
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -819,5 +849,16 @@ mod tests {
         reg.observe(h, 1000);
         let snap = reg.snapshot();
         assert_eq!(snap.percentile("occ", 100.0), Some(200.0));
+    }
+
+    #[test]
+    fn summary_basics() {
+        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(s.n, 4);
+        assert_eq!(s.mean, 2.5);
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 4.0);
+        assert!((s.stddev - 1.118).abs() < 0.001);
+        assert_eq!(Summary::of(&[]), None);
     }
 }

@@ -14,7 +14,10 @@
 //!   to the end of the run), accumulating delivery-gap stall time. Every
 //!   flow classifies into exactly one [`SpanOutcome`].
 //!
-//! Both render to Chrome trace-event JSON through
+//! [`TimeSeries`] is the step-semantics `(t, value)` series the figures
+//! compute on (time-weighted means, extremes, decimation).
+//!
+//! Samplers and spans render to Chrome trace-event JSON through
 //! [`export::ChromeTrace`](crate::export::ChromeTrace) and to CSV for
 //! plotting (the Fig. 13-style occupancy curves).
 
@@ -466,6 +469,103 @@ impl FlowSpans {
     }
 }
 
+/// An append-only `(time_ps, value)` series with step (sample-and-hold)
+/// semantics: the figure-side view of one sampler track, a per-flow
+/// DCQCN rate trace, or a binned throughput meter.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct TimeSeries {
+    /// Samples in non-decreasing time order.
+    points: Vec<(u64, f64)>,
+}
+
+impl TimeSeries {
+    /// Empty series.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append a sample; panics if time goes backwards.
+    pub fn push(&mut self, t_ps: u64, value: f64) {
+        if let Some(&(last, _)) = self.points.last() {
+            assert!(t_ps >= last, "time series must be appended in order");
+        }
+        self.points.push((t_ps, value));
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// Whether the series is empty.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The raw samples.
+    pub fn points(&self) -> &[(u64, f64)] {
+        &self.points
+    }
+
+    /// Last sample value, if any.
+    pub fn last(&self) -> Option<(u64, f64)> {
+        self.points.last().copied()
+    }
+
+    /// The value in force at `t_ps` under step (sample-and-hold)
+    /// semantics; `None` before the first sample.
+    pub fn value_at(&self, t_ps: u64) -> Option<f64> {
+        match self.points.binary_search_by(|&(t, _)| t.cmp(&t_ps)) {
+            Ok(mut i) => {
+                // Several samples may share a timestamp; take the last.
+                while i + 1 < self.points.len() && self.points[i + 1].0 == t_ps {
+                    i += 1;
+                }
+                Some(self.points[i].1)
+            }
+            Err(0) => None,
+            Err(i) => Some(self.points[i - 1].1),
+        }
+    }
+
+    /// Maximum value over the whole series.
+    pub fn max(&self) -> Option<f64> {
+        self.points.iter().map(|&(_, v)| v).fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
+    }
+
+    /// Minimum value over the whole series.
+    pub fn min(&self) -> Option<f64> {
+        self.points.iter().map(|&(_, v)| v).fold(None, |m, v| Some(m.map_or(v, |m: f64| m.min(v))))
+    }
+
+    /// Time-weighted mean over `[from_ps, to_ps)` under step semantics.
+    /// `None` if the window starts before the first sample.
+    pub fn time_weighted_mean(&self, from_ps: u64, to_ps: u64) -> Option<f64> {
+        assert!(from_ps < to_ps);
+        let mut cur = self.value_at(from_ps)?;
+        let mut t = from_ps;
+        let mut acc = 0.0;
+        for &(ts, v) in self.points.iter().filter(|&&(ts, _)| ts > from_ps && ts < to_ps) {
+            acc += cur * (ts - t) as f64;
+            cur = v;
+            t = ts;
+        }
+        acc += cur * (to_ps - t) as f64;
+        Some(acc / (to_ps - from_ps) as f64)
+    }
+
+    /// Keep at most `n` samples by uniform decimation (for report output).
+    pub fn decimated(&self, n: usize) -> TimeSeries {
+        assert!(n >= 2);
+        if self.points.len() <= n {
+            return self.clone();
+        }
+        let step = (self.points.len() - 1) as f64 / (n - 1) as f64;
+        let points = (0..n).map(|i| self.points[(i as f64 * step).round() as usize]).collect();
+        TimeSeries { points }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,5 +685,76 @@ mod tests {
         assert_eq!(TimelineConfig::off().stall_gap_or_default(), 100_000_000);
         let explicit = TimelineConfig { stall_gap_ps: 7, ..TimelineConfig::off() };
         assert_eq!(explicit.stall_gap_or_default(), 7);
+    }
+
+    fn steps() -> TimeSeries {
+        let mut s = TimeSeries::new();
+        s.push(0, 1.0);
+        s.push(100, 2.0);
+        s.push(200, 4.0);
+        s
+    }
+
+    #[test]
+    fn step_lookup() {
+        let s = steps();
+        assert_eq!(s.value_at(0), Some(1.0));
+        assert_eq!(s.value_at(99), Some(1.0));
+        assert_eq!(s.value_at(100), Some(2.0));
+        assert_eq!(s.value_at(1000), Some(4.0));
+    }
+
+    #[test]
+    fn duplicate_timestamps_take_last() {
+        let mut s = TimeSeries::new();
+        s.push(10, 1.0);
+        s.push(10, 2.0);
+        s.push(10, 3.0);
+        assert_eq!(s.value_at(10), Some(3.0));
+        assert_eq!(s.value_at(11), Some(3.0));
+    }
+
+    #[test]
+    fn before_first_is_none() {
+        let mut s = TimeSeries::new();
+        s.push(50, 9.0);
+        assert_eq!(s.value_at(49), None);
+    }
+
+    #[test]
+    fn time_weighted_mean_steps() {
+        let s = steps();
+        // [0,200): 1.0 for 100, 2.0 for 100 → 1.5.
+        assert_eq!(s.time_weighted_mean(0, 200), Some(1.5));
+        // [150,250): 2.0 for 50, 4.0 for 50 → 3.0.
+        assert_eq!(s.time_weighted_mean(150, 250), Some(3.0));
+    }
+
+    #[test]
+    fn extremes() {
+        let s = steps();
+        assert_eq!(s.max(), Some(4.0));
+        assert_eq!(s.min(), Some(1.0));
+        assert_eq!(TimeSeries::new().max(), None);
+    }
+
+    #[test]
+    fn decimation_keeps_endpoints() {
+        let mut s = TimeSeries::new();
+        for i in 0..1000u64 {
+            s.push(i, i as f64);
+        }
+        let d = s.decimated(10);
+        assert_eq!(d.len(), 10);
+        assert_eq!(d.points()[0], (0, 0.0));
+        assert_eq!(d.points()[9], (999, 999.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "in order")]
+    fn rejects_time_travel() {
+        let mut s = TimeSeries::new();
+        s.push(10, 1.0);
+        s.push(9, 1.0);
     }
 }

@@ -11,7 +11,7 @@ use gfc_core::units::Time;
 use gfc_experiments::fig09::RingParams;
 use gfc_experiments::{fig09, fig10};
 
-fn sparkline(series: &gfc_analysis::TimeSeries, scale: f64) -> String {
+fn sparkline(series: &gfc_telemetry::TimeSeries, scale: f64) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     series
         .decimated(60)

@@ -8,18 +8,18 @@
 //!   the three GFC variants), wire codecs, rate limiter, and the
 //!   Theorem 4.1/5.1 parameter mathematics;
 //! * [`sim`] — a deterministic packet-level discrete-event
-//!   simulator for lossless fabrics;
+//!   simulator for lossless fabrics, with its flow ledger (FCT and
+//!   slowdown) and deadlock verdicts;
 //! * [`topology`] — fat-trees, rings, routing, failures,
 //!   and cyclic-buffer-dependency analysis;
 //! * [`workload`] — empirical flow-size distributions and
 //!   traffic patterns;
 //! * [`dcqcn`] — DCQCN congestion control for the interaction
 //!   study;
-//! * [`analysis`] — traces, statistics, and deadlock
-//!   verdicts;
 //! * [`telemetry`] — the observability layer: metrics
-//!   registry with JSON/CSV snapshots, flight recorder, and automatic
-//!   deadlock forensics (wait-for graph + DOT);
+//!   registry with JSON/CSV snapshots, flight recorder, automatic
+//!   deadlock forensics (wait-for graph + DOT), timeline samplers, and
+//!   the time series and summary statistics the figures compute on;
 //! * [`verify`] — static preflight analysis: lint-style
 //!   diagnostics (`GFC001`…) for configs, topologies, and the paper's
 //!   theorem preconditions;
@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use gfc_analysis as analysis;
 pub use gfc_core as core;
 pub use gfc_dcqcn as dcqcn;
 pub use gfc_experiments as experiments;
