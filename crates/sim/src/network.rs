@@ -132,6 +132,33 @@ pub struct SimStats {
     pub ctrl_bytes: u64,
 }
 
+/// Push the snapshot entries derived from the simulator's own
+/// accounting, summed over `nets` — the one network of a sequential
+/// run, or every shard of a sharded one (whose registries `snap` already
+/// holds merged): the clock, deliveries, drops, control traffic,
+/// hold-and-wait episodes, feedback generated, ingress and backlog bytes,
+/// and the event rate. One builder, so both engines' layouts agree.
+pub(crate) fn push_derived(snap: &mut Snapshot, now: Time, nets: &[Network]) {
+    let sum = |f: &dyn Fn(&Network) -> u64| nets.iter().map(f).sum::<u64>();
+    snap.push_counter(names::SIM_TIME_PS, now.0);
+    snap.push_counter(names::DELIVERED_PACKETS, sum(&|n| n.stats.delivered_packets));
+    snap.push_counter(names::DELIVERED_BYTES, sum(&|n| n.stats.delivered_bytes));
+    snap.push_counter(names::DROPS, sum(&|n| n.stats.drops));
+    snap.push_counter(names::CTRL_MSGS, sum(&|n| n.stats.ctrl_msgs));
+    snap.push_counter(names::CTRL_BYTES, sum(&|n| n.stats.ctrl_bytes));
+    snap.push_counter(names::HOLD_AND_WAIT, sum(&Network::sum_hold_and_wait));
+    snap.push_counter(names::FEEDBACK_GENERATED, sum(&Network::sum_feedback_generated));
+    let ingress = sum(&Network::ingress_bytes_total);
+    snap.push_counter(names::INGRESS_BYTES, ingress);
+    snap.push_counter(names::BACKLOG_BYTES, ingress + sum(&Network::egress_bytes_total));
+    if now.0 > 0 {
+        if let Some(events) = snap.counter(names::EVENTS) {
+            let per_sec = events as f64 / now.as_secs_f64();
+            snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
+        }
+    }
+}
+
 /// The simulator.
 pub struct Network {
     /// The topology being simulated (immutable during a run).
@@ -446,11 +473,11 @@ impl Network {
         rows
     }
 
-    pub(crate) fn sum_feedback_generated(&self) -> u64 {
+    fn sum_feedback_generated(&self) -> u64 {
         self.ports.all().iter().flat_map(PortState::pqs).map(|pq| pq.ing_rx.messages_sent()).sum()
     }
 
-    pub(crate) fn sum_hold_and_wait(&self) -> u64 {
+    fn sum_hold_and_wait(&self) -> u64 {
         self.ports
             .all()
             .iter()
@@ -460,12 +487,12 @@ impl Network {
     }
 
     /// Total ingress occupancy across every port (bytes).
-    pub(crate) fn ingress_bytes_total(&self) -> u64 {
+    fn ingress_bytes_total(&self) -> u64 {
         self.ports.all().iter().map(PortState::ingress_backlog).sum()
     }
 
     /// Total egress staging occupancy across every port (bytes).
-    pub(crate) fn egress_bytes_total(&self) -> u64 {
+    fn egress_bytes_total(&self) -> u64 {
         self.ports.all().iter().map(PortState::egress_backlog).sum()
     }
 
@@ -478,24 +505,7 @@ impl Network {
     /// snapshot-based throughput summaries work everywhere.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.tel.reg.snapshot();
-        snap.push_counter(names::SIM_TIME_PS, self.now.0);
-        snap.push_counter(names::DELIVERED_PACKETS, self.stats.delivered_packets);
-        snap.push_counter(names::DELIVERED_BYTES, self.stats.delivered_bytes);
-        snap.push_counter(names::DROPS, self.stats.drops);
-        snap.push_counter(names::CTRL_MSGS, self.stats.ctrl_msgs);
-        snap.push_counter(names::CTRL_BYTES, self.stats.ctrl_bytes);
-        snap.push_counter(names::HOLD_AND_WAIT, self.sum_hold_and_wait());
-        snap.push_counter(names::FEEDBACK_GENERATED, self.sum_feedback_generated());
-        let ingress = self.ingress_bytes_total();
-        let backlog = ingress + self.egress_bytes_total();
-        snap.push_counter(names::INGRESS_BYTES, ingress);
-        snap.push_counter(names::BACKLOG_BYTES, backlog);
-        if self.now.0 > 0 {
-            if let Some(events) = snap.counter(names::EVENTS) {
-                let per_sec = events as f64 / self.now.as_secs_f64();
-                snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
-            }
-        }
+        push_derived(&mut snap, self.now, std::slice::from_ref(self));
         // Span-derived distribution entries (timeline spans on): outcome
         // counts plus FCT / slowdown / stall percentiles, so experiments
         // read tails through the snapshot instead of ad-hoc math.
@@ -716,20 +726,6 @@ impl Network {
         }
     }
 
-    /// Shard-mode window: dispatch every event strictly *before* `until`
-    /// (the conservative window edge), leaving `now` at the last
-    /// dispatched instant. The coordinator advances `now` explicitly at
-    /// barriers via [`Self::set_now`].
-    pub(crate) fn run_window(&mut self, until: Time) {
-        debug_assert!(until.0 > 0, "empty window");
-        self.ensure_started();
-        if self.tel.probe.is_some() {
-            self.run_events_probed(Time(until.0 - 1));
-        } else {
-            self.run_events(Time(until.0 - 1));
-        }
-    }
-
     /// The dispatch loop: pop events due at or before `horizon`, in the
     /// queue's canonical order — same-instant events by
     /// [`Event::order_major`] rank, so the order *within an instant* is a
@@ -830,13 +826,6 @@ impl Network {
         }
     }
 
-    /// Run deferred start-of-run work (timers, monitor scheduling) so the
-    /// coordinator can observe a meaningful [`Self::next_event_time`]
-    /// before the first window.
-    pub(crate) fn prime(&mut self) {
-        self.ensure_started();
-    }
-
     /// This instance's port table (tests of the domain-sized shards).
     #[cfg(test)]
     pub(crate) fn port_table(&self) -> &PortTable {
@@ -915,7 +904,11 @@ impl Network {
         snap.entries
     }
 
-    fn ensure_started(&mut self) {
+    /// Run deferred start-of-run work (timers, monitor scheduling, the
+    /// workload's first flows) once, before the first dispatch — and, in
+    /// a sharded run, before the coordinator's first
+    /// [`Self::next_event_time`] peek.
+    pub(crate) fn ensure_started(&mut self) {
         if self.started {
             return;
         }
@@ -1896,6 +1889,14 @@ impl Network {
     /// waits for its target egress.
     pub fn waitfor_graph(&self) -> WaitForGraph {
         let mut g = WaitForGraph::new();
+        self.add_waitfor_edges(&mut g);
+        g
+    }
+
+    /// Add this network's wait-for edges (see [`Self::waitfor_graph`]) to
+    /// `g`, over the ports it holds. The sharded coordinator folds every
+    /// shard into one graph this way, in shard order.
+    pub(crate) fn add_waitfor_edges(&self, g: &mut WaitForGraph) {
         let vertex = |g: &mut WaitForGraph, side: WfSide, n: usize, p: usize| {
             let name = &self.topo.node(NodeId(n as u32)).name;
             let dir = match side {
@@ -1912,8 +1913,8 @@ impl Network {
                     // ingresses wait on this egress to drain.
                     for sp in &eq.q {
                         if let Some(ing) = sp.ingress_port {
-                            let from = vertex(&mut g, WfSide::Ingress, n, ing);
-                            let to = vertex(&mut g, WfSide::Egress, n, p);
+                            let from = vertex(g, WfSide::Ingress, n, ing);
+                            let to = vertex(g, WfSide::Egress, n, p);
                             g.edge(from, to);
                         }
                     }
@@ -1921,22 +1922,21 @@ impl Network {
                     // Egress blocked → waits on the downstream ingress.
                     let th = TxHead { bytes: head.pkt.bytes, flow: head.pkt.flow };
                     if pq.tx_fc.hard_blocked(&th, self.now) {
-                        let from = vertex(&mut g, WfSide::Egress, n, p);
-                        let to = vertex(&mut g, WfSide::Ingress, ps.peer.0 as usize, ps.peer_port);
+                        let from = vertex(g, WfSide::Egress, n, p);
+                        let to = vertex(g, WfSide::Ingress, ps.peer.0 as usize, ps.peer_port);
                         g.edge(from, to);
                     }
                 }
                 // Ingress FIFO heads wait on their target egress.
                 for pq in ps.pqs() {
                     if let Some(head) = pq.ing_q.front() {
-                        let from = vertex(&mut g, WfSide::Ingress, n, p);
-                        let to = vertex(&mut g, WfSide::Egress, n, head.out_port);
+                        let from = vertex(g, WfSide::Ingress, n, p);
+                        let to = vertex(g, WfSide::Egress, n, head.out_port);
                         g.edge(from, to);
                     }
                 }
             }
         }
-        g
     }
 
     /// Assemble and store the deadlock post-mortem (at most once per run;

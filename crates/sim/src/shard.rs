@@ -10,12 +10,17 @@
 //!
 //! ## Workers
 //!
-//! The shards are cut into `workers` contiguous chunks. During a
-//! [`ShardedNetwork::run_until`] the calling thread is worker 0: it
-//! serves the first chunk itself and spawns one scoped thread per
-//! further chunk, so one worker means no thread and no channel hand-off
-//! at all. Each window is one lockstep round — a command to every
-//! worker, then one reply from each.
+//! The shards are cut into `workers` contiguous chunks, and the
+//! coordinator — the thread in [`ShardedNetwork::run_until`] — holds
+//! them all between windows. For each window it lends chunk `w` to
+//! worker `w` as one job (the chunk, the cross-shard events bound for
+//! it, the window edge), and the worker hands the chunk back with each
+//! shard's outbox and next event time. Worker 0 is the calling thread
+//! itself, so one worker means no thread and no channel hand-off at all;
+//! `W` workers spawn `W − 1` scoped threads per call. Every barrier step
+//! (start-of-run priming, the monitor tick and its wait-for check, the
+//! end-of-run clock) runs on the coordinator, directly on the shards it
+//! holds.
 //!
 //! ## How it stays exact
 //!
@@ -39,12 +44,13 @@
 //!   (ties in insertion order, so same-source events keep generation
 //!   order). The order within an instant is thus a pure function of the
 //!   event set, not of which queue the events waited in.
-//! * **Deterministic merge.** At each window barrier the coordinator
-//!   drains the per-shard outboxes in shard-index order into one batch
-//!   per destination shard. Within one `(time, rank)` group all events
-//!   come from a single causal source (one upstream peer per
-//!   `(node, port)`, one destination per flow), so concatenation order
-//!   reproduces the sequential FIFO order. The destination stable-sorts
+//! * **Deterministic merge.** When a window's chunks come back, the
+//!   coordinator queues their shards' outboxes in shard-index order,
+//!   whichever worker finished first, into one batch per destination
+//!   shard. Within one `(time, rank)` group all events come from a
+//!   single causal source (one upstream peer per `(node, port)`, one
+//!   destination per flow), so concatenation order reproduces the
+//!   sequential FIFO order. The destination stable-sorts
 //!   its batch by `(time, rank)`, which keeps that order, and injects
 //!   it: data arrivals onto its inbound FIFO lane
 //!   ([`EventQueue::LANE_INBOUND`]), everything else into its heap. Each
@@ -54,7 +60,8 @@
 //! * **Coordinator-owned observers.** The progress monitor and the
 //!   deadlock verdicts run on the coordinator at the exact instants the
 //!   sequential engine would run its `MonitorTick`, over merged state
-//!   (summed deliveries, OR-ed backlog, unioned wait-for graphs).
+//!   (summed deliveries, OR-ed backlog, and one wait-for graph that
+//!   every shard adds its edges to, in shard order).
 //!
 //! Shared-RNG coupling is eliminated at the source: ECN mark draws and
 //! periodic-feedback phases are pure counter/port hashes (see
@@ -79,131 +86,67 @@
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::ledger::FlowLedger;
-use crate::network::{Network, SimStats};
+use crate::network::{push_derived, Network, SimStats};
 use crate::progress::ProgressMonitor;
 use crate::trace::TraceConfig;
 use gfc_core::units::{Dur, Time};
 use gfc_telemetry::{names, MetricValue, Snapshot, WaitForGraph};
 use gfc_topology::{LinkId, NodeId, Partition, Routing, Topology};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
 /// One shard's window result: `(shard index, outbox, earliest pending
-/// event)` — what a worker reports back per owned shard after a `Run`.
+/// event)`.
 type RanShard = (usize, Vec<(Time, Event)>, Option<Time>);
 
-/// Commands the coordinator broadcasts to the workers. The protocol is
-/// strict lockstep: one command per worker, then one reply per worker,
-/// before the next round — reply types never interleave.
-enum Cmd {
-    /// Run start-of-run setup so peek times become meaningful.
-    Prime,
-    /// Inject cross-shard events, then drain each owned shard's queue up
-    /// to (exclusive) `until`.
-    Run { until: Time, inject: Vec<(usize, Vec<(Time, Event)>)> },
-    /// Monitor barrier: advance clocks to `at` and report merged-progress
-    /// inputs.
-    Monitor { at: Time },
-    /// Snapshot each owned shard's wait-for graph (stalled ticks only).
-    Graph,
-    /// Advance clocks to the end of the run horizon.
-    Finish { at: Time },
-}
+/// Cross-shard events for one chunk: `(destination shard index, batch)`.
+type Inject = Vec<(usize, Vec<(Time, Event)>)>;
 
-enum Reply {
-    /// One [`RanShard`] per owned shard (`Prime` answers with empty
-    /// outboxes).
-    Ran(Vec<RanShard>),
-    /// OR-ed backlog and summed deliveries over owned shards.
-    Monitored {
-        backlogged: bool,
-        delivered: u64,
-    },
-    /// `(shard index, graph)` per owned shard.
-    Graphs(Vec<(usize, WaitForGraph)>),
-    Finished,
-}
+/// A window's job for one worker: its chunk of shards, the events to
+/// inject into them, and the (exclusive) window edge.
+type Job<'a> = (&'a mut [Network], Inject, Time);
 
-/// Execute one command on a worker's chunk of shards, whose first shard
-/// has index `base`. Spawned workers call this in a loop; the calling
-/// thread calls it directly for the first chunk.
-fn serve(base: usize, shards: &mut [Network], cmd: Cmd) -> Reply {
-    match cmd {
-        Cmd::Prime => Reply::Ran(
-            shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, n)| {
-                    n.prime();
-                    (base + i, Vec::new(), n.next_event_time())
-                })
-                .collect(),
-        ),
-        Cmd::Run { until, inject } => {
-            for (idx, mut evs) in inject {
-                // Canonical order, so the batch's arrivals stay on the
-                // inbound lane; the sort is stable, keeping the source
-                // order of `(time, rank)` ties.
-                evs.sort_by_key(|(t, ev)| (*t, ev.order_major()));
-                let n = &mut shards[idx - base];
-                for (t, ev) in evs {
-                    n.inject(t, ev);
-                }
-            }
-            Reply::Ran(
-                shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, n)| {
-                        if n.next_event_time().is_some_and(|t| t < until) {
-                            n.run_window(until);
-                        }
-                        (base + i, n.take_outbox(), n.next_event_time())
-                    })
-                    .collect(),
-            )
-        }
-        Cmd::Monitor { at } => {
-            let mut backlogged = false;
-            let mut delivered = 0;
-            for n in shards.iter_mut() {
-                n.set_now(at);
-                n.probe_queue_sample();
-                backlogged |= n.backlogged();
-                delivered += n.stats().delivered_packets;
-            }
-            Reply::Monitored { backlogged, delivered }
-        }
-        Cmd::Graph => Reply::Graphs(
-            shards.iter().enumerate().map(|(i, n)| (base + i, n.waitfor_graph())).collect(),
-        ),
-        Cmd::Finish { at } => {
-            for n in shards.iter_mut() {
-                n.set_now(at);
-            }
-            Reply::Finished
+/// Run one window on a chunk of shards whose first shard has index
+/// `base`: inject the chunk's cross-shard events, then dispatch each
+/// shard's events strictly before `until`.
+fn run_chunk(base: usize, shards: &mut [Network], inject: Inject, until: Time) -> Vec<RanShard> {
+    for (idx, mut evs) in inject {
+        // Canonical order, so the batch's arrivals stay on the inbound
+        // lane; the sort is stable, keeping the source order of
+        // `(time, rank)` ties.
+        evs.sort_by_key(|(t, ev)| (*t, ev.order_major()));
+        let n = &mut shards[idx - base];
+        for (t, ev) in evs {
+            n.inject(t, ev);
         }
     }
+    shards
+        .iter_mut()
+        .enumerate()
+        .map(|(i, n)| {
+            if n.next_event_time().is_some_and(|t| t < until) {
+                // Inclusive horizon: the window's last instant.
+                n.run_until(Time(until.0 - 1));
+            }
+            (base + i, n.take_outbox(), n.next_event_time())
+        })
+        .collect()
 }
 
-/// Fold one round of `Ran` replies for the window ending at `until` into
-/// the coordinator's view, in source-shard order (the deterministic
-/// concatenation the exactness argument relies on): refresh each shard's
-/// peek time, queue its outbox for the destination shards, and count the
-/// queued events into `sync`. Returns the earliest queued due time.
+/// Fold one window's shard results (window edge `until`) into the
+/// coordinator's view, in source-shard order — the deterministic
+/// concatenation the exactness argument relies on, whatever order the
+/// workers finished in: refresh each shard's peek time, queue its outbox
+/// for the destination shards, and count the queued events into `sync`.
+/// Returns the earliest queued due time.
 fn absorb(
-    replies: Vec<Reply>,
+    mut ran: Vec<RanShard>,
     until: Time,
     domain_of: &[u32],
     peeks: &mut [Option<Time>],
     pending: &mut [Vec<(Time, Event)>],
     sync: &mut SyncStats,
 ) -> Option<Time> {
-    let mut ran: Vec<RanShard> = Vec::with_capacity(peeks.len());
-    for reply in replies {
-        let Reply::Ran(rows) = reply else { unreachable!("lockstep protocol") };
-        ran.extend(rows);
-    }
     ran.sort_by_key(|(idx, ..)| *idx);
     let mut earliest = None;
     for (idx, outbox, peek) in ran {
@@ -270,7 +213,7 @@ fn merge_value(a: &mut MetricValue, b: MetricValue) {
 /// layout equals the sequential engine's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Lockstep windows run (one `Run` round each).
+    /// Windows run (one job per worker each).
     pub windows: u64,
     /// Windows a monitor barrier or the run horizon cut short of the
     /// full lookahead.
@@ -393,7 +336,7 @@ impl ShardedNetwork {
     }
 
     /// Workers driving the shards, the calling thread included: each
-    /// [`Self::run_until`] serves the first chunk of shards on the calling
+    /// [`Self::run_until`] runs the first chunk of shards on the calling
     /// thread and spawns one thread per further chunk — at most
     /// `workers() - 1`, none for one worker.
     pub fn workers(&self) -> usize {
@@ -443,37 +386,51 @@ impl ShardedNetwork {
         if self.halted || t_end < self.now {
             return;
         }
-        let interval = self.shards[0].config().monitor_interval;
-        let stop_on_deadlock = self.shards[0].config().stop_on_deadlock;
-        let lookahead = self.lookahead;
-        let num_shards = self.shards.len();
-        let chunk = num_shards.div_ceil(self.workers);
-        let pool = num_shards.div_ceil(chunk);
-        let monitor_due = &mut self.monitor_due;
-        let monitor = &mut self.monitor;
-        let monitor_ticks = &mut self.monitor_ticks;
-        let structural_at = &mut self.structural_deadlock_at;
-        let pending = &mut self.pending;
-        let sync = &mut self.sync;
-        let now = &mut self.now;
-        let halted = &mut self.halted;
-        let domain_of = &self.domain_of;
-        let (own, rest) = self.shards.split_at_mut(chunk);
+        let ShardedNetwork {
+            shards,
+            domain_of,
+            workers,
+            lookahead,
+            now,
+            halted,
+            monitor,
+            monitor_due,
+            monitor_ticks,
+            structural_deadlock_at,
+            pending,
+            sync,
+        } = self;
+        let interval = shards[0].config().monitor_interval;
+        let stop_on_deadlock = shards[0].config().stop_on_deadlock;
+        // Start-of-run setup first, so the peek times mean something.
+        let mut peeks: Vec<Option<Time>> = shards
+            .iter_mut()
+            .map(|n| {
+                n.ensure_started();
+                n.next_event_time()
+            })
+            .collect();
+        // Earliest cross-shard event not yet injected: what the last call
+        // left over, then each window's outboxes.
+        let mut queued = pending.iter().flatten().map(|(t, _)| *t).min();
+        let mut due = *monitor_due.get_or_insert(*now + interval);
+        let chunk = shards.len().div_ceil(*workers);
+        // Chunk `w` is worker `w`'s, lent for each window; an empty slot
+        // is a chunk out on loan.
+        let mut parts: Vec<&mut [Network]> = shards.chunks_mut(chunk).collect();
         std::thread::scope(|s| {
-            // Worker 0 is this thread, serving `own`; workers 1.. each get
-            // a thread and a later chunk. Dropping `cmd_txs` at the end of
-            // the scope ends their loops.
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
-            let cmd_txs: Vec<Sender<Cmd>> = rest
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(w, part)| {
-                    let (tx, rx) = std::sync::mpsc::channel::<Cmd>();
-                    let reply_tx = reply_tx.clone();
-                    let base = (w + 1) * chunk;
+            // Worker 0 is this thread; workers 1.. each get a thread that
+            // runs the jobs it is sent and hands each chunk back. Dropping
+            // `jobs` at the end of the scope ends their loops.
+            let (done_tx, done_rx) = mpsc::channel::<(usize, &mut [Network], Vec<RanShard>)>();
+            let jobs: Vec<Sender<Job<'_>>> = (1..parts.len())
+                .map(|w| {
+                    let (tx, rx) = mpsc::channel::<Job<'_>>();
+                    let done_tx = done_tx.clone();
                     s.spawn(move || {
-                        while let Ok(cmd) = rx.recv() {
-                            if reply_tx.send(serve(base, part, cmd)).is_err() {
+                        for (part, inject, until) in rx {
+                            let ran = run_chunk(w * chunk, part, inject, until);
+                            if done_tx.send((w, part, ran)).is_err() {
                                 break;
                             }
                         }
@@ -481,29 +438,7 @@ impl ShardedNetwork {
                     tx
                 })
                 .collect();
-            drop(reply_tx);
-            // One lockstep round, `cmds[w]` for worker `w`: hand the
-            // spawned workers their commands, serve our own chunk, then
-            // collect the other replies (in any order).
-            let mut round = |cmds: Vec<Cmd>| -> Vec<Reply> {
-                let mut cmds = cmds.into_iter();
-                let first = cmds.next().expect("one command per worker");
-                for (tx, cmd) in cmd_txs.iter().zip(cmds) {
-                    tx.send(cmd).expect("worker alive");
-                }
-                let mut replies = Vec::with_capacity(pool);
-                replies.push(serve(0, own, first));
-                replies.extend(cmd_txs.iter().map(|_| reply_rx.recv().expect("worker alive")));
-                replies
-            };
-            let every = |cmd: &dyn Fn() -> Cmd| (0..pool).map(|_| cmd()).collect::<Vec<_>>();
-            // Peek times, refreshed from every Run reply.
-            let mut peeks: Vec<Option<Time>> = vec![None; num_shards];
-            absorb(round(every(&|| Cmd::Prime)), Time::ZERO, domain_of, &mut peeks, pending, sync);
-            // Earliest cross-shard event not yet injected: what the last
-            // call left over, then each window's outboxes.
-            let mut queued = pending.iter().flatten().map(|(t, _)| *t).min();
-            let mut due = *monitor_due.get_or_insert(*now + interval);
+            drop(done_tx);
             loop {
                 // Global minimum pending timestamp: shard queues plus
                 // cross-shard events not yet injected.
@@ -516,21 +451,19 @@ impl ShardedNetwork {
                 // before it is causally closed; the monitor barrier and
                 // the run horizon clip it.
                 let w1 = match next_ev {
-                    Some(t) => (t + lookahead).min(due).min(Time(t_end.0 + 1)),
+                    Some(t) => (t + *lookahead).min(due).min(Time(t_end.0 + 1)),
                     None => due,
                 };
                 if let Some(m) = next_ev.filter(|t| *t < w1) {
                     sync.windows += 1;
-                    sync.clipped_windows += u64::from(w1 < m + lookahead);
+                    sync.clipped_windows += u64::from(w1 < m + *lookahead);
                     let batch = pending.iter().map(Vec::len).max().unwrap_or(0);
                     sync.max_batch = sync.max_batch.max(batch as u64);
-                    let cmds = pending
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .map(|(w, part)| {
-                            // Each batch leaves a buffer of its size behind:
-                            // the next window's is about as large.
-                            let inject = part
+                    let mut lent = parts.iter_mut().zip(pending.chunks_mut(chunk)).enumerate().map(
+                        |(w, (part, batches))| {
+                            // Each batch leaves a buffer of its size
+                            // behind: the next window's is about as large.
+                            let inject = batches
                                 .iter_mut()
                                 .enumerate()
                                 .filter(|(_, evs)| !evs.is_empty())
@@ -539,53 +472,46 @@ impl ShardedNetwork {
                                     (w * chunk + i, std::mem::replace(evs, next))
                                 })
                                 .collect();
-                            Cmd::Run { until: w1, inject }
-                        })
-                        .collect();
-                    queued = absorb(round(cmds), w1, domain_of, &mut peeks, pending, sync);
+                            (std::mem::take(part), inject)
+                        },
+                    );
+                    let (own, own_inject) = lent.next().expect("worker 0's chunk");
+                    for (job, (part, inject)) in jobs.iter().zip(lent) {
+                        job.send((part, inject, w1)).expect("worker alive");
+                    }
+                    let mut ran = run_chunk(0, own, own_inject, w1);
+                    parts[0] = own;
+                    for _ in &jobs {
+                        let (w, part, rows) = done_rx.recv().expect("worker alive");
+                        parts[w] = part;
+                        ran.extend(rows);
+                    }
+                    queued = absorb(ran, w1, domain_of, &mut peeks, pending, sync);
                 }
                 if w1 == due && due <= t_end {
                     // Monitor barrier — the sequential MonitorTick,
                     // replayed at the same instant over merged state.
                     let mut backlogged = false;
                     let mut delivered = 0;
-                    for reply in round(every(&|| Cmd::Monitor { at: due })) {
-                        let Reply::Monitored { backlogged: b, delivered: d } = reply else {
-                            unreachable!("lockstep protocol")
-                        };
-                        backlogged |= b;
-                        delivered += d;
+                    for n in parts.iter_mut().flat_map(|p| p.iter_mut()) {
+                        n.set_now(due);
+                        n.probe_queue_sample();
+                        backlogged |= n.backlogged();
+                        delivered += n.stats().delivered_packets;
                     }
                     *monitor_ticks += 1;
                     sync.monitor_barriers += 1;
                     let progressed = monitor.sample(due.0, delivered, backlogged);
-                    if structural_at.is_none() && backlogged && !progressed {
-                        let mut graphs: Vec<(usize, WaitForGraph)> = Vec::new();
-                        for reply in round(every(&|| Cmd::Graph)) {
-                            let Reply::Graphs(rows) = reply else {
-                                unreachable!("lockstep protocol")
-                            };
-                            graphs.extend(rows);
+                    if structural_deadlock_at.is_none() && backlogged && !progressed {
+                        let mut graph = WaitForGraph::new();
+                        for n in parts.iter().flat_map(|p| p.iter()) {
+                            n.add_waitfor_edges(&mut graph);
                         }
-                        graphs.sort_by_key(|(idx, _)| *idx);
-                        let mut union = WaitForGraph::new();
-                        for (_, g) in &graphs {
-                            let map: Vec<usize> = g
-                                .vertices()
-                                .iter()
-                                .map(|v| union.vertex(v.side, v.node, v.port, &v.label))
-                                .collect();
-                            for vi in 0..g.len() {
-                                for &succ in g.successors(vi) {
-                                    union.edge(map[vi], map[succ]);
-                                }
-                            }
-                        }
-                        if union.find_cycle().is_some() {
-                            *structural_at = Some(due);
+                        if graph.find_cycle().is_some() {
+                            *structural_deadlock_at = Some(due);
                         }
                     }
-                    let dead = monitor.deadlocked() || structural_at.is_some();
+                    let dead = monitor.deadlocked() || structural_deadlock_at.is_some();
                     *now = due;
                     due += interval;
                     if dead && stop_on_deadlock {
@@ -594,14 +520,14 @@ impl ShardedNetwork {
                     }
                 }
             }
-            *monitor_due = Some(due);
-            if !*halted {
-                for reply in round(every(&|| Cmd::Finish { at: t_end })) {
-                    debug_assert!(matches!(reply, Reply::Finished), "lockstep protocol");
-                }
-                *now = t_end;
-            }
         });
+        *monitor_due = Some(due);
+        if !*halted {
+            for n in shards.iter_mut() {
+                n.set_now(t_end);
+            }
+            *now = t_end;
+        }
     }
 
     /// Current virtual time.
@@ -699,27 +625,7 @@ impl ShardedNetwork {
                 *c += self.monitor_ticks;
             }
         }
-        let stats = self.stats();
-        snap.push_counter(names::SIM_TIME_PS, self.now.0);
-        snap.push_counter(names::DELIVERED_PACKETS, stats.delivered_packets);
-        snap.push_counter(names::DELIVERED_BYTES, stats.delivered_bytes);
-        snap.push_counter(names::DROPS, stats.drops);
-        snap.push_counter(names::CTRL_MSGS, stats.ctrl_msgs);
-        snap.push_counter(names::CTRL_BYTES, stats.ctrl_bytes);
-        let hw: u64 = self.shards.iter().map(Network::sum_hold_and_wait).sum();
-        let fg: u64 = self.shards.iter().map(Network::sum_feedback_generated).sum();
-        snap.push_counter(names::HOLD_AND_WAIT, hw);
-        snap.push_counter(names::FEEDBACK_GENERATED, fg);
-        let ingress: u64 = self.shards.iter().map(Network::ingress_bytes_total).sum();
-        let egress: u64 = self.shards.iter().map(Network::egress_bytes_total).sum();
-        snap.push_counter(names::INGRESS_BYTES, ingress);
-        snap.push_counter(names::BACKLOG_BYTES, ingress + egress);
-        if self.now.0 > 0 {
-            if let Some(events) = snap.counter(names::EVENTS) {
-                let per_sec = events as f64 / self.now.as_secs_f64();
-                snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
-            }
-        }
+        push_derived(&mut snap, self.now, &self.shards);
         for (d, s) in self.shards.iter().enumerate() {
             for entry in s.probe_entries() {
                 let mut entry = entry;

@@ -23,6 +23,8 @@ struct Fingerprint {
     ledger: String,
     deadlocked: bool,
     structural: bool,
+    deadlock_at: Option<Time>,
+    structural_deadlock_at: Option<Time>,
 }
 
 /// The six flow-control backends of the shootout matrix, with the pump
@@ -133,6 +135,8 @@ fn run_sequential(sc: &Scenario, cfg: SimConfig) -> Fingerprint {
         ledger: format!("{:?}", net.ledger()),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
+        deadlock_at: net.deadlock_at(),
+        structural_deadlock_at: net.structural_deadlock_at(),
     }
 }
 
@@ -171,6 +175,8 @@ fn run_sharded_with_sync(
         ledger: format!("{:?}", net.ledger()),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
+        deadlock_at: net.deadlock_at(),
+        structural_deadlock_at: net.structural_deadlock_at(),
     };
     (fp, net.sync_stats())
 }
@@ -222,6 +228,11 @@ fn assert_identical(seq: &Fingerprint, shd: &Fingerprint, what: &str) {
     assert_eq!(seq.ledger, shd.ledger, "{what}: flow ledgers diverged");
     assert_eq!(seq.deadlocked, shd.deadlocked, "{what}: progress verdicts diverged");
     assert_eq!(seq.structural, shd.structural, "{what}: structural verdicts diverged");
+    assert_eq!(seq.deadlock_at, shd.deadlock_at, "{what}: progress verdict times diverged");
+    assert_eq!(
+        seq.structural_deadlock_at, shd.structural_deadlock_at,
+        "{what}: structural verdict times diverged"
+    );
 }
 
 /// The full matrix on the ring: six backends × arc partitions × worker
@@ -275,6 +286,7 @@ fn clipped_windows_match_sequential() {
         let mut cfg = base_cfg(fc, pump);
         cfg.monitor_interval = Dur(cfg.prop_delay.0 * 37 + cfg.prop_delay.0 / 3);
         let seq = run_sequential(&sc, cfg.clone());
+        let mut w1_sync = None;
         for workers in [1usize, 4] {
             let what = format!("clipped:{name}:w{workers}");
             let (shd, sync) =
@@ -283,6 +295,49 @@ fn clipped_windows_match_sequential() {
             assert!(sync.clipped_windows > 0, "{what}: no window was clipped: {sync:?}");
             assert!(sync.inbound_lane > 0, "{what}: no arrival crossed shards: {sync:?}");
             assert_eq!(sync.inbound_diverted, 0, "{what}: an inbound arrival left the lane");
+            // The window schedule is a function of the event set, not of
+            // how the shards are lent out to workers.
+            let w1 = *w1_sync.get_or_insert(sync);
+            assert_eq!(sync, w1, "{what}: sync counters differ from w1's");
+        }
+    }
+}
+
+/// Halted runs: greedy flows wedge the ring, `stop_on_deadlock` is on,
+/// and both engines stop at the same monitor barrier in the same state.
+/// The sharded run is driven by two `run_until` calls, so whichever one
+/// the halt lands in, every call after it must change nothing.
+/// Output-queued PFC, CBFC, BFC and DCFIT halt on a wait-for cycle; under
+/// the arrival-order pump with small staging every backend wedges, the
+/// two GFCs on the progress verdict.
+#[test]
+fn halted_runs_match_sequential() {
+    let ring = Ring::new(3);
+    let mut sc = ring_scenario();
+    for flow in &mut sc.flows {
+        flow.2 = None;
+    }
+    let mut cases = Vec::new();
+    for (name, fc, _) in backends() {
+        if matches!(name, "pfc" | "cbfc" | "bfc" | "dcfit") {
+            cases.push((format!("{name}:oq"), base_cfg(fc, PumpPolicy::OutputQueued)));
+        }
+        let mut cfg = base_cfg(fc, PumpPolicy::ArrivalOrder);
+        cfg.pump_batch = 32;
+        cfg.stage_slots = 64;
+        cases.push((format!("{name}:arrival"), cfg));
+    }
+    for (name, mut cfg) in cases {
+        cfg.stop_on_deadlock = true;
+        let seq = run_sequential(&sc, cfg.clone());
+        assert!(seq.deadlocked || seq.structural, "{name}: sequential run reached no verdict");
+        for arcs in [2usize, 3] {
+            let part = Partition::ring_arcs(&ring, arcs);
+            for workers in [1usize, 2, 4] {
+                let ends = [Time::from_millis(2), sc.horizon];
+                let shd = run_sharded(&sc, cfg.clone(), &part, workers, &ends);
+                assert_identical(&seq, &shd, &format!("halted:{name}:arcs{arcs}:w{workers}"));
+            }
         }
     }
 }
