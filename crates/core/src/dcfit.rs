@@ -20,7 +20,8 @@
 use crate::backend::{
     CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
 };
-use crate::pfc::{PfcConfig, PfcEvent, PfcReceiver, PfcSender};
+use crate::fc_config::PfcParams;
+use crate::pfc::{PfcEvent, PfcReceiver, PfcSender};
 use crate::units::Time;
 
 /// Ingress-side DCFIT state: a PFC threshold watcher plus tag minting /
@@ -38,7 +39,7 @@ pub struct DcfitReceiver {
 impl DcfitReceiver {
     /// New receiver watching with `cfg` thresholds at ingress
     /// `(node, port)` (the identity stamped into minted tags).
-    pub fn new(cfg: PfcConfig, node: u32, port: u16) -> DcfitReceiver {
+    pub fn new(cfg: PfcParams, node: u32, port: u16) -> DcfitReceiver {
         DcfitReceiver {
             pfc: PfcReceiver::new(cfg),
             node,
@@ -241,7 +242,7 @@ mod tests {
     use crate::units::Rate;
 
     fn rx(node: u32, port: u16) -> DcfitReceiver {
-        DcfitReceiver::new(PfcConfig::new(3000, 2000), node, port)
+        DcfitReceiver::new(PfcParams { xoff: 3000, xon: 2000 }, node, port)
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::dcfit::{DcfitReceiver, DcfitRx, DcfitSender, DcfitTx};
 use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
 use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::mapping::{LinearMapping, StageTable};
-use crate::pfc::{PauseMode, PfcConfig, PfcReceiver, PfcSender};
+use crate::pfc::{PauseMode, PfcReceiver, PfcSender};
 use crate::units::{Dur, Rate, Time};
 use serde::{Deserialize, Serialize};
 
@@ -205,9 +205,7 @@ impl FcConfig {
         use crate::backend as be;
         match *self {
             FcConfig::None => AnyRx::None(be::NoneRx),
-            FcConfig::Pfc(PfcParams { xoff, xon }) => {
-                AnyRx::Pfc(be::PfcRx(PfcReceiver::new(PfcConfig::new(xoff, xon))))
-            }
+            FcConfig::Pfc(pfc) => AnyRx::Pfc(be::PfcRx(PfcReceiver::new(pfc))),
             FcConfig::Cbfc(_) => AnyRx::Cbfc(be::CbfcRx::new(buffer_bytes, mtu)),
             FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (n, d) }) => {
                 AnyRx::GfcBuffer(be::GfcBufferRx(GfcBufferReceiver::new(StageTable::with_ratio(
@@ -222,7 +220,7 @@ impl FcConfig {
             }
             FcConfig::Bfc(cfg) => AnyRx::Bfc(BfcRx(BfcReceiver::new(cfg))),
             FcConfig::Dcfit(DcfitParams { xoff, xon }) => AnyRx::Dcfit(DcfitRx(
-                DcfitReceiver::new(PfcConfig::new(xoff, xon), ident.node, ident.port),
+                DcfitReceiver::new(PfcParams { xoff, xon }, ident.node, ident.port),
             )),
         }
     }

@@ -5,8 +5,8 @@
 //! configurations of each flow-control scheme are derived exactly as the
 //! paper prescribes.
 
+use crate::fc_config::PfcParams;
 use crate::mapping::{LinearMapping, StageTable};
-use crate::pfc::PfcConfig;
 use crate::theorems;
 use crate::units::{Dur, Rate};
 use serde::{Deserialize, Serialize};
@@ -46,11 +46,11 @@ impl LinkClass {
 /// `XOFF = buffer − headroom(C·τ)`, `XON = XOFF − 2·MTU` (the recommended
 /// gap cited in §4.1). Panics if the buffer is too small to host the
 /// headroom plus hysteresis.
-pub fn derive_pfc(buffer_bytes: u64, link: &LinkClass) -> PfcConfig {
+pub fn derive_pfc(buffer_bytes: u64, link: &LinkClass) -> PfcParams {
     let headroom = theorems::pfc_headroom(link.capacity, link.tau());
     let xoff = buffer_bytes.checked_sub(headroom).expect("buffer smaller than PFC headroom");
     let xon = xoff.checked_sub(2 * link.mtu).expect("buffer smaller than PFC headroom + 2 MTU");
-    PfcConfig::new(xoff, xon)
+    PfcParams { xoff, xon }
 }
 
 /// Derive the buffer-based GFC stage table: `Bm = buffer` (§5.4: the space

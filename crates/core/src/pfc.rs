@@ -15,6 +15,7 @@
 //!   512 bit-times); the pause expires on its own. Exposed for protocol
 //!   fidelity tests.
 
+use crate::fc_config::PfcParams;
 use crate::units::{Dur, Rate, Time};
 use serde::{Deserialize, Serialize};
 
@@ -39,29 +40,10 @@ pub enum PfcEvent {
     Resume,
 }
 
-/// Configuration for one PFC-watched ingress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PfcConfig {
-    /// Queue length (bytes) at/above which PAUSE is generated.
-    pub xoff: u64,
-    /// Queue length (bytes) at/below which RESUME is generated. The
-    /// recommended gap `XOFF − XON` is 2 MTU (DCQCN paper guidance cited in
-    /// §4.1).
-    pub xon: u64,
-}
-
-impl PfcConfig {
-    /// Validate and build; panics if `xon >= xoff`.
-    pub fn new(xoff: u64, xon: u64) -> Self {
-        assert!(xon < xoff, "PFC requires XON < XOFF (got xon={xon}, xoff={xoff})");
-        PfcConfig { xoff, xon }
-    }
-}
-
 /// Receiver-side PFC: ingress-queue watcher and message generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PfcReceiver {
-    cfg: PfcConfig,
+    cfg: PfcParams,
     /// Whether we have an outstanding PAUSE towards the upstream.
     pause_asserted: bool,
     /// Count of generated messages (for overhead accounting).
@@ -69,14 +51,12 @@ pub struct PfcReceiver {
 }
 
 impl PfcReceiver {
-    /// New receiver with the given thresholds.
-    pub fn new(cfg: PfcConfig) -> Self {
+    /// New receiver pausing at `cfg.xoff` and resuming at `cfg.xon`
+    /// bytes; panics unless `xon < xoff`.
+    pub fn new(cfg: PfcParams) -> Self {
+        let PfcParams { xoff, xon } = cfg;
+        assert!(xon < xoff, "PFC requires XON < XOFF (got xon={xon}, xoff={xoff})");
         PfcReceiver { cfg, pause_asserted: false, messages_sent: 0 }
-    }
-
-    /// Thresholds in force.
-    pub fn config(&self) -> PfcConfig {
-        self.cfg
     }
 
     /// Whether a PAUSE is currently asserted towards the upstream.
@@ -173,8 +153,8 @@ mod tests {
     use super::*;
     use crate::units::kb;
 
-    fn cfg() -> PfcConfig {
-        PfcConfig::new(kb(80), kb(77))
+    fn cfg() -> PfcParams {
+        PfcParams { xoff: kb(80), xon: kb(77) }
     }
 
     #[test]
@@ -208,7 +188,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "XON < XOFF")]
     fn rejects_inverted_thresholds() {
-        PfcConfig::new(kb(10), kb(20));
+        PfcReceiver::new(PfcParams { xoff: kb(10), xon: kb(20) });
     }
 
     #[test]

@@ -78,12 +78,13 @@ pub struct SimConfig {
     pub monitor_interval: Dur,
     /// Stop the run as soon as a deadlock verdict is reached.
     pub stop_on_deadlock: bool,
-    /// What [`Network::new`](crate::Network::new) does with the static
-    /// preflight analysis (`gfc-verify`): refuse Error-level diagnostics
-    /// ([`PreflightPolicy::Enforce`], the default), run the analysis but
-    /// proceed anyway ([`PreflightPolicy::Acknowledge`] — for deliberately
-    /// unsound adversarial setups such as the Fig. 9/12 deadlock studies),
-    /// or skip it entirely ([`PreflightPolicy::Skip`]).
+    /// Whether [`Network::new`](crate::Network::new) and
+    /// [`ShardedNetwork::new`](crate::ShardedNetwork::new) gate on the
+    /// static preflight analysis (`gfc-verify`): run it and refuse
+    /// Error-level diagnostics ([`PreflightPolicy::Enforce`], the
+    /// default), or build without it ([`PreflightPolicy::Acknowledge`] —
+    /// for deliberately unsound adversarial setups such as the Fig. 9/12
+    /// deadlock studies).
     pub preflight: PreflightPolicy,
     /// What the observability layer records: live metrics (on by
     /// default, one branch per update when off), the flight-recorder

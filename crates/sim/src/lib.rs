@@ -63,8 +63,8 @@ pub use trace::{TraceConfig, Traces};
 
 /// Run the `gfc-verify` static preflight analysis on a full simulator
 /// configuration — the ergonomic entry point for vetting a scenario
-/// without building a [`Network`] (the builder runs the same pass per
-/// [`SimConfig::preflight`]).
+/// without building a [`Network`] (the builders run the same pass as
+/// their gate under [`PreflightPolicy::Enforce`]).
 pub fn preflight(
     topo: &gfc_topology::Topology,
     routing: &gfc_topology::Routing,
@@ -73,25 +73,21 @@ pub fn preflight(
     gfc_verify::preflight(topo, routing, &cfg.fabric_spec())
 }
 
-/// The builders' preflight gate, shared by [`Network`] and
-/// [`ShardedNetwork`]: runs [`preflight`] unless `cfg.preflight` is
-/// `Skip`, and panics with the full report when it is `Enforce` and the
-/// report has errors.
+/// The builders' preflight gate, run once per run by [`Network::new`] and
+/// [`ShardedNetwork::new`]: under [`PreflightPolicy::Enforce`], panic
+/// with the full [`preflight`] report when it has errors.
 pub(crate) fn preflight_gate(
     topo: &gfc_topology::Topology,
     routing: &gfc_topology::Routing,
     cfg: &SimConfig,
-) -> Option<gfc_verify::Report> {
-    if cfg.preflight == PreflightPolicy::Skip {
-        return None;
-    }
-    let report = preflight(topo, routing, cfg);
-    if cfg.preflight == PreflightPolicy::Enforce && report.has_errors() {
-        panic!(
+) {
+    if cfg.preflight == PreflightPolicy::Enforce {
+        let report = preflight(topo, routing, cfg);
+        assert!(
+            !report.has_errors(),
             "preflight rejected this configuration (set SimConfig::preflight to \
              PreflightPolicy::Acknowledge to run it anyway):\n{}",
             report.render()
         );
     }
-    Some(report)
 }

@@ -28,7 +28,7 @@ use crate::packet::Packet;
 use crate::port::{
     IngressPacket, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
 };
-use crate::progress::ProgressMonitor;
+use crate::progress::DeadlockMonitor;
 use crate::telemetry::{PortSample, SimTelemetry};
 use crate::trace::{ThroughputMeter, TraceConfig, Traces};
 use gfc_core::fc_config::PortIdent;
@@ -117,7 +117,7 @@ struct FlowMeta {
 }
 
 /// Aggregate run statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Packets delivered to destination hosts.
     pub delivered_packets: u64,
@@ -132,6 +132,26 @@ pub struct SimStats {
     pub ctrl_bytes: u64,
 }
 
+impl SimStats {
+    /// The run statistics of `nets` — the one network of a sequential
+    /// run, or every shard of a sharded one: each network's deliveries,
+    /// plus drops and received control traffic summed over the per-port
+    /// counters of the ports it holds.
+    pub(crate) fn of(nets: &[Network]) -> SimStats {
+        let mut s = SimStats::default();
+        for n in nets {
+            s.delivered_packets += n.delivered_packets;
+            s.delivered_bytes += n.delivered_bytes;
+            for p in n.ports.all() {
+                s.drops += p.drops;
+                s.ctrl_msgs += p.ctrl_msgs_rx;
+                s.ctrl_bytes += p.ctrl_bytes_rx;
+            }
+        }
+        s
+    }
+}
+
 /// Push the snapshot entries derived from the simulator's own
 /// accounting, summed over `nets` — the one network of a sequential
 /// run, or every shard of a sharded one (whose registries `snap` already
@@ -140,12 +160,13 @@ pub struct SimStats {
 /// and the event rate. One builder, so both engines' layouts agree.
 pub(crate) fn push_derived(snap: &mut Snapshot, now: Time, nets: &[Network]) {
     let sum = |f: &dyn Fn(&Network) -> u64| nets.iter().map(f).sum::<u64>();
+    let stats = SimStats::of(nets);
     snap.push_counter(names::SIM_TIME_PS, now.0);
-    snap.push_counter(names::DELIVERED_PACKETS, sum(&|n| n.stats.delivered_packets));
-    snap.push_counter(names::DELIVERED_BYTES, sum(&|n| n.stats.delivered_bytes));
-    snap.push_counter(names::DROPS, sum(&|n| n.stats.drops));
-    snap.push_counter(names::CTRL_MSGS, sum(&|n| n.stats.ctrl_msgs));
-    snap.push_counter(names::CTRL_BYTES, sum(&|n| n.stats.ctrl_bytes));
+    snap.push_counter(names::DELIVERED_PACKETS, stats.delivered_packets);
+    snap.push_counter(names::DELIVERED_BYTES, stats.delivered_bytes);
+    snap.push_counter(names::DROPS, stats.drops);
+    snap.push_counter(names::CTRL_MSGS, stats.ctrl_msgs);
+    snap.push_counter(names::CTRL_BYTES, stats.ctrl_bytes);
     snap.push_counter(names::HOLD_AND_WAIT, sum(&Network::sum_hold_and_wait));
     snap.push_counter(names::FEEDBACK_GENERATED, sum(&Network::sum_feedback_generated));
     let ingress = sum(&Network::ingress_bytes_total);
@@ -192,23 +213,23 @@ pub struct Network {
     outbox: Vec<(Time, Event)>,
     workload: Option<Box<dyn Workload>>,
     ledger: FlowLedger,
-    monitor: ProgressMonitor,
+    /// The run's deadlock verdicts (a shard's coordinator steps its own).
+    monitor: DeadlockMonitor,
     traces: Traces,
     trace_cfg: TraceConfig,
     /// Flow metadata, dense by flow id (ids are assigned 0, 1, 2, …).
     flows: Vec<FlowMeta>,
     next_flow_id: u64,
     next_pkt_id: u64,
-    stats: SimStats,
+    /// Packets and bytes delivered to destination hosts (the rest of
+    /// [`SimStats`] lives in the per-port counters).
+    delivered_packets: u64,
+    delivered_bytes: u64,
     started: bool,
     halted: bool,
-    /// First observation of a wait-for cycle during a stalled tick.
-    structural_deadlock_at: Option<Time>,
     /// First runtime deadlock detection raised by the flow-control backend
     /// itself (DCFIT's initial-trigger check), if any.
     first_fc_detection_at: Option<Time>,
-    /// The static preflight report (None when the policy was `Skip`).
-    preflight_report: Option<gfc_verify::Report>,
     /// Observability state: metrics registry, flight recorder, forensics.
     tel: SimTelemetry,
 }
@@ -216,24 +237,27 @@ pub struct Network {
 impl Network {
     /// Build a simulator over `topo` with the given routing and config.
     ///
-    /// Unless `cfg.preflight` opts out, the `gfc-verify` static analysis
-    /// runs first and the builder panics (with the full lint report) on
-    /// Error-level findings — a theorem-precondition violation, an unsound
-    /// PFC threshold, or a hard-gated scheme on a routing whose
-    /// host-realizable dependency graph sustains a circular wait (the
-    /// exact GFC012 peeling verdict; a routing that is merely CBD-prone
-    /// by the conservative GFC011 prefilter but peels clean is admitted
-    /// with an Info note). Adversarial experiments that run unsound
-    /// configurations on purpose (the Fig. 9/12 deadlock studies) set
-    /// [`PreflightPolicy::Acknowledge`](gfc_verify::PreflightPolicy).
+    /// Under the default `cfg.preflight` (`Enforce`), the `gfc-verify`
+    /// static analysis runs first and the builder panics (with the full
+    /// lint report) on Error-level findings — a theorem-precondition
+    /// violation, an unsound PFC threshold, or a hard-gated scheme on a
+    /// routing whose host-realizable dependency graph sustains a circular
+    /// wait (the exact GFC012 peeling verdict; a routing that is merely
+    /// CBD-prone by the conservative GFC011 prefilter but peels clean is
+    /// admitted with an Info note). Adversarial experiments that run
+    /// unsound configurations on purpose (the Fig. 9/12 deadlock studies)
+    /// set `Acknowledge`, which builds without the gate;
+    /// [`crate::preflight`] still reports on such a setup.
     pub fn new(topo: Topology, routing: Routing, cfg: SimConfig, trace_cfg: TraceConfig) -> Self {
+        crate::preflight_gate(&topo, &routing, &cfg);
         Self::build(topo, routing, cfg, trace_cfg, None)
     }
 
-    /// [`Self::new`], optionally as one shard of a partitioned run:
-    /// `domain = Some((domain_of, d))` restricts the instance to the nodes
-    /// of domain `d` (see the shard plumbing below) and builds ports for
-    /// those nodes only — foreign nodes get empty port slices.
+    /// [`Self::new`] without the preflight gate, optionally as one shard
+    /// of a partitioned run: `domain = Some((domain_of, d))` restricts the
+    /// instance to the nodes of domain `d` (see the shard plumbing below)
+    /// and builds ports for those nodes only — foreign nodes get empty
+    /// port slices.
     pub(crate) fn build(
         topo: Topology,
         routing: Routing,
@@ -244,7 +268,6 @@ impl Network {
         if let Some((domain_of, _)) = &domain {
             assert_eq!(domain_of.len(), topo.num_nodes(), "partition table size mismatch");
         }
-        let preflight_report = crate::preflight_gate(&topo, &routing, &cfg);
         cfg.validate();
         let num_nodes = topo.num_nodes();
         assert!(
@@ -274,7 +297,7 @@ impl Network {
             host_of_node[h.0 as usize] = u32::try_from(i).expect("host count fits u32");
             hosts.push(HostState { index: i, ..Default::default() });
         }
-        let monitor = ProgressMonitor::new(cfg.progress_window.0);
+        let monitor = DeadlockMonitor::new(&cfg);
         let mut tel = SimTelemetry::new(&cfg.telemetry, cfg.buffer_bytes, cfg.capacity.0);
         // Register the timeline sampler tracks in the same (node, port)
         // order the sampler tick will walk the port table.
@@ -323,30 +346,14 @@ impl Network {
             flows: Vec::new(),
             next_flow_id: 0,
             next_pkt_id: 0,
-            stats: SimStats::default(),
+            delivered_packets: 0,
+            delivered_bytes: 0,
             started: false,
             halted: false,
-            structural_deadlock_at: None,
             first_fc_detection_at: None,
-            preflight_report,
             tel,
             cfg,
         }
-    }
-
-    /// The static preflight report computed when this network was built
-    /// (`None` when `cfg.preflight` was [`gfc_verify::PreflightPolicy::Skip`]).
-    pub fn preflight_report(&self) -> Option<&gfc_verify::Report> {
-        self.preflight_report.as_ref()
-    }
-
-    /// The condensed static verdict, for printing next to runtime deadlock
-    /// verdicts (`None` when preflight was skipped). The interesting bit
-    /// for experiment tables is [`gfc_verify::StaticVerdict`]'s
-    /// `deadlock_susceptible` vs. `exact_deadlock_free` split: the former
-    /// predicts the run wedges, the latter certifies it cannot.
-    pub fn static_verdict(&self) -> Option<gfc_verify::StaticVerdict> {
-        self.preflight_report.as_ref().map(gfc_verify::Report::verdict)
     }
 
     /// Whether `node` is a host, via the dense host table (the `Node`
@@ -399,8 +406,13 @@ impl Network {
     }
 
     /// Run statistics so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    pub fn stats(&self) -> SimStats {
+        SimStats::of(std::slice::from_ref(self))
+    }
+
+    /// Packets delivered to destination hosts so far.
+    pub(crate) fn delivered_packets(&self) -> u64 {
+        self.delivered_packets
     }
 
     /// Flow ledger (FCT records).
@@ -418,13 +430,13 @@ impl Network {
     /// pathological near-zero-rate crawls; see
     /// [`Self::structurally_deadlocked`] for the strict verdict.
     pub fn deadlocked(&self) -> bool {
-        self.monitor.deadlocked()
+        self.monitor.deadlock_at().is_some()
     }
 
     /// When the fatal stall began, if a progress-monitor verdict was
     /// reached.
     pub fn deadlock_at(&self) -> Option<Time> {
-        self.monitor.deadlock_at_ps().map(Time)
+        self.monitor.deadlock_at()
     }
 
     /// Strict deadlock verdict in the paper's sense (§1): a circular
@@ -432,12 +444,12 @@ impl Network {
     /// was observed while the network made no progress. GFC provably never
     /// reaches this state (its ports are never hard-blocked).
     pub fn structurally_deadlocked(&self) -> bool {
-        self.structural_deadlock_at.is_some()
+        self.monitor.structural_at().is_some()
     }
 
     /// When the structural deadlock was first observed.
     pub fn structural_deadlock_at(&self) -> Option<Time> {
-        self.structural_deadlock_at
+        self.monitor.structural_at()
     }
 
     /// Runtime deadlock detections raised by the flow-control backend
@@ -1057,8 +1069,8 @@ impl Network {
     fn deliver_at_host(&mut self, node: NodeId, port: usize, pkt: Packet) {
         debug_assert!(pkt.at_destination(), "packet arrived at a non-final host");
         debug_assert_eq!(pkt.dst, node, "packet delivered to the wrong host");
-        self.stats.delivered_packets += 1;
-        self.stats.delivered_bytes += pkt.bytes;
+        self.delivered_packets += 1;
+        self.delivered_bytes += pkt.bytes;
         self.tel.on_deliver(self.now.0, node, port, pkt.prio, pkt.bytes);
         self.tel.on_flow_delivery(pkt.flow, pkt.bytes, self.now.0);
         // Keep credit accounting alive on the host's ingress (the switch's
@@ -1142,7 +1154,6 @@ impl Network {
         let ps = &mut self.ports[ing_ix];
         if ps.pq(prio).ing_bytes + bytes > self.cfg.buffer_bytes {
             ps.drops += 1;
-            self.stats.drops += 1;
             self.tel.on_drop(self.now.0, node, port, pkt.prio, bytes);
             return;
         }
@@ -1347,8 +1358,6 @@ impl Network {
         let ps = &mut self.ports[px];
         ps.ctrl_bytes_rx += wire;
         ps.ctrl_msgs_rx += 1;
-        self.stats.ctrl_msgs += 1;
-        self.stats.ctrl_bytes += wire;
         let tx_fc = &mut ps.pq_mut(prio as usize).tx_fc;
         let rate_before = tx_fc.assigned_rate();
         let outcome = tx_fc
@@ -1451,29 +1460,21 @@ impl Network {
     }
 
     fn on_monitor_tick(&mut self) {
-        self.probe_queue_sample();
-        let backlog = self.backlogged();
-        let progressed = self.monitor.sample(self.now.0, self.stats.delivered_packets, backlog);
-        // Structural check only on stalled ticks (free when healthy): a
-        // wait-for cycle observed while nothing moves is a deadlock in the
-        // paper's sense — circular hold-and-wait.
-        if self.structural_deadlock_at.is_none() && backlog && !progressed {
-            let graph = self.waitfor_graph();
-            if let Some(cycle) = graph.find_cycle() {
-                self.structural_deadlock_at = Some(self.now);
-                self.capture_forensics(ForensicsTrigger::WaitForCycle, graph, cycle);
-            }
+        let mut monitor = self.monitor;
+        let found = monitor.step(self.now, &mut [&mut *self]);
+        self.monitor = monitor;
+        if let Some((graph, cycle)) = found {
+            self.capture_forensics(ForensicsTrigger::WaitForCycle, graph, cycle);
         }
         // A progress-monitor verdict without a structural cycle (a
         // pathological crawl rather than a standstill) still deserves a
         // post-mortem; capture once, on the first verdict.
-        if self.monitor.deadlocked() && self.tel.forensics_on && self.tel.forensics.is_none() {
+        if self.deadlocked() && self.tel.forensics_on && self.tel.forensics.is_none() {
             let graph = self.waitfor_graph();
             let cycle = graph.find_cycle().unwrap_or_default();
             self.capture_forensics(ForensicsTrigger::ProgressMonitor, graph, cycle);
         }
-        let dead = self.monitor.deadlocked() || self.structural_deadlock_at.is_some();
-        if dead && self.cfg.stop_on_deadlock {
+        if monitor.halted() {
             self.halted = true;
             return;
         }

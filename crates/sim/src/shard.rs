@@ -57,11 +57,10 @@
 //!   key equals the one a heap push would get, since every injected
 //!   event is due at or after the window edge — checked on every
 //!   cross-shard event, release builds included.
-//! * **Coordinator-owned observers.** The progress monitor and the
-//!   deadlock verdicts run on the coordinator at the exact instants the
-//!   sequential engine would run its `MonitorTick`, over merged state
-//!   (summed deliveries, OR-ed backlog, and one wait-for graph that
-//!   every shard adds its edges to, in shard order).
+//! * **One observer step.** The coordinator takes the sequential engine's
+//!   own monitor step (`DeadlockMonitor`, `progress.rs`) at the instants
+//!   that engine would dispatch its `MonitorTick`, over every shard; the
+//!   run statistics and derived snapshot entries are one sum over them.
 //!
 //! Shared-RNG coupling is eliminated at the source: ECN mark draws and
 //! periodic-feedback phases are pure counter/port hashes (see
@@ -81,16 +80,17 @@
 //! through the dispatch order — timeline sampling, flow spans, causal
 //! attribution — must be off. Metrics, the flow ledger, and the engine
 //! probe are fully supported; forensic post-mortems are not captured
-//! (the deadlock *verdicts* themselves are identical).
+//! (only the sequential `MonitorTick` handler takes them, after the
+//! shared monitor step; the deadlock *verdicts* themselves are identical).
 
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::ledger::FlowLedger;
 use crate::network::{push_derived, Network, SimStats};
-use crate::progress::ProgressMonitor;
+use crate::progress::DeadlockMonitor;
 use crate::trace::TraceConfig;
 use gfc_core::units::{Dur, Time};
-use gfc_telemetry::{names, MetricValue, Snapshot, WaitForGraph};
+use gfc_telemetry::{names, MetricValue, Snapshot};
 use gfc_topology::{LinkId, NodeId, Partition, Routing, Topology};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
@@ -242,16 +242,12 @@ pub struct ShardedNetwork {
     /// Minimum cross-domain event delay: the safe window width.
     lookahead: Dur,
     now: Time,
-    halted: bool,
-    /// Coordinator-owned progress monitor (shards never tick their own).
-    monitor: ProgressMonitor,
+    /// The run's deadlock verdicts and halt, stepped at each monitor
+    /// barrier over every shard (shards never step their own).
+    verdicts: DeadlockMonitor,
     /// Next monitor barrier; scheduled on the first run, then advances by
     /// `monitor_interval` exactly like the sequential tick chain.
     monitor_due: Option<Time>,
-    /// Barrier ticks taken so far — the sequential engine dispatches each
-    /// tick as an event, so the merged event counter adds these back.
-    monitor_ticks: u64,
-    structural_deadlock_at: Option<Time>,
     /// Cross-shard events awaiting injection, per destination shard, in
     /// (window, source-shard, generation) order.
     pending: Vec<Vec<(Time, Event)>>,
@@ -264,14 +260,15 @@ pub struct ShardedNetwork {
 impl ShardedNetwork {
     /// Build a sharded simulator over `topo`, one shard per domain of
     /// `partition`, driven by up to `workers` workers (clamped to the
-    /// domain count; see [`Self::workers`]). Preflight (if configured)
-    /// runs once, not per shard.
+    /// domain count; see [`Self::workers`]). The preflight gate (see
+    /// [`SimConfig::preflight`]) runs once, not per shard.
     ///
     /// # Panics
-    /// On a v1-contract violation: a partition that does not cover the
-    /// topology, timeline sampling / spans / causal attribution enabled,
-    /// or a configuration with zero cross-domain lookahead (conceptual
-    /// GFC with `tau = 0`).
+    /// When the preflight gate rejects the configuration (the panic
+    /// [`Network::new`] raises), or on a v1-contract violation: a
+    /// partition that does not cover the topology, timeline sampling /
+    /// spans / causal attribution enabled, or a configuration with zero
+    /// cross-domain lookahead (conceptual GFC with `tau = 0`).
     pub fn new(
         topo: Topology,
         routing: Routing,
@@ -295,19 +292,16 @@ impl ShardedNetwork {
             lookahead.0 > 0,
             "zero cross-domain lookahead: prop_delay (and conceptual tau) must be positive"
         );
-        // Preflight once, against the caller's policy; shards skip it.
         crate::preflight_gate(&topo, &routing, &cfg);
         let domain_of: Arc<[u32]> = Arc::from(partition.domains().to_vec().into_boxed_slice());
-        let mut shard_cfg = cfg;
-        shard_cfg.preflight = gfc_verify::PreflightPolicy::Skip;
-        let monitor = ProgressMonitor::new(shard_cfg.progress_window.0);
+        let verdicts = DeadlockMonitor::new(&cfg);
         let shards: Vec<Network> = (0..partition.num_domains())
             .map(|d| {
                 let d = u32::try_from(d).expect("domain fits u32");
                 Network::build(
                     topo.clone(),
                     routing.clone(),
-                    shard_cfg.clone(),
+                    cfg.clone(),
                     TraceConfig::none(),
                     Some((Arc::clone(&domain_of), d)),
                 )
@@ -320,11 +314,8 @@ impl ShardedNetwork {
             workers: workers.clamp(1, num_domains),
             lookahead,
             now: Time::ZERO,
-            halted: false,
-            monitor,
+            verdicts,
             monitor_due: None,
-            monitor_ticks: 0,
-            structural_deadlock_at: None,
             pending: vec![Vec::new(); num_domains],
             sync: SyncStats::default(),
         }
@@ -383,7 +374,7 @@ impl ShardedNetwork {
     /// configured), or event exhaustion — the sequential
     /// [`Network::run_until`] contract, executed in parallel windows.
     pub fn run_until(&mut self, t_end: Time) {
-        if self.halted || t_end < self.now {
+        if self.verdicts.halted() || t_end < self.now {
             return;
         }
         let ShardedNetwork {
@@ -392,16 +383,12 @@ impl ShardedNetwork {
             workers,
             lookahead,
             now,
-            halted,
-            monitor,
+            verdicts,
             monitor_due,
-            monitor_ticks,
-            structural_deadlock_at,
             pending,
             sync,
         } = self;
         let interval = shards[0].config().monitor_interval;
-        let stop_on_deadlock = shards[0].config().stop_on_deadlock;
         // Start-of-run setup first, so the peek times mean something.
         let mut peeks: Vec<Option<Time>> = shards
             .iter_mut()
@@ -489,40 +476,22 @@ impl ShardedNetwork {
                     queued = absorb(ran, w1, domain_of, &mut peeks, pending, sync);
                 }
                 if w1 == due && due <= t_end {
-                    // Monitor barrier — the sequential MonitorTick,
-                    // replayed at the same instant over merged state.
-                    let mut backlogged = false;
-                    let mut delivered = 0;
-                    for n in parts.iter_mut().flat_map(|p| p.iter_mut()) {
-                        n.set_now(due);
-                        n.probe_queue_sample();
-                        backlogged |= n.backlogged();
-                        delivered += n.stats().delivered_packets;
-                    }
-                    *monitor_ticks += 1;
+                    // Monitor barrier — the sequential MonitorTick's
+                    // step, at the same instant, over every shard.
+                    let mut nets: Vec<&mut Network> =
+                        parts.iter_mut().flat_map(|p| p.iter_mut()).collect();
+                    verdicts.step(due, &mut nets);
                     sync.monitor_barriers += 1;
-                    let progressed = monitor.sample(due.0, delivered, backlogged);
-                    if structural_deadlock_at.is_none() && backlogged && !progressed {
-                        let mut graph = WaitForGraph::new();
-                        for n in parts.iter().flat_map(|p| p.iter()) {
-                            n.add_waitfor_edges(&mut graph);
-                        }
-                        if graph.find_cycle().is_some() {
-                            *structural_deadlock_at = Some(due);
-                        }
-                    }
-                    let dead = monitor.deadlocked() || structural_deadlock_at.is_some();
                     *now = due;
                     due += interval;
-                    if dead && stop_on_deadlock {
-                        *halted = true;
+                    if verdicts.halted() {
                         break;
                     }
                 }
             }
         });
         *monitor_due = Some(due);
-        if !*halted {
+        if !verdicts.halted() {
             for n in shards.iter_mut() {
                 n.set_now(t_end);
             }
@@ -553,18 +522,9 @@ impl ShardedNetwork {
         sync
     }
 
-    /// Merged run statistics.
+    /// Run statistics summed over every shard (see [`Network::stats`]).
     pub fn stats(&self) -> SimStats {
-        let mut total = SimStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.delivered_packets += st.delivered_packets;
-            total.delivered_bytes += st.delivered_bytes;
-            total.drops += st.drops;
-            total.ctrl_msgs += st.ctrl_msgs;
-            total.ctrl_bytes += st.ctrl_bytes;
-        }
-        total
+        SimStats::of(&self.shards)
     }
 
     /// Merged flow ledger: every shard registers every flow; finishes
@@ -579,22 +539,22 @@ impl ShardedNetwork {
 
     /// Progress-monitor verdict (see [`Network::deadlocked`]).
     pub fn deadlocked(&self) -> bool {
-        self.monitor.deadlocked()
+        self.verdicts.deadlock_at().is_some()
     }
 
     /// When the fatal stall began, if a progress-monitor verdict landed.
     pub fn deadlock_at(&self) -> Option<Time> {
-        self.monitor.deadlock_at_ps().map(Time)
+        self.verdicts.deadlock_at()
     }
 
     /// Strict structural verdict (see [`Network::structurally_deadlocked`]).
     pub fn structurally_deadlocked(&self) -> bool {
-        self.structural_deadlock_at.is_some()
+        self.verdicts.structural_at().is_some()
     }
 
     /// When the structural deadlock was first observed.
     pub fn structural_deadlock_at(&self) -> Option<Time> {
-        self.structural_deadlock_at
+        self.verdicts.structural_at()
     }
 
     /// Whether any queue in any shard still holds packets.
@@ -619,10 +579,10 @@ impl ShardedNetwork {
             }
         }
         // The sequential engine dispatches each monitor tick as an event;
-        // the coordinator's barrier ticks stand in for them.
+        // the coordinator's barriers stand in for them.
         if let Some(e) = snap.entries.iter_mut().find(|e| e.name == names::EVENTS) {
             if let MetricValue::Counter(c) = &mut e.value {
-                *c += self.monitor_ticks;
+                *c += self.sync.monitor_barriers;
             }
         }
         push_derived(&mut snap, self.now, &self.shards);
@@ -644,7 +604,7 @@ mod tests {
 
     fn cfg() -> SimConfig {
         let mut cfg = SimConfig::default_10g();
-        cfg.preflight = gfc_verify::PreflightPolicy::Skip;
+        cfg.preflight = gfc_verify::PreflightPolicy::Acknowledge;
         cfg
     }
 

@@ -19,9 +19,10 @@ use gfc_core::params::LinkClass;
 use gfc_core::theorems;
 use gfc_core::units::{kb, Dur, Rate, Time};
 use gfc_sim::config::PumpPolicy;
-use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, ShardedNetwork, SimConfig, TraceConfig};
 use gfc_telemetry::names;
-use gfc_topology::{Ring, Routing};
+use gfc_topology::{Partition, Ring, Routing};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Build the Fig. 1 ring scenario: 3 switches, clockwise two-hop routes,
 /// every host sending an infinite flow at line rate. Parameters follow the
@@ -232,4 +233,39 @@ fn cbfc_deadlocks_even_under_fair_switching_with_staggered_starts() {
         }
     }
     assert!(wedged >= 4, "only {wedged}/16 seeds wedged — CBFC freeze lost");
+}
+
+/// The builders' preflight gate on the Fig. 1 PFC ring with clockwise
+/// routes, a circular buffer dependency under a hard gate: `build` must
+/// panic with the gate's message under the default `Enforce`, and build
+/// under `Acknowledge`.
+fn assert_gated(build: impl Fn(SimConfig)) {
+    let mut cfg = SimConfig::default_10g();
+    cfg.fc = pfc_mode();
+    assert_eq!(cfg.preflight, PreflightPolicy::Enforce, "Enforce is the default");
+    let panic = catch_unwind(AssertUnwindSafe(|| build(cfg.clone())))
+        .expect_err("Enforce built a deadlock-prone configuration");
+    let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(msg.contains("preflight rejected"), "unexpected panic: {msg}");
+    cfg.preflight = PreflightPolicy::Acknowledge;
+    build(cfg);
+}
+
+#[test]
+fn network_new_gates_the_pfc_ring_on_preflight() {
+    let ring = Ring::new(3);
+    assert_gated(|cfg| {
+        let routing = Routing::fixed(ring.clockwise_routes());
+        Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
+    });
+}
+
+#[test]
+fn sharded_network_new_gates_the_pfc_ring_on_preflight() {
+    let ring = Ring::new(3);
+    let part = Partition::ring_arcs(&ring, 3);
+    assert_gated(|cfg| {
+        let routing = Routing::fixed(ring.clockwise_routes());
+        ShardedNetwork::new(ring.topo.clone(), routing, cfg, &part, 2);
+    });
 }

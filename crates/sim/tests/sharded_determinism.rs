@@ -1,15 +1,17 @@
 //! Cross-engine determinism matrix: the sharded parallel engine's replay
-//! fingerprint (full metrics snapshot + flow-ledger records) must be
-//! **bit-identical** to the sequential engine's, for every flow-control
-//! backend, on every partition, at every worker count. This is the
-//! tentpole contract of `gfc_sim::shard` — the windows, mailboxes, and
+//! fingerprint (full metrics snapshot, flow-ledger records, run
+//! statistics and deadlock verdicts) must be **bit-identical** to the
+//! sequential engine's, for every flow-control backend, on every
+//! partition, at every worker count. This is the tentpole contract of `gfc_sim::shard` — the windows, mailboxes, and
 //! merge rules are allowed to change the wall-clock schedule, never the
 //! simulation.
 
 use gfc_core::bfc::BfcConfig;
 use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::config::{FcConfig, PumpPolicy};
-use gfc_sim::{Network, PreflightPolicy, ShardedNetwork, SimConfig, SyncStats, TraceConfig};
+use gfc_sim::{
+    Network, PreflightPolicy, ShardedNetwork, SimConfig, SimStats, SyncStats, TraceConfig,
+};
 use gfc_telemetry::names;
 use gfc_topology::fattree::{find_fig11_failures, FatTree, FIG11_FLOWS};
 use gfc_topology::{NodeId, Partition, Ring, Routing, SpfRouting, Topology};
@@ -21,6 +23,7 @@ use std::sync::OnceLock;
 struct Fingerprint {
     metrics: Vec<gfc_telemetry::MetricEntry>,
     ledger: String,
+    stats: SimStats,
     deadlocked: bool,
     structural: bool,
     deadlock_at: Option<Time>,
@@ -133,6 +136,7 @@ fn run_sequential(sc: &Scenario, cfg: SimConfig) -> Fingerprint {
     Fingerprint {
         metrics: snap.entries,
         ledger: format!("{:?}", net.ledger()),
+        stats: net.stats(),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
         deadlock_at: net.deadlock_at(),
@@ -173,6 +177,7 @@ fn run_sharded_with_sync(
     let fp = Fingerprint {
         metrics: snap.entries,
         ledger: format!("{:?}", net.ledger()),
+        stats: net.stats(),
         deadlocked: net.deadlocked(),
         structural: net.structurally_deadlocked(),
         deadlock_at: net.deadlock_at(),
@@ -226,6 +231,7 @@ fn assert_identical(seq: &Fingerprint, shd: &Fingerprint, what: &str) {
         assert_eq!(a, b, "{what}: metric {} diverged", a.name);
     }
     assert_eq!(seq.ledger, shd.ledger, "{what}: flow ledgers diverged");
+    assert_eq!(seq.stats, shd.stats, "{what}: run statistics diverged");
     assert_eq!(seq.deadlocked, shd.deadlocked, "{what}: progress verdicts diverged");
     assert_eq!(seq.structural, shd.structural, "{what}: structural verdicts diverged");
     assert_eq!(seq.deadlock_at, shd.deadlock_at, "{what}: progress verdict times diverged");

@@ -49,8 +49,8 @@
 //! cargo run --release --example preflight -- corpus --sarif-dir target/sarif
 //! ```
 //!
-//! The simulator runs this pass from `Network::new` (see the
-//! `SimConfig::preflight` policy) and the experiment harness prints the
+//! The simulator runs this pass as the gate of `Network::new` and
+//! `ShardedNetwork::new` (see the `SimConfig::preflight` policy) and the experiment harness prints the
 //! report next to each scenario's runtime deadlock verdict; the crate has
 //! no simulator dependency, so the same pass can vet a configuration
 //! before it exists anywhere but on paper.

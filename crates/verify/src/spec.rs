@@ -5,17 +5,16 @@ use gfc_core::theorems;
 use gfc_core::units::{Dur, Rate};
 use serde::{Deserialize, Serialize};
 
-/// What the network builder does with the preflight report.
+/// Whether the network builders gate on the preflight report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PreflightPolicy {
     /// Run the analysis and refuse to build when it finds Errors.
     Enforce,
-    /// Run the analysis and keep the report, but build regardless — for
-    /// deliberately unsound adversarial setups (the Fig. 9/12 deadlock
-    /// demonstrations run PFC on a ring *because* it is unsound).
+    /// Build without running the analysis — for deliberately unsound
+    /// adversarial setups (the Fig. 9/12 deadlock demonstrations run PFC
+    /// on a ring *because* it is unsound). The report is one
+    /// [`preflight`](crate::preflight) call away.
     Acknowledge,
-    /// Do not run the analysis.
-    Skip,
 }
 
 /// The physical and flow-control parameters the checks reason about —

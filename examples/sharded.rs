@@ -12,7 +12,8 @@
 //! control-plane styles cross the domain boundaries. The process exits
 //! non-zero
 //! unless every sharded fingerprint (event count, full metrics
-//! snapshot, flow ledger, deadlock verdicts) equals the sequential one.
+//! snapshot, flow ledger, run statistics, deadlock verdicts) equals the
+//! sequential one.
 //! It prints the coordinator's window counters
 //! (`ShardedNetwork::sync_stats`) of each 1-worker run, and also exits
 //! non-zero if more than 1% of the cross-shard data arrivals there left
@@ -26,7 +27,7 @@
 
 use gfc::prelude::*;
 use gfc_sim::config::PumpPolicy;
-use gfc_sim::PreflightPolicy;
+use gfc_sim::{PreflightPolicy, SimStats};
 
 /// Everything observable about one finished run.
 #[derive(PartialEq)]
@@ -34,6 +35,7 @@ struct Fingerprint {
     events: u64,
     metrics: Vec<gfc_telemetry::MetricEntry>,
     ledger: String,
+    stats: SimStats,
     deadlocked: bool,
     structural: bool,
 }
@@ -88,6 +90,7 @@ fn main() {
             events: snap.counter(metric_names::EVENTS).unwrap_or(0),
             metrics: snap.entries,
             ledger: format!("{:?}", seq.ledger()),
+            stats: seq.stats(),
             deadlocked: seq.deadlocked(),
             structural: seq.structurally_deadlocked(),
         };
@@ -105,6 +108,7 @@ fn main() {
                 events: snap.counter(metric_names::EVENTS).unwrap_or(0),
                 metrics: snap.entries,
                 ledger: format!("{:?}", net.ledger()),
+                stats: net.stats(),
                 deadlocked: net.deadlocked(),
                 structural: net.structurally_deadlocked(),
             };
@@ -119,6 +123,10 @@ fn main() {
             assert_eq!(
                 sharded.ledger, reference.ledger,
                 "{label} w{workers}: flow ledger diverged from sequential"
+            );
+            assert_eq!(
+                sharded.stats, reference.stats,
+                "{label} w{workers}: run statistics diverged from sequential"
             );
             assert_eq!(
                 (sharded.deadlocked, sharded.structural),
