@@ -631,7 +631,8 @@ mod tests {
     }
 
     /// A flow's route is resolved once, on the first shard: no other
-    /// shard builds an SPF tree.
+    /// shard builds an SPF tree. The three destinations sit on three
+    /// different ToRs, so the first shard holds three anchor trees.
     #[test]
     fn routes_are_resolved_on_the_first_shard_only() {
         let ft = FatTree::new(4);

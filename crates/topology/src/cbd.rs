@@ -34,7 +34,7 @@
 //! removal acyclifies a component (greedy feedback-vertex heuristic).
 
 use crate::graph::{DirLink, LinkId, NodeId, NodeKind, Topology};
-use crate::routing::{path_dirlinks, DstTree};
+use crate::routing::{attachment, path_dirlinks, DstTree};
 use std::collections::HashMap;
 
 /// A buffer-dependency graph over directed links.
@@ -454,11 +454,11 @@ fn add_reachable_edges(
         }
     }
     while let Some(u) = stack.pop() {
-        for &l in &tree.next_hops[u.0 as usize] {
+        for &l in tree.next_hops(u) {
             let v = topo.peer(l, u);
             if topo.node(v).kind == NodeKind::Switch {
                 let incoming = topo.dir_from(l, u);
-                for &lo in &tree.next_hops[v.0 as usize] {
+                for &lo in tree.next_hops(v) {
                     g.add_edge(incoming, topo.dir_from(lo, v));
                 }
             }
@@ -490,13 +490,6 @@ pub fn spf_all_pairs_depgraphs(topo: &Topology) -> (DepGraph, DepGraph) {
     let (mut union, mut realizable) = (DepGraph::new(), DepGraph::new());
     spf_all_pairs(topo, Some(&mut union), Some(&mut realizable));
     (union, realizable)
-}
-
-/// The alive link of a host whose only alive link goes to a switch.
-fn attachment(topo: &Topology, host: NodeId) -> Option<(NodeId, LinkId)> {
-    let mut alive = topo.neighbors(host);
-    let (t, l) = alive.next()?;
-    (alive.next().is_none() && topo.node(t).kind == NodeKind::Switch).then_some((t, l))
 }
 
 /// Build the SPF/ECMP all-pairs graphs over every host destination into
@@ -611,7 +604,7 @@ fn add_dag_edges(topo: &Topology, tree: &DstTree, g: &mut DepGraph) {
             continue;
         }
         // Outgoing candidates from v toward the root.
-        let outs = &tree.next_hops[v.0 as usize];
+        let outs = tree.next_hops(v);
         if outs.is_empty() {
             continue;
         }
@@ -710,7 +703,7 @@ fn walk_toward(
     let mut at = from;
     while at != to {
         let mut stepped = false;
-        for &l in &tree.next_hops[at.0 as usize] {
+        for &l in tree.next_hops(at) {
             let peer = topo.peer(l, at);
             if !avoid.contains(&peer) {
                 path.push(l);
@@ -1066,18 +1059,8 @@ mod tests {
         }
         // Hosts the grouping must leave to the per-destination fallback: one
         // dual-homed, one with two cables to the same switch, one behind a
-        // host, and (in a fat-tree) one whose only link has failed.
-        let mut odd = Ring::new(4).topo;
-        let sw = odd.switches();
-        let dual = odd.add_host("HD");
-        odd.add_link(dual, sw[0]);
-        odd.add_link(dual, sw[1]);
-        let twin = odd.add_host("HT");
-        odd.add_link(twin, sw[2]);
-        odd.add_link(twin, sw[2]);
-        let behind = odd.add_host("HB");
-        odd.add_link(behind, dual);
-        cases.push(("ring with odd hosts".into(), odd));
+        // host, and (here and in a fat-tree) one whose only link has failed.
+        cases.push(("ring with odd hosts".into(), crate::routing::ring_with_odd_destinations()));
         let mut ft = FatTree::new(4);
         let (_, l) = ft.topo.neighbors(ft.hosts[0]).next().expect("host link");
         ft.topo.fail_link(l);

@@ -2,37 +2,44 @@
 //! static paths for configured scenarios (Fig. 1's clockwise ring).
 //!
 //! The paper evaluates "the shortest-path-first routing algorithm" on
-//! fat-trees with failed links. We compute, per destination, the BFS
-//! distance field over alive links; every neighbor one hop closer is an
+//! fat-trees with failed links. We compute the BFS distance field toward
+//! a root over alive links; every neighbor one hop closer is an
 //! equal-cost next hop. A flow picks among equal-cost hops with a
 //! deterministic hash of `(flow id, current node)` — the usual per-hop
 //! ECMP — so reruns with the same seed take identical paths.
+//!
+//! The root is the destination's *anchor*. A host whose only alive link
+//! goes to a switch `t` is a leaf: every node other than `t` and the host
+//! is one hop farther from the host than from `t`, with the same next
+//! hops. So its routes are `t`'s routes plus the host link, and one tree
+//! per attachment switch serves all its hosts. Any other destination is
+//! its own anchor.
 //!
 //! Paths are resolved once at flow start ("source routing"): the packet
 //! carries its link list. On a static topology this is equivalent to
 //! per-hop table lookup and keeps the simulator's forwarding path trivial.
 
-use crate::graph::{DirLink, LinkId, NodeId, Topology};
+use crate::graph::{DirLink, LinkId, NodeId, NodeKind, Topology};
 use std::collections::HashMap;
 
-/// Per-destination BFS result.
+/// BFS result toward one root node.
 #[derive(Debug, Clone)]
 pub struct DstTree {
-    /// `dist[v]` = hop distance from node `v` to the destination
+    /// `dist[v]` = hop distance from node `v` to the root
     /// (`u32::MAX` if unreachable).
     pub dist: Vec<u32>,
-    /// `next_hops[v]` = alive links from `v` leading one hop closer,
-    /// sorted by link id.
-    pub next_hops: Vec<Vec<LinkId>>,
+    /// Node `v`'s next hops are `hops[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    hops: Vec<LinkId>,
 }
 
 impl DstTree {
-    /// Compute the BFS tree toward `dst` over alive links.
-    pub fn compute(topo: &Topology, dst: NodeId) -> DstTree {
+    /// Compute the BFS tree toward `root` over alive links.
+    pub fn compute(topo: &Topology, root: NodeId) -> DstTree {
         let n = topo.num_nodes();
         let mut dist = vec![u32::MAX; n];
-        dist[dst.0 as usize] = 0;
-        let mut queue = std::collections::VecDeque::from([dst]);
+        dist[root.0 as usize] = 0;
+        let mut queue = std::collections::VecDeque::from([root]);
         while let Some(v) = queue.pop_front() {
             for (u, _) in topo.neighbors(v) {
                 if dist[u.0 as usize] == u32::MAX {
@@ -41,21 +48,73 @@ impl DstTree {
                 }
             }
         }
-        let mut next_hops = vec![Vec::new(); n];
+        // A link is a next hop of at most one of its endpoints, so the
+        // link count bounds the flat list.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut hops = Vec::with_capacity(topo.num_links());
+        offsets.push(0);
         for v in topo.node_ids() {
             let dv = dist[v.0 as usize];
-            if dv == u32::MAX || dv == 0 {
-                continue;
+            if dv != u32::MAX && dv != 0 {
+                let start = hops.len();
+                hops.extend(
+                    topo.neighbors(v)
+                        .filter(|&(u, _)| dist[u.0 as usize] == dv - 1)
+                        .map(|(_, l)| l),
+                );
+                hops[start..].sort_unstable();
             }
-            for (u, l) in topo.neighbors(v) {
-                if dist[u.0 as usize] == dv - 1 {
-                    next_hops[v.0 as usize].push(l);
-                }
-            }
-            next_hops[v.0 as usize].sort_unstable();
+            offsets.push(hops.len() as u32);
         }
-        DstTree { dist, next_hops }
+        DstTree { dist, offsets, hops }
     }
+
+    /// The alive links from `v` leading one hop closer to the root,
+    /// sorted by link id.
+    pub fn next_hops(&self, v: NodeId) -> &[LinkId] {
+        let v = v.0 as usize;
+        &self.hops[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// The switch and alive link of a host whose only alive link goes to a
+/// switch. Toward such a host every route is the switch's route plus
+/// that link, so the router and the preflight's all-pairs graphs both
+/// take one BFS per attachment switch instead of one per host. `None`
+/// for a switch and for a dual-homed, double-cabled, host-attached or
+/// cut-off host.
+pub(crate) fn attachment(topo: &Topology, host: NodeId) -> Option<(NodeId, LinkId)> {
+    if topo.node(host).kind != NodeKind::Host {
+        return None;
+    }
+    let mut alive = topo.neighbors(host);
+    let (t, l) = alive.next()?;
+    (alive.next().is_none() && topo.node(t).kind == NodeKind::Switch).then_some((t, l))
+}
+
+/// A 4-switch ring (one host per switch) plus the destinations
+/// [`attachment`] must leave to a tree of their own: a dual-homed host
+/// (`HD`), one with two cables to the same switch (`HT`), one behind
+/// `HD` (`HB`), one whose only link has failed (`HC`), and a stub switch
+/// with a single link (`SS`).
+#[cfg(test)]
+pub(crate) fn ring_with_odd_destinations() -> Topology {
+    let mut topo = crate::scenarios::Ring::new(4).topo;
+    let sw = topo.switches();
+    let dual = topo.add_host("HD");
+    topo.add_link(dual, sw[0]);
+    topo.add_link(dual, sw[1]);
+    let twin = topo.add_host("HT");
+    topo.add_link(twin, sw[2]);
+    topo.add_link(twin, sw[2]);
+    let behind = topo.add_host("HB");
+    topo.add_link(behind, dual);
+    let cut = topo.add_host("HC");
+    let cut_link = topo.add_link(cut, sw[3]);
+    topo.fail_link(cut_link);
+    let stub = topo.add_switch("SS");
+    topo.add_link(stub, sw[3]);
+    topo
 }
 
 /// splitmix64 — the deterministic mixer used for ECMP hashing.
@@ -66,16 +125,17 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Shortest-path-first routing oracle with per-destination memoization.
-/// `Clone` duplicates the cache, not just the config — harmless, since
-/// every tree is a pure function of the topology.
+/// Shortest-path-first routing oracle with one memoized tree per anchor
+/// (the attachment switch of a single-homed host, else the destination
+/// itself). `Clone` duplicates the cache, not just the config — harmless,
+/// since every tree is a pure function of the topology.
 #[derive(Debug, Clone, Default)]
 pub struct SpfRouting {
     trees: HashMap<NodeId, DstTree>,
 }
 
 impl SpfRouting {
-    /// Fresh oracle. Trees are computed lazily per destination and cached;
+    /// Fresh oracle. Trees are computed lazily per anchor and cached;
     /// call [`Self::invalidate`] after changing link state.
     pub fn new() -> Self {
         Self::default()
@@ -86,15 +146,25 @@ impl SpfRouting {
         self.trees.clear();
     }
 
-    /// The (cached) BFS tree toward `dst`.
-    pub fn tree(&mut self, topo: &Topology, dst: NodeId) -> &DstTree {
-        self.trees.entry(dst).or_insert_with(|| DstTree::compute(topo, dst))
+    /// The cached tree of `dst`'s anchor, the anchor, and the host link
+    /// that follows it (`None` when `dst` is its own anchor).
+    fn anchored(&mut self, topo: &Topology, dst: NodeId) -> (&DstTree, NodeId, Option<LinkId>) {
+        let (anchor, last) = match attachment(topo, dst) {
+            Some((t, l)) => (t, Some(l)),
+            None => (dst, None),
+        };
+        let tree = self.trees.entry(anchor).or_insert_with(|| DstTree::compute(topo, anchor));
+        (tree, anchor, last)
     }
 
     /// Hop distance from `src` to `dst`, if reachable.
     pub fn distance(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<u32> {
-        let d = self.tree(topo, dst).dist[src.0 as usize];
-        (d != u32::MAX).then_some(d)
+        if src == dst {
+            return Some(0);
+        }
+        let (tree, _, last) = self.anchored(topo, dst);
+        let d = tree.dist[src.0 as usize];
+        (d != u32::MAX).then(|| d + u32::from(last.is_some()))
     }
 
     /// Resolve the full path (list of links) a flow with ECMP identity
@@ -106,20 +176,25 @@ impl SpfRouting {
         dst: NodeId,
         flow_hash: u64,
     ) -> Option<Vec<LinkId>> {
-        let tree = self.tree(topo, dst);
-        if tree.dist[src.0 as usize] == u32::MAX {
+        if src == dst {
+            return Some(Vec::new());
+        }
+        let (tree, anchor, last) = self.anchored(topo, dst);
+        let d = tree.dist[src.0 as usize];
+        if d == u32::MAX {
             return None;
         }
-        let mut path = Vec::with_capacity(tree.dist[src.0 as usize] as usize);
+        let mut path = Vec::with_capacity(d as usize + usize::from(last.is_some()));
         let mut v = src;
-        while v != dst {
-            let hops = &tree.next_hops[v.0 as usize];
+        while v != anchor {
+            let hops = tree.next_hops(v);
             debug_assert!(!hops.is_empty(), "distance finite but no next hop");
             let pick = (mix64(flow_hash ^ mix64(v.0 as u64)) % hops.len() as u64) as usize;
             let l = hops[pick];
             path.push(l);
             v = topo.peer(l, v);
         }
+        path.extend(last);
         Some(path)
     }
 }
@@ -152,7 +227,9 @@ impl Routing {
         Routing::Static { paths, fallback: SpfRouting::new() }
     }
 
-    /// Destination trees the SPF oracle has computed and cached so far.
+    /// Anchor trees the SPF oracle has computed and cached so far: one per
+    /// attachment switch of a single-homed destination host, plus one per
+    /// other destination.
     pub fn cached_trees(&self) -> usize {
         match self {
             Routing::Spf(r) | Routing::Static { fallback: r, .. } => r.trees.len(),
@@ -262,7 +339,7 @@ mod tests {
         assert_eq!(tree.dist[c.0 as usize], 1);
         assert_eq!(tree.dist[d.0 as usize], 0);
         // a has two equal-cost next hops.
-        assert_eq!(tree.next_hops[a.0 as usize].len(), 2);
+        assert_eq!(tree.next_hops(a).len(), 2);
     }
 
     #[test]
@@ -323,6 +400,99 @@ mod tests {
         assert_eq!(routing.path(&t, a, d, 7).unwrap(), vec![ab, bd]);
         // Unconfigured pair falls back to SPF.
         assert!(routing.path(&t, b, d, 7).is_some());
+    }
+
+    /// The per-destination oracle the anchored cache replaces: a walk over
+    /// `dst`'s own BFS tree.
+    fn per_destination_path(
+        topo: &Topology,
+        tree: &DstTree,
+        src: NodeId,
+        dst: NodeId,
+        flow_hash: u64,
+    ) -> Option<Vec<LinkId>> {
+        if tree.dist[src.0 as usize] == u32::MAX {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut v = src;
+        while v != dst {
+            let hops = tree.next_hops(v);
+            let l = hops[(mix64(flow_hash ^ mix64(v.0 as u64)) % hops.len() as u64) as usize];
+            path.push(l);
+            v = topo.peer(l, v);
+        }
+        Some(path)
+    }
+
+    #[test]
+    fn anchored_routes_equal_per_destination_trees() {
+        use crate::fattree::FatTree;
+        use crate::scenarios::{Ring, SparseRing};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut cases: Vec<(String, Topology)> = Vec::new();
+        for k in [4, 6, 8] {
+            cases.push((format!("k={k} healthy"), FatTree::new(k).topo));
+        }
+        for (k, draws) in [(4, 50u64), (6, 40), (8, 12)] {
+            for draw in 0..draws {
+                let p = 0.02 + 0.18 * draw as f64 / (draws - 1) as f64;
+                let mut ft = FatTree::new(k);
+                ft.inject_failures(&mut StdRng::seed_from_u64(7000 * k as u64 + draw), p);
+                cases.push((format!("k={k} p={p:.3} draw {draw}"), ft.topo));
+            }
+        }
+        for n in 3..=8 {
+            cases.push((format!("Ring::new({n})"), Ring::new(n).topo));
+        }
+        for (n, stride) in [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)] {
+            cases
+                .push((format!("SparseRing::new({n}, {stride})"), SparseRing::new(n, stride).topo));
+        }
+        cases.push(("ring with odd destinations".into(), ring_with_odd_destinations()));
+
+        for (name, topo) in &cases {
+            // Every node as a destination on the hand-built fabric, so a
+            // switch destination is covered too; hosts elsewhere.
+            let odd = name.starts_with("ring with");
+            let dsts: Vec<NodeId> = if odd { topo.node_ids().collect() } else { topo.hosts() };
+            let mut r = SpfRouting::new();
+            for &dst in &dsts {
+                let tree = DstTree::compute(topo, dst);
+                for src in topo.node_ids() {
+                    let d = tree.dist[src.0 as usize];
+                    let want = (d != u32::MAX).then_some(d);
+                    assert_eq!(
+                        r.distance(topo, src, dst),
+                        want,
+                        "{name}: distance {src:?}→{dst:?}"
+                    );
+                    for h in [0, 1, 0xDEAD_BEEF, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+                        assert_eq!(
+                            r.path(topo, src, dst, h),
+                            per_destination_path(topo, &tree, src, dst, h),
+                            "{name}: path {src:?}→{dst:?} hash {h:#x}"
+                        );
+                    }
+                }
+            }
+            if odd {
+                // The four ring switches serve their own hosts; the five
+                // odd destinations each keep a tree.
+                assert_eq!(r.trees.len(), 9, "{name}: cached trees");
+            }
+        }
+
+        // All-pairs host routing on a healthy k = 8 fat-tree needs one tree
+        // per ToR: 32, not one per host (128).
+        let ft = FatTree::new(8);
+        let mut routing = Routing::spf();
+        for &s in &ft.hosts {
+            for &d in &ft.hosts {
+                routing.path(&ft.topo, s, d, 0).expect("healthy fat-tree is connected");
+            }
+        }
+        assert_eq!(routing.cached_trees(), 32);
     }
 
     #[test]

@@ -158,8 +158,8 @@ fn main() {
             }
         }
         println!(
-            "  {label:<18} {:>9} events, deadlocked={:<5} — w1 and w4 bit-identical, same sync counters",
-            reference.events, reference.structural
+            "  {label:<18} {:>9} events, deadlocked={:<5} structural={:<5} — w1 and w4 bit-identical, same sync counters",
+            reference.events, reference.deadlocked, reference.structural
         );
     }
     println!("sharded smoke passed");
