@@ -19,6 +19,7 @@ use crate::mapping::{LinearMapping, StageTable};
 use crate::pfc::{PauseMode, PfcReceiver, PfcSender};
 use crate::units::{Dur, Rate, Time};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 pub use crate::bfc::BfcConfig;
 
@@ -194,7 +195,7 @@ impl FcConfig {
     }
 
     /// Build the receiver backend for one watched ingress
-    /// `(port, priority)`.
+    /// `(port, priority)`: [`FcBackends::rx`] of a one-port set.
     pub fn make_rx_any(
         &self,
         capacity: Rate,
@@ -202,19 +203,62 @@ impl FcConfig {
         mtu: u64,
         ident: PortIdent,
     ) -> AnyRx {
+        FcBackends::new(*self, capacity, buffer_bytes).rx(mtu, ident)
+    }
+
+    /// Build the sender backend for one controlled egress
+    /// `(port, priority)`: [`FcBackends::tx`] of a one-port set.
+    pub fn make_tx_any(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> AnyTx {
+        FcBackends::new(*self, capacity, buffer_bytes).tx(ident)
+    }
+}
+
+/// The backend factory of every port of one network: one [`FcConfig`] at
+/// one link capacity and buffer size, plus what the scheme derives from
+/// them, built once and shared by every port's backends — the
+/// buffer-based GFC stage table, which every receiver and sender would
+/// otherwise rebuild (a loop of 128-bit multiply-divides each).
+#[derive(Debug, Clone)]
+pub struct FcBackends {
+    fc: FcConfig,
+    capacity: Rate,
+    buffer_bytes: u64,
+    /// Buffer-based GFC's stage table; `None` for every other scheme.
+    stages: Option<Arc<StageTable>>,
+}
+
+impl FcBackends {
+    /// The factory for ports of `capacity` with `buffer_bytes` ingress
+    /// buffers under `fc`.
+    pub fn new(fc: FcConfig, capacity: Rate, buffer_bytes: u64) -> Self {
+        let stages = match fc {
+            FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (n, d) }) => {
+                Some(Arc::new(StageTable::with_ratio(bm, b1, capacity, n, d)))
+            }
+            _ => None,
+        };
+        FcBackends { fc, capacity, buffer_bytes, stages }
+    }
+
+    /// The shared stage table, for buffer-based GFC.
+    fn stages(&self) -> Arc<StageTable> {
+        Arc::clone(self.stages.as_ref().expect("stage table built for buffer-based GFC"))
+    }
+
+    /// The receiver backend of one watched ingress `(port, priority)`
+    /// carrying frames of at most `mtu` bytes.
+    pub fn rx(&self, mtu: u64, ident: PortIdent) -> AnyRx {
         use crate::backend as be;
-        match *self {
+        match self.fc {
             FcConfig::None => AnyRx::None(be::NoneRx),
             FcConfig::Pfc(pfc) => AnyRx::Pfc(be::PfcRx(PfcReceiver::new(pfc))),
-            FcConfig::Cbfc(_) => AnyRx::Cbfc(be::CbfcRx::new(buffer_bytes, mtu)),
-            FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (n, d) }) => {
-                AnyRx::GfcBuffer(be::GfcBufferRx(GfcBufferReceiver::new(StageTable::with_ratio(
-                    bm, b1, capacity, n, d,
-                ))))
+            FcConfig::Cbfc(_) => AnyRx::Cbfc(be::CbfcRx::new(self.buffer_bytes, mtu)),
+            FcConfig::GfcBuffer(_) => {
+                AnyRx::GfcBuffer(be::GfcBufferRx(GfcBufferReceiver::new(self.stages())))
             }
-            FcConfig::GfcTime(GfcTimeParams { b0, period, .. }) => {
-                AnyRx::GfcTime(be::GfcTimeRx::new(GfcTimeReceiver::new(buffer_bytes, period), b0))
-            }
+            FcConfig::GfcTime(GfcTimeParams { b0, period, .. }) => AnyRx::GfcTime(
+                be::GfcTimeRx::new(GfcTimeReceiver::new(self.buffer_bytes, period), b0),
+            ),
             FcConfig::Conceptual(ConceptualParams { b0, .. }) => {
                 AnyRx::Conceptual(be::ConceptualRx::new(b0))
             }
@@ -225,25 +269,23 @@ impl FcConfig {
         }
     }
 
-    /// Build the sender backend for one controlled egress
-    /// `(port, priority)`. (The egress rate limiter stays with the
-    /// simulator; backends only program it via
-    /// [`crate::backend::CtrlOutcome::set_rate`].)
-    pub fn make_tx_any(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> AnyTx {
+    /// The sender backend of one controlled egress `(port, priority)`.
+    /// (The egress rate limiter stays with the simulator; backends only
+    /// program it via [`crate::backend::CtrlOutcome::set_rate`].)
+    pub fn tx(&self, ident: PortIdent) -> AnyTx {
         use crate::backend as be;
-        match *self {
+        let capacity = self.capacity;
+        match self.fc {
             FcConfig::None => AnyTx::None(be::NoneTx),
             FcConfig::Pfc(_) => {
                 AnyTx::Pfc(be::PfcTx(PfcSender::new(PauseMode::UntilResume, capacity)))
             }
-            FcConfig::Cbfc(_) => AnyTx::Cbfc(be::CbfcTx::new(buffer_bytes)),
-            FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (n, d) }) => {
-                AnyTx::GfcBuffer(be::GfcBufferTx(GfcBufferSender::new(StageTable::with_ratio(
-                    bm, b1, capacity, n, d,
-                ))))
+            FcConfig::Cbfc(_) => AnyTx::Cbfc(be::CbfcTx::new(self.buffer_bytes)),
+            FcConfig::GfcBuffer(_) => {
+                AnyTx::GfcBuffer(be::GfcBufferTx(GfcBufferSender::new(self.stages())))
             }
             FcConfig::GfcTime(GfcTimeParams { b0, bm, .. }) => {
-                let blocks = buffer_bytes / BLOCK_BYTES;
+                let blocks = self.buffer_bytes / BLOCK_BYTES;
                 let mapping = LinearMapping::new(b0, bm, capacity);
                 AnyTx::GfcTime(be::GfcTimeTx::new(GfcTimeSender::new(blocks, mapping), blocks))
             }

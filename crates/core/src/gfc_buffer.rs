@@ -11,11 +11,14 @@
 use crate::mapping::StageTable;
 use crate::units::Rate;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Receiver side: stage tracker / message generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GfcBufferReceiver {
-    table: StageTable,
+    /// Shared by every receiver and sender built for one network (see
+    /// [`crate::fc_config::FcBackends`]).
+    table: Arc<StageTable>,
     current_stage: usize,
     /// `[lo, hi)`: the queue lengths of `current_stage`, so an update
     /// that stays inside it — almost all of them — skips the table's
@@ -28,7 +31,8 @@ pub struct GfcBufferReceiver {
 
 impl GfcBufferReceiver {
     /// New receiver starting in stage 0 (empty queue).
-    pub fn new(table: StageTable) -> Self {
+    pub fn new(table: impl Into<Arc<StageTable>>) -> Self {
+        let table = table.into();
         let bounds = stage_bounds(&table, 0);
         GfcBufferReceiver { table, current_stage: 0, bounds, messages_sent: 0 }
     }
@@ -77,13 +81,15 @@ fn stage_bounds(table: &StageTable, i: usize) -> (u64, u64) {
 /// Sender side: stage → rate lookup (the Rate Adjuster).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GfcBufferSender {
-    table: StageTable,
+    /// Shared like the receiver's.
+    table: Arc<StageTable>,
     rate: Rate,
 }
 
 impl GfcBufferSender {
     /// New sender starting at line rate.
-    pub fn new(table: StageTable) -> Self {
+    pub fn new(table: impl Into<Arc<StageTable>>) -> Self {
+        let table = table.into();
         let rate = table.capacity();
         GfcBufferSender { table, rate }
     }
@@ -99,6 +105,11 @@ impl GfcBufferSender {
     /// Currently assigned rate.
     pub fn rate(&self) -> Rate {
         self.rate
+    }
+
+    /// The stage table in force.
+    pub fn table(&self) -> &StageTable {
+        &self.table
     }
 }
 

@@ -72,7 +72,7 @@ pub mod theorems;
 pub mod units;
 
 pub use backend::{CtrlClass, CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, SchemeMismatch};
-pub use fc_config::{AnyRx, AnyTx, FcConfig, PortIdent};
+pub use fc_config::{AnyRx, AnyTx, FcBackends, FcConfig, PortIdent};
 pub use mapping::{LinearMapping, StageTable};
 pub use rate_limiter::RateLimiter;
 pub use units::{Dur, Rate, Time};

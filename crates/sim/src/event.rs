@@ -26,6 +26,12 @@
 //! reaches a fixed pool size and stops allocating entirely. Payloads of
 //! FIFO-lane events (below) stay in their lane instead.
 //!
+//! An `Arrive` is the only place a packet travels by value, and only on
+//! the wire between two nodes (or two shards): the receiving switch, like
+//! a host packetizing a flow, writes it into its network's packet store
+//! once, every queue inside the node carries its slot (see `port.rs`),
+//! and the completed transmission takes it out into the next `Arrive`.
+//!
 //! ## FIFO lanes
 //!
 //! Event classes scheduled at a *constant* delay from a monotone clock

@@ -3,11 +3,11 @@
 //!
 //! Each ingress `(port, priority)` holds a [`gfc_core::AnyRx`] directly;
 //! each egress `(port, priority)` owns an [`FcSender`], which wraps a
-//! [`gfc_core::AnyTx`]. Both enums are built by
-//! [`FcConfig::make_rx_any`](gfc_core::FcConfig::make_rx_any) /
-//! [`FcConfig::make_tx_any`](gfc_core::FcConfig::make_tx_any): the
-//! simulator calls the backend interface and never matches on the
-//! scheme. The sender additionally owns the §5.3 rate limiter and applies
+//! [`gfc_core::AnyTx`]. Both enums are built by one network-wide
+//! [`FcBackends`](gfc_core::FcBackends), which derives what every port
+//! shares (the buffer-based GFC stage table) once: the simulator calls
+//! the backend interface and never matches on the scheme. The sender
+//! additionally owns the §5.3 rate limiter and applies
 //! [`CtrlOutcome::set_rate`] to it, keeping pacing a simulator concern.
 //!
 //! Control messages between the halves are [`CtrlPayload`]s; the wire
@@ -19,7 +19,7 @@ use crate::config::SimConfig;
 use gfc_core::backend::FcTx;
 use gfc_core::rate_limiter::RateLimiter;
 use gfc_core::units::{Dur, Rate, Time};
-use gfc_core::{AnyTx, PortIdent};
+use gfc_core::AnyTx;
 
 pub use gfc_core::backend::{
     CtrlOutcome, CtrlPayload, DcfitTag, QueueCtx, SchemeMismatch, Sense, TxHead,
@@ -46,11 +46,17 @@ pub struct FcSender {
 }
 
 impl FcSender {
-    /// Build the sender backend for a config at the given port.
-    pub fn for_config(cfg: &SimConfig, ident: PortIdent) -> FcSender {
+    /// Wrap the sender backend `inner` with a line-rate limiter.
+    pub fn new(cfg: &SimConfig, inner: AnyTx) -> FcSender {
         let mut limiter = RateLimiter::with_min_unit(cfg.capacity, cfg.min_rate_unit);
         limiter.set_rate(cfg.capacity);
-        FcSender { inner: cfg.fc.make_tx_any(cfg.capacity, cfg.buffer_bytes, ident), limiter }
+        FcSender { inner, limiter }
+    }
+
+    /// The scheme's sender backend.
+    #[cfg(test)]
+    pub(crate) fn backend(&self) -> &AnyTx {
+        &self.inner
     }
 
     /// Human-readable name of the scheme this sender runs.
@@ -139,7 +145,7 @@ mod tests {
     use gfc_core::fc_config::FcConfig;
     use gfc_core::pfc::PfcEvent;
     use gfc_core::units::kb;
-    use gfc_core::{AnyRx, FcRx};
+    use gfc_core::{AnyRx, FcRx, PortIdent};
 
     const IDENT: PortIdent = PortIdent { node: 0, port: 0 };
 
@@ -152,6 +158,10 @@ mod tests {
 
     fn receiver(c: &SimConfig, ident: PortIdent) -> AnyRx {
         c.fc.make_rx_any(c.capacity, c.buffer_bytes, c.mtu, ident)
+    }
+
+    fn sender(c: &SimConfig, ident: PortIdent) -> FcSender {
+        FcSender::new(c, c.fc.make_tx_any(c.capacity, c.buffer_bytes, ident))
     }
 
     fn ctx(q_bytes: u64, pkt_bytes: u64) -> QueueCtx {
@@ -176,7 +186,7 @@ mod tests {
     fn pfc_pair_pause_resume() {
         let c = cfg(FcConfig::pfc(kb(280), kb(277)));
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         assert_eq!(tx.gate(&head(1500), Time::ZERO), Gate::Ready);
         let msg =
             one(&mut rx, |r, out| r.on_arrival(&ctx(kb(281), 1500), out)).expect("pause expected");
@@ -192,7 +202,7 @@ mod tests {
     fn gfc_buffer_pair_sets_rate() {
         let c = cfg(FcConfig::gfc_buffer(kb(300), kb(281)));
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         let msg =
             one(&mut rx, |r, out| r.on_arrival(&ctx(kb(282), 1500), out)).expect("stage change");
         assert!(tx.on_ctrl(msg, Time::ZERO).unwrap().opened);
@@ -209,7 +219,7 @@ mod tests {
     fn cbfc_pair_credits_through_wire_wrap() {
         let c = cfg(FcConfig::cbfc(Dur::from_micros(52)));
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         // Consume all credits.
         let buffer = c.buffer_bytes;
         let mut sent = 0;
@@ -235,7 +245,7 @@ mod tests {
     fn gfc_time_pair_rate_follows_credits() {
         let c = cfg(FcConfig::gfc_time(kb(100), kb(300), Dur::from_micros(52)));
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         assert_eq!(tx.assigned_rate(), Rate::from_gbps(10));
         let mut sent = 0u64;
         while sent < kb(200) {
@@ -255,7 +265,7 @@ mod tests {
     fn conceptual_pair_linear() {
         let c = cfg(FcConfig::conceptual(kb(50), kb(100), Dur::from_micros(25)));
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         let msg = one(&mut rx, |r, out| r.on_arrival(&ctx(kb(75), 1500), out)).unwrap();
         tx.on_ctrl(msg, Time::ZERO).unwrap();
         assert_eq!(tx.assigned_rate(), Rate::from_gbps(5));
@@ -267,7 +277,7 @@ mod tests {
         c.fc = FcConfig::Bfc(BfcConfig::derive(c.buffer_bytes, c.mtu));
         c.validate();
         let mut rx = receiver(&c, IDENT);
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         let flow7 = |q| QueueCtx { q_bytes: q, pkt_bytes: 1500, flow: 7, inherited_tag: None };
         // Build flow 7's footprint past flow_xoff (8 MTU by derivation).
         let mut out = Vec::new();
@@ -298,7 +308,7 @@ mod tests {
     fn dcfit_pair_detects_own_tag() {
         let c = cfg(FcConfig::dcfit(kb(280), kb(277)));
         let mut rx = receiver(&c, PortIdent { node: 4, port: 2 });
-        let mut tx = FcSender::for_config(&c, PortIdent { node: 4, port: 0 });
+        let mut tx = sender(&c, PortIdent { node: 4, port: 0 });
         assert!(rx.wants_fwd_tag());
         // Fresh pause minted at node 4 → applied at node 4's own egress:
         // the chain closed in one hop (self-loop), detection fires.
@@ -324,7 +334,7 @@ mod tests {
     #[test]
     fn mismatched_ctrl_is_a_typed_error() {
         let c = cfg(FcConfig::pfc(kb(280), kb(277)));
-        let mut tx = FcSender::for_config(&c, IDENT);
+        let mut tx = sender(&c, IDENT);
         let err = tx.on_ctrl(CtrlPayload::GfcStage(1), Time::ZERO).unwrap_err();
         assert_eq!(err.payload, CtrlPayload::GfcStage(1));
         assert_eq!(err.payload_scheme, "buffer-based GFC");

@@ -26,7 +26,7 @@ use crate::flowgen::{FlowRequest, Workload};
 use crate::ledger::FlowLedger;
 use crate::packet::Packet;
 use crate::port::{
-    IngressPacket, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
+    IngressPacket, PacketStore, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
 };
 use crate::progress::DeadlockMonitor;
 use crate::telemetry::{PortSample, SimTelemetry};
@@ -34,7 +34,7 @@ use crate::trace::{ThroughputMeter, TraceConfig, Traces};
 use gfc_core::fc_config::PortIdent;
 use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::{Dur, Rate, Time};
-use gfc_core::FcRx;
+use gfc_core::{FcBackends, FcRx};
 use gfc_dcqcn::{CnpGenerator, ReactionPoint};
 use gfc_telemetry::{
     names, CausalReport, CauseToken, ChromeTrace, CtrlSense, EngineProbe, FlightRecorder,
@@ -189,6 +189,9 @@ pub struct Network {
     /// Every port of every node. Handlers resolve each `(node, port)`
     /// once into a [`PortIx`] and pass it on (see `port.rs`).
     ports: PortTable,
+    /// Every packet held at a port of this network; the ports' queues
+    /// hold slot handles into it (see `port.rs`).
+    store: PacketStore,
     /// Per-node switching state, by node id.
     sw: Vec<NodeSw>,
     /// Per-link `(a, port on a, port on b)`: O(1) next-hop port lookup on
@@ -274,6 +277,9 @@ impl Network {
             num_nodes < (1 << 20),
             "node count exceeds the canonical dispatch-rank field (2^20)"
         );
+        // One backend factory for every port: what the scheme derives
+        // from the config (the GFC stage table) is built once and shared.
+        let fc = FcBackends::new(cfg.fc, cfg.capacity, cfg.buffer_bytes);
         let mut nested: Vec<Vec<PortState>> = Vec::with_capacity(topo.num_nodes());
         for n in topo.node_ids() {
             // A shard builds ports for its own domain's nodes only; foreign
@@ -285,7 +291,7 @@ impl Network {
                 let peer_port = topo.port_of(peer, link);
                 let ident =
                     PortIdent { node: n.0, port: u16::try_from(idx).expect("port index fits u16") };
-                node_ports.push(PortState::new(&cfg, ident, link, peer, peer_port));
+                node_ports.push(PortState::new(&cfg, &fc, ident, link, peer, peer_port));
             }
             nested.push(node_ports);
         }
@@ -328,6 +334,7 @@ impl Network {
             topo,
             routing,
             ports,
+            store: PacketStore::default(),
             sw,
             link_ports,
             hosts,
@@ -1040,10 +1047,10 @@ impl Network {
         let mut rows: Vec<PortSample> = Vec::new();
         for ps in self.ports.all() {
             let pq = ps.pq(0);
-            let head = pq.eg.q.front().map_or(TxHead { bytes: mtu, flow: 0 }, |sp| TxHead {
-                bytes: sp.pkt.bytes,
-                flow: sp.pkt.flow,
-            });
+            let head = match pq.eg.q.front() {
+                Some(sp) => self.store.tx_head(sp.slot),
+                None => TxHead { bytes: mtu, flow: 0 },
+            };
             rows.push(PortSample {
                 ingress_bytes: ps.ingress_backlog(),
                 rate_bps: pq.tx_fc.assigned_rate().0,
@@ -1189,6 +1196,9 @@ impl Network {
             self.send_ctrl(node, port, ing_ix, pkt.prio, payload, fwd);
         }
         pkt.hop += 1;
+        // The packet's one write into this node: from here to its
+        // transmission the queues carry its slot.
+        let slot = self.store.insert(pkt);
         let eg = &mut self.ports[out].pq_mut(prio).eg;
         eg.voq_bytes += bytes;
         if self.cfg.pump == PumpPolicy::OutputQueued {
@@ -1196,7 +1206,7 @@ impl Network {
             // arrival. There is no ingress FIFO to wait in — the egress is
             // unbounded, so a pump would move every head at once anyway.
             eg.bytes += bytes;
-            eg.q.push_back(StagedPacket { pkt, ingress_port: Some(port) });
+            eg.q.push_back(StagedPacket { slot, ingress_port: port as u32 });
             self.try_transmit(node, out_port, out);
             return;
         }
@@ -1207,7 +1217,7 @@ impl Network {
         sw.arrival_seq += 1;
         let ing_q = &mut self.ports[ing_ix].pq_mut(prio).ing_q;
         let new_head = ing_q.is_empty();
-        ing_q.push_back(IngressPacket { pkt, out_port, arrival_seq });
+        ing_q.push_back(IngressPacket { slot, out_port: out_port as u32, arrival_seq });
         if new_head && span.len() <= 64 {
             // The arrival installed a new (maybe movable) head. Behind an
             // existing head it changes nothing: that head is still
@@ -1267,7 +1277,7 @@ impl Network {
                                 continue;
                             };
                             any_head = true;
-                            let out = span.ix(head.out_port);
+                            let out = span.ix(head.out_port as usize);
                             if self.ports[out].pq(prio).eg.q.len() < slots {
                                 found = Some((ing, prio));
                                 break 'scan;
@@ -1299,7 +1309,8 @@ impl Network {
                         let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
                             continue;
                         };
-                        if self.ports[span.ix(head.out_port)].pq(prio).eg.q.len() >= slots {
+                        let out = span.ix(head.out_port as usize);
+                        if self.ports[out].pq(prio).eg.q.len() >= slots {
                             continue; // head-of-line wait at the ingress FIFO
                         }
                         if round_robin {
@@ -1325,16 +1336,17 @@ impl Network {
                 let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
                     break;
                 };
-                let out = span.ix(head.out_port);
+                let out_port = head.out_port as usize;
+                let out = span.ix(out_port);
                 if self.ports[out].pq(prio).eg.q.len() >= slots {
                     break;
                 }
-                let IngressPacket { pkt, out_port, .. } =
+                let IngressPacket { slot, .. } =
                     self.ports[ing_ix].pq_mut(prio).ing_q.pop_front().expect("head vanished");
-                let bytes = pkt.bytes;
+                let bytes = self.store.get(slot).bytes;
                 let eg = &mut self.ports[out].pq_mut(prio).eg;
                 eg.bytes += bytes;
-                eg.q.push_back(StagedPacket { pkt, ingress_port: Some(ing) });
+                eg.q.push_back(StagedPacket { slot, ingress_port: ing as u32 });
                 granted += 1;
                 self.try_transmit(node, out_port, out);
             }
@@ -1504,9 +1516,8 @@ impl Network {
         let routed = pkt.next_link().map(|l| self.out_port(node, l));
         let blocked = |p: usize| {
             let pq = node_ports[p].pq(prio);
-            pq.eg.q.front().is_some_and(|h| {
-                pq.tx_fc.hard_blocked(&TxHead { bytes: h.pkt.bytes, flow: h.pkt.flow }, self.now)
-            })
+            let head = pq.eg.q.front().map(|h| self.store.tx_head(h.slot));
+            head.is_some_and(|h| pq.tx_fc.hard_blocked(&h, self.now))
         };
         if let Some(out) = routed {
             if blocked(out) {
@@ -1517,7 +1528,7 @@ impl Network {
             if Some(p) == routed || !blocked(p) {
                 continue;
             }
-            if ps.pq(prio).eg.q.iter().any(|sp| sp.ingress_port == Some(port)) {
+            if ps.pq(prio).eg.q.iter().any(|sp| sp.ingress() == Some(port)) {
                 return Some(p as u16);
             }
         }
@@ -1600,7 +1611,7 @@ impl Network {
             }
             let pq = ps.pq_mut(prio);
             let head = match pq.eg.q.front() {
-                Some(sp) => TxHead { bytes: sp.pkt.bytes, flow: sp.pkt.flow },
+                Some(sp) => self.store.tx_head(sp.slot),
                 None => continue,
             };
             match pq.tx_fc.gate(&head, now) {
@@ -1653,16 +1664,17 @@ impl Network {
         };
         let ps = &mut self.ports[px];
         let pq = ps.pq_mut(prio);
-        let mut sp = pq.eg.q.pop_front().expect("gate passed on empty queue");
-        pq.eg.bytes -= sp.pkt.bytes;
+        let sp = pq.eg.q.pop_front().expect("gate passed on empty queue");
+        let pkt = self.store.get_mut(sp.slot);
         if mark {
-            sp.pkt.ecn_marked = true;
+            pkt.ecn_marked = true;
         }
-        let tx_time = Dur::for_bytes(sp.pkt.bytes, self.cfg.capacity);
+        let head = TxHead { bytes: pkt.bytes, flow: pkt.flow };
+        pq.eg.bytes -= head.bytes;
+        let tx_time = Dur::for_bytes(head.bytes, self.cfg.capacity);
         let done = now + tx_time;
-        let head = TxHead { bytes: sp.pkt.bytes, flow: sp.pkt.flow };
         pq.tx_fc.on_sent(&head, tx_time, done);
-        ps.bytes_tx += sp.pkt.bytes;
+        ps.bytes_tx += head.bytes;
         ps.tx_busy = true;
         ps.current_data = Some((sp, prio as u8));
         ps.wrr_next = if prio + 1 >= self.cfg.num_priorities { 0 } else { prio + 1 };
@@ -1699,7 +1711,8 @@ impl Network {
             return;
         }
         let (sp, prio) = ps.current_data.take().expect("tx completed with no frame");
-        let StagedPacket { pkt, ingress_port } = sp;
+        // The packet's one write out of this node.
+        let pkt = self.store.take(sp.slot);
         let bytes = pkt.bytes;
         let flow = pkt.flow;
         // Hand the frame to the wire — moved into the arrival lane by
@@ -1712,7 +1725,7 @@ impl Network {
             Event::Arrive { node: peer, port: peer_port, pkt },
         );
         // Release the local ingress charge (switch transit traffic).
-        if let Some(ing) = ingress_port {
+        if let Some(ing) = sp.ingress() {
             {
                 let voq = &mut self.ports[px].pq_mut(prio as usize).eg.voq_bytes;
                 debug_assert!(*voq >= bytes, "VOQ accounting underflow");
@@ -1851,9 +1864,10 @@ impl Network {
                     self.next_pkt_id += 1;
                     let prio = pkt.prio as usize;
                     let bytes = pkt.bytes;
+                    let slot = self.store.insert(pkt);
                     let eg = &mut self.ports[px].pq_mut(prio).eg;
                     eg.bytes += bytes;
-                    eg.q.push_back(StagedPacket { pkt, ingress_port: None });
+                    eg.q.push_back(StagedPacket { slot, ingress_port: StagedPacket::SOURCED });
                     self.try_transmit(host, 0, px);
                 }
             }
@@ -1913,7 +1927,7 @@ impl Network {
                     // Staged packets charge local ingresses: those
                     // ingresses wait on this egress to drain.
                     for sp in &eq.q {
-                        if let Some(ing) = sp.ingress_port {
+                        if let Some(ing) = sp.ingress() {
                             let from = vertex(g, WfSide::Ingress, n, ing);
                             let to = vertex(g, WfSide::Egress, n, p);
                             g.edge(from, to);
@@ -1921,8 +1935,7 @@ impl Network {
                     }
                     let Some(head) = eq.q.front() else { continue };
                     // Egress blocked → waits on the downstream ingress.
-                    let th = TxHead { bytes: head.pkt.bytes, flow: head.pkt.flow };
-                    if pq.tx_fc.hard_blocked(&th, self.now) {
+                    if pq.tx_fc.hard_blocked(&self.store.tx_head(head.slot), self.now) {
                         let from = vertex(g, WfSide::Egress, n, p);
                         let to = vertex(g, WfSide::Ingress, ps.peer.0 as usize, ps.peer_port);
                         g.edge(from, to);
@@ -1932,7 +1945,7 @@ impl Network {
                 for pq in ps.pqs() {
                     if let Some(head) = pq.ing_q.front() {
                         let from = vertex(g, WfSide::Ingress, n, p);
-                        let to = vertex(g, WfSide::Egress, n, head.out_port);
+                        let to = vertex(g, WfSide::Egress, n, head.out_port as usize);
                         g.edge(from, to);
                     }
                 }
@@ -2018,9 +2031,12 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowgen::ClosedLoopWorkload;
     use gfc_core::units::kb;
-    use gfc_core::FcConfig;
+    use gfc_core::{AnyRx, AnyTx, FcConfig, StageTable};
+    use gfc_topology::fattree::FatTree;
     use gfc_topology::Ring;
+    use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 
     impl Network {
         /// Check the pump's masks against the FIFOs they summarise, at a
@@ -2051,7 +2067,7 @@ mod tests {
                     blocked += 1;
                     for prio in 0..self.cfg.num_priorities {
                         let Some(head) = ps.pq(prio).ing_q.front() else { continue };
-                        let target = &node_ports[head.out_port];
+                        let target = &node_ports[head.out_port as usize];
                         assert!(
                             target.pq(prio).eg.q.len() >= slots,
                             "node {n} port {p}: marked blocked, but egress {} has a free slot",
@@ -2067,22 +2083,76 @@ mod tests {
             }
             blocked
         }
+
+        /// Check the packet store against the queues that hold its
+        /// handles: every live slot is referenced by exactly one ingress
+        /// FIFO element, egress element or frame in flight, no handle
+        /// names a free slot, and live plus free slots make up the store.
+        /// Returns the number of live packets.
+        fn assert_packet_store(&self) -> usize {
+            let mut refs = vec![0u32; self.store.len()];
+            for (n, node_ports) in self.ports.nodes().enumerate() {
+                for (p, ps) in node_ports.iter().enumerate() {
+                    let mut note = |slot: u32, queue: &str| {
+                        assert!(self.store.is_live(slot), "node {n} {queue}{p}: free slot {slot}");
+                        refs[slot as usize] += 1;
+                    };
+                    for pq in ps.pqs() {
+                        pq.ing_q.iter().for_each(|h| note(h.slot, "in"));
+                        pq.eg.q.iter().for_each(|h| note(h.slot, "out"));
+                    }
+                    if let Some((sp, _)) = ps.current_data {
+                        note(sp.slot, "wire");
+                    }
+                }
+            }
+            let mut live = 0;
+            for (slot, &r) in refs.iter().enumerate() {
+                let is_live = self.store.is_live(slot as u32);
+                live += usize::from(is_live);
+                assert!(r <= 1, "slot {slot} referenced {r} times");
+                assert_eq!(is_live, r == 1, "slot {slot}: live {is_live}, referenced {r} times");
+            }
+            assert_eq!(live + self.store.free_len(), self.store.len(), "live + free != slots");
+            live
+        }
     }
 
     /// Run `net` to `horizon` one event at a time — so also across every
-    /// instant boundary — checking the pump masks after each; returns how
-    /// many checks saw a port marked blocked. Within an instant the masks
-    /// must hold too: a stale bit can be repaired by a later event of the
-    /// same instant, which a per-instant check would miss.
-    fn run_checking_masks(mut net: Network, horizon: Time) -> u64 {
+    /// instant boundary — calling `check` after each. Within an instant
+    /// the invariants must hold too: a stale bit can be repaired by a
+    /// later event of the same instant, which a per-instant check would
+    /// miss.
+    fn run_checking(mut net: Network, horizon: Time, mut check: impl FnMut(&Network)) -> Network {
         net.ensure_started();
-        let mut checks_blocked = 0;
         while let Some((t, ev)) = net.queue.pop_at_or_before(horizon) {
             net.now = t;
             net.handle(ev);
-            checks_blocked += u64::from(net.assert_pump_masks() > 0);
+            check(&net);
         }
+        net
+    }
+
+    /// [`run_checking`] on the pump masks; returns how many checks saw a
+    /// port marked blocked.
+    fn run_checking_masks(net: Network, horizon: Time) -> u64 {
+        let mut checks_blocked = 0;
+        run_checking(net, horizon, |net| {
+            checks_blocked += u64::from(net.assert_pump_masks() > 0);
+        });
         checks_blocked
+    }
+
+    /// [`run_checking`] on the packet store; at the end the store holds
+    /// exactly as many slots as the most packets ever live at once (no
+    /// slack), and that many is returned.
+    fn run_checking_store(net: Network, horizon: Time) -> usize {
+        let mut most_live = 0;
+        let net = run_checking(net, horizon, |net| {
+            most_live = most_live.max(net.assert_packet_store());
+        });
+        assert_eq!(net.store.len(), most_live, "store slots vs most packets live at once");
+        most_live
     }
 
     fn gfc_cfg(prios: u8) -> SimConfig {
@@ -2114,13 +2184,20 @@ mod tests {
     /// priority 1 when there are two), so FIFO heads block on two
     /// egresses.
     fn star(hosts: usize, prios: u8) -> Network {
+        star_pumped(hosts, prios, PumpPolicy::RoundRobin)
+    }
+
+    /// [`star`] under `pump`.
+    fn star_pumped(hosts: usize, prios: u8, pump: PumpPolicy) -> Network {
         let mut topo = Topology::new();
         let sw = topo.add_switch("S");
         let hs: Vec<NodeId> = (0..hosts).map(|i| topo.add_host(format!("H{i}"))).collect();
         for &h in &hs {
             topo.add_link(h, sw);
         }
-        let mut net = Network::new(topo, Routing::spf(), gfc_cfg(prios), TraceConfig::none());
+        let mut cfg = gfc_cfg(prios);
+        cfg.pump = pump;
+        let mut net = Network::new(topo, Routing::spf(), cfg, TraceConfig::none());
         for i in 0..hosts {
             let far = (i + hosts / 2) % hosts;
             net.start_flow(hs[i], hs[(i / 2 * 2 + 2) % hosts], None, 0).expect("star route");
@@ -2154,5 +2231,69 @@ mod tests {
     #[test]
     fn pump_masks_stay_pinned_on_a_70_port_star() {
         run_checking_masks(star(70, 1), Time::from_millis(1));
+    }
+
+    /// The k = 4 fat-tree under PFC on output-queued switches, with
+    /// closed-loop enterprise flows to other racks: flows start and
+    /// finish throughout, and egress queues build and drain.
+    fn fat_tree_enterprise_pfc() -> Network {
+        let ft = FatTree::new(4);
+        let mut cfg = SimConfig::default_10g();
+        cfg.buffer_bytes = kb(300) + 4 * 1500;
+        cfg.fc = FcConfig::pfc(kb(280), kb(277));
+        cfg.pump = PumpPolicy::OutputQueued;
+        cfg.seed = 4242;
+        cfg.preflight = gfc_verify::PreflightPolicy::Acknowledge;
+        let racks = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
+        let mut net = Network::new(ft.topo, Routing::spf(), cfg, TraceConfig::none());
+        net.install_workload(Box::new(ClosedLoopWorkload {
+            sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
+            dests: DestPolicy::inter_rack(racks),
+            num_hosts: ft.hosts.len(),
+            prio: 0,
+            stop_after: None,
+        }));
+        net
+    }
+
+    #[test]
+    fn packet_store_matches_the_queues_on_a_round_robin_gfc_ring() {
+        for prios in [1, 2] {
+            let most = run_checking_store(ring(prios), Time::from_millis(5));
+            assert!(most > 100, "{prios} priorities: only {most} packets ever live");
+        }
+    }
+
+    #[test]
+    fn packet_store_matches_the_queues_on_an_arrival_order_70_port_star() {
+        let most = run_checking_store(
+            star_pumped(70, 1, PumpPolicy::ArrivalOrder),
+            Time::from_micros(200),
+        );
+        assert!(most > 100, "only {most} packets ever live");
+    }
+
+    #[test]
+    fn packet_store_matches_the_queues_on_an_output_queued_pfc_fat_tree() {
+        let most = run_checking_store(fat_tree_enterprise_pfc(), Time::from_millis(1));
+        assert!(most > 100, "only {most} packets ever live");
+    }
+
+    #[test]
+    fn every_gfc_port_shares_one_stage_table() {
+        let net = ring(2);
+        let cfg = net.config();
+        let FcConfig::GfcBuffer(p) = cfg.fc else { panic!("ring runs buffer-based GFC") };
+        let (num, den) = p.stage_ratio;
+        let expect = StageTable::with_ratio(p.bm, p.b1, cfg.capacity, num, den);
+        let mut tables: Vec<&StageTable> = Vec::new();
+        for pq in net.ports.all().iter().flat_map(PortState::pqs) {
+            let AnyRx::GfcBuffer(rx) = &pq.ing_rx else { panic!("GFC receiver") };
+            let AnyTx::GfcBuffer(tx) = pq.tx_fc.backend() else { panic!("GFC sender") };
+            tables.extend([rx.0.table(), tx.0.table()]);
+        }
+        assert_eq!(tables.len(), 2 * 2 * net.ports.all().len());
+        assert_eq!(*tables[0], expect);
+        assert!(tables.iter().all(|&t| std::ptr::eq(t, tables[0])), "a port built its own table");
     }
 }

@@ -1,7 +1,22 @@
 //! Per-port simulator state: ingress accounting, egress queues, control
-//! queue, and the transmission scheduler's bookkeeping.
+//! queue, and the transmission scheduler's bookkeeping, plus the
+//! [`PacketStore`] that holds the packets those queues refer to.
 //!
 //! ## Layout
+//!
+//! A packet a network holds lives in that network's [`PacketStore`], one
+//! slot per packet, from the hop that takes it in (a switch ingress, or a
+//! host NIC packetizing a flow) until its transmission completes and it
+//! moves into the next `Event::Arrive`. The queues between those two
+//! points hold slot handles, not packets: an ingress FIFO holds
+//! [`IngressPacket`]s (16 B: the slot plus the forwarding decision and
+//! arrival number the pump reads at every head), an egress queue and a
+//! port's frame in flight hold [`StagedPacket`]s (8 B: the slot plus the
+//! charged ingress). A hop so writes the full packet twice, into the
+//! store and out of it, however many queues it crosses; and the memory a
+//! queue keeps at its deepest moment is a handle per packet, while the
+//! packets themselves share one store sized to the network's largest
+//! live population.
 //!
 //! Per-priority state is grouped in [`PrioState`] — one struct per
 //! `(port, priority)` instead of five parallel `Vec`s — so the fields a
@@ -24,31 +39,127 @@
 //! yields a node's ports as a slice, for code that sweeps a whole node.
 
 use crate::config::SimConfig;
-use crate::fc::{CtrlPayload, FcSender};
+use crate::fc::{CtrlPayload, FcSender, TxHead};
 use crate::packet::Packet;
-use gfc_core::{AnyRx, PortIdent};
+use gfc_core::{AnyRx, FcBackends, PortIdent};
 use gfc_telemetry::CauseToken;
 use gfc_topology::{LinkId, NodeId};
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 
-/// A packet staged at an egress, remembering which local ingress buffer is
-/// charged for it (None for locally sourced traffic, i.e. host NICs).
-#[derive(Debug, Clone)]
-pub struct StagedPacket {
-    /// The packet.
-    pub pkt: Packet,
-    /// The local ingress port charged for the packet's buffer occupancy.
-    pub ingress_port: Option<usize>,
+/// The packets one network holds, one slot each (see the module docs).
+/// Freed slots go on a LIFO free list and are reused first, so the store
+/// grows only while the live population reaches a new high, its slot
+/// count is that high-water mark, and a steady-state run stops
+/// allocating.
+#[derive(Debug, Default)]
+pub struct PacketStore {
+    /// `None` marks a free slot (`Option<Packet>` is no larger than
+    /// `Packet`: its path pointer is never null).
+    slots: Vec<Option<Packet>>,
+    /// Free slot numbers, the most recently freed last.
+    free: Vec<u32>,
 }
 
-/// A packet waiting in an ingress FIFO with its forwarding decision.
-#[derive(Debug, Clone)]
+impl PacketStore {
+    /// Store `pkt`, returning its slot.
+    #[inline]
+    pub fn insert(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                debug_assert!(s.is_none(), "packet slot {slot} reused while occupied");
+                *s = Some(pkt);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("packet slot fits u32");
+                self.slots.push(Some(pkt));
+                slot
+            }
+        }
+    }
+
+    /// The packet in `slot`. Panics if the slot is free.
+    #[inline]
+    pub fn get(&self, slot: u32) -> &Packet {
+        self.slots[slot as usize].as_ref().expect("read of a free packet slot")
+    }
+
+    /// Mutable access to the packet in `slot`. Panics if the slot is free.
+    #[inline]
+    pub fn get_mut(&mut self, slot: u32) -> &mut Packet {
+        self.slots[slot as usize].as_mut().expect("write to a free packet slot")
+    }
+
+    /// The transmit gate's view of the packet in `slot`.
+    #[inline]
+    pub fn tx_head(&self, slot: u32) -> TxHead {
+        let pkt = self.get(slot);
+        TxHead { bytes: pkt.bytes, flow: pkt.flow }
+    }
+
+    /// Move the packet out of `slot` and free the slot. Panics if the slot
+    /// is already free (a double take), before the free list could hold
+    /// it twice.
+    #[inline]
+    pub fn take(&mut self, slot: u32) -> Packet {
+        let pkt = self.slots[slot as usize].take().expect("take from a free packet slot");
+        self.free.push(slot);
+        pkt
+    }
+
+    /// Slots ever used: the largest number of packets held at once.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Slots on the free list.
+    #[cfg(test)]
+    pub(crate) fn free_len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Whether `slot` holds a packet.
+    #[cfg(test)]
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
+        self.slots.get(slot as usize).is_some_and(Option::is_some)
+    }
+}
+
+/// A packet staged at an egress, or in flight on its wire: its store slot
+/// and the local ingress port charged for its buffer occupancy
+/// ([`Self::SOURCED`] for traffic a host NIC packetized itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedPacket {
+    /// The packet's [`PacketStore`] slot.
+    pub slot: u32,
+    /// The charged local ingress port, or [`Self::SOURCED`].
+    pub ingress_port: u32,
+}
+
+impl StagedPacket {
+    /// The `ingress_port` of locally sourced traffic: no ingress is
+    /// charged.
+    pub const SOURCED: u32 = u32::MAX;
+
+    /// The charged local ingress port; `None` for locally sourced traffic.
+    #[inline]
+    pub fn ingress(self) -> Option<usize> {
+        (self.ingress_port != Self::SOURCED).then_some(self.ingress_port as usize)
+    }
+}
+
+/// A packet waiting in an ingress FIFO with its forwarding decision: its
+/// store slot plus the two fields the pump reads at every FIFO head, so
+/// choosing a head never touches the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngressPacket {
-    /// The packet.
-    pub pkt: Packet,
+    /// The packet's [`PacketStore`] slot.
+    pub slot: u32,
     /// The egress port it will leave through.
-    pub out_port: usize,
+    pub out_port: u32,
     /// Node-local arrival sequence number (for arrival-ordered pumping).
     pub arrival_seq: u64,
 }
@@ -59,9 +170,10 @@ pub struct IngressPacket {
 /// an output-queued switch enqueues every arrival here directly.
 #[derive(Debug, Clone, Default)]
 pub struct EgressQueue {
-    /// FIFO of staged packets: at most `SimConfig::stage_slots` under the
-    /// input-buffered pump policies, unbounded under
-    /// `PumpPolicy::OutputQueued`.
+    /// FIFO of staged packet handles: at most `SimConfig::stage_slots`
+    /// under the input-buffered pump policies, unbounded under
+    /// `PumpPolicy::OutputQueued`. The packets sit in the network's
+    /// [`PacketStore`].
     pub q: VecDeque<StagedPacket>,
     /// Total bytes staged.
     pub bytes: u64,
@@ -91,8 +203,9 @@ pub struct PrioState {
     /// released when the last bit leaves the node).
     pub ing_bytes: u64,
     /// Ingress FIFO (the input buffer of Fig. 2; subject to head-of-line
-    /// blocking exactly like the paper's switches). Always empty on an
-    /// output-queued switch.
+    /// blocking exactly like the paper's switches) of packet handles, the
+    /// packets themselves in the network's [`PacketStore`]. Always empty
+    /// on an output-queued switch.
     pub ing_q: VecDeque<IngressPacket>,
     /// Ingress flow-control receiver.
     pub ing_rx: AnyRx,
@@ -103,13 +216,13 @@ pub struct PrioState {
 }
 
 impl PrioState {
-    fn new(cfg: &SimConfig, ident: PortIdent) -> Self {
+    fn new(cfg: &SimConfig, fc: &FcBackends, ident: PortIdent) -> Self {
         PrioState {
             ing_bytes: 0,
             ing_q: VecDeque::new(),
-            ing_rx: cfg.fc.make_rx_any(cfg.capacity, cfg.buffer_bytes, cfg.mtu, ident),
+            ing_rx: fc.rx(cfg.mtu, ident),
             eg: EgressQueue::default(),
-            tx_fc: FcSender::for_config(cfg, ident),
+            tx_fc: FcSender::new(cfg, fc.tx(ident)),
         }
     }
 }
@@ -133,7 +246,8 @@ pub struct PortState {
     pub tx_busy: bool,
     /// The control frame in flight, if the current transmission is one.
     pub current_ctrl: Option<QueuedCtrl>,
-    /// The data frame in flight (with its priority), if any.
+    /// The data frame in flight (its handle, with its priority), if any;
+    /// the packet stays in the store until the transmission completes.
     pub current_data: Option<(StagedPacket, u8)>,
     /// Weighted-round-robin pointer across priorities.
     pub wrr_next: usize,
@@ -164,11 +278,13 @@ pub struct PortState {
 }
 
 impl PortState {
-    /// Fresh port state wired to `(link, peer, peer_port)`. `ident` names
-    /// this port itself — the identity DCFIT backends stamp into the
-    /// deadlock-detection tags they mint.
+    /// Fresh port state wired to `(link, peer, peer_port)`, its backends
+    /// built by the network's `fc`. `ident` names this port itself — the
+    /// identity DCFIT backends stamp into the deadlock-detection tags they
+    /// mint.
     pub fn new(
         cfg: &SimConfig,
+        fc: &FcBackends,
         ident: PortIdent,
         link: LinkId,
         peer: NodeId,
@@ -178,8 +294,8 @@ impl PortState {
             link,
             peer,
             peer_port,
-            pq0: PrioState::new(cfg, ident),
-            pq_rest: (1..cfg.num_priorities).map(|_| PrioState::new(cfg, ident)).collect(),
+            pq0: PrioState::new(cfg, fc, ident),
+            pq_rest: (1..cfg.num_priorities).map(|_| PrioState::new(cfg, fc, ident)).collect(),
             ctrl_q: VecDeque::new(),
             tx_busy: false,
             current_ctrl: None,
@@ -366,13 +482,14 @@ mod tests {
     /// shows where it landed.
     fn table() -> PortTable {
         let cfg = SimConfig::default_10g();
+        let fc = FcBackends::new(cfg.fc, cfg.capacity, cfg.buffer_bytes);
         let mut flat = 0;
         let mut node = |n: u32, ports: usize| -> Vec<PortState> {
             (0..ports)
                 .map(|p| {
                     let ident = PortIdent { node: n, port: p as u16 };
                     flat += 1;
-                    PortState::new(&cfg, ident, LinkId(0), NodeId(0), flat - 1)
+                    PortState::new(&cfg, &fc, ident, LinkId(0), NodeId(0), flat - 1)
                 })
                 .collect()
         };
@@ -406,6 +523,14 @@ mod tests {
         // alias it.
         let t = table();
         t.ix(0, 3);
+    }
+
+    #[test]
+    fn queue_handles_stay_small() {
+        assert!(std::mem::size_of::<IngressPacket>() <= 16);
+        assert!(std::mem::size_of::<StagedPacket>() <= 8);
+        // A free store slot costs no more than a packet.
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), std::mem::size_of::<Packet>());
     }
 
     #[test]
