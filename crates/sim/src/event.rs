@@ -20,8 +20,8 @@
 //! ## Layout
 //!
 //! The heap itself holds only compact 32-byte keys, so sift-up/sift-down
-//! never moves an [`Event`] payload (which inlines a full [`Packet`] for
-//! `Arrive`). Heap payloads live in a slab indexed by `EventId`; slots
+//! never moves an [`Event`] payload (64 B: `Arrive` inlines a full 48-B
+//! [`Packet`]). Heap payloads live in a slab indexed by `EventId`; slots
 //! freed by `pop` are recycled by the next `push`, so a steady-state run
 //! reaches a fixed pool size and stops allocating entirely. Payloads of
 //! FIFO-lane events (below) stay in their lane instead.
@@ -29,8 +29,9 @@
 //! An `Arrive` is the only place a packet travels by value, and only on
 //! the wire between two nodes (or two shards): the receiving switch, like
 //! a host packetizing a flow, writes it into its network's packet store
-//! once, every queue inside the node carries its slot (see `port.rs`),
-//! and the completed transmission takes it out into the next `Arrive`.
+//! once, every queue inside the node carries its slot or links it into
+//! an egress list through the store (see `port.rs`), and the completed
+//! transmission takes it out into the next `Arrive`.
 //!
 //! ## FIFO lanes
 //!

@@ -61,20 +61,23 @@ impl FlowLedger {
         Self::default()
     }
 
-    /// Register a started flow; ids must be unique and dense enough to
-    /// index (they are assigned by the simulator).
+    /// Register a started flow. Ids must strictly increase from one call
+    /// to the next (the simulator assigns them in order), which keeps the
+    /// records sorted for [`Self::on_finish`]'s binary search.
     pub(crate) fn on_start(&mut self, id: u64, bytes: u64, start_ps: u64, path_links: u32) {
+        if let Some(last) = self.records.last() {
+            assert!(id > last.id, "flow {id} started after flow {}", last.id);
+        }
         self.records.push(FlowRecord { id, bytes, start_ps, end_ps: None, path_links });
     }
 
     /// Mark a flow finished.
     pub(crate) fn on_finish(&mut self, id: u64, end_ps: u64) {
-        let r = self
+        let i = self
             .records
-            .iter_mut()
-            .rev()
-            .find(|r| r.id == id)
-            .unwrap_or_else(|| panic!("finish for unknown flow {id}"));
+            .binary_search_by_key(&id, |r| r.id)
+            .unwrap_or_else(|_| panic!("finish for unknown flow {id}"));
+        let r = &mut self.records[i];
         assert!(r.end_ps.is_none(), "flow {id} finished twice");
         assert!(end_ps >= r.start_ps);
         r.end_ps = Some(end_ps);
@@ -176,6 +179,48 @@ mod tests {
             "[FlowRecord { id: 3, bytes: 1500, start_ps: 10, end_ps: Some(42), path_links: 2 }, \
              FlowRecord { id: 4, bytes: 9000, start_ps: 20, end_ps: None, path_links: 4 }]"
         );
+    }
+
+    #[test]
+    fn flows_finish_out_of_start_order() {
+        // Sparse ascending ids (flows without a size are not recorded),
+        // finished in a scrambled order.
+        let mut l = FlowLedger::new();
+        let ids: Vec<u64> = (0..3000u64).map(|i| i * 3 + i % 2).collect();
+        for (t, &id) in ids.iter().enumerate() {
+            l.on_start(id, 100, t as u64, 1);
+        }
+        let mut order: Vec<usize> = (0..ids.len()).collect();
+        let mut x = 7u64;
+        for i in (1..order.len()).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            order.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        for (k, &i) in order.iter().enumerate() {
+            l.on_finish(ids[i], 10_000 + k as u64);
+        }
+        assert_eq!(l.finished(), ids.len());
+        for (k, &i) in order.iter().enumerate() {
+            let r = l.records()[i];
+            assert_eq!((r.id, r.end_ps), (ids[i], Some(10_000 + k as u64)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flow")]
+    fn finish_unknown_among_known_panics() {
+        let mut l = FlowLedger::new();
+        l.on_start(2, 1, 0, 1);
+        l.on_start(4, 1, 0, 1);
+        l.on_finish(3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "started after")]
+    fn start_out_of_order_panics() {
+        let mut l = FlowLedger::new();
+        l.on_start(2, 1, 0, 1);
+        l.on_start(2, 1, 0, 1);
     }
 
     #[test]

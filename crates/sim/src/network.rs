@@ -25,9 +25,7 @@ use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
 use crate::ledger::FlowLedger;
 use crate::packet::Packet;
-use crate::port::{
-    IngressPacket, PacketStore, PortIx, PortSpan, PortState, PortTable, QueuedCtrl, StagedPacket,
-};
+use crate::port::{IngressPacket, PacketStore, PortIx, PortSpan, PortState, PortTable, QueuedCtrl};
 use crate::progress::DeadlockMonitor;
 use crate::telemetry::{PortSample, SimTelemetry};
 use crate::trace::{ThroughputMeter, TraceConfig, Traces};
@@ -280,22 +278,26 @@ impl Network {
         // One backend factory for every port: what the scheme derives
         // from the config (the GFC stage table) is built once and shared.
         let fc = FcBackends::new(cfg.fc, cfg.capacity, cfg.buffer_bytes);
-        let mut nested: Vec<Vec<PortState>> = Vec::with_capacity(topo.num_nodes());
-        for n in topo.node_ids() {
-            // A shard builds ports for its own domain's nodes only; foreign
-            // nodes get empty slices, which no handler ever indexes.
+        // A shard builds ports for its own domain's nodes only; foreign
+        // nodes get empty slices, which no handler ever indexes.
+        let wired = |n: NodeId| {
             let foreign = domain.as_ref().is_some_and(|(dom, me)| dom[n.0 as usize] != *me);
-            let wired = if foreign { &[][..] } else { topo.ports(n) };
-            let mut node_ports = Vec::new();
-            for (idx, &(peer, link)) in wired.iter().enumerate() {
-                let peer_port = topo.port_of(peer, link);
+            if foreign {
+                &[][..]
+            } else {
+                topo.ports(n)
+            }
+        };
+        let num_ports = topo.node_ids().map(|n| wired(n).len()).sum();
+        let (t, c, f) = (&topo, &cfg, &fc);
+        let nodes = (0..num_nodes as u32).map(NodeId).map(|n| {
+            wired(n).iter().enumerate().map(move |(idx, &(peer, link))| {
                 let ident =
                     PortIdent { node: n.0, port: u16::try_from(idx).expect("port index fits u16") };
-                node_ports.push(PortState::new(&cfg, &fc, ident, link, peer, peer_port));
-            }
-            nested.push(node_ports);
-        }
-        let ports = PortTable::new(nested);
+                PortState::new(c, f, ident, link, peer, t.port_of(peer, link))
+            })
+        });
+        let ports = PortTable::new(nodes, num_ports);
         let host_list = topo.hosts();
         let mut host_of_node = vec![u32::MAX; topo.num_nodes()];
         let mut hosts = Vec::with_capacity(host_list.len());
@@ -306,10 +308,13 @@ impl Network {
         let monitor = DeadlockMonitor::new(&cfg);
         let mut tel = SimTelemetry::new(&cfg.telemetry, cfg.buffer_bytes, cfg.capacity.0);
         // Register the timeline sampler tracks in the same (node, port)
-        // order the sampler tick will walk the port table.
-        for n in topo.node_ids() {
-            for p in 0..ports[n.0 as usize].len() {
-                tel.register_timeline_port(n, p, &format!("{}:p{p}", topo.node(n).name));
+        // order the sampler tick will walk the port table; with sampling
+        // off there is nothing to register, so no label is formatted.
+        if tel.samplers.is_some() {
+            for n in topo.node_ids() {
+                for p in 0..ports[n.0 as usize].len() {
+                    tel.register_timeline_port(n, p, &format!("{}:p{p}", topo.node(n).name));
+                }
             }
         }
         let traces = Traces::for_config(&trace_cfg);
@@ -654,7 +659,9 @@ impl Network {
     }
 
     /// Start an explicit flow; returns its id, or `None` if no route
-    /// exists. `bytes = None` makes a greedy line-rate source.
+    /// exists. `bytes = None` makes a greedy line-rate source. Flow ids
+    /// are assigned 0, 1, 2, … and must fit `u32` (a packet carries its
+    /// flow's id in 4 bytes); the 2^32-th flow panics.
     pub fn start_flow(
         &mut self,
         src: NodeId,
@@ -674,7 +681,9 @@ impl Network {
         Some(Arc::from(path.into_boxed_slice()))
     }
 
-    /// Start a flow on an explicit path (scenario constructions).
+    /// Start a flow on an explicit path (scenario constructions). The
+    /// flow's id must fit `u32`, as for [`Self::start_flow`], and the path
+    /// may have at most `u16::MAX` links.
     pub fn start_flow_on_path(
         &mut self,
         src: NodeId,
@@ -687,7 +696,9 @@ impl Network {
         assert!(self.topo.node(dst).kind == NodeKind::Host, "destination must be a host");
         assert!((prio as usize) < self.cfg.num_priorities, "priority out of range");
         assert!(!path.is_empty(), "empty path");
+        assert!(path.len() <= usize::from(u16::MAX), "path longer than a packet's hop counter");
         let id = self.next_flow_id;
+        assert!(u32::try_from(id).is_ok(), "flow id {id} does not fit a packet's u32 flow field");
         self.next_flow_id += 1;
         let cnp_delay = self.cfg.prop_delay.mul_u64(path.len() as u64) + self.cfg.ctrl_proc_delay;
         if let Some(total) = bytes {
@@ -1048,7 +1059,7 @@ impl Network {
         for ps in self.ports.all() {
             let pq = ps.pq(0);
             let head = match pq.eg.q.front() {
-                Some(sp) => self.store.tx_head(sp.slot),
+                Some(slot) => self.store.tx_head(slot),
                 None => TxHead { bytes: mtu, flow: 0 },
             };
             rows.push(PortSample {
@@ -1076,10 +1087,11 @@ impl Network {
     fn deliver_at_host(&mut self, node: NodeId, port: usize, pkt: Packet) {
         debug_assert!(pkt.at_destination(), "packet arrived at a non-final host");
         debug_assert_eq!(pkt.dst, node, "packet delivered to the wrong host");
+        let flow = u64::from(pkt.flow);
         self.delivered_packets += 1;
         self.delivered_bytes += pkt.bytes;
         self.tel.on_deliver(self.now.0, node, port, pkt.prio, pkt.bytes);
-        self.tel.on_flow_delivery(pkt.flow, pkt.bytes, self.now.0);
+        self.tel.on_flow_delivery(flow, pkt.bytes, self.now.0);
         // Keep credit accounting alive on the host's ingress (the switch's
         // egress towards us spends credits) — the sink drains instantly.
         let px = self.ports.ix(node.0 as usize, port);
@@ -1091,22 +1103,22 @@ impl Network {
                 let fire = {
                     let hs = self.host_mut(node);
                     hs.cnp_gens
-                        .entry(pkt.flow)
+                        .entry(flow)
                         .or_insert_with(|| CnpGenerator::new(dc.cnp_interval_ps))
                         .on_marked_packet(now_ps)
                 };
                 if fire {
-                    if let Some(meta) = self.flows.get(pkt.flow as usize) {
+                    if let Some(meta) = self.flows.get(flow as usize) {
                         let due = self.now + meta.cnp_delay;
                         let src = meta.src;
-                        self.push_heap_routed(due, src, Event::Cnp { host: src, flow: pkt.flow });
+                        self.push_heap_routed(due, src, Event::Cnp { host: src, flow });
                     }
                 }
             }
         }
         // Throughput attribution to the source host.
         if let Some(bin) = self.trace_cfg.host_throughput_bin {
-            if let Some(meta) = self.flows.get(pkt.flow as usize) {
+            if let Some(meta) = self.flows.get(flow as usize) {
                 let src = meta.src;
                 self.traces
                     .host_throughput
@@ -1120,7 +1132,7 @@ impl Network {
         // control-RTT later, so completion never mutates remote state at
         // the delivery instant (the source may live in another shard).
         let finished = {
-            let Some(meta) = self.flows.get_mut(pkt.flow as usize) else {
+            let Some(meta) = self.flows.get_mut(flow as usize) else {
                 return;
             };
             meta.delivered += pkt.bytes;
@@ -1133,11 +1145,11 @@ impl Network {
             }
         };
         if let Some((src, cnp_delay)) = finished {
-            self.ledger.on_finish(pkt.flow, self.now.0);
-            self.tel.on_flow_finish(pkt.flow, self.now.0);
-            self.host_mut(node).cnp_gens.remove(&pkt.flow);
+            self.ledger.on_finish(flow, self.now.0);
+            self.tel.on_flow_finish(flow, self.now.0);
+            self.host_mut(node).cnp_gens.remove(&flow);
             let due = self.now + cnp_delay;
-            self.push_heap_routed(due, src, Event::SourceDone { host: src, flow: pkt.flow });
+            self.push_heap_routed(due, src, Event::SourceDone { host: src, flow });
         }
     }
 
@@ -1184,7 +1196,8 @@ impl Network {
         } else {
             None
         };
-        let ctx = QueueCtx { q_bytes: q, pkt_bytes: bytes, flow: pkt.flow, inherited_tag };
+        let ctx =
+            QueueCtx { q_bytes: q, pkt_bytes: bytes, flow: u64::from(pkt.flow), inherited_tag };
         let mut msgs = Vec::new();
         self.ports[ing_ix].pq_mut(prio).ing_rx.on_arrival(&ctx, &mut msgs);
         for payload in msgs {
@@ -1198,7 +1211,7 @@ impl Network {
         pkt.hop += 1;
         // The packet's one write into this node: from here to its
         // transmission the queues carry its slot.
-        let slot = self.store.insert(pkt);
+        let slot = self.store.insert(pkt, port as u32);
         let eg = &mut self.ports[out].pq_mut(prio).eg;
         eg.voq_bytes += bytes;
         if self.cfg.pump == PumpPolicy::OutputQueued {
@@ -1206,7 +1219,7 @@ impl Network {
             // arrival. There is no ingress FIFO to wait in — the egress is
             // unbounded, so a pump would move every head at once anyway.
             eg.bytes += bytes;
-            eg.q.push_back(StagedPacket { slot, ingress_port: port as u32 });
+            eg.q.push_back(&mut self.store, slot);
             self.try_transmit(node, out_port, out);
             return;
         }
@@ -1346,7 +1359,7 @@ impl Network {
                 let bytes = self.store.get(slot).bytes;
                 let eg = &mut self.ports[out].pq_mut(prio).eg;
                 eg.bytes += bytes;
-                eg.q.push_back(StagedPacket { slot, ingress_port: ing as u32 });
+                eg.q.push_back(&mut self.store, slot);
                 granted += 1;
                 self.try_transmit(node, out_port, out);
             }
@@ -1516,7 +1529,7 @@ impl Network {
         let routed = pkt.next_link().map(|l| self.out_port(node, l));
         let blocked = |p: usize| {
             let pq = node_ports[p].pq(prio);
-            let head = pq.eg.q.front().map(|h| self.store.tx_head(h.slot));
+            let head = pq.eg.q.front().map(|slot| self.store.tx_head(slot));
             head.is_some_and(|h| pq.tx_fc.hard_blocked(&h, self.now))
         };
         if let Some(out) = routed {
@@ -1528,7 +1541,8 @@ impl Network {
             if Some(p) == routed || !blocked(p) {
                 continue;
             }
-            if ps.pq(prio).eg.q.iter().any(|sp| sp.ingress() == Some(port)) {
+            let mut staged = ps.pq(prio).eg.q.iter(&self.store);
+            if staged.any(|slot| self.store.ingress(slot) == Some(port)) {
                 return Some(p as u16);
             }
         }
@@ -1611,7 +1625,7 @@ impl Network {
             }
             let pq = ps.pq_mut(prio);
             let head = match pq.eg.q.front() {
-                Some(sp) => self.store.tx_head(sp.slot),
+                Some(slot) => self.store.tx_head(slot),
                 None => continue,
             };
             match pq.tx_fc.gate(&head, now) {
@@ -1664,19 +1678,19 @@ impl Network {
         };
         let ps = &mut self.ports[px];
         let pq = ps.pq_mut(prio);
-        let sp = pq.eg.q.pop_front().expect("gate passed on empty queue");
-        let pkt = self.store.get_mut(sp.slot);
+        let slot = pq.eg.q.pop_front(&mut self.store).expect("gate passed on empty queue");
+        let pkt = self.store.get_mut(slot);
         if mark {
             pkt.ecn_marked = true;
         }
-        let head = TxHead { bytes: pkt.bytes, flow: pkt.flow };
+        let head = TxHead { bytes: pkt.bytes, flow: u64::from(pkt.flow) };
         pq.eg.bytes -= head.bytes;
         let tx_time = Dur::for_bytes(head.bytes, self.cfg.capacity);
         let done = now + tx_time;
         pq.tx_fc.on_sent(&head, tx_time, done);
         ps.bytes_tx += head.bytes;
         ps.tx_busy = true;
-        ps.current_data = Some((sp, prio as u8));
+        ps.current_data = Some((slot, prio as u8));
         ps.wrr_next = if prio + 1 >= self.cfg.num_priorities { 0 } else { prio + 1 };
         // This egress just freed a staging slot: ingress FIFO heads that
         // head-of-line blocked on it are movable again.
@@ -1710,11 +1724,12 @@ impl Network {
             self.try_transmit(node, port, px);
             return;
         }
-        let (sp, prio) = ps.current_data.take().expect("tx completed with no frame");
+        let (slot, prio) = ps.current_data.take().expect("tx completed with no frame");
+        let ingress = self.store.ingress(slot);
         // The packet's one write out of this node.
-        let pkt = self.store.take(sp.slot);
+        let pkt = self.store.take(slot);
         let bytes = pkt.bytes;
-        let flow = pkt.flow;
+        let flow = u64::from(pkt.flow);
         // Hand the frame to the wire — moved into the arrival lane by
         // value, no per-hop clone. Constant propagation delay ⇒ arrivals
         // are due in push order: they ride the O(1) FIFO lane.
@@ -1725,7 +1740,7 @@ impl Network {
             Event::Arrive { node: peer, port: peer_port, pkt },
         );
         // Release the local ingress charge (switch transit traffic).
-        if let Some(ing) = sp.ingress() {
+        if let Some(ing) = ingress {
             {
                 let voq = &mut self.ports[px].pq_mut(prio as usize).eg.voq_bytes;
                 debug_assert!(*voq >= bytes, "VOQ accounting underflow");
@@ -1838,7 +1853,8 @@ impl Network {
                             Step::Send {
                                 pkt: Packet {
                                     id: next_pkt_id,
-                                    flow: f.id,
+                                    // Fits: `start_flow_on_path` checks it.
+                                    flow: f.id as u32,
                                     src: host,
                                     dst: f.dst,
                                     bytes: size,
@@ -1864,10 +1880,10 @@ impl Network {
                     self.next_pkt_id += 1;
                     let prio = pkt.prio as usize;
                     let bytes = pkt.bytes;
-                    let slot = self.store.insert(pkt);
+                    let slot = self.store.insert(pkt, PacketStore::SOURCED);
                     let eg = &mut self.ports[px].pq_mut(prio).eg;
                     eg.bytes += bytes;
-                    eg.q.push_back(StagedPacket { slot, ingress_port: StagedPacket::SOURCED });
+                    eg.q.push_back(&mut self.store, slot);
                     self.try_transmit(host, 0, px);
                 }
             }
@@ -1926,8 +1942,8 @@ impl Network {
                     let eq = &pq.eg;
                     // Staged packets charge local ingresses: those
                     // ingresses wait on this egress to drain.
-                    for sp in &eq.q {
-                        if let Some(ing) = sp.ingress() {
+                    for slot in eq.q.iter(&self.store) {
+                        if let Some(ing) = self.store.ingress(slot) {
                             let from = vertex(g, WfSide::Ingress, n, ing);
                             let to = vertex(g, WfSide::Egress, n, p);
                             g.edge(from, to);
@@ -1935,7 +1951,7 @@ impl Network {
                     }
                     let Some(head) = eq.q.front() else { continue };
                     // Egress blocked → waits on the downstream ingress.
-                    if pq.tx_fc.hard_blocked(&self.store.tx_head(head.slot), self.now) {
+                    if pq.tx_fc.hard_blocked(&self.store.tx_head(head), self.now) {
                         let from = vertex(g, WfSide::Egress, n, p);
                         let to = vertex(g, WfSide::Ingress, ps.peer.0 as usize, ps.peer_port);
                         g.edge(from, to);
@@ -2085,35 +2101,51 @@ mod tests {
         }
 
         /// Check the packet store against the queues that hold its
-        /// handles: every live slot is referenced by exactly one ingress
-        /// FIFO element, egress element or frame in flight, no handle
-        /// names a free slot, and live plus free slots make up the store.
+        /// slots: each egress list walks, without a cycle, to its cached
+        /// length and ends at its tail; every live slot is on exactly one
+        /// egress list, ingress FIFO or wire, and a slot off the egress
+        /// lists links to nothing; no queue names a free slot; and live
+        /// plus free slots (the free list walked) make up the store.
         /// Returns the number of live packets.
         fn assert_packet_store(&self) -> usize {
-            let mut refs = vec![0u32; self.store.len()];
+            let store = &self.store;
+            let mut refs = vec![0u32; store.len()];
             for (n, node_ports) in self.ports.nodes().enumerate() {
                 for (p, ps) in node_ports.iter().enumerate() {
                     let mut note = |slot: u32, queue: &str| {
-                        assert!(self.store.is_live(slot), "node {n} {queue}{p}: free slot {slot}");
+                        assert!(store.is_live(slot), "node {n} {queue}{p}: free slot {slot}");
                         refs[slot as usize] += 1;
                     };
                     for pq in ps.pqs() {
-                        pq.ing_q.iter().for_each(|h| note(h.slot, "in"));
-                        pq.eg.q.iter().for_each(|h| note(h.slot, "out"));
+                        for h in &pq.ing_q {
+                            note(h.slot, "in");
+                            assert_eq!(store.next_of(h.slot), None, "node {n} in{p}: linked slot");
+                        }
+                        let mut walked = 0;
+                        for slot in pq.eg.q.iter(store).take(store.len() + 1) {
+                            note(slot, "out");
+                            walked += 1;
+                            assert!(walked <= store.len(), "node {n} out{p}: list has a cycle");
+                            if store.next_of(slot).is_none() {
+                                assert_eq!(Some(slot), pq.eg.q.back(), "node {n} out{p}: tail");
+                            }
+                        }
+                        assert_eq!(walked, pq.eg.q.len(), "node {n} out{p}: cached len");
                     }
-                    if let Some((sp, _)) = ps.current_data {
-                        note(sp.slot, "wire");
+                    if let Some((slot, _)) = ps.current_data {
+                        note(slot, "wire");
+                        assert_eq!(store.next_of(slot), None, "node {n} wire{p}: linked slot");
                     }
                 }
             }
             let mut live = 0;
             for (slot, &r) in refs.iter().enumerate() {
-                let is_live = self.store.is_live(slot as u32);
+                let is_live = store.is_live(slot as u32);
                 live += usize::from(is_live);
                 assert!(r <= 1, "slot {slot} referenced {r} times");
                 assert_eq!(is_live, r == 1, "slot {slot}: live {is_live}, referenced {r} times");
             }
-            assert_eq!(live + self.store.free_len(), self.store.len(), "live + free != slots");
+            assert_eq!(live + store.free_len(), store.len(), "live + free != slots");
             live
         }
     }

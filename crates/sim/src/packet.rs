@@ -10,8 +10,8 @@ use std::sync::Arc;
 pub struct Packet {
     /// Globally unique packet id.
     pub id: u64,
-    /// Flow the packet belongs to.
-    pub flow: u64,
+    /// Flow the packet belongs to (the simulator's flow ids fit `u32`).
+    pub flow: u32,
     /// Source host.
     pub src: NodeId,
     /// Destination host.
@@ -22,8 +22,9 @@ pub struct Packet {
     pub prio: u8,
     /// The links the packet traverses, in order.
     pub path: Arc<[LinkId]>,
-    /// Index into `path` of the next link to take.
-    pub hop: usize,
+    /// Index into `path` of the next link to take (paths are at most
+    /// `u16::MAX` links).
+    pub hop: u16,
     /// ECN congestion-experienced mark.
     pub ecn_marked: bool,
 }
@@ -31,12 +32,12 @@ pub struct Packet {
 impl Packet {
     /// The next link the packet must take; `None` once delivered.
     pub fn next_link(&self) -> Option<LinkId> {
-        self.path.get(self.hop).copied()
+        self.path.get(usize::from(self.hop)).copied()
     }
 
     /// Whether this node is the last hop (no more links).
     pub fn at_destination(&self) -> bool {
-        self.hop >= self.path.len()
+        usize::from(self.hop) >= self.path.len()
     }
 }
 

@@ -7,16 +7,21 @@
 //! A packet a network holds lives in that network's [`PacketStore`], one
 //! slot per packet, from the hop that takes it in (a switch ingress, or a
 //! host NIC packetizing a flow) until its transmission completes and it
-//! moves into the next `Event::Arrive`. The queues between those two
-//! points hold slot handles, not packets: an ingress FIFO holds
-//! [`IngressPacket`]s (16 B: the slot plus the forwarding decision and
-//! arrival number the pump reads at every head), an egress queue and a
-//! port's frame in flight hold [`StagedPacket`]s (8 B: the slot plus the
-//! charged ingress). A hop so writes the full packet twice, into the
-//! store and out of it, however many queues it crosses; and the memory a
-//! queue keeps at its deepest moment is a handle per packet, while the
-//! packets themselves share one store sized to the network's largest
-//! live population.
+//! moves into the next `Event::Arrive`. A slot is 56 B: the 48-B
+//! [`Packet`], the ingress port charged for it, and a `next` link. The
+//! queues between those two points hold slot numbers, not packets: an
+//! ingress FIFO holds [`IngressPacket`]s (16 B: the slot plus the
+//! forwarding decision and arrival number the pump reads at every head);
+//! an egress queue is a [`SlotFifo`], a head/tail/length triple whose
+//! list is threaded through the slots' `next` links, the way a
+//! shared-buffer switch chains each output queue's cells through one
+//! packet memory; and a port's frame in flight is its slot. The free
+//! slots form one more list through the same links. A hop so writes the
+//! full packet twice, into the store and out of it, however many queues
+//! it crosses; and queue memory follows the live packets, not each
+//! queue's deepest moment: the packets share one store sized to the
+//! network's largest live population, and an egress queue costs 12 B at
+//! any depth.
 //!
 //! Per-priority state is grouped in [`PrioState`] — one struct per
 //! `(port, priority)` instead of five parallel `Vec`s — so the fields a
@@ -47,65 +52,103 @@ use gfc_topology::{LinkId, NodeId};
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 
-/// The packets one network holds, one slot each (see the module docs).
-/// Freed slots go on a LIFO free list and are reused first, so the store
-/// grows only while the live population reaches a new high, its slot
-/// count is that high-water mark, and a steady-state run stops
-/// allocating.
-#[derive(Debug, Default)]
-pub struct PacketStore {
+/// A free slot's, or a list's last slot's, `next`: no slot.
+const NIL: u32 = u32::MAX;
+
+/// One [`PacketStore`] slot: the packet, the link that chains the slot
+/// into its egress queue or into the free list, and the ingress port
+/// charged for the packet's buffer occupancy.
+#[derive(Debug)]
+struct Slot {
     /// `None` marks a free slot (`Option<Packet>` is no larger than
     /// `Packet`: its path pointer is never null).
-    slots: Vec<Option<Packet>>,
-    /// Free slot numbers, the most recently freed last.
-    free: Vec<u32>,
+    pkt: Option<Packet>,
+    /// The next slot of the list this one is on ([`NIL`] at a list's
+    /// end, and while the packet waits in an ingress FIFO or is on the
+    /// wire).
+    next: u32,
+    /// The charged local ingress port, or [`PacketStore::SOURCED`].
+    ingress_port: u32,
+}
+
+/// The packets one network holds, one slot each (see the module docs).
+/// Freed slots go on a LIFO free list threaded through their `next`
+/// links and are reused first, so the store grows only while the live
+/// population reaches a new high, its slot count is that high-water
+/// mark, and a steady-state run stops allocating.
+#[derive(Debug)]
+pub struct PacketStore {
+    slots: Vec<Slot>,
+    /// The most recently freed slot, heading the free list; [`NIL`] when
+    /// no slot is free.
+    free: u32,
+}
+
+impl Default for PacketStore {
+    fn default() -> Self {
+        PacketStore { slots: Vec::new(), free: NIL }
+    }
 }
 
 impl PacketStore {
-    /// Store `pkt`, returning its slot.
+    /// The `ingress` of locally sourced traffic: no ingress is charged.
+    pub const SOURCED: u32 = u32::MAX;
+
+    /// Store `pkt`, charged to local ingress port `ingress`
+    /// ([`Self::SOURCED`] for traffic a host NIC packetized itself),
+    /// returning its slot.
     #[inline]
-    pub fn insert(&mut self, pkt: Packet) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                debug_assert!(s.is_none(), "packet slot {slot} reused while occupied");
-                *s = Some(pkt);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("packet slot fits u32");
-                self.slots.push(Some(pkt));
-                slot
-            }
+    pub fn insert(&mut self, pkt: Packet, ingress: u32) -> u32 {
+        if self.free == NIL {
+            let slot = u32::try_from(self.slots.len()).expect("packet slot fits u32");
+            assert_ne!(slot, NIL, "packet store full");
+            self.slots.push(Slot { pkt: Some(pkt), next: NIL, ingress_port: ingress });
+            return slot;
         }
+        let slot = self.free;
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.pkt.is_none(), "packet slot {slot} reused while occupied");
+        self.free = s.next;
+        *s = Slot { pkt: Some(pkt), next: NIL, ingress_port: ingress };
+        slot
     }
 
     /// The packet in `slot`. Panics if the slot is free.
     #[inline]
     pub fn get(&self, slot: u32) -> &Packet {
-        self.slots[slot as usize].as_ref().expect("read of a free packet slot")
+        self.slots[slot as usize].pkt.as_ref().expect("read of a free packet slot")
     }
 
     /// Mutable access to the packet in `slot`. Panics if the slot is free.
     #[inline]
     pub fn get_mut(&mut self, slot: u32) -> &mut Packet {
-        self.slots[slot as usize].as_mut().expect("write to a free packet slot")
+        self.slots[slot as usize].pkt.as_mut().expect("write to a free packet slot")
+    }
+
+    /// The charged local ingress port of the packet in `slot`; `None` for
+    /// locally sourced traffic.
+    #[inline]
+    pub fn ingress(&self, slot: u32) -> Option<usize> {
+        let ing = self.slots[slot as usize].ingress_port;
+        (ing != Self::SOURCED).then_some(ing as usize)
     }
 
     /// The transmit gate's view of the packet in `slot`.
     #[inline]
     pub fn tx_head(&self, slot: u32) -> TxHead {
         let pkt = self.get(slot);
-        TxHead { bytes: pkt.bytes, flow: pkt.flow }
+        TxHead { bytes: pkt.bytes, flow: u64::from(pkt.flow) }
     }
 
     /// Move the packet out of `slot` and free the slot. Panics if the slot
     /// is already free (a double take), before the free list could hold
-    /// it twice.
+    /// it twice. The slot must not be on an egress list.
     #[inline]
     pub fn take(&mut self, slot: u32) -> Packet {
-        let pkt = self.slots[slot as usize].take().expect("take from a free packet slot");
-        self.free.push(slot);
+        let s = &mut self.slots[slot as usize];
+        let pkt = s.pkt.take().expect("take from a free packet slot");
+        s.next = self.free;
+        self.free = slot;
         pkt
     }
 
@@ -115,39 +158,113 @@ impl PacketStore {
         self.slots.len()
     }
 
-    /// Slots on the free list.
+    /// Slots on the free list, walked.
     #[cfg(test)]
     pub(crate) fn free_len(&self) -> usize {
-        self.free.len()
+        let mut n = 0;
+        let mut at = self.free;
+        while at != NIL {
+            assert!(self.slots[at as usize].pkt.is_none(), "live slot {at} on the free list");
+            n += 1;
+            assert!(n <= self.slots.len(), "the free list has a cycle");
+            at = self.slots[at as usize].next;
+        }
+        n
     }
 
     /// Whether `slot` holds a packet.
     #[cfg(test)]
     pub(crate) fn is_live(&self, slot: u32) -> bool {
-        self.slots.get(slot as usize).is_some_and(Option::is_some)
+        self.slots.get(slot as usize).is_some_and(|s| s.pkt.is_some())
+    }
+
+    /// The `next` link of `slot`, or `None` at a list's end.
+    #[cfg(test)]
+    pub(crate) fn next_of(&self, slot: u32) -> Option<u32> {
+        let next = self.slots[slot as usize].next;
+        (next != NIL).then_some(next)
     }
 }
 
-/// A packet staged at an egress, or in flight on its wire: its store slot
-/// and the local ingress port charged for its buffer occupancy
-/// ([`Self::SOURCED`] for traffic a host NIC packetized itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedPacket {
-    /// The packet's [`PacketStore`] slot.
-    pub slot: u32,
-    /// The charged local ingress port, or [`Self::SOURCED`].
-    pub ingress_port: u32,
+/// A FIFO list of [`PacketStore`] slots, threaded through the slots'
+/// `next` links: the queue itself is three words, whatever its depth, and
+/// its memory is the live packets' own slots. A slot is on at most one
+/// list at a time; every operation takes the store that holds the links.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotFifo {
+    head: u32,
+    tail: u32,
+    len: u32,
 }
 
-impl StagedPacket {
-    /// The `ingress_port` of locally sourced traffic: no ingress is
-    /// charged.
-    pub const SOURCED: u32 = u32::MAX;
+impl Default for SlotFifo {
+    fn default() -> Self {
+        SlotFifo { head: NIL, tail: NIL, len: 0 }
+    }
+}
 
-    /// The charged local ingress port; `None` for locally sourced traffic.
+impl SlotFifo {
+    /// Number of slots on the list.
     #[inline]
-    pub fn ingress(self) -> Option<usize> {
-        (self.ingress_port != Self::SOURCED).then_some(self.ingress_port as usize)
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first slot, if any.
+    #[inline]
+    pub fn front(&self) -> Option<u32> {
+        (self.head != NIL).then_some(self.head)
+    }
+
+    /// The last slot, if any.
+    #[cfg(test)]
+    pub(crate) fn back(&self) -> Option<u32> {
+        (self.tail != NIL).then_some(self.tail)
+    }
+
+    /// Append live `slot`, which must be on no list, at the back. A slot
+    /// off the lists already links to nothing: [`PacketStore::insert`]
+    /// and [`Self::pop_front`] leave its `next` at [`NIL`].
+    #[inline]
+    pub fn push_back(&mut self, store: &mut PacketStore, slot: u32) {
+        let s = &store.slots[slot as usize];
+        debug_assert!(s.pkt.is_some() && s.next == NIL, "slot {slot} free or already linked");
+        if self.tail == NIL {
+            self.head = slot;
+        } else {
+            store.slots[self.tail as usize].next = slot;
+        }
+        self.tail = slot;
+        self.len += 1;
+    }
+
+    /// Unlink and return the first slot, if any.
+    #[inline]
+    pub fn pop_front(&mut self, store: &mut PacketStore) -> Option<u32> {
+        let slot = self.front()?;
+        let s = &mut store.slots[slot as usize];
+        self.head = std::mem::replace(&mut s.next, NIL);
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        self.len -= 1;
+        Some(slot)
+    }
+
+    /// The slots on the list, front to back.
+    pub fn iter<'a>(&self, store: &'a PacketStore) -> impl Iterator<Item = u32> + 'a {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            let slot = (at != NIL).then_some(at)?;
+            at = store.slots[slot as usize].next;
+            Some(slot)
+        })
     }
 }
 
@@ -170,11 +287,11 @@ pub struct IngressPacket {
 /// an output-queued switch enqueues every arrival here directly.
 #[derive(Debug, Clone, Default)]
 pub struct EgressQueue {
-    /// FIFO of staged packet handles: at most `SimConfig::stage_slots`
-    /// under the input-buffered pump policies, unbounded under
-    /// `PumpPolicy::OutputQueued`. The packets sit in the network's
-    /// [`PacketStore`].
-    pub q: VecDeque<StagedPacket>,
+    /// FIFO of staged packets' slots, linked through the network's
+    /// [`PacketStore`]: at most `SimConfig::stage_slots` under the
+    /// input-buffered pump policies, unbounded under
+    /// `PumpPolicy::OutputQueued`.
+    pub q: SlotFifo,
     /// Total bytes staged.
     pub bytes: u64,
     /// Virtual-output-queue byte count: everything in this node currently
@@ -246,9 +363,10 @@ pub struct PortState {
     pub tx_busy: bool,
     /// The control frame in flight, if the current transmission is one.
     pub current_ctrl: Option<QueuedCtrl>,
-    /// The data frame in flight (its handle, with its priority), if any;
-    /// the packet stays in the store until the transmission completes.
-    pub current_data: Option<(StagedPacket, u8)>,
+    /// The data frame in flight (its store slot, with its priority), if
+    /// any; the packet stays in the store until the transmission
+    /// completes.
+    pub current_data: Option<(u32, u8)>,
     /// Weighted-round-robin pointer across priorities.
     pub wrr_next: usize,
     /// Earliest outstanding `TxKick` for this port, if any. Scheduling a
@@ -400,15 +518,21 @@ pub struct PortTable {
 }
 
 impl PortTable {
-    /// Flatten the per-node port lists into one table.
-    pub fn new(nested: Vec<Vec<PortState>>) -> Self {
-        let mut base = Vec::with_capacity(nested.len() + 1);
-        let mut states = Vec::with_capacity(nested.iter().map(Vec::len).sum());
+    /// Build the table in one pass from each node's ports, in node order;
+    /// `num_ports` is their total, so the slab is allocated once and no
+    /// port state is copied after it is built.
+    pub fn new<P>(nodes: impl ExactSizeIterator<Item = P>, num_ports: usize) -> Self
+    where
+        P: IntoIterator<Item = PortState>,
+    {
+        let mut base = Vec::with_capacity(nodes.len() + 1);
+        let mut states = Vec::with_capacity(num_ports);
         base.push(0);
-        for node_ports in nested {
+        for node_ports in nodes {
             states.extend(node_ports);
             base.push(u32::try_from(states.len()).expect("port count fits u32"));
         }
+        debug_assert_eq!(states.len(), num_ports, "port count hint");
         PortTable { states, base }
     }
 
@@ -493,8 +617,8 @@ mod tests {
                 })
                 .collect()
         };
-        let nested = vec![node(0, 2), node(1, 0), node(2, 3)];
-        PortTable::new(nested)
+        let nodes = vec![node(0, 2), node(1, 0), node(2, 3)];
+        PortTable::new(nodes.into_iter(), 5)
     }
 
     #[test]
@@ -527,10 +651,93 @@ mod tests {
 
     #[test]
     fn queue_handles_stay_small() {
-        assert!(std::mem::size_of::<IngressPacket>() <= 16);
-        assert!(std::mem::size_of::<StagedPacket>() <= 8);
+        use std::mem::size_of;
+        assert!(size_of::<IngressPacket>() <= 16);
+        assert!(size_of::<SlotFifo>() <= 12);
+        assert_eq!(size_of::<Packet>(), 48);
+        assert!(size_of::<crate::event::Event>() <= 64);
+        assert!(size_of::<Slot>() <= 56);
         // A free store slot costs no more than a packet.
-        assert_eq!(std::mem::size_of::<Option<Packet>>(), std::mem::size_of::<Packet>());
+        assert_eq!(size_of::<Option<Packet>>(), size_of::<Packet>());
+    }
+
+    fn packet(id: u64) -> Packet {
+        Packet {
+            id,
+            flow: 0,
+            src: NodeId(0),
+            dst: NodeId(1),
+            bytes: 1500,
+            prio: 0,
+            path: std::sync::Arc::from(vec![LinkId(0)].into_boxed_slice()),
+            hop: 0,
+            ecn_marked: false,
+        }
+    }
+
+    /// Several lists share one store, under interleaved inserts, pushes,
+    /// pops, takes and walks; a `VecDeque` per list is the model. Each
+    /// packet's id names it, so a walk shows which packets a list holds.
+    #[test]
+    fn slot_fifos_sharing_a_store_match_a_deque_model() {
+        const LISTS: usize = 4;
+        let mut store = PacketStore::default();
+        let mut fifos = [SlotFifo::default(); LISTS];
+        let mut model: [VecDeque<(u32, u64)>; LISTS] = Default::default();
+        let mut most_live = 0;
+        let mut next_id = 0u64;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let list = (x % LISTS as u64) as usize;
+            // Pushes outnumber pops while the lists are short, then
+            // pops catch up, so the lists grow, drain and regrow.
+            let grow = (x >> 8) % 100 < if step % 5000 < 3000 { 60 } else { 40 };
+            if grow {
+                let slot = store.insert(packet(next_id), list as u32);
+                fifos[list].push_back(&mut store, slot);
+                model[list].push_back((slot, next_id));
+                next_id += 1;
+            } else {
+                let got = fifos[list].pop_front(&mut store);
+                let want = model[list].pop_front();
+                assert_eq!(got, want.map(|(slot, _)| slot), "step {step} list {list}");
+                if let Some((slot, id)) = want {
+                    assert_eq!(store.ingress(slot), Some(list));
+                    assert_eq!(store.take(slot).id, id, "step {step}: wrong packet");
+                }
+            }
+            let live: usize = model.iter().map(VecDeque::len).sum();
+            most_live = most_live.max(live);
+            if step % 97 == 0 || live == 0 {
+                for (f, m) in fifos.iter().zip(&model) {
+                    assert_eq!(f.len(), m.len());
+                    assert_eq!(f.is_empty(), m.is_empty());
+                    assert_eq!(f.front(), m.front().map(|&(slot, _)| slot));
+                    assert_eq!(f.back(), m.back().map(|&(slot, _)| slot));
+                    let walked: Vec<u64> = f.iter(&store).map(|slot| store.get(slot).id).collect();
+                    let want: Vec<u64> = m.iter().map(|&(_, id)| id).collect();
+                    assert_eq!(walked, want, "step {step}");
+                }
+                assert_eq!(live + store.free_len(), store.len());
+            }
+        }
+        assert!(most_live > 100, "the lists never grew: {most_live}");
+        // Freed slots are reused first: the store never outgrows the most
+        // packets live at once.
+        assert_eq!(store.len(), most_live);
+    }
+
+    #[test]
+    #[should_panic(expected = "free packet slot")]
+    fn a_slot_cannot_be_taken_twice() {
+        let mut store = PacketStore::default();
+        let slot = store.insert(packet(0), PacketStore::SOURCED);
+        assert_eq!(store.ingress(slot), None);
+        store.take(slot);
+        store.take(slot);
     }
 
     #[test]
