@@ -42,6 +42,7 @@
 
 pub mod config;
 pub mod event;
+mod fabric;
 pub mod fc;
 pub mod flowgen;
 mod ledger;

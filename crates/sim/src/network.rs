@@ -21,6 +21,7 @@
 
 use crate::config::{PumpPolicy, SimConfig};
 use crate::event::{Event, EventQueue, QueueStats};
+use crate::fabric::Fabric;
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
 use crate::ledger::FlowLedger;
@@ -32,7 +33,7 @@ use crate::trace::{ThroughputMeter, TraceConfig, Traces};
 use gfc_core::fc_config::PortIdent;
 use gfc_core::fxhash::FxHashMap;
 use gfc_core::units::{Dur, Rate, Time};
-use gfc_core::{FcBackends, FcRx};
+use gfc_core::FcRx;
 use gfc_dcqcn::{CnpGenerator, ReactionPoint};
 use gfc_telemetry::{
     names, CausalReport, CauseToken, ChromeTrace, CtrlSense, EngineProbe, FlightRecorder,
@@ -180,8 +181,9 @@ pub(crate) fn push_derived(snap: &mut Snapshot, now: Time, nets: &[Network]) {
 
 /// The simulator.
 pub struct Network {
-    /// The topology being simulated (immutable during a run).
-    pub topo: Topology,
+    /// The topology, port wiring, host tables and backend factory; shared
+    /// by every shard of a sharded run.
+    fab: Arc<Fabric>,
     cfg: SimConfig,
     routing: Routing,
     /// Every port of every node. Handlers resolve each `(node, port)`
@@ -192,15 +194,8 @@ pub struct Network {
     store: PacketStore,
     /// Per-node switching state, by node id.
     sw: Vec<NodeSw>,
-    /// Per-link `(a, port on a, port on b)`: O(1) next-hop port lookup on
-    /// the per-hop forwarding path (replaces the adjacency scan).
-    link_ports: Vec<(NodeId, u16, u16)>,
-    /// Host state, dense by host index (`host_list` order).
+    /// Host state, dense by host index (the fabric's `host_list` order).
     hosts: Vec<HostState>,
-    /// NodeId → host index (`u32::MAX` for switches). NodeIds are dense,
-    /// so this is a straight table lookup on the delivery hot path.
-    host_of_node: Vec<u32>,
-    host_list: Vec<NodeId>,
     queue: EventQueue,
     now: Time,
     rng: StdRng,
@@ -251,33 +246,30 @@ impl Network {
     /// [`crate::preflight`] still reports on such a setup.
     pub fn new(topo: Topology, routing: Routing, cfg: SimConfig, trace_cfg: TraceConfig) -> Self {
         crate::preflight_gate(&topo, &routing, &cfg);
-        Self::build(topo, routing, cfg, trace_cfg, None)
+        let fab = Arc::new(Fabric::new(topo, &cfg));
+        Self::build(fab, routing, cfg, trace_cfg, None)
     }
 
-    /// [`Self::new`] without the preflight gate, optionally as one shard
-    /// of a partitioned run: `domain = Some((domain_of, d))` restricts the
-    /// instance to the nodes of domain `d` (see the shard plumbing below)
-    /// and builds ports for those nodes only — foreign nodes get empty
-    /// port slices.
+    /// The mutable state of a simulator over the fabric `fab` (built from
+    /// `cfg`), without the preflight gate: the ports, the packet store,
+    /// the per-node and per-host state, the event queue, the flow
+    /// records and the telemetry. Optionally one shard of a partitioned
+    /// run: `domain = Some((domain_of, d))` restricts the instance to the
+    /// nodes of domain `d` (see the shard plumbing below) and builds ports
+    /// for those nodes only — foreign nodes get empty port slices. Every
+    /// shard of a run shares the one `fab`.
     pub(crate) fn build(
-        topo: Topology,
+        fab: Arc<Fabric>,
         routing: Routing,
         cfg: SimConfig,
         trace_cfg: TraceConfig,
         domain: Option<(Arc<[u32]>, u32)>,
     ) -> Self {
+        let topo = &fab.topo;
         if let Some((domain_of, _)) = &domain {
             assert_eq!(domain_of.len(), topo.num_nodes(), "partition table size mismatch");
         }
-        cfg.validate();
         let num_nodes = topo.num_nodes();
-        assert!(
-            num_nodes < (1 << 20),
-            "node count exceeds the canonical dispatch-rank field (2^20)"
-        );
-        // One backend factory for every port: what the scheme derives
-        // from the config (the GFC stage table) is built once and shared.
-        let fc = FcBackends::new(cfg.fc, cfg.capacity, cfg.buffer_bytes);
         // A shard builds ports for its own domain's nodes only; foreign
         // nodes get empty slices, which no handler ever indexes.
         let wired = |n: NodeId| {
@@ -289,22 +281,18 @@ impl Network {
             }
         };
         let num_ports = topo.node_ids().map(|n| wired(n).len()).sum();
-        let (t, c, f) = (&topo, &cfg, &fc);
+        let (c, f) = (&cfg, &*fab);
         let nodes = (0..num_nodes as u32).map(NodeId).map(|n| {
             wired(n).iter().enumerate().map(move |(idx, &(peer, link))| {
                 let ident =
                     PortIdent { node: n.0, port: u16::try_from(idx).expect("port index fits u16") };
-                PortState::new(c, f, ident, link, peer, t.port_of(peer, link))
+                PortState::new(c, &f.fc, ident, link, peer, f.port_of(peer, link))
             })
         });
         let ports = PortTable::new(nodes, num_ports);
-        let host_list = topo.hosts();
-        let mut host_of_node = vec![u32::MAX; topo.num_nodes()];
-        let mut hosts = Vec::with_capacity(host_list.len());
-        for (i, &h) in host_list.iter().enumerate() {
-            host_of_node[h.0 as usize] = u32::try_from(i).expect("host count fits u32");
-            hosts.push(HostState { index: i, ..Default::default() });
-        }
+        let hosts = (0..fab.host_list.len())
+            .map(|index| HostState { index, ..Default::default() })
+            .collect();
         let monitor = DeadlockMonitor::new(&cfg);
         let mut tel = SimTelemetry::new(&cfg.telemetry, cfg.buffer_bytes, cfg.capacity.0);
         // Register the timeline sampler tracks in the same (node, port)
@@ -326,25 +314,13 @@ impl Network {
                 ..NodeSw::default()
             })
             .collect();
-        let link_ports = topo
-            .link_ids()
-            .map(|l| {
-                let link = topo.link(l);
-                let pa = u16::try_from(topo.port_of(link.a, l)).expect("port index fits u16");
-                let pb = u16::try_from(topo.port_of(link.b, l)).expect("port index fits u16");
-                (link.a, pa, pb)
-            })
-            .collect();
         Network {
-            topo,
+            fab,
             routing,
             ports,
             store: PacketStore::default(),
             sw,
-            link_ports,
             hosts,
-            host_of_node,
-            host_list,
             queue: EventQueue::new(),
             now: Time::ZERO,
             rng,
@@ -373,26 +349,19 @@ impl Network {
     /// dispatch path).
     #[inline]
     fn is_host(&self, node: NodeId) -> bool {
-        self.host_of_node[node.0 as usize] != u32::MAX
+        self.fab.host_index(node) != u32::MAX
     }
 
-    /// The port `link` occupies on `node` (O(1), unlike
-    /// [`Topology::port_of`]'s adjacency scan — this sits on the per-hop
-    /// forwarding path).
+    /// The port `link` occupies on `node` (O(1); see [`Fabric::port_of`]).
     #[inline]
     fn out_port(&self, node: NodeId, link: LinkId) -> usize {
-        let (a, pa, pb) = self.link_ports[link.0 as usize];
-        if node == a {
-            pa as usize
-        } else {
-            pb as usize
-        }
+        self.fab.port_of(node, link)
     }
 
     /// The host state of `node`. Panics if `node` is not a host.
     #[inline]
     fn host(&self, node: NodeId) -> &HostState {
-        let idx = self.host_of_node[node.0 as usize];
+        let idx = self.fab.host_index(node);
         debug_assert_ne!(idx, u32::MAX, "{node:?} is not a host");
         &self.hosts[idx as usize]
     }
@@ -400,7 +369,7 @@ impl Network {
     /// Mutable host state of `node`. Panics if `node` is not a host.
     #[inline]
     fn host_mut(&mut self, node: NodeId) -> &mut HostState {
-        let idx = self.host_of_node[node.0 as usize];
+        let idx = self.fab.host_index(node);
         debug_assert_ne!(idx, u32::MAX, "{node:?} is not a host");
         &mut self.hosts[idx as usize]
     }
@@ -415,6 +384,17 @@ impl Network {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
+    }
+
+    /// The topology being simulated (immutable during a run).
+    pub fn topo(&self) -> &Topology {
+        &self.fab.topo
+    }
+
+    /// The shared fabric this network (or shard) runs on.
+    #[cfg(test)]
+    pub(crate) fn fabric(&self) -> &Arc<Fabric> {
+        &self.fab
     }
 
     /// Run statistics so far.
@@ -608,8 +588,8 @@ impl Network {
     /// Always valid; empty sections are simply absent.
     pub fn chrome_trace(&self) -> ChromeTrace {
         let mut tr = ChromeTrace::new();
-        for n in self.topo.node_ids() {
-            tr.process_name(n.0, &self.topo.node(n).name);
+        for n in self.fab.topo.node_ids() {
+            tr.process_name(n.0, &self.fab.topo.node(n).name);
         }
         if let Some(samplers) = &self.tel.samplers {
             tr.add_samplers(samplers);
@@ -677,7 +657,8 @@ impl Network {
     /// routing's choice under the ECMP hash of the next flow id, or `None`
     /// if no route exists.
     pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
-        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
+        let path =
+            self.routing.path(&self.fab.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
         Some(Arc::from(path.into_boxed_slice()))
     }
 
@@ -692,8 +673,8 @@ impl Network {
         prio: u8,
         path: Arc<[LinkId]>,
     ) -> Option<u64> {
-        assert!(self.topo.node(src).kind == NodeKind::Host, "source must be a host");
-        assert!(self.topo.node(dst).kind == NodeKind::Host, "destination must be a host");
+        assert!(self.fab.topo.node(src).kind == NodeKind::Host, "source must be a host");
+        assert!(self.fab.topo.node(dst).kind == NodeKind::Host, "destination must be a host");
         assert!((prio as usize) < self.cfg.num_priorities, "priority out of range");
         assert!(!path.is_empty(), "empty path");
         assert!(path.len() <= usize::from(u16::MAX), "path longer than a packet's hop counter");
@@ -960,7 +941,7 @@ impl Network {
             // The phase is a pure hash of (seed, node, port) — not a
             // stream draw — so every shard of a partitioned run derives
             // the identical phase for any port it owns.
-            let nodes: Vec<NodeId> = self.topo.node_ids().collect();
+            let nodes: Vec<NodeId> = self.fab.topo.node_ids().collect();
             for n in nodes {
                 if !self.is_local(n) {
                     continue;
@@ -974,7 +955,7 @@ impl Network {
         }
         // Prime the workload.
         if self.workload.is_some() {
-            for i in 0..self.host_list.len() {
+            for i in 0..self.fab.host_list.len() {
                 self.spawn_from_workload(i);
             }
         }
@@ -984,7 +965,7 @@ impl Network {
     /// number of times when the picked destination is unroutable (possible
     /// under link failures).
     fn spawn_from_workload(&mut self, idx: usize) {
-        let host = self.host_list[idx];
+        let host = self.fab.host_list[idx];
         if self.hosts[idx].workload_done {
             return;
         }
@@ -998,7 +979,7 @@ impl Network {
                     break;
                 }
                 Some(FlowRequest { dst_index, bytes, prio }) => {
-                    let dst = self.host_list[dst_index];
+                    let dst = self.fab.host_list[dst_index];
                     if dst == host {
                         continue; // degenerate pick; try again
                     }
@@ -1188,7 +1169,7 @@ impl Network {
         let link = pkt
             .next_link()
             .unwrap_or_else(|| panic!("packet {} stranded at switch {node:?}", pkt.id));
-        debug_assert!(self.topo.link_alive(link), "routing used a failed link");
+        debug_assert!(self.fab.topo.link_alive(link), "routing used a failed link");
         let out_port = self.out_port(node, link);
         let out = span.ix(out_port);
         let inherited_tag = if self.ports[ing_ix].pq(prio).ing_rx.wants_fwd_tag() {
@@ -1929,7 +1910,7 @@ impl Network {
     /// shard into one graph this way, in shard order.
     pub(crate) fn add_waitfor_edges(&self, g: &mut WaitForGraph) {
         let vertex = |g: &mut WaitForGraph, side: WfSide, n: usize, p: usize| {
-            let name = &self.topo.node(NodeId(n as u32)).name;
+            let name = &self.fab.topo.node(NodeId(n as u32)).name;
             let dir = match side {
                 WfSide::Egress => "out",
                 WfSide::Ingress => "in",
@@ -1996,7 +1977,7 @@ impl Network {
             .map(|&(n, p)| {
                 let ps = &self.ports[self.ports.ix(n as usize, p as usize)];
                 PortOccupancy {
-                    label: format!("{}:p{p}", self.topo.node(NodeId(n)).name),
+                    label: format!("{}:p{p}", self.fab.topo.node(NodeId(n)).name),
                     node: n,
                     port: p,
                     ingress_bytes: ps.ingress_backlog(),

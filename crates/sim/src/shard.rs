@@ -24,14 +24,19 @@
 //!
 //! ## How it stays exact
 //!
-//! * **One copy of the physics.** Each shard is a [`Network`] that knows
-//!   the whole topology and registers every flow, but holds ports only
-//!   for its own domain's nodes and animates only those. Every event
-//!   handler is the sequential code, byte for byte, and touches only the
-//!   ports of the node it runs at; the only divergence is at push time,
-//!   where an event bound for a foreign node diverts to a per-shard
-//!   outbox. Each flow's route is resolved once, on the first shard,
-//!   and handed to every shard.
+//! * **One copy of the physics.** Each shard is a [`Network`], and every
+//!   shard shares one immutable fabric: the topology, the per-link port
+//!   table, the host tables and the flow-control backend factory (with
+//!   the GFC stage table) are built once per run and held behind one
+//!   `Arc`. What stays per shard is the mutable state: the ports of its
+//!   own domain's nodes (the only ones it animates), its packet store,
+//!   per-node and per-host state, event queue and outbox, its flow
+//!   records (every shard registers every flow), routing cache and
+//!   telemetry. Every event handler is the sequential code, byte for
+//!   byte, and touches only the ports of the node it runs at; the only
+//!   divergence is at push time, where an event bound for a foreign node
+//!   diverts to a per-shard outbox. Each flow's route is resolved once,
+//!   on the first shard, and handed to every shard.
 //! * **Conservative windows.** Every cross-node event carries at least
 //!   the fabric *lookahead* of delay: the link propagation delay for wire
 //!   traffic (data arrivals, control frames, CNPs, completion notices)
@@ -85,6 +90,7 @@
 
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
+use crate::fabric::Fabric;
 use crate::ledger::FlowLedger;
 use crate::network::{push_derived, Network, SimStats};
 use crate::progress::DeadlockMonitor;
@@ -261,7 +267,8 @@ impl ShardedNetwork {
     /// Build a sharded simulator over `topo`, one shard per domain of
     /// `partition`, driven by up to `workers` workers (clamped to the
     /// domain count; see [`Self::workers`]). The preflight gate (see
-    /// [`SimConfig::preflight`]) runs once, not per shard.
+    /// [`SimConfig::preflight`]) and the fabric (topology, port wiring,
+    /// host tables, backend factory) are each built once, not per shard.
     ///
     /// # Panics
     /// When the preflight gate rejects the configuration (the panic
@@ -293,13 +300,14 @@ impl ShardedNetwork {
             "zero cross-domain lookahead: prop_delay (and conceptual tau) must be positive"
         );
         crate::preflight_gate(&topo, &routing, &cfg);
+        let fab = Arc::new(Fabric::new(topo, &cfg));
         let domain_of: Arc<[u32]> = Arc::from(partition.domains().to_vec().into_boxed_slice());
         let verdicts = DeadlockMonitor::new(&cfg);
         let shards: Vec<Network> = (0..partition.num_domains())
             .map(|d| {
                 let d = u32::try_from(d).expect("domain fits u32");
                 Network::build(
-                    topo.clone(),
+                    Arc::clone(&fab),
                     routing.clone(),
                     cfg.clone(),
                     TraceConfig::none(),
@@ -643,6 +651,58 @@ mod tests {
         }
         assert_eq!(net.shards[0].routing().cached_trees(), 3);
         assert!(net.shards[1..].iter().all(|s| s.routing().cached_trees() == 0));
+    }
+
+    /// Every shard of a k = 8 pod partition holds the one fabric.
+    #[test]
+    fn shards_share_one_fabric() {
+        let ft = FatTree::new(8);
+        let part = Partition::by_pods(&ft);
+        let net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 1);
+        assert_eq!(net.num_domains(), 8);
+        let fab = net.shards[0].fabric();
+        assert!(net.shards.iter().all(|s| Arc::ptr_eq(s.fabric(), fab)));
+    }
+
+    /// Every port's peer port, wired from the fabric's link table, is
+    /// the port its cable occupies on the peer.
+    fn assert_peer_ports(name: &str, topo: &Topology, nets: &[Network]) {
+        let mut seen = 0;
+        for net in nets {
+            for (n, ports) in net.port_table().nodes().enumerate() {
+                for (p, port) in ports.iter().enumerate() {
+                    assert_eq!(topo.ports(NodeId(n as u32))[p], (port.peer, port.link));
+                    let want = topo.port_of(port.peer, port.link);
+                    assert_eq!(port.peer_port, want, "{name}: node {n} port {p}");
+                    seen += 1;
+                }
+            }
+        }
+        let total: usize = topo.node_ids().map(|n| topo.ports(n).len()).sum();
+        assert_eq!(seen, total, "{name}: ports wired");
+    }
+
+    #[test]
+    fn peer_ports_match_the_topology() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut ft = FatTree::new(8);
+        ft.inject_failures(&mut StdRng::seed_from_u64(16), 0.05);
+        assert!(ft.topo.link_ids().any(|l| !ft.topo.link_alive(l)));
+        let part = Partition::by_pods(&ft);
+        let net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 1);
+        assert_peer_ports("failed k = 8 fat-tree", &ft.topo, &net.shards);
+
+        // Two cables between the same two switches, wired in an order
+        // that gives each cable different port numbers at its two ends.
+        let mut topo = Topology::new();
+        let (s0, s1) = (topo.add_switch("S0"), topo.add_switch("S1"));
+        let (h0, h1) = (topo.add_host("H0"), topo.add_host("H1"));
+        topo.add_link(s1, h1);
+        topo.add_link(s0, s1);
+        topo.add_link(s0, s1);
+        topo.add_link(h0, s0);
+        let seq = Network::new(topo.clone(), Routing::spf(), cfg(), TraceConfig::none());
+        assert_peer_ports("double-cabled pair", &topo, std::slice::from_ref(&seq));
     }
 
     /// An unroutable flow is refused before any shard registers it, so

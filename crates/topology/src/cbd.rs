@@ -21,7 +21,9 @@
 //!
 //! [`spf_all_pairs_depgraphs`] builds the last two together. Both take one
 //! BFS per switch with single-homed hosts, not one per host: the DAG
-//! toward such a host is its switch's DAG plus one link.
+//! toward such a host is its switch's DAG plus one link. Every BFS of a
+//! pass runs over one [`AliveAdjacency`](crate::graph::AliveAdjacency)
+//! built at its start.
 //!
 //! On top of the graph, [`DepGraph::condensation`] computes the strongly
 //! connected components with an *iterative* Tarjan (generated topologies
@@ -33,7 +35,7 @@
 //! and [`DepGraph::break_set`] names a small set of directed links whose
 //! removal acyclifies a component (greedy feedback-vertex heuristic).
 
-use crate::graph::{DirLink, LinkId, NodeId, NodeKind, Topology};
+use crate::graph::{AliveAdjacency, DirLink, LinkId, NodeId, NodeKind, Topology};
 use crate::routing::{attachment, path_dirlinks, DstTree};
 use std::collections::HashMap;
 
@@ -430,8 +432,9 @@ pub fn spf_depgraph_for_pairs(
     pairs_by_dst: &[(NodeId, Vec<NodeId>)],
     g: &mut DepGraph,
 ) {
+    let adj = topo.alive_adjacency();
     for (dst, srcs) in pairs_by_dst {
-        let tree = DstTree::compute(topo, *dst);
+        let tree = DstTree::compute(&adj, *dst);
         add_reachable_edges(topo, &tree, srcs.iter().copied(), g);
     }
 }
@@ -511,14 +514,15 @@ fn spf_all_pairs(
     mut realizable: Option<&mut DepGraph>,
 ) {
     let hosts = topo.hosts();
+    let adj = topo.alive_adjacency();
     let mut group: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); topo.num_nodes()];
     for &h in &hosts {
         match attachment(topo, h) {
             Some((t, l)) => group[t.0 as usize].push((h, l)),
             None => {
-                let tree = DstTree::compute(topo, h);
+                let tree = DstTree::compute(&adj, h);
                 if let Some(g) = union.as_deref_mut() {
-                    add_dag_edges(topo, &tree, g);
+                    add_dag_edges(topo, &adj, &tree, g);
                 }
                 if let Some(g) = realizable.as_deref_mut() {
                     add_reachable_edges(topo, &tree, hosts.iter().copied().filter(|&s| s != h), g);
@@ -531,7 +535,7 @@ fn spf_all_pairs(
         if members.is_empty() {
             continue;
         }
-        let tree = DstTree::compute(topo, t);
+        let tree = DstTree::compute(&adj, t);
         let is_member = |u: NodeId| members.iter().any(|&(h, _)| h == u);
         // `(u→t, t→h)` for each in-link `u→t` other than `h`'s own.
         let add_into_t = |g: &mut DepGraph, into_t: &[(DirLink, LinkId)]| {
@@ -545,17 +549,19 @@ fn spf_all_pairs(
             }
         };
         if let Some(g) = union.as_deref_mut() {
-            add_dag_edges(topo, &tree, g);
-            let into_t: Vec<_> = topo.neighbors(t).map(|(u, l)| (topo.dir_from(l, u), l)).collect();
+            add_dag_edges(topo, &adj, &tree, g);
+            let into_t: Vec<_> =
+                adj.neighbors(t).iter().map(|&(u, l)| (topo.dir_from(l, u), l)).collect();
             add_into_t(g, &into_t);
         }
         if let Some(g) = realizable.as_deref_mut() {
             let seeds = hosts.iter().copied().filter(|&s| !is_member(s));
             let reach = add_reachable_edges(topo, &tree, seeds, g);
-            let into_t: Vec<_> = topo
+            let into_t: Vec<_> = adj
                 .neighbors(t)
-                .filter(|&(u, _)| reach[u.0 as usize] || is_member(u))
-                .map(|(u, l)| (topo.dir_from(l, u), l))
+                .iter()
+                .filter(|&&(u, _)| reach[u.0 as usize] || is_member(u))
+                .map(|&(u, l)| (topo.dir_from(l, u), l))
                 .collect();
             add_into_t(g, &into_t);
         }
@@ -594,7 +600,7 @@ pub fn all_pairs_depgraph(topo: &Topology) -> DepGraph {
 /// Add every dependency of `tree`'s equal-cost DAG: `(u→v, v→w)` for each
 /// switch `v`, DAG edge `v→w`, and neighbour `u` one hop farther from the
 /// root than `v`.
-fn add_dag_edges(topo: &Topology, tree: &DstTree, g: &mut DepGraph) {
+fn add_dag_edges(topo: &Topology, adj: &AliveAdjacency, tree: &DstTree, g: &mut DepGraph) {
     for v in topo.node_ids() {
         if topo.node(v).kind != NodeKind::Switch {
             continue;
@@ -610,7 +616,7 @@ fn add_dag_edges(topo: &Topology, tree: &DstTree, g: &mut DepGraph) {
         }
         // Incoming candidates: links (u,v) where u routes via v,
         // i.e. dist[u] == dv + 1 (and u is not the root side).
-        for (u, l) in topo.neighbors(v) {
+        for &(u, l) in adj.neighbors(v) {
             if tree.dist[u.0 as usize] == dv + 1 {
                 let incoming = topo.dir_from(l, u);
                 for &lo in outs {
@@ -641,6 +647,7 @@ pub fn realize_cycle(topo: &Topology, cycle: &[u64]) -> Option<Vec<(NodeId, Node
     let hosts = topo.hosts();
     let decode = DirLink::from_index;
     let mut flows = Vec::new();
+    let adj = topo.alive_adjacency();
     let mut tree_cache: HashMap<NodeId, DstTree> = HashMap::new();
     let n = cycle.len();
     for i in 0..n {
@@ -649,7 +656,7 @@ pub fn realize_cycle(topo: &Topology, cycle: &[u64]) -> Option<Vec<(NodeId, Node
         let (u, v) = (topo.dir_src(d1), topo.dir_dst(d1));
         let w = topo.dir_dst(d2);
         debug_assert_eq!(topo.dir_src(d2), v, "cycle edges must chain");
-        let tree_u = DstTree::compute(topo, u);
+        let tree_u = DstTree::compute(&adj, u);
         let mut found = None;
         'search: for &src in &hosts {
             // Prefix src → u avoiding v and w.
@@ -661,7 +668,7 @@ pub fn realize_cycle(topo: &Topology, cycle: &[u64]) -> Option<Vec<(NodeId, Node
                 if dst == src {
                     continue;
                 }
-                let tree_dst = tree_cache.entry(dst).or_insert_with(|| DstTree::compute(topo, dst));
+                let tree_dst = tree_cache.entry(dst).or_insert_with(|| DstTree::compute(&adj, dst));
                 // Suffix w → dst avoiding every node already visited.
                 let mut avoid = prefix_nodes.clone();
                 avoid.push(v);
@@ -1018,10 +1025,11 @@ mod tests {
     /// BFS per host, each contributing its whole DAG.
     fn per_destination_depgraphs(topo: &Topology) -> (DepGraph, DepGraph) {
         let hosts = topo.hosts();
+        let adj = topo.alive_adjacency();
         let (mut union, mut realizable) = (DepGraph::new(), DepGraph::new());
         for &dst in &hosts {
-            let tree = DstTree::compute(topo, dst);
-            add_dag_edges(topo, &tree, &mut union);
+            let tree = DstTree::compute(&adj, dst);
+            add_dag_edges(topo, &adj, &tree, &mut union);
             let srcs = hosts.iter().copied().filter(|&s| s != dst);
             add_reachable_edges(topo, &tree, srcs, &mut realizable);
         }

@@ -181,6 +181,18 @@ impl Topology {
         self.adj[n.0 as usize].iter().copied().filter(move |&(_, l)| self.link_alive(l))
     }
 
+    /// The alive adjacency as one flat table (see [`AliveAdjacency`]).
+    pub fn alive_adjacency(&self) -> AliveAdjacency {
+        let mut offsets = Vec::with_capacity(self.num_nodes() + 1);
+        let mut pairs = Vec::with_capacity(2 * self.num_links());
+        offsets.push(0);
+        for n in self.node_ids() {
+            pairs.extend(self.neighbors(n));
+            offsets.push(u32::try_from(pairs.len()).expect("adjacency size fits u32"));
+        }
+        AliveAdjacency { offsets, pairs }
+    }
+
     /// The port index `link` occupies on `node`; panics if not incident.
     pub fn port_of(&self, node: NodeId, link: LinkId) -> usize {
         self.adj[node.0 as usize]
@@ -265,6 +277,37 @@ impl Topology {
     }
 }
 
+/// A snapshot of a topology's alive links in compressed sparse rows:
+/// node `v`'s alive `(neighbor, link)` pairs, in port order, are
+/// `pairs[offsets[v]..offsets[v + 1]]`. Walking it is a slice scan, where
+/// [`Topology::neighbors`] tests every port's link state; the routing
+/// oracle and the all-pairs analyses build one per pass and run every BFS
+/// over it. It does not follow later link failures or restorations.
+#[derive(Debug, Clone)]
+pub struct AliveAdjacency {
+    offsets: Vec<u32>,
+    pairs: Vec<(NodeId, LinkId)>,
+}
+
+impl AliveAdjacency {
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of alive links (each appears once at either endpoint).
+    pub fn num_alive_links(&self) -> usize {
+        self.pairs.len() / 2
+    }
+
+    /// Alive neighbors of `v`: `(neighbor, link)`, in port order.
+    #[inline]
+    pub fn neighbors(&self, v: NodeId) -> &[(NodeId, LinkId)] {
+        let v = v.0 as usize;
+        &self.pairs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +340,18 @@ mod tests {
         assert_eq!(t.neighbors(s1).count(), 1);
         t.restore_link(l12);
         assert_eq!(t.neighbors(s1).count(), 2);
+    }
+
+    #[test]
+    fn alive_adjacency_matches_neighbors() {
+        let (mut t, [s1, s2, s3], [l12, ..]) = triangle();
+        t.fail_link(l12);
+        let adj = t.alive_adjacency();
+        assert_eq!(adj.num_nodes(), 3);
+        assert_eq!(adj.num_alive_links(), 2);
+        for n in [s1, s2, s3] {
+            assert_eq!(adj.neighbors(n), t.neighbors(n).collect::<Vec<_>>());
+        }
     }
 
     #[test]

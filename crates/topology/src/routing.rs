@@ -19,7 +19,7 @@
 //! carries its link list. On a static topology this is equivalent to
 //! per-hop table lookup and keeps the simulator's forwarding path trivial.
 
-use crate::graph::{DirLink, LinkId, NodeId, NodeKind, Topology};
+use crate::graph::{AliveAdjacency, DirLink, LinkId, NodeId, NodeKind, Topology};
 use std::collections::HashMap;
 
 /// BFS result toward one root node.
@@ -34,33 +34,38 @@ pub struct DstTree {
 }
 
 impl DstTree {
-    /// Compute the BFS tree toward `root` over alive links.
-    pub fn compute(topo: &Topology, root: NodeId) -> DstTree {
-        let n = topo.num_nodes();
+    /// Compute the BFS tree toward `root` over the alive links of `adj`.
+    pub fn compute(adj: &AliveAdjacency, root: NodeId) -> DstTree {
+        let n = adj.num_nodes();
         let mut dist = vec![u32::MAX; n];
         dist[root.0 as usize] = 0;
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            for (u, _) in topo.neighbors(v) {
+        // FIFO over a flat buffer: every node enters it at most once.
+        let mut queue = Vec::with_capacity(n);
+        queue.push(root);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let dv = dist[v.0 as usize] + 1;
+            for &(u, _) in adj.neighbors(v) {
                 if dist[u.0 as usize] == u32::MAX {
-                    dist[u.0 as usize] = dist[v.0 as usize] + 1;
-                    queue.push_back(u);
+                    dist[u.0 as usize] = dv;
+                    queue.push(u);
                 }
             }
         }
         // A link is a next hop of at most one of its endpoints, so the
-        // link count bounds the flat list.
+        // alive link count bounds the flat list.
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut hops = Vec::with_capacity(topo.num_links());
+        let mut hops = Vec::with_capacity(adj.num_alive_links());
         offsets.push(0);
-        for v in topo.node_ids() {
-            let dv = dist[v.0 as usize];
+        for (v, &dv) in dist.iter().enumerate() {
             if dv != u32::MAX && dv != 0 {
                 let start = hops.len();
                 hops.extend(
-                    topo.neighbors(v)
-                        .filter(|&(u, _)| dist[u.0 as usize] == dv - 1)
-                        .map(|(_, l)| l),
+                    adj.neighbors(NodeId(v as u32))
+                        .iter()
+                        .filter(|&&(u, _)| dist[u.0 as usize] == dv - 1)
+                        .map(|&(_, l)| l),
                 );
                 hops[start..].sort_unstable();
             }
@@ -127,11 +132,15 @@ fn mix64(mut x: u64) -> u64 {
 
 /// Shortest-path-first routing oracle with one memoized tree per anchor
 /// (the attachment switch of a single-homed host, else the destination
-/// itself). `Clone` duplicates the cache, not just the config — harmless,
-/// since every tree is a pure function of the topology.
+/// itself), each computed over one cached [`AliveAdjacency`] of the
+/// topology. `Clone` duplicates the cache, not just the config —
+/// harmless, since every tree is a pure function of the topology.
 #[derive(Debug, Clone, Default)]
 pub struct SpfRouting {
     trees: HashMap<NodeId, DstTree>,
+    /// The alive adjacency the trees are computed over, built with the
+    /// first tree.
+    adj: Option<AliveAdjacency>,
 }
 
 impl SpfRouting {
@@ -141,9 +150,10 @@ impl SpfRouting {
         Self::default()
     }
 
-    /// Drop all cached trees (topology changed).
+    /// Drop all cached trees and the cached adjacency (topology changed).
     pub fn invalidate(&mut self) {
         self.trees.clear();
+        self.adj = None;
     }
 
     /// The cached tree of `dst`'s anchor, the anchor, and the host link
@@ -153,7 +163,10 @@ impl SpfRouting {
             Some((t, l)) => (t, Some(l)),
             None => (dst, None),
         };
-        let tree = self.trees.entry(anchor).or_insert_with(|| DstTree::compute(topo, anchor));
+        let SpfRouting { trees, adj } = self;
+        let tree = trees.entry(anchor).or_insert_with(|| {
+            DstTree::compute(adj.get_or_insert_with(|| topo.alive_adjacency()), anchor)
+        });
         (tree, anchor, last)
     }
 
@@ -333,7 +346,7 @@ mod tests {
     #[test]
     fn bfs_distances() {
         let (t, [a, b, c, d]) = diamond();
-        let tree = DstTree::compute(&t, d);
+        let tree = DstTree::compute(&t.alive_adjacency(), d);
         assert_eq!(tree.dist[a.0 as usize], 2);
         assert_eq!(tree.dist[b.0 as usize], 1);
         assert_eq!(tree.dist[c.0 as usize], 1);
@@ -402,22 +415,53 @@ mod tests {
         assert!(routing.path(&t, b, d, 7).is_some());
     }
 
+    /// An independent reference for the oracle: a plain BFS toward `dst`
+    /// over [`Topology::neighbors`], giving each node's distance and its
+    /// next hops (the alive links one hop closer), sorted.
+    fn reference_tree(topo: &Topology, dst: NodeId) -> (Vec<u32>, Vec<Vec<LinkId>>) {
+        let mut dist = vec![u32::MAX; topo.num_nodes()];
+        dist[dst.0 as usize] = 0;
+        let mut queue = std::collections::VecDeque::from([dst]);
+        while let Some(v) = queue.pop_front() {
+            for (u, _) in topo.neighbors(v) {
+                if dist[u.0 as usize] == u32::MAX {
+                    dist[u.0 as usize] = dist[v.0 as usize] + 1;
+                    queue.push_back(u);
+                }
+            }
+        }
+        let hops = topo
+            .node_ids()
+            .map(|v| {
+                let dv = dist[v.0 as usize];
+                let mut hops: Vec<LinkId> = topo
+                    .neighbors(v)
+                    .filter(|&(u, _)| dv != 0 && dv != u32::MAX && dist[u.0 as usize] == dv - 1)
+                    .map(|(_, l)| l)
+                    .collect();
+                hops.sort_unstable();
+                hops
+            })
+            .collect();
+        (dist, hops)
+    }
+
     /// The per-destination oracle the anchored cache replaces: a walk over
-    /// `dst`'s own BFS tree.
+    /// `dst`'s own reference tree.
     fn per_destination_path(
         topo: &Topology,
-        tree: &DstTree,
+        (dist, next_hops): &(Vec<u32>, Vec<Vec<LinkId>>),
         src: NodeId,
         dst: NodeId,
         flow_hash: u64,
     ) -> Option<Vec<LinkId>> {
-        if tree.dist[src.0 as usize] == u32::MAX {
+        if dist[src.0 as usize] == u32::MAX {
             return None;
         }
         let mut path = Vec::new();
         let mut v = src;
         while v != dst {
-            let hops = tree.next_hops(v);
+            let hops = &next_hops[v.0 as usize];
             let l = hops[(mix64(flow_hash ^ mix64(v.0 as u64)) % hops.len() as u64) as usize];
             path.push(l);
             v = topo.peer(l, v);
@@ -458,9 +502,9 @@ mod tests {
             let dsts: Vec<NodeId> = if odd { topo.node_ids().collect() } else { topo.hosts() };
             let mut r = SpfRouting::new();
             for &dst in &dsts {
-                let tree = DstTree::compute(topo, dst);
+                let tree = reference_tree(topo, dst);
                 for src in topo.node_ids() {
-                    let d = tree.dist[src.0 as usize];
+                    let d = tree.0[src.0 as usize];
                     let want = (d != u32::MAX).then_some(d);
                     assert_eq!(
                         r.distance(topo, src, dst),
@@ -493,6 +537,28 @@ mod tests {
             }
         }
         assert_eq!(routing.cached_trees(), 32);
+    }
+
+    /// A link failure after routing takes effect once the oracle is
+    /// invalidated: the new path avoids the failed link and equals a fresh
+    /// oracle's, so no tree is computed over the adjacency cached before
+    /// the failure.
+    #[test]
+    fn invalidate_drops_the_cached_adjacency() {
+        use crate::fattree::FatTree;
+        let mut ft = FatTree::new(4);
+        let (src, dst, hash) = (ft.hosts[0], ft.hosts[15], 7);
+        let mut r = SpfRouting::new();
+        let before = r.path(&ft.topo, src, dst, hash).expect("healthy fat-tree is connected");
+        // The source ToR's uplink on the path: failing it leaves the
+        // other uplink.
+        let uplink = before[1];
+        ft.topo.fail_link(uplink);
+        r.invalidate();
+        let after = r.path(&ft.topo, src, dst, hash).expect("still connected");
+        assert!(!after.contains(&uplink), "routed over the failed link");
+        assert_eq!(after, SpfRouting::new().path(&ft.topo, src, dst, hash).unwrap());
+        assert!(walk_nodes(&ft.topo, src, &after).is_ok());
     }
 
     #[test]
