@@ -37,14 +37,13 @@ use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
 use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::pfc::{PfcEvent, PfcReceiver, PfcSender};
 use crate::units::{Rate, Time};
-use serde::{Deserialize, Serialize};
 
 /// Control-plane accounting class of a feedback message. Each class maps
 /// 1:1 onto the mechanism that emits it (pause/resume → PFC-style stops,
 /// stage → buffer-based GFC, credit → CBFC / time-based GFC, sample →
 /// conceptual GFC), so per-class counters *are* the per-mechanism
 /// overhead breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtrlClass {
     /// A stop assertion (PFC PAUSE, BFC per-flow pause, DCFIT tagged PAUSE).
     Pause,
@@ -90,7 +89,7 @@ impl std::fmt::Display for CtrlClass {
 /// crossing originated a pause chain, carried in every propagated pause.
 /// A pause arriving back at its originating node witnesses a circular
 /// buffer-wait — the in-data-plane deadlock detection signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DcfitTag {
     /// Node that originated the pause chain.
     pub node: u32,
@@ -183,7 +182,7 @@ impl CtrlPayload {
                     PfcEvent::Resume => 0,
                 };
                 let f = PfcFrame::pause(SRC, prio, quanta);
-                let d = PfcFrame::decode(f.encode()).expect("PFC frame roundtrip");
+                let d = PfcFrame::decode(&f.encode()).expect("PFC frame roundtrip");
                 let q = d.value_for(prio).expect("priority bit lost");
                 CtrlPayload::Pfc(if q == 0 {
                     PfcEvent::Resume
@@ -193,18 +192,18 @@ impl CtrlPayload {
             }
             CtrlPayload::GfcStage(stage) => {
                 let f = PfcFrame::gfc_stage(SRC, prio, stage);
-                let d = PfcFrame::decode(f.encode()).expect("GFC frame roundtrip");
+                let d = PfcFrame::decode(&f.encode()).expect("GFC frame roundtrip");
                 CtrlPayload::GfcStage(d.value_for(prio).expect("priority bit lost"))
             }
             CtrlPayload::FcclWire(w) => {
                 let f = FcpFrame::new(FcpOp::Normal, prio & 0xF, 0, w);
-                let d = FcpFrame::decode(f.encode()).expect("FCP roundtrip");
+                let d = FcpFrame::decode(&f.encode()).expect("FCP roundtrip");
                 CtrlPayload::FcclWire(d.fccl)
             }
             CtrlPayload::QueueSample(q) => CtrlPayload::QueueSample(q),
             CtrlPayload::Bfc { flow, pause } => {
                 let f = BfcFrame::new(SRC, prio, flow, pause);
-                let d = BfcFrame::decode(f.encode()).expect("BFC frame roundtrip");
+                let d = BfcFrame::decode(&f.encode()).expect("BFC frame roundtrip");
                 CtrlPayload::Bfc { flow: d.flow, pause: d.pause }
             }
             CtrlPayload::DcfitPfc { ev, tag } => {
@@ -213,7 +212,7 @@ impl CtrlPayload {
                     PfcEvent::Resume => 0,
                 };
                 let f = DcfitFrame::new(SRC, prio, quanta, tag.node, tag.port, tag.seq);
-                let d = DcfitFrame::decode(f.encode()).expect("DCFIT frame roundtrip");
+                let d = DcfitFrame::decode(&f.encode()).expect("DCFIT frame roundtrip");
                 CtrlPayload::DcfitPfc {
                     ev: if d.quanta == 0 {
                         PfcEvent::Resume

@@ -35,11 +35,10 @@ use crate::backend::{
     CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
 };
 use crate::units::Time;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// BFC threshold set (bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfcConfig {
     /// Pause a flow when its own ingress footprint reaches this.
     pub flow_xoff: u64,

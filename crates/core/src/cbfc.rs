@@ -13,8 +13,6 @@
 //! keep monotone `u64` values and reconstruct on decode
 //! (see [`wrap12_advance`]).
 
-use serde::{Deserialize, Serialize};
-
 /// InfiniBand credit granularity: one credit = 64 bytes.
 pub const BLOCK_BYTES: u64 = 64;
 
@@ -59,7 +57,7 @@ pub fn wrap16_advance(prev: u64, wire: u16) -> u64 {
 
 /// Receiver side: tracks arrivals/drains for one virtual lane and produces
 /// the FCCL to advertise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CbfcReceiver {
     /// Total buffer allocated to this VL, in blocks.
     buffer_blocks: u64,
@@ -134,7 +132,7 @@ impl CbfcReceiver {
 }
 
 /// Sender side: gates transmission on available credits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CbfcSender {
     /// Flow Control Total Blocks Sent.
     fctbs: u64,

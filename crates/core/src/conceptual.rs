@@ -10,10 +10,9 @@
 
 use crate::mapping::LinearMapping;
 use crate::units::Rate;
-use serde::{Deserialize, Serialize};
 
 /// Receiver side: samples the ingress queue on every change.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConceptualReceiver {
     messages_sent: u64,
 }
@@ -45,7 +44,7 @@ impl Default for ConceptualReceiver {
 
 /// Sender side: maps the fed-back queue length to a rate via the linear
 /// mapping of Fig. 4(b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConceptualSender {
     mapping: LinearMapping,
     rate: Rate,

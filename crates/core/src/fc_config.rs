@@ -18,7 +18,6 @@ use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::mapping::{LinearMapping, StageTable};
 use crate::pfc::{PauseMode, PfcReceiver, PfcSender};
 use crate::units::{Dur, Rate, Time};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub use crate::bfc::BfcConfig;
@@ -34,7 +33,7 @@ pub struct PortIdent {
 }
 
 /// PFC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfcParams {
     /// Ingress occupancy that asserts PAUSE.
     pub xoff: u64,
@@ -43,14 +42,14 @@ pub struct PfcParams {
 }
 
 /// CBFC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbfcParams {
     /// Credit advertisement period.
     pub period: Dur,
 }
 
 /// Buffer-based GFC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GfcBufferParams {
     /// Buffer ceiling `B_m` of the stage table.
     pub bm: u64,
@@ -62,7 +61,7 @@ pub struct GfcBufferParams {
 }
 
 /// Time-based GFC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GfcTimeParams {
     /// Linear-mapping start `B_0`.
     pub b0: u64,
@@ -73,7 +72,7 @@ pub struct GfcTimeParams {
 }
 
 /// Conceptual GFC parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConceptualParams {
     /// Linear-mapping start `B_0`.
     pub b0: u64,
@@ -85,7 +84,7 @@ pub struct ConceptualParams {
 
 /// DCFIT parameters: PFC thresholds (the pause machinery is PFC's; the
 /// tags ride on top).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcfitParams {
     /// Ingress occupancy that asserts PAUSE.
     pub xoff: u64,
@@ -95,7 +94,7 @@ pub struct DcfitParams {
 
 /// Flow-control scheme + parameters, the single source of truth a
 /// network or spec carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FcConfig {
     /// Lossy: no flow control, drops on overflow.
     None,

@@ -16,9 +16,9 @@
 //!   (1 MB = 16384 blocks) exceed the 12-bit credit space; the wrap
 //!   reconstruction is otherwise identical
 //!   (`gfc_core::cbfc::wrap16_advance`).
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+//!
+//! Each `encode` returns a fixed-size byte array, so its type pins the wire
+//! size; each `decode` reads a byte slice at fixed big-endian offsets.
 
 /// Multicast destination of MAC control frames.
 pub const PFC_DST_MAC: [u8; 6] = [0x01, 0x80, 0xC2, 0x00, 0x00, 0x01];
@@ -72,8 +72,41 @@ impl core::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// `N` bytes of `buf` from offset `at`; the caller has checked the length.
+fn field<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    buf[at..at + N].try_into().expect("length checked by the caller")
+}
+
+/// Writes `bytes` into `buf` at offset `at`.
+fn put<const N: usize>(buf: &mut [u8], at: usize, bytes: [u8; N]) {
+    buf[at..at + N].copy_from_slice(&bytes);
+}
+
+/// A zero-padded MAC control frame with its 16-byte header filled in:
+/// destination MAC, source MAC, EtherType and `opcode`.
+fn mac_control_frame<const N: usize>(src_mac: [u8; 6], opcode: u16) -> [u8; N] {
+    let mut b = [0u8; N];
+    put(&mut b, 0, PFC_DST_MAC);
+    put(&mut b, 6, src_mac);
+    put(&mut b, 12, MAC_CONTROL_ETHERTYPE.to_be_bytes());
+    put(&mut b, 14, opcode.to_be_bytes());
+    b
+}
+
+/// Checks that `buf` holds at least `min` bytes and starts with a MAC
+/// control header; returns its source MAC and opcode.
+fn mac_control_header(buf: &[u8], min: usize) -> Result<([u8; 6], u16), FrameError> {
+    if buf.len() < min {
+        return Err(FrameError::Truncated);
+    }
+    if field(buf, 0) != PFC_DST_MAC || u16::from_be_bytes(field(buf, 12)) != MAC_CONTROL_ETHERTYPE {
+        return Err(FrameError::UnknownKind);
+    }
+    Ok((field(buf, 6), u16::from_be_bytes(field(buf, 14))))
+}
+
 /// A PFC (or buffer-based-GFC) MAC control frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PfcFrame {
     /// Source MAC of the emitting port.
     pub src_mac: [u8; 6],
@@ -115,51 +148,30 @@ impl PfcFrame {
 
     /// Serialize to the 64-byte wire format (including a zero placeholder
     /// FCS the MAC would fill in).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(CONTROL_FRAME_WIRE_BYTES as usize);
-        b.put_slice(&PFC_DST_MAC);
-        b.put_slice(&self.src_mac);
-        b.put_u16(MAC_CONTROL_ETHERTYPE);
-        b.put_u16(if self.gfc { GFC_OPCODE } else { PFC_OPCODE });
-        b.put_u16(self.class_enable as u16);
-        for t in self.time {
-            b.put_u16(t);
+    pub fn encode(&self) -> [u8; CONTROL_FRAME_WIRE_BYTES as usize] {
+        let opcode = if self.gfc { GFC_OPCODE } else { PFC_OPCODE };
+        let mut b = mac_control_frame(self.src_mac, opcode);
+        put(&mut b, 16, (self.class_enable as u16).to_be_bytes());
+        for (i, t) in self.time.into_iter().enumerate() {
+            put(&mut b, 18 + 2 * i, t.to_be_bytes());
         }
-        // Pad to 60 B; the final 4 B stand in for the FCS.
-        while b.len() < CONTROL_FRAME_WIRE_BYTES as usize {
-            b.put_u8(0);
-        }
-        b.freeze()
+        // Zero padding to 60 B; the final 4 B stand in for the FCS.
+        b
     }
 
     /// Parse from wire bytes.
-    pub fn decode(mut buf: impl Buf) -> Result<Self, FrameError> {
-        if buf.remaining() < 38 {
-            return Err(FrameError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        buf.copy_to_slice(&mut dst);
-        if dst != PFC_DST_MAC {
-            return Err(FrameError::UnknownKind);
-        }
-        let mut src_mac = [0u8; 6];
-        buf.copy_to_slice(&mut src_mac);
-        if buf.get_u16() != MAC_CONTROL_ETHERTYPE {
-            return Err(FrameError::UnknownKind);
-        }
-        let gfc = match buf.get_u16() {
+    pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
+        let (src_mac, opcode) = mac_control_header(buf, 38)?;
+        let gfc = match opcode {
             PFC_OPCODE => false,
             GFC_OPCODE => true,
             _ => return Err(FrameError::UnknownKind),
         };
-        let cev = buf.get_u16();
+        let cev = u16::from_be_bytes(field(buf, 16));
         if cev > 0xFF {
             return Err(FrameError::FieldRange);
         }
-        let mut time = [0u16; 8];
-        for t in &mut time {
-            *t = buf.get_u16();
-        }
+        let time = std::array::from_fn(|i| u16::from_be_bytes(field(buf, 18 + 2 * i)));
         Ok(PfcFrame { src_mac, gfc, class_enable: cev as u8, time })
     }
 }
@@ -177,7 +189,7 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
 }
 
 /// FCP operand kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FcpOp {
     /// Normal periodic flow-control update.
     Normal,
@@ -187,7 +199,7 @@ pub enum FcpOp {
 
 /// An InfiniBand flow-control packet (one virtual lane). See the module
 /// docs for the 16-bit counter-width deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcpFrame {
     /// Operand.
     pub op: FcpOp,
@@ -208,30 +220,28 @@ impl FcpFrame {
 
     /// Serialize: `op:4 | vl:4 | fctbs:16 | fccl:16` (5 bytes) + CRC-16 +
     /// 1 byte framing pad = 8 bytes on the wire.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> [u8; FCP_WIRE_BYTES as usize] {
         let op_bits: u8 = match self.op {
             FcpOp::Normal => 0x0,
             FcpOp::Init => 0x1,
         };
-        let mut b = BytesMut::with_capacity(FCP_WIRE_BYTES as usize);
-        b.put_u8((op_bits << 4) | (self.vl & 0xF));
-        b.put_u16(self.fctbs);
-        b.put_u16(self.fccl);
+        let mut b = [0u8; FCP_WIRE_BYTES as usize];
+        b[0] = (op_bits << 4) | (self.vl & 0xF);
+        put(&mut b, 1, self.fctbs.to_be_bytes());
+        put(&mut b, 3, self.fccl.to_be_bytes());
         let crc = crc16_ccitt(&b[..5]);
-        b.put_u16(crc);
-        b.put_u8(0); // framing pad
-        b.freeze()
+        put(&mut b, 5, crc.to_be_bytes());
+        // b[7] is the framing pad.
+        b
     }
 
     /// Parse and CRC-check.
-    pub fn decode(mut buf: impl Buf) -> Result<Self, FrameError> {
-        if buf.remaining() < 7 {
+    pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
+        if buf.len() < 7 {
             return Err(FrameError::Truncated);
         }
-        let mut head = [0u8; 5];
-        buf.copy_to_slice(&mut head);
-        let crc = buf.get_u16();
-        if crc != crc16_ccitt(&head) {
+        let head: [u8; 5] = field(buf, 0);
+        if u16::from_be_bytes(field(buf, 5)) != crc16_ccitt(&head) {
             return Err(FrameError::BadCrc);
         }
         let op = match head[0] >> 4 {
@@ -250,7 +260,7 @@ impl FcpFrame {
 
 /// A BFC per-flow pause/resume frame (opcode 0x0103): MAC-control
 /// framing, then priority, pause bit, and the 64-bit flow id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfcFrame {
     /// Source MAC of the emitting port.
     pub src_mac: [u8; 6],
@@ -270,53 +280,37 @@ impl BfcFrame {
     }
 
     /// Serialize to the 64-byte wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(BFC_FRAME_WIRE_BYTES as usize);
-        b.put_slice(&PFC_DST_MAC);
-        b.put_slice(&self.src_mac);
-        b.put_u16(MAC_CONTROL_ETHERTYPE);
-        b.put_u16(BFC_OPCODE);
-        b.put_u8(self.priority);
-        b.put_u8(self.pause as u8);
-        b.put_u64(self.flow);
-        while b.len() < BFC_FRAME_WIRE_BYTES as usize {
-            b.put_u8(0);
-        }
-        b.freeze()
+    pub fn encode(&self) -> [u8; BFC_FRAME_WIRE_BYTES as usize] {
+        let mut b = mac_control_frame(self.src_mac, BFC_OPCODE);
+        b[16] = self.priority;
+        b[17] = self.pause as u8;
+        put(&mut b, 18, self.flow.to_be_bytes());
+        b
     }
 
     /// Parse from wire bytes.
-    pub fn decode(mut buf: impl Buf) -> Result<Self, FrameError> {
-        if buf.remaining() < 26 {
-            return Err(FrameError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        buf.copy_to_slice(&mut dst);
-        if dst != PFC_DST_MAC {
+    pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
+        let (src_mac, opcode) = mac_control_header(buf, 26)?;
+        if opcode != BFC_OPCODE {
             return Err(FrameError::UnknownKind);
         }
-        let mut src_mac = [0u8; 6];
-        buf.copy_to_slice(&mut src_mac);
-        if buf.get_u16() != MAC_CONTROL_ETHERTYPE || buf.get_u16() != BFC_OPCODE {
-            return Err(FrameError::UnknownKind);
-        }
-        let priority = buf.get_u8();
+        let priority = buf[16];
         if priority >= 8 {
             return Err(FrameError::FieldRange);
         }
-        let pause = match buf.get_u8() {
+        let pause = match buf[17] {
             0 => false,
             1 => true,
             _ => return Err(FrameError::FieldRange),
         };
-        let flow = buf.get_u64();
+        let flow = u64::from_be_bytes(field(buf, 18));
         Ok(BfcFrame { src_mac, priority, flow, pause })
     }
 }
 
 /// A DCFIT tagged pause frame (opcode 0x0104): a single-priority PFC
 /// pause plus the initial-trigger tag `(node, port, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DcfitFrame {
     /// Source MAC of the emitting port.
     pub src_mac: [u8; 6],
@@ -348,47 +342,34 @@ impl DcfitFrame {
 
     /// Serialize to the 72-byte wire format (64-byte control frame + tag
     /// TLV).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(DCFIT_FRAME_WIRE_BYTES as usize);
-        b.put_slice(&PFC_DST_MAC);
-        b.put_slice(&self.src_mac);
-        b.put_u16(MAC_CONTROL_ETHERTYPE);
-        b.put_u16(DCFIT_OPCODE);
-        b.put_u8(self.priority);
-        b.put_u16(self.quanta);
-        b.put_u32(self.tag_node);
-        b.put_u16(self.tag_port);
-        b.put_u16(self.tag_seq);
-        while b.len() < DCFIT_FRAME_WIRE_BYTES as usize {
-            b.put_u8(0);
-        }
-        b.freeze()
+    pub fn encode(&self) -> [u8; DCFIT_FRAME_WIRE_BYTES as usize] {
+        let mut b = mac_control_frame(self.src_mac, DCFIT_OPCODE);
+        b[16] = self.priority;
+        put(&mut b, 17, self.quanta.to_be_bytes());
+        put(&mut b, 19, self.tag_node.to_be_bytes());
+        put(&mut b, 23, self.tag_port.to_be_bytes());
+        put(&mut b, 25, self.tag_seq.to_be_bytes());
+        b
     }
 
     /// Parse from wire bytes.
-    pub fn decode(mut buf: impl Buf) -> Result<Self, FrameError> {
-        if buf.remaining() < 27 {
-            return Err(FrameError::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        buf.copy_to_slice(&mut dst);
-        if dst != PFC_DST_MAC {
+    pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
+        let (src_mac, opcode) = mac_control_header(buf, 27)?;
+        if opcode != DCFIT_OPCODE {
             return Err(FrameError::UnknownKind);
         }
-        let mut src_mac = [0u8; 6];
-        buf.copy_to_slice(&mut src_mac);
-        if buf.get_u16() != MAC_CONTROL_ETHERTYPE || buf.get_u16() != DCFIT_OPCODE {
-            return Err(FrameError::UnknownKind);
-        }
-        let priority = buf.get_u8();
+        let priority = buf[16];
         if priority >= 8 {
             return Err(FrameError::FieldRange);
         }
-        let quanta = buf.get_u16();
-        let tag_node = buf.get_u32();
-        let tag_port = buf.get_u16();
-        let tag_seq = buf.get_u16();
-        Ok(DcfitFrame { src_mac, priority, quanta, tag_node, tag_port, tag_seq })
+        Ok(DcfitFrame {
+            src_mac,
+            priority,
+            quanta: u16::from_be_bytes(field(buf, 17)),
+            tag_node: u32::from_be_bytes(field(buf, 19)),
+            tag_port: u16::from_be_bytes(field(buf, 23)),
+            tag_seq: u16::from_be_bytes(field(buf, 25)),
+        })
     }
 }
 
@@ -403,7 +384,7 @@ mod tests {
         let f = PfcFrame::pause(SRC, 3, 0xFFFF);
         let wire = f.encode();
         assert_eq!(wire.len() as u64, CONTROL_FRAME_WIRE_BYTES);
-        let g = PfcFrame::decode(wire).unwrap();
+        let g = PfcFrame::decode(&wire).unwrap();
         assert_eq!(f, g);
         assert_eq!(g.value_for(3), Some(0xFFFF));
         assert_eq!(g.value_for(2), None);
@@ -412,17 +393,17 @@ mod tests {
     #[test]
     fn gfc_stage_roundtrip() {
         let f = PfcFrame::gfc_stage(SRC, 0, 7);
-        let g = PfcFrame::decode(f.encode()).unwrap();
+        let g = PfcFrame::decode(&f.encode()).unwrap();
         assert!(g.gfc);
         assert_eq!(g.value_for(0), Some(7));
     }
 
     #[test]
     fn pfc_rejects_wrong_ethertype() {
-        let mut wire = BytesMut::from(&PfcFrame::pause(SRC, 0, 1).encode()[..]);
+        let mut wire = PfcFrame::pause(SRC, 0, 1).encode();
         wire[12] = 0x08;
         wire[13] = 0x00; // IPv4 ethertype
-        assert_eq!(PfcFrame::decode(wire.freeze()), Err(FrameError::UnknownKind));
+        assert_eq!(PfcFrame::decode(&wire), Err(FrameError::UnknownKind));
     }
 
     #[test]
@@ -434,7 +415,7 @@ mod tests {
     #[test]
     fn fcp_roundtrip() {
         let f = FcpFrame::new(FcpOp::Normal, 2, 65_535, 123);
-        let g = FcpFrame::decode(f.encode()).unwrap();
+        let g = FcpFrame::decode(&f.encode()).unwrap();
         assert_eq!(f, g);
         assert_eq!(f.encode().len() as u64, FCP_WIRE_BYTES);
     }
@@ -442,9 +423,9 @@ mod tests {
     #[test]
     fn fcp_detects_corruption() {
         let wire = FcpFrame::new(FcpOp::Init, 0, 1, 2).encode();
-        let mut bad = BytesMut::from(&wire[..]);
+        let mut bad = wire;
         bad[1] ^= 0x40;
-        assert_eq!(FcpFrame::decode(bad.freeze()), Err(FrameError::BadCrc));
+        assert_eq!(FcpFrame::decode(&bad), Err(FrameError::BadCrc));
     }
 
     #[test]
@@ -464,16 +445,16 @@ mod tests {
         let f = BfcFrame::new(SRC, 5, u64::MAX - 3, true);
         let wire = f.encode();
         assert_eq!(wire.len() as u64, BFC_FRAME_WIRE_BYTES);
-        assert_eq!(BfcFrame::decode(wire).unwrap(), f);
+        assert_eq!(BfcFrame::decode(&wire).unwrap(), f);
         let r = BfcFrame::new(SRC, 0, 0, false);
-        assert_eq!(BfcFrame::decode(r.encode()).unwrap(), r);
+        assert_eq!(BfcFrame::decode(&r.encode()).unwrap(), r);
     }
 
     #[test]
     fn bfc_rejects_foreign_opcode() {
         // A classic PFC frame is not a BFC frame.
         let wire = PfcFrame::pause(SRC, 0, 1).encode();
-        assert_eq!(BfcFrame::decode(wire), Err(FrameError::UnknownKind));
+        assert_eq!(BfcFrame::decode(&wire), Err(FrameError::UnknownKind));
     }
 
     #[test]
@@ -481,24 +462,24 @@ mod tests {
         let f = DcfitFrame::new(SRC, 3, 0xFFFF, 70_000, 12, 9);
         let wire = f.encode();
         assert_eq!(wire.len() as u64, DCFIT_FRAME_WIRE_BYTES);
-        assert_eq!(DcfitFrame::decode(wire).unwrap(), f);
+        assert_eq!(DcfitFrame::decode(&wire).unwrap(), f);
         // Resume (quanta 0) keeps the tag of the pause it clears.
         let r = DcfitFrame::new(SRC, 3, 0, 70_000, 12, 9);
-        assert_eq!(DcfitFrame::decode(r.encode()).unwrap().quanta, 0);
+        assert_eq!(DcfitFrame::decode(&r.encode()).unwrap().quanta, 0);
     }
 
     #[test]
     fn dcfit_rejects_bad_priority() {
-        let mut bad = BytesMut::from(&DcfitFrame::new(SRC, 3, 1, 2, 3, 4).encode()[..]);
+        let mut bad = DcfitFrame::new(SRC, 3, 1, 2, 3, 4).encode();
         bad[16] = 8; // priority byte
-        assert_eq!(DcfitFrame::decode(bad.freeze()), Err(FrameError::FieldRange));
+        assert_eq!(DcfitFrame::decode(&bad), Err(FrameError::FieldRange));
     }
 
     #[test]
     fn all_priorities_roundtrip() {
         for p in 0..8u8 {
             let f = PfcFrame::gfc_stage(SRC, p, p as u16 + 1);
-            let g = PfcFrame::decode(f.encode()).unwrap();
+            let g = PfcFrame::decode(&f.encode()).unwrap();
             assert_eq!(g.value_for(p), Some(p as u16 + 1));
         }
     }

@@ -10,11 +10,10 @@
 
 use crate::mapping::StageTable;
 use crate::units::Rate;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Receiver side: stage tracker / message generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GfcBufferReceiver {
     /// Shared by every receiver and sender built for one network (see
     /// [`crate::fc_config::FcBackends`]).
@@ -22,9 +21,8 @@ pub struct GfcBufferReceiver {
     current_stage: usize,
     /// `[lo, hi)`: the queue lengths of `current_stage`, so an update
     /// that stays inside it — almost all of them — skips the table's
-    /// binary search. Not serialized: the empty default `[0, 0)` makes
-    /// the first update after deserializing look the stage up again.
-    #[serde(skip)]
+    /// binary search. An update outside it, or any update while it is
+    /// empty, looks the stage up again and refreshes it.
     bounds: (u64, u64),
     messages_sent: u64,
 }
@@ -79,7 +77,7 @@ fn stage_bounds(table: &StageTable, i: usize) -> (u64, u64) {
 }
 
 /// Sender side: stage → rate lookup (the Rate Adjuster).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GfcBufferSender {
     /// Shared like the receiver's.
     table: Arc<StageTable>,
@@ -144,7 +142,7 @@ mod tests {
         // must reach. Every update must report what a receiver that
         // runs the table's binary search each time reports — also on a
         // one-stage table, and after the bounds were reset to the empty
-        // interval a deserialized receiver starts from.
+        // interval, which forces the next update down the lookup path.
         const MTU: i64 = 1500;
         let tables = [
             table(),

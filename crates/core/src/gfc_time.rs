@@ -13,11 +13,10 @@
 use crate::cbfc::{CbfcReceiver, CbfcSender, BLOCK_BYTES};
 use crate::mapping::LinearMapping;
 use crate::units::{Dur, Rate};
-use serde::{Deserialize, Serialize};
 
 /// Receiver side of time-based GFC: exactly a CBFC receiver plus the
 /// configured feedback period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GfcTimeReceiver {
     inner: CbfcReceiver,
     period: Dur,
@@ -63,7 +62,7 @@ impl GfcTimeReceiver {
 
 /// Sender side of time-based GFC: CBFC credit registers + linear Rate
 /// Adjuster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GfcTimeSender {
     credits: CbfcSender,
     mapping: LinearMapping,

@@ -6,7 +6,6 @@
 //!   `R_k = C / 2^k` and `B_m − B_k = (B_m − B_1) / 2^{k−1}` (Eq. 4/5).
 
 use crate::units::Rate;
-use serde::{Deserialize, Serialize};
 
 /// The conceptual continuous mapping of Fig. 4(b).
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// * `q ≤ b0` → capacity `C`;
 /// * `b0 < q < bm` → `C · (bm − q) / (bm − b0)`;
 /// * `q ≥ bm` → zero (never reached when Theorem 4.1 holds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearMapping {
     /// Threshold below which the sender keeps line rate (bytes).
     pub b0: u64,
@@ -51,7 +50,7 @@ impl LinearMapping {
 
 /// One stage of the practical step mapping: queue lengths in
 /// `[start, next.start)` map to `rate`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stage {
     /// First queue length (bytes) belonging to this stage.
     pub start: u64,
@@ -66,7 +65,7 @@ pub struct Stage {
 /// starts at `B_k = Bm − (Bm − B1)/2^{k−1}` and maps to `R_k = C/2^k`.
 /// Construction stops once consecutive thresholds are less than one byte
 /// apart (the paper's "`B_N − B_{N−1} ≤ 8 bits`" rule).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTable {
     stages: Vec<Stage>,
     capacity: Rate,

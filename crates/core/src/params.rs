@@ -9,10 +9,9 @@ use crate::fc_config::PfcParams;
 use crate::mapping::{LinearMapping, StageTable};
 use crate::theorems;
 use crate::units::{Dur, Rate};
-use serde::{Deserialize, Serialize};
 
 /// Physical link characteristics from which τ is computed (Eq. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkClass {
     /// Line rate `C`.
     pub capacity: Rate,
@@ -64,7 +63,7 @@ pub fn derive_buffer_gfc(buffer_bytes: u64, link: &LinkClass) -> StageTable {
 }
 
 /// Derived configuration of time-based GFC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeGfcParams {
     /// The linear mapping (with `B0` from Theorem 5.1).
     pub mapping: LinearMapping,

@@ -17,10 +17,9 @@
 
 use crate::fc_config::PfcParams;
 use crate::units::{Dur, Rate, Time};
-use serde::{Deserialize, Serialize};
 
 /// How a sender interprets the pause duration of a PFC frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PauseMode {
     /// PAUSE lasts until a RESUME arrives (refresh semantics).
     UntilResume,
@@ -29,7 +28,7 @@ pub enum PauseMode {
 }
 
 /// A flow-control decision emitted by the receiver for one priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PfcEvent {
     /// Tell the upstream to stop this priority (`quanta` of 512 bit-times).
     Pause {
@@ -41,7 +40,7 @@ pub enum PfcEvent {
 }
 
 /// Receiver-side PFC: ingress-queue watcher and message generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PfcReceiver {
     cfg: PfcParams,
     /// Whether we have an outstanding PAUSE towards the upstream.
@@ -88,7 +87,7 @@ impl PfcReceiver {
 }
 
 /// Sender-side PFC: pause state for one (egress, priority).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PfcSender {
     mode: PauseMode,
     /// Link speed, needed to convert quanta (512 bit-times) to duration.

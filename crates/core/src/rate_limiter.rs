@@ -12,7 +12,6 @@
 //! literal countdown we precompute the instant the countdown would expire.
 
 use crate::units::{Dur, Rate, Time};
-use serde::{Deserialize, Serialize};
 
 /// Per-queue token-less rate limiter (three-register design, §5.3).
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// this, a single packet sent at a deep-stage rate (kb/s) would freeze the
 /// port for tens of milliseconds even after the downstream queue drained —
 /// hardware achieves the same by reloading `R_c` when `R_r` is written.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateLimiter {
     /// Link capacity `C` (the rate packets serialize at when sent).
     capacity: Rate,

@@ -8,7 +8,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// Picoseconds per microsecond.
 pub const PS_PER_US: u64 = 1_000_000;
@@ -18,24 +17,18 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// An instant of simulated time, in picoseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 /// A span of simulated time, in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(pub u64);
 
 /// A transmission rate in bits per second.
 ///
 /// `Rate::ZERO` means "blocked": a rate limiter assigned zero rate never
 /// becomes eligible to send.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Rate(pub u64);
 
 impl Time {

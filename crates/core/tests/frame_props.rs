@@ -1,15 +1,33 @@
 //! Property-based tests of the wire codecs: every encodable frame decodes
-//! back to itself, and corrupted FCPs are rejected.
+//! back to itself, truncated frames are rejected, and corrupted FCPs are
+//! rejected.
 
 use gfc_core::cbfc::{wrap16_advance, wrap_advance};
-use gfc_core::frames::{crc16_ccitt, FcpFrame, FcpOp, FrameError, PfcFrame};
+use gfc_core::frames::{crc16_ccitt, BfcFrame, DcfitFrame, FcpFrame, FcpOp, FrameError, PfcFrame};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
+
+/// Every prefix of `wire` shorter than `min` bytes decodes to
+/// `Err(Truncated)`; every longer prefix decodes to `frame`.
+fn prefixes_decode<F: PartialEq + std::fmt::Debug>(
+    wire: &[u8],
+    min: usize,
+    frame: &F,
+    decode: fn(&[u8]) -> Result<F, FrameError>,
+) -> TestCaseResult {
+    for len in 0..=wire.len() {
+        let got = decode(&wire[..len]);
+        let want = if len < min { Err(&FrameError::Truncated) } else { Ok(frame) };
+        prop_assert!(got.as_ref() == want, "{}-byte prefix: {:?}", len, got);
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
     fn pfc_pause_roundtrips(src in proptest::array::uniform6(0u8..), prio in 0u8..8, quanta: u16) {
         let f = PfcFrame::pause(src, prio, quanta);
-        let g = PfcFrame::decode(f.encode()).unwrap();
+        let g = PfcFrame::decode(&f.encode()).unwrap();
         prop_assert_eq!(f, g);
         prop_assert_eq!(g.value_for(prio), Some(quanta));
         for other in 0..8u8 {
@@ -22,7 +40,7 @@ proptest! {
     #[test]
     fn gfc_stage_roundtrips(src in proptest::array::uniform6(0u8..), prio in 0u8..8, stage: u16) {
         let f = PfcFrame::gfc_stage(src, prio, stage);
-        let g = PfcFrame::decode(f.encode()).unwrap();
+        let g = PfcFrame::decode(&f.encode()).unwrap();
         prop_assert!(g.gfc);
         prop_assert_eq!(g.value_for(prio), Some(stage));
     }
@@ -30,7 +48,7 @@ proptest! {
     #[test]
     fn fcp_roundtrips(vl in 0u8..16, fctbs: u16, fccl: u16) {
         let f = FcpFrame::new(FcpOp::Normal, vl, fctbs, fccl);
-        prop_assert_eq!(FcpFrame::decode(f.encode()).unwrap(), f);
+        prop_assert_eq!(FcpFrame::decode(&f.encode()).unwrap(), f);
     }
 
     #[test]
@@ -48,7 +66,7 @@ proptest! {
         // Corruption in the operand or CRC bytes must be caught; the pad
         // byte (index 7) is outside the checksum.
         if pos < 7 {
-            match FcpFrame::decode(&bad[..]) {
+            match FcpFrame::decode(&bad) {
                 Err(FrameError::BadCrc) | Err(FrameError::UnknownKind) => {}
                 Ok(decoded) => prop_assert!(
                     false,
@@ -60,9 +78,24 @@ proptest! {
     }
 
     #[test]
-    fn truncated_pfc_frames_never_panic(len in 0usize..64) {
-        let wire = PfcFrame::pause([2, 0, 0, 0, 0, 1], 0, 9).encode();
-        let _ = PfcFrame::decode(&wire[..len.min(wire.len())]);
+    fn truncated_frames_never_panic(
+        src in proptest::array::uniform6(0u8..),
+        prio in 0u8..8,
+        value: u16,
+        flow: u64,
+        tag_node: u32,
+        pause: bool,
+    ) {
+        let pfc = PfcFrame::pause(src, prio, value);
+        prefixes_decode(&pfc.encode(), 38, &pfc, PfcFrame::decode)?;
+        let gfc = PfcFrame::gfc_stage(src, prio, value);
+        prefixes_decode(&gfc.encode(), 38, &gfc, PfcFrame::decode)?;
+        let fcp = FcpFrame::new(FcpOp::Normal, prio, value, !value);
+        prefixes_decode(&fcp.encode(), 7, &fcp, FcpFrame::decode)?;
+        let bfc = BfcFrame::new(src, prio, flow, pause);
+        prefixes_decode(&bfc.encode(), 26, &bfc, BfcFrame::decode)?;
+        let dcfit = DcfitFrame::new(src, prio, value, tag_node, !value, value ^ 0x5A5A);
+        prefixes_decode(&dcfit.encode(), 27, &dcfit, DcfitFrame::decode)?;
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Congestion Point: ECN marking at the switch egress queue.
 
-use serde::{Deserialize, Serialize};
-
 /// RED-style ECN marker. Queue below `kmin_bytes` → never mark; above
 /// `kmax_bytes` → always mark; in between → probability rising linearly to
 /// `pmax`. With `kmin == kmax` this degenerates to the single-threshold
 /// marker the Fig. 20 study configures (40 KB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcnMarker {
     /// Marking starts above this queue length (bytes).
     pub kmin_bytes: u64,

@@ -1,10 +1,8 @@
 //! Notification Point: CNP pacing at the receiver NIC.
 
-use serde::{Deserialize, Serialize};
-
 /// Generates at most one CNP per `interval_ps` per flow, regardless of how
 /// many ECN-marked packets arrive (the DCQCN "N = 50 µs" rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CnpGenerator {
     /// Minimum spacing between CNPs, picoseconds.
     pub interval_ps: u64,

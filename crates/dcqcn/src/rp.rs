@@ -5,12 +5,10 @@
 //! drive the recovery ladder — fast recovery (binary search back towards
 //! the target), then additive increase, then hyper increase.
 
-use serde::{Deserialize, Serialize};
-
 /// DCQCN tunables. Defaults follow the DCQCN paper with the overrides the
 /// GFC paper states for its Fig. 20 study (α₀ = 0.5, g = 1/256,
 /// timers 55 µs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcqcnParams {
     /// Line rate (bits/s) — the cap and the flow's initial rate.
     pub line_rate_bps: u64,
@@ -57,7 +55,7 @@ impl DcqcnParams {
 }
 
 /// The per-flow reaction-point state machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReactionPoint {
     p: DcqcnParams,
     /// Current rate `R_C` (bits/s).

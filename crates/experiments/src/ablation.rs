@@ -17,10 +17,9 @@ use gfc_sim::Network;
 use gfc_sim::TraceConfig;
 use gfc_telemetry::names;
 use gfc_topology::{Ring, Routing};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the ratio ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationParams {
     /// Ratios to sweep, as `(num, den)`.
     pub ratios: Vec<(u64, u64)>,
@@ -41,7 +40,7 @@ impl Default for AblationParams {
 }
 
 /// Result for one ratio.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RatioOutcome {
     /// The ratio `(num, den)`.
     pub ratio: (u64, u64),
@@ -56,7 +55,7 @@ pub struct RatioOutcome {
 }
 
 /// The ablation result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationResult {
     /// Parameters used.
     pub params: AblationParams,
@@ -122,7 +121,7 @@ impl AblationResult {
 /// `Bm − B1 ≥ 2·C·τ`. This sweep varies the control-processing delay on
 /// the 2-to-1 incast with `B1` derived per §5.4 for each τ, and records
 /// the peak ingress queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TauSweepOutcome {
     /// Control-processing delay `t_r` (µs); τ ≈ t_r + 4.4 µs.
     pub t_proc_us: u64,

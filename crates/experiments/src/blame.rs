@@ -30,11 +30,10 @@ use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::FlowClass;
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::{Ring, Routing, SpfRouting};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Parameters of the blame report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlameParams {
     /// Ring scenario parameters (Fig. 9's defaults).
     pub ring: RingParams,
@@ -59,7 +58,7 @@ impl Default for BlameParams {
 
 /// One scheme's causal summary on one scenario, with the exportable
 /// artifacts (DOT tree, episode/blame CSVs) attached.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeBlame {
     /// Scheme name.
     pub scheme: String,
@@ -165,7 +164,7 @@ pub fn run_fattree_scheme(params: &BlameParams, scheme: Scheme) -> SchemeBlame {
 }
 
 /// The blame report: both scenarios, PFC vs buffer-based GFC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlameResult {
     /// Parameters used.
     pub params: BlameParams,

@@ -8,12 +8,11 @@ use gfc_sim::{PreflightPolicy, SimConfig};
 use gfc_telemetry::{SamplerSet, TimeSeries, TrackKind};
 use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario};
 use gfc_topology::{Routing, Topology};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The flow-control schemes under comparison: the paper's four plus the
 /// two backends beyond the paper (BFC, DCFIT) the shootout pits against them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// IEEE 802.1Qbb Priority Flow Control (baseline).
     Pfc,
@@ -174,7 +173,7 @@ pub fn fig11_scenario() -> &'static (FatTree, Fig11Scenario) {
 
 /// Experiment scale: `Quick` for benches/tests, `Paper` approaches the
 /// paper's sample counts (hours of CPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced sample counts, minutes of CPU.
     Quick,
@@ -277,7 +276,7 @@ where
 
 /// The result grid of a `scenarios × schemes` sweep, scenario-major: cell
 /// `(si, ki)` holds the result of scheme `schemes[ki]` on scenario `si`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixReport<R> {
     /// The scheme columns, in run order.
     pub schemes: Vec<Scheme>,

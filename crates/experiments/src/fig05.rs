@@ -14,10 +14,9 @@ use gfc_core::units::{kb, Dur, Time};
 use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::TimeSeries;
 use gfc_topology::{Incast, Routing};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Fig. 5 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig05Params {
     /// Feedback latency τ.
     pub tau: Dur,
@@ -50,7 +49,7 @@ impl Default for Fig05Params {
 }
 
 /// Traces of one scheme's run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeTrace {
     /// Ingress queue length (bytes) over time.
     pub queue: TimeSeries,
@@ -67,7 +66,7 @@ pub struct SchemeTrace {
 }
 
 /// The Fig. 5 result: PFC vs conceptual GFC.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig05Result {
     /// Parameters used.
     pub params: Fig05Params,

@@ -15,10 +15,9 @@ use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::{names, TimeSeries};
 use gfc_topology::{Ring, Routing};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the ring testbed experiments (shared by Fig. 9/10).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingParams {
     /// Simulated horizon.
     pub horizon: Time,
@@ -37,7 +36,7 @@ impl Default for RingParams {
 }
 
 /// One scheme's ring run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingTrace {
     /// Queue length of the switch port connecting to H1 (bytes).
     pub queue: TimeSeries,
@@ -131,7 +130,7 @@ pub fn run_scheme(params: &RingParams, scheme: Scheme) -> RingTrace {
 }
 
 /// The Fig. 9 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig09Result {
     /// Parameters used.
     pub params: RingParams,

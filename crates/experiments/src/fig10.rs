@@ -10,10 +10,9 @@
 
 use crate::common::{row, Scheme};
 use crate::fig09::{run_scheme, RingParams, RingTrace};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 10 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// Parameters used.
     pub params: RingParams,

@@ -11,11 +11,10 @@ use gfc_sim::{Network, SpanOutcome, TimelineConfig, TraceConfig};
 use gfc_telemetry::{TimeSeries, TrackKind};
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::{Routing, SpfRouting};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Parameters of the fat-tree case study (shared by Figs. 12/13/14).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTreeCaseParams {
     /// Simulated horizon.
     pub horizon: Time,
@@ -36,7 +35,7 @@ impl Default for FatTreeCaseParams {
 }
 
 /// One scheme's fat-tree case run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTreeCaseTrace {
     /// Per-flow throughput series (bits/s, 100 µs bins), in
     /// [`FIG11_FLOWS`] order.
@@ -203,7 +202,7 @@ pub fn run_scheme(params: &FatTreeCaseParams, scheme: Scheme) -> FatTreeCaseTrac
 }
 
 /// The Fig. 12 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Result {
     /// Parameters used.
     pub params: FatTreeCaseParams,

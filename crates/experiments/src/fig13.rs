@@ -4,10 +4,9 @@
 
 use crate::common::{row, Scheme};
 use crate::fig12::{run_scheme, FatTreeCaseParams, FatTreeCaseTrace};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 13 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13Result {
     /// Parameters used.
     pub params: FatTreeCaseParams,

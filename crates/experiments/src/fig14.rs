@@ -13,7 +13,6 @@ use gfc_topology::cbd::depgraph_for_flows;
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::routing::path_dirlinks;
 use gfc_topology::SpfRouting;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Find the Fig. 14 victim pair `(src_index, dst_index)`.
@@ -60,7 +59,7 @@ pub fn find_victim() -> (usize, usize) {
 
 /// The Fig. 14 result. The victim's throughput series is the last entry
 /// of each trace's `flow_throughput`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Result {
     /// Parameters used.
     pub params: FatTreeCaseParams,

@@ -20,10 +20,9 @@ use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the collapse case study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig18Params {
     /// Fat-tree arity.
     pub k: usize,
@@ -79,7 +78,7 @@ impl Default for Fig18Params {
 }
 
 /// One scheme's evolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvolutionTrace {
     /// Aggregate delivered throughput (bits/s) per bin.
     pub throughput: TimeSeries,
@@ -96,7 +95,7 @@ pub struct EvolutionTrace {
 }
 
 /// The Fig. 18 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig18Result {
     /// Parameters used.
     pub params: Fig18Params,

@@ -13,10 +13,9 @@ use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the overhead measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig19Params {
     /// Fat-tree arity (paper: 16).
     pub k: usize,
@@ -63,7 +62,7 @@ impl Default for Fig19Params {
 }
 
 /// The Fig. 19 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig19Result {
     /// Parameters used.
     pub params: Fig19Params,

@@ -15,10 +15,9 @@ use gfc_dcqcn::{DcqcnParams, EcnMarker};
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::TimeSeries;
 use gfc_topology::{Incast, Routing};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the DCQCN interaction study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig20Params {
     /// Number of incast senders (paper: 8).
     pub senders: usize,
@@ -37,7 +36,7 @@ impl Default for Fig20Params {
 }
 
 /// The Fig. 20 result (traces for sender H1 = flow 0).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig20Result {
     /// Parameters used.
     pub params: Fig20Params,

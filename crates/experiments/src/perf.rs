@@ -19,11 +19,10 @@ use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Parameters for the performance comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfParams {
     /// Fat-tree arity.
     pub k: usize,
@@ -82,7 +81,7 @@ impl Default for PerfParams {
 }
 
 /// Per-scheme aggregate metrics over one panel's cases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemePerf {
     /// Per-case mean per-server goodput samples (bits/s).
     pub throughput_samples: Vec<f64>,
@@ -134,7 +133,7 @@ impl SchemePerf {
 }
 
 /// The combined Fig. 16/17 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfResult {
     /// Parameters used.
     pub params: PerfParams,

@@ -23,12 +23,11 @@ use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::registry::percentile;
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::{LinkId, NodeId, Ring, Routing, SpfRouting, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Parameters of the shootout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShootoutParams {
     /// Simulated horizon.
     pub horizon: Time,
@@ -126,7 +125,7 @@ pub fn fattree_scenario() -> ShootoutScenario {
 }
 
 /// One `(scenario, scheme)` cell of the shootout matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShootoutCell {
     /// Scenario name.
     pub scenario: String,
@@ -167,7 +166,7 @@ pub struct ShootoutCell {
 }
 
 /// The full shootout result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShootoutResult {
     /// Parameters used.
     pub params: ShootoutParams,

@@ -18,11 +18,10 @@ use gfc_sim::{Network, TraceConfig};
 use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Census parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Params {
     /// Fat-tree arities to sweep.
     pub ks: Vec<usize>,
@@ -74,7 +73,7 @@ impl Default for Table1Params {
 }
 
 /// Census counts for one arity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KCensus {
     /// Fat-tree arity.
     pub k: usize,
@@ -92,7 +91,7 @@ pub struct KCensus {
 }
 
 /// The Table 1 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Result {
     /// Parameters used.
     pub params: Table1Params,

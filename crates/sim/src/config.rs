@@ -4,7 +4,6 @@ use gfc_core::params::LinkClass;
 use gfc_core::units::{Dur, Rate};
 use gfc_dcqcn::{DcqcnParams, EcnMarker};
 use gfc_verify::FabricSpec;
-use serde::{Deserialize, Serialize};
 
 pub use gfc_core::fc_config::{
     BfcConfig, CbfcParams, ConceptualParams, DcfitParams, FcConfig, GfcBufferParams, GfcTimeParams,
@@ -15,7 +14,7 @@ pub use gfc_verify::PreflightPolicy;
 
 /// How a switch moves packets from ingress FIFOs into free egress staging
 /// slots — i.e. how competing inputs share an output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PumpPolicy {
     /// Output-queued switch: packets move to the egress queue immediately
     /// on arrival (no head-of-line blocking); the output FIFO serves
@@ -38,7 +37,7 @@ pub enum PumpPolicy {
 
 /// Full simulator configuration. Every link shares the same capacity and
 /// propagation delay (the paper's scenarios are homogeneous).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Link capacity `C`.
     pub capacity: Rate,

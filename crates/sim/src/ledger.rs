@@ -3,10 +3,8 @@
 //! network, §6.2.3). The engine owns the mutators: it registers a flow
 //! when the flow starts and stamps it when its last byte is delivered.
 
-use serde::{Deserialize, Serialize};
-
 /// Lifecycle record of one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Flow identity.
     pub id: u64,
@@ -50,7 +48,7 @@ impl FlowRecord {
 }
 
 /// Aggregate flow accounting for one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowLedger {
     records: Vec<FlowRecord>,
 }

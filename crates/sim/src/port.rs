@@ -230,7 +230,7 @@ impl SlotFifo {
 
     /// Append live `slot`, which must be on no list, at the back. A slot
     /// off the lists already links to nothing: [`PacketStore::insert`]
-    /// and [`Self::pop_front`] leave its `next` at [`NIL`].
+    /// and [`Self::pop_front`] leave its `next` at `NIL`.
     #[inline]
     pub fn push_back(&mut self, store: &mut PacketStore, slot: u32) {
         let s = &store.slots[slot as usize];

@@ -16,9 +16,9 @@
 //!
 //! Timestamps are microseconds (the trace-event unit); one simulated
 //! picosecond is 1e-6 µs, so sub-microsecond structure survives as
-//! fractional timestamps. JSON is hand-rolled for the same reason as
-//! [`Snapshot::to_json`](crate::Snapshot::to_json): the vendored `serde`
-//! is an API stub.
+//! fractional timestamps. JSON is hand-rolled, as in
+//! [`Snapshot::to_json`](crate::Snapshot::to_json): the workspace has no
+//! serialization dependency.
 
 use crate::causal::CausalReport;
 use crate::recorder::{EventRecord, RecordKind};

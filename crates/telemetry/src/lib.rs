@@ -43,13 +43,11 @@ pub use timeline::{
     FlowSpan, FlowSpans, SamplerSet, SpanOutcome, TimeSeries, TimelineConfig, TrackKind, TrackMeta,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// What the simulator's observability layer records.
 ///
 /// Lives here (rather than in `gfc-sim`'s config) so the layer stays
 /// reusable; `SimConfig` embeds one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record live metrics (counters/gauges/histograms). When off, every
     /// registry update is a single predictable branch.

@@ -337,8 +337,7 @@ impl Snapshot {
 
     /// Export as a JSON object keyed by metric name.
     ///
-    /// Hand-rolled: the build environment's `serde` is an API-stub (see
-    /// `vendor/serde`), so derives compile but do not serialize.
+    /// Hand-rolled: the workspace has no serialization dependency.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, e) in self.entries.iter().enumerate() {

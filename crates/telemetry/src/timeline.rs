@@ -21,13 +21,12 @@
 //! [`export::ChromeTrace`](crate::export::ChromeTrace) and to CSV for
 //! plotting (the Fig. 13-style occupancy curves).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// What the timeline records. Embedded in
 /// [`TelemetryConfig`](crate::TelemetryConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineConfig {
     /// Sampler cadence in picoseconds; 0 disables the samplers. See
     /// DESIGN.md §10 for choosing a cadence relative to the feedback
@@ -472,7 +471,7 @@ impl FlowSpans {
 /// An append-only `(time_ps, value)` series with step (sample-and-hold)
 /// semantics: the figure-side view of one sampler track, a per-flow
 /// DCQCN rate trace, or a binned throughput meter.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     /// Samples in non-decreasing time order.
     points: Vec<(u64, f64)>,

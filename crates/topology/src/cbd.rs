@@ -22,8 +22,7 @@
 //! [`spf_all_pairs_depgraphs`] builds the last two together. Both take one
 //! BFS per switch with single-homed hosts, not one per host: the DAG
 //! toward such a host is its switch's DAG plus one link. Every BFS of a
-//! pass runs over one [`AliveAdjacency`](crate::graph::AliveAdjacency)
-//! built at its start.
+//! pass runs over one [`AliveAdjacency`] built at its start.
 //!
 //! On top of the graph, [`DepGraph::condensation`] computes the strongly
 //! connected components with an *iterative* Tarjan (generated topologies

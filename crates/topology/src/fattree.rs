@@ -14,7 +14,6 @@
 
 use crate::graph::{LinkId, NodeId, Topology};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// A complete static route table: `(src, dst) → path links` (the shape
@@ -198,7 +197,7 @@ pub const FIG11_FLOWS: [(usize, usize); 4] = [(0, 8), (4, 12), (9, 1), (13, 5)];
 /// The Fig. 11 scenario: a k=4 fat-tree with three failed links chosen so
 /// that shortest-path routing of the four [`FIG11_FLOWS`] yields a
 /// four-link CBD through two cores and two aggregation switches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Scenario {
     /// The three failed links.
     pub failed: Vec<LinkId>,

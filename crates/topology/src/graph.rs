@@ -6,18 +6,16 @@
 //! indices are stable: failing a link keeps every port number unchanged,
 //! matching how a real switch keeps its port map when a cable dies.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Index of an (undirected) link in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 /// One direction of an undirected link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DirLink {
     /// The underlying cable.
     pub link: LinkId,
@@ -43,7 +41,7 @@ impl DirLink {
 }
 
 /// What a node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An end host (traffic source/sink, single port in every topology we
     /// build).
@@ -53,7 +51,7 @@ pub enum NodeKind {
 }
 
 /// Node metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Host or switch.
     pub kind: NodeKind,
@@ -62,7 +60,7 @@ pub struct Node {
 }
 
 /// Link metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -73,7 +71,7 @@ pub struct Link {
 }
 
 /// An undirected multigraph of hosts, switches, and links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -67,7 +67,9 @@ impl DstTree {
                         .filter(|&&(u, _)| dist[u.0 as usize] == dv - 1)
                         .map(|&(_, l)| l),
                 );
-                hops[start..].sort_unstable();
+                // Already sorted: `Topology::add_link` appends every link
+                // to both endpoints' port lists in increasing id order.
+                debug_assert!(hops[start..].windows(2).all(|w| w[0] < w[1]), "next hops unsorted");
             }
             offsets.push(hops.len() as u32);
         }

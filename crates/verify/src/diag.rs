@@ -1,10 +1,9 @@
 //! The diagnostic model: stable codes, severities, and the report.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How severe a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational note; nothing to fix.
     Info,
@@ -29,7 +28,7 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes. Numbers are append-only: a code never changes
 /// meaning once released (tools and docs key off them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// Conceptual GFC violates Theorem 4.1 (`B0 ≤ Bm − 4·C·τ`).
     Gfc001,
@@ -134,7 +133,7 @@ impl fmt::Display for Code {
 
 /// One finding: a stable code, a severity, the offending parameter or
 /// link, what is wrong, and a one-line fix hint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable code (`GFC001`…).
     pub code: Code,
@@ -159,7 +158,7 @@ impl fmt::Display for Diagnostic {
 
 /// The condensed outcome the experiments record next to their runtime
 /// deadlock verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticVerdict {
     /// The topology + routing admits a cyclic buffer dependency in the
     /// conservative all-pairs union graph (the Table 1 prefilter).
@@ -189,7 +188,7 @@ impl fmt::Display for StaticVerdict {
 }
 
 /// The ordered list of findings from one preflight run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     diags: Vec<Diagnostic>,
     /// Set by the CBD check; folded into [`Report::verdict`].

@@ -3,10 +3,9 @@
 use gfc_core::fc_config::FcConfig;
 use gfc_core::theorems;
 use gfc_core::units::{Dur, Rate};
-use serde::{Deserialize, Serialize};
 
 /// Whether the network builders gate on the preflight report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreflightPolicy {
     /// Run the analysis and refuse to build when it finds Errors.
     Enforce,
@@ -21,7 +20,7 @@ pub enum PreflightPolicy {
 /// a view of the simulator's `SimConfig` that keeps `gfc-verify`
 /// independent of the simulator crate (the simulator depends on the
 /// analyzer, not the other way around).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricSpec {
     /// Link capacity `C` (every link; the paper's fabrics are homogeneous).
     pub capacity: Rate,

@@ -10,11 +10,10 @@
 //! the same literature are included for workload-sensitivity studies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A cumulative distribution over flow sizes in bytes, sampled by inverse
 /// transform with log-linear interpolation between anchor points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     /// `(size_bytes, cumulative_probability)`, strictly increasing in both
     /// coordinates, last probability = 1.
@@ -123,7 +122,7 @@ impl EmpiricalCdf {
 }
 
 /// A flow-size model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlowSizeDist {
     /// Every flow has the same size.
     Fixed(u64),

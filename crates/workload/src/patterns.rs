@@ -7,10 +7,9 @@
 //! provided for load-controlled sensitivity studies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a source host picks its next destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DestPolicy {
     /// Uniform over all other hosts.
     UniformOther,
@@ -88,7 +87,7 @@ impl DestPolicy {
 
 /// Poisson arrival process: exponential interarrival times with the given
 /// mean, expressed in picoseconds to stay unit-consistent with `gfc-core`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     /// Mean interarrival time in picoseconds.
     pub mean_interarrival_ps: f64,
