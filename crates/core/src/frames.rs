@@ -161,7 +161,7 @@ impl PfcFrame {
 
     /// Parse from wire bytes.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        let (src_mac, opcode) = mac_control_header(buf, 38)?;
+        let (src_mac, opcode) = mac_control_header(buf, 34)?;
         let gfc = match opcode {
             PFC_OPCODE => false,
             GFC_OPCODE => true,

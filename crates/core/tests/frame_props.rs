@@ -87,9 +87,9 @@ proptest! {
         pause: bool,
     ) {
         let pfc = PfcFrame::pause(src, prio, value);
-        prefixes_decode(&pfc.encode(), 38, &pfc, PfcFrame::decode)?;
+        prefixes_decode(&pfc.encode(), 34, &pfc, PfcFrame::decode)?;
         let gfc = PfcFrame::gfc_stage(src, prio, value);
-        prefixes_decode(&gfc.encode(), 38, &gfc, PfcFrame::decode)?;
+        prefixes_decode(&gfc.encode(), 34, &gfc, PfcFrame::decode)?;
         let fcp = FcpFrame::new(FcpOp::Normal, prio, value, !value);
         prefixes_decode(&fcp.encode(), 7, &fcp, FcpFrame::decode)?;
         let bfc = BfcFrame::new(src, prio, flow, pause);

@@ -24,14 +24,12 @@ pub enum PumpPolicy {
     /// sources outcompete throttled transit traffic, which is exactly the
     /// imbalance that feeds the deadlock scenarios.
     OutputQueued,
-    /// Input-queued with bounded egress staging, arrival order across
-    /// ingress FIFO heads: adds head-of-line blocking to the proportional
-    /// discipline (a single software forwarding pipeline such as the
-    /// paper's DPDK testbed switch).
-    ArrivalOrder,
-    /// Input-queued with bounded egress staging, round-robin across
-    /// ingress ports: fair shares per input, as in VOQ/iSLIP hardware
-    /// fabrics.
+    /// Input-queued, round-robin across ingress ports: fair shares per
+    /// input, as in VOQ/iSLIP hardware fabrics. Each (egress, priority)
+    /// stages at most 2 packets (one on the wire, one ready behind it),
+    /// and each grant moves one packet from the chosen ingress FIFO, so
+    /// a packet whose egress is full waits at its ingress (head-of-line
+    /// blocking).
     RoundRobin,
 }
 
@@ -51,14 +49,6 @@ pub struct SimConfig {
     pub fc: FcConfig,
     /// Output-sharing discipline of the switches.
     pub pump: PumpPolicy,
-    /// Packets moved per round-robin pump grant (input-queued policies).
-    /// 1 = ideal per-packet fairness; the paper's DPDK testbed switch
-    /// forwards in bursts of 32 (test-pipeline's batch size), which is the
-    /// burstiness that seeds its PFC ring deadlock.
-    pub pump_batch: usize,
-    /// Egress staging slots (packets) for input-queued policies. Must be
-    /// at least 2 to keep the wire busy; raise alongside `pump_batch`.
-    pub stage_slots: usize,
     /// Receiver-side control-message processing delay `t_r`.
     pub ctrl_proc_delay: Dur,
     /// Number of priority classes / virtual lanes in use (1..=8).
@@ -108,8 +98,6 @@ impl SimConfig {
             buffer_bytes: buffer,
             fc: FcConfig::pfc(pfc.xoff, pfc.xon),
             pump: PumpPolicy::RoundRobin,
-            pump_batch: 1,
-            stage_slots: 2,
             ctrl_proc_delay: link.t_proc,
             num_priorities: 1,
             ecn: None,
@@ -173,64 +161,85 @@ impl SimConfig {
             }
             FcConfig::None => {}
         }
-        assert!(self.monitor_interval.0 > 0);
-        assert!(self.progress_window >= self.monitor_interval);
-        assert!(self.pump_batch >= 1, "pump batch must be at least 1");
-        assert!(self.stage_slots >= 2, "need at least 2 staging slots to keep the wire busy");
+        assert!(self.monitor_interval.0 > 0, "monitor interval must be positive");
+        assert!(
+            self.progress_window >= self.monitor_interval,
+            "progress window shorter than the monitor interval"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn default_is_valid() {
         SimConfig::default_10g().validate();
     }
 
+    /// Every `validate` assert, broken alone on the default config,
+    /// panics with its own message. One row per assert; the MTU rule and
+    /// the shared PFC/DCFIT XON rule get a row for each way to break them.
     #[test]
-    #[should_panic(expected = "XON must be below XOFF")]
-    fn rejects_bad_pfc() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::pfc(10, 10);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "XON must be below XOFF")]
-    fn rejects_bad_dcfit() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::dcfit(10, 10);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "BFC thresholds inconsistent")]
-    fn rejects_bad_bfc() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::Bfc(BfcConfig {
-            flow_xoff: 100,
-            flow_xon: 200,
-            agg_xoff: 1000,
-            agg_xon: 900,
-        });
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "MTU must fit")]
-    fn rejects_oversize_mtu() {
-        let mut c = SimConfig::default_10g();
-        c.mtu = c.buffer_bytes + 1;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "Bm beyond buffer")]
-    fn rejects_gfc_bm_beyond_buffer() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcConfig::gfc_buffer(c.buffer_bytes + 1, 10);
-        c.validate();
+    fn each_rule_rejects_its_own_violation() {
+        type Break = fn(&mut SimConfig);
+        let cases: [(&str, Break); 20] = [
+            ("capacity must be positive", |c| c.capacity = Rate::ZERO),
+            ("MTU must fit the buffer", |c| c.mtu = c.buffer_bytes + 1),
+            ("MTU must fit the buffer", |c| c.mtu = 0),
+            ("1..=8 priorities supported", |c| c.num_priorities = 9),
+            ("XON must be below XOFF", |c| c.fc = FcConfig::pfc(10, 10)),
+            ("XON must be below XOFF", |c| c.fc = FcConfig::dcfit(10, 10)),
+            ("XOFF beyond buffer", |c| c.fc = FcConfig::pfc(c.buffer_bytes + 1, 10)),
+            ("B1 must be below Bm", |c| c.fc = FcConfig::gfc_buffer(1000, 1000)),
+            ("Bm beyond buffer", |c| c.fc = FcConfig::gfc_buffer(c.buffer_bytes + 1, 10)),
+            ("stage ratio must be in (0, 1)", |c| {
+                c.fc =
+                    FcConfig::GfcBuffer(GfcBufferParams { bm: 1000, b1: 10, stage_ratio: (2, 2) });
+            }),
+            ("B0 must be below Bm", |c| c.fc = FcConfig::gfc_time(1000, 1000, Dur(1))),
+            ("Bm beyond buffer", |c| c.fc = FcConfig::gfc_time(10, c.buffer_bytes + 1, Dur(1))),
+            ("period must be positive", |c| c.fc = FcConfig::gfc_time(10, 1000, Dur::ZERO)),
+            ("B0 must be below Bm", |c| c.fc = FcConfig::conceptual(1000, 1000, Dur::ZERO)),
+            ("Bm beyond buffer", |c| {
+                c.fc = FcConfig::conceptual(10, c.buffer_bytes + 1, Dur::ZERO);
+            }),
+            ("period must be positive", |c| c.fc = FcConfig::cbfc(Dur::ZERO)),
+            ("BFC thresholds inconsistent", |c| {
+                c.fc = FcConfig::Bfc(BfcConfig {
+                    flow_xoff: 100,
+                    flow_xon: 200,
+                    agg_xoff: 1000,
+                    agg_xon: 900,
+                });
+            }),
+            ("aggregate XOFF beyond buffer", |c| {
+                let agg_xoff = c.buffer_bytes + 1;
+                c.fc = FcConfig::Bfc(BfcConfig {
+                    flow_xoff: 100,
+                    flow_xon: 50,
+                    agg_xoff,
+                    agg_xon: 900,
+                });
+            }),
+            ("monitor interval must be positive", |c| c.monitor_interval = Dur::ZERO),
+            ("progress window shorter than the monitor interval", |c| {
+                c.progress_window = Dur::from_micros(50);
+            }),
+        ];
+        for (want, brk) in cases {
+            let mut c = SimConfig::default_10g();
+            brk(&mut c);
+            let err = catch_unwind(AssertUnwindSafe(|| c.validate()))
+                .expect_err(&format!("{want}: accepted"));
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(msg.contains(want), "{want}: panicked with {msg:?}");
+        }
     }
 }

@@ -45,6 +45,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+/// Egress staging depth per (port, priority) of an input-queued switch:
+/// one packet on the wire and one ready behind it keep the link busy.
+/// A FIFO head whose egress holds this many waits at its ingress.
+const STAGE_SLOTS: usize = 2;
+
 /// One active flow at its source host.
 #[derive(Debug)]
 struct HostFlow {
@@ -73,14 +78,12 @@ struct HostState {
 }
 
 /// Per-node switching state: the pump's cursor and masks and the node's
-/// arrival and ECN-draw counters, in one record so a handler reaches all
-/// of it through one index.
+/// ECN-draw counter, in one record so a handler reaches all of it
+/// through one index.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeSw {
     /// Rotating start port for fair ingress pumping.
     pump_rr: usize,
-    /// Arrival sequence counter (for arrival-ordered pumping).
-    arrival_seq: u64,
     /// Bitmask of ports whose ingress FIFOs hold packets, so
     /// [`Network::pump`] exits in one load on the (common) empty case and
     /// skips idle ports otherwise. Nodes with more than 64 ports are
@@ -1206,12 +1209,9 @@ impl Network {
         }
         // Input-buffered switch: queue in the ingress FIFO; the packet
         // moves to its egress only when a staging slot frees.
-        let sw = &mut self.sw[n];
-        let arrival_seq = sw.arrival_seq;
-        sw.arrival_seq += 1;
         let ing_q = &mut self.ports[ing_ix].pq_mut(prio).ing_q;
         let new_head = ing_q.is_empty();
-        ing_q.push_back(IngressPacket { slot, out_port: out_port as u32, arrival_seq });
+        ing_q.push_back(IngressPacket { slot, out_port: out_port as u32 });
         if new_head && span.len() <= 64 {
             // The arrival installed a new (maybe movable) head. Behind an
             // existing head it changes nothing: that head is still
@@ -1225,19 +1225,18 @@ impl Network {
     }
 
     /// Move packets from ingress FIFOs into free egress staging slots,
-    /// kicking each egress that receives work. Runs to a fixed point. The
-    /// selection among competing FIFO heads follows [`PumpPolicy`]; only
-    /// the input-buffered policies pump (an output-queued switch has no
-    /// ingress FIFO, see [`Self::forward_at_switch`]). `span` is the
-    /// node's range of the port table, resolved once by the caller; every
-    /// port the pump touches is checked against it.
+    /// kicking each egress that receives work. Runs to a fixed point. Each
+    /// round grants one packet to the first movable FIFO head in
+    /// round-robin port order ([`PumpPolicy::RoundRobin`]); an
+    /// output-queued switch has no ingress FIFO and never pumps (see
+    /// [`Self::forward_at_switch`]). `span` is the node's range of the
+    /// port table, resolved once by the caller; every port the pump
+    /// touches is checked against it.
     fn pump(&mut self, node: NodeId, span: PortSpan) {
         debug_assert!(self.cfg.pump != PumpPolicy::OutputQueued, "output-queued switch pumped");
         let n = node.0 as usize;
         let num_ports = span.len();
         let np = self.cfg.num_priorities;
-        let round_robin = self.cfg.pump == PumpPolicy::RoundRobin;
-        let slots = self.cfg.stage_slots;
         loop {
             // One load answers the common case: no ingress FIFO holds
             // anything, nothing to move.
@@ -1247,12 +1246,12 @@ impl Network {
             }
             // Find a movable head: an (ingress port, prio) whose target
             // egress has a free staging slot.
-            let best: Option<(usize, usize)> = if round_robin && num_ports <= 64 {
-                // Round-robin fast path: walk only the set bits of the
-                // pending-and-not-blocked mask, in rotated order, and
-                // take the first movable head — the same selection the
-                // generic scan below makes, without touching idle or
-                // known-blocked ports. Ports that turn out blocked are
+            let best: Option<(usize, usize)> = if num_ports <= 64 {
+                // Fast path: walk only the set bits of the pending-and-
+                // not-blocked mask, in rotated order, and take the first
+                // movable head — the same selection the generic scan
+                // below makes, without touching idle or known-blocked
+                // ports. Ports that turn out blocked are
                 // recorded in `ing_blocked` + the target's
                 // `head_waiters`, so a node whose every waiting head is
                 // staged-out resolves the next pump in two loads.
@@ -1272,7 +1271,7 @@ impl Network {
                             };
                             any_head = true;
                             let out = span.ix(head.out_port as usize);
-                            if self.ports[out].pq(prio).eg.q.len() < slots {
+                            if self.ports[out].pq(prio).eg.q.len() < STAGE_SLOTS {
                                 found = Some((ing, prio));
                                 break 'scan;
                             }
@@ -1288,62 +1287,36 @@ impl Network {
                 }
                 found
             } else {
-                let mut best: Option<(usize, usize, u64)> = None; // (ing, prio, seq)
+                // Generic scan, the only path for nodes of more than 64
+                // ports (their pending mask is pinned at MAX): the first
+                // movable head in rotated port order, priorities low to
+                // high within a port.
                 let start = self.sw[n].pump_rr;
-                for i in 0..num_ports {
-                    let ing = (start + i) % num_ports;
-                    // Skip ports with empty FIFOs without touching their
-                    // state (bit 64+ ports always scan — their node's
-                    // mask is pinned at MAX).
-                    if ing < 64 && pending & (1 << ing) == 0 {
-                        continue;
-                    }
-                    let ing_ix = span.ix(ing);
-                    for prio in 0..np {
-                        let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
-                            continue;
-                        };
+                (0..num_ports).map(|i| (start + i) % num_ports).find_map(|ing| {
+                    (0..np).find_map(|prio| {
+                        let head = self.ports[span.ix(ing)].pq(prio).ing_q.front()?;
                         let out = span.ix(head.out_port as usize);
-                        if self.ports[out].pq(prio).eg.q.len() >= slots {
-                            continue; // head-of-line wait at the ingress FIFO
-                        }
-                        if round_robin {
-                            best = Some((ing, prio, head.arrival_seq));
-                            break;
-                        }
-                        if best.is_none_or(|(_, _, s)| head.arrival_seq < s) {
-                            best = Some((ing, prio, head.arrival_seq));
-                        }
-                    }
-                    if round_robin && best.is_some() {
-                        break;
-                    }
-                }
-                best.map(|(ing, prio, _)| (ing, prio))
+                        // A full egress is a head-of-line wait.
+                        (self.ports[out].pq(prio).eg.q.len() < STAGE_SLOTS).then_some((ing, prio))
+                    })
+                })
             };
             let Some((ing, prio)) = best else { return };
+            // Grant: move the chosen head into its egress staging.
             let ing_ix = span.ix(ing);
-            // Grant: move up to `pump_batch` packets from the chosen FIFO
-            // (the DPDK testbed switch forwards in such bursts).
-            let mut granted = 0usize;
-            while granted < self.cfg.pump_batch {
-                let Some(head) = self.ports[ing_ix].pq(prio).ing_q.front() else {
-                    break;
-                };
-                let out_port = head.out_port as usize;
-                let out = span.ix(out_port);
-                if self.ports[out].pq(prio).eg.q.len() >= slots {
-                    break;
-                }
-                let IngressPacket { slot, .. } =
-                    self.ports[ing_ix].pq_mut(prio).ing_q.pop_front().expect("head vanished");
-                let bytes = self.store.get(slot).bytes;
-                let eg = &mut self.ports[out].pq_mut(prio).eg;
-                eg.bytes += bytes;
-                eg.q.push_back(&mut self.store, slot);
-                granted += 1;
-                self.try_transmit(node, out_port, out);
-            }
+            let IngressPacket { slot, out_port } =
+                self.ports[ing_ix].pq_mut(prio).ing_q.pop_front().expect("selected head");
+            let out_port = out_port as usize;
+            let out = span.ix(out_port);
+            debug_assert!(
+                self.ports[out].pq(prio).eg.q.len() < STAGE_SLOTS,
+                "pump granted a head whose egress staging is full"
+            );
+            let bytes = self.store.get(slot).bytes;
+            let eg = &mut self.ports[out].pq_mut(prio).eg;
+            eg.bytes += bytes;
+            eg.q.push_back(&mut self.store, slot);
+            self.try_transmit(node, out_port, out);
             if num_ports <= 64 && self.ports[ing_ix].pqs().all(|pq| pq.ing_q.is_empty()) {
                 self.sw[n].ing_pending &= !(1 << ing);
             }
@@ -2044,7 +2017,6 @@ mod tests {
         /// `u64::MAX` and never marks a head blocked. Returns the number of
         /// ports marked blocked.
         fn assert_pump_masks(&self) -> u32 {
-            let slots = self.cfg.stage_slots;
             let mut blocked = 0;
             for (n, node_ports) in self.ports.nodes().enumerate() {
                 let sw = &self.sw[n];
@@ -2066,7 +2038,7 @@ mod tests {
                         let Some(head) = ps.pq(prio).ing_q.front() else { continue };
                         let target = &node_ports[head.out_port as usize];
                         assert!(
-                            target.pq(prio).eg.q.len() >= slots,
+                            target.pq(prio).eg.q.len() >= STAGE_SLOTS,
                             "node {n} port {p}: marked blocked, but egress {} has a free slot",
                             head.out_port
                         );
@@ -2197,20 +2169,13 @@ mod tests {
     /// priority 1 when there are two), so FIFO heads block on two
     /// egresses.
     fn star(hosts: usize, prios: u8) -> Network {
-        star_pumped(hosts, prios, PumpPolicy::RoundRobin)
-    }
-
-    /// [`star`] under `pump`.
-    fn star_pumped(hosts: usize, prios: u8, pump: PumpPolicy) -> Network {
         let mut topo = Topology::new();
         let sw = topo.add_switch("S");
         let hs: Vec<NodeId> = (0..hosts).map(|i| topo.add_host(format!("H{i}"))).collect();
         for &h in &hs {
             topo.add_link(h, sw);
         }
-        let mut cfg = gfc_cfg(prios);
-        cfg.pump = pump;
-        let mut net = Network::new(topo, Routing::spf(), cfg, TraceConfig::none());
+        let mut net = Network::new(topo, Routing::spf(), gfc_cfg(prios), TraceConfig::none());
         for i in 0..hosts {
             let far = (i + hosts / 2) % hosts;
             net.start_flow(hs[i], hs[(i / 2 * 2 + 2) % hosts], None, 0).expect("star route");
@@ -2278,11 +2243,8 @@ mod tests {
     }
 
     #[test]
-    fn packet_store_matches_the_queues_on_an_arrival_order_70_port_star() {
-        let most = run_checking_store(
-            star_pumped(70, 1, PumpPolicy::ArrivalOrder),
-            Time::from_micros(200),
-        );
+    fn packet_store_matches_the_queues_on_a_round_robin_70_port_star() {
+        let most = run_checking_store(star(70, 1), Time::from_micros(200));
         assert!(most > 100, "only {most} packets ever live");
     }
 

@@ -10,8 +10,8 @@
 //! moves into the next `Event::Arrive`. A slot is 56 B: the 48-B
 //! [`Packet`], the ingress port charged for it, and a `next` link. The
 //! queues between those two points hold slot numbers, not packets: an
-//! ingress FIFO holds [`IngressPacket`]s (16 B: the slot plus the
-//! forwarding decision and arrival number the pump reads at every head);
+//! ingress FIFO holds [`IngressPacket`]s (8 B: the slot plus the
+//! forwarding decision the pump reads at every head);
 //! an egress queue is a [`SlotFifo`], a head/tail/length triple whose
 //! list is threaded through the slots' `next` links, the way a
 //! shared-buffer switch chains each output queue's cells through one
@@ -269,7 +269,7 @@ impl SlotFifo {
 }
 
 /// A packet waiting in an ingress FIFO with its forwarding decision: its
-/// store slot plus the two fields the pump reads at every FIFO head, so
+/// store slot plus the egress the pump reads at every FIFO head, so
 /// choosing a head never touches the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngressPacket {
@@ -277,19 +277,17 @@ pub struct IngressPacket {
     pub slot: u32,
     /// The egress port it will leave through.
     pub out_port: u32,
-    /// Node-local arrival sequence number (for arrival-ordered pumping).
-    pub arrival_seq: u64,
 }
 
-/// One egress priority queue. Under the input-buffered pump policies it
-/// is a *small* staging area (per the paper's Fig. 2, packets wait in
+/// One egress priority queue. Under `PumpPolicy::RoundRobin` it is a
+/// *small* staging area (per the paper's Fig. 2, packets wait in
 /// ingress FIFOs and move to the egress only when a staging slot frees);
 /// an output-queued switch enqueues every arrival here directly.
 #[derive(Debug, Clone, Default)]
 pub struct EgressQueue {
     /// FIFO of staged packets' slots, linked through the network's
-    /// [`PacketStore`]: at most `SimConfig::stage_slots` under the
-    /// input-buffered pump policies, unbounded under
+    /// [`PacketStore`]: at most 2 (the input-queued switch's staging
+    /// depth) under `PumpPolicy::RoundRobin`, unbounded under
     /// `PumpPolicy::OutputQueued`.
     pub q: SlotFifo,
     /// Total bytes staged.
@@ -652,7 +650,7 @@ mod tests {
     #[test]
     fn queue_handles_stay_small() {
         use std::mem::size_of;
-        assert!(size_of::<IngressPacket>() <= 16);
+        assert_eq!(size_of::<IngressPacket>(), 8);
         assert!(size_of::<SlotFifo>() <= 12);
         assert_eq!(size_of::<Packet>(), 48);
         assert!(size_of::<crate::event::Event>() <= 64);

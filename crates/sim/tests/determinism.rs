@@ -115,17 +115,18 @@ fn star(hosts: usize) -> (Topology, Vec<NodeId>) {
     (topo, hs)
 }
 
-/// A 70-host star under buffer-based GFC: one switch with more than 64
-/// ports, so its pump takes the generic scan. Hosts `2k` and `2k + 1`
-/// both send to host `2k + 2` (a 2:1 incast on every even host), and
-/// every host also sends half the star away, so each ingress FIFO holds
-/// packets for two egresses and its head can block on either.
-fn run_star(pump: PumpPolicy, seed: u64) -> RunFingerprint {
+/// A 70-host star under buffer-based GFC on round-robin switches: one
+/// switch with more than 64 ports, so its pump takes the generic scan.
+/// Hosts `2k` and `2k + 1` both send to host `2k + 2` (a 2:1 incast on
+/// every even host), and every host also sends half the star away, so
+/// each ingress FIFO holds packets for two egresses and its head can
+/// block on either.
+fn run_star(seed: u64) -> RunFingerprint {
     let (topo, hosts) = star(70);
     let mut cfg = SimConfig::default_10g();
     cfg.buffer_bytes = kb(300) + 4 * 1500;
     cfg.fc = FcConfig::gfc_buffer(kb(300), kb(281));
-    cfg.pump = pump;
+    cfg.pump = PumpPolicy::RoundRobin;
     cfg.seed = seed;
     cfg.preflight = PreflightPolicy::Acknowledge;
     let mut net = Network::new(topo, Routing::spf(), cfg, TraceConfig::none());
@@ -281,14 +282,8 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
             run_fattree_fc(dcfit, PumpPolicy::OutputQueued, 4242),
             (271_451, 0xc6ec_3819_95ca_9161, 0x506c_9963_da85_01fe),
         ),
-        // The input-buffered pump's other paths: arrival-order selection,
-        // priorities past the inline one, and a node too wide for the
-        // 64-bit pending/blocked masks.
-        (
-            "ArrivalOrder GFC ring",
-            run_ring_fc(gfc, PumpPolicy::ArrivalOrder, 9, None),
-            (18_931, 0xe3c1_33b0_80f6_90f2, 0x4e7c_b668_d7f3_9966),
-        ),
+        // The input-queued pump's other paths: priorities past the inline
+        // one, and a node too wide for the 64-bit pending/blocked masks.
         (
             "two-priority GFC ring",
             run_ring_prios(gfc, PumpPolicy::RoundRobin, 2, 9, None),
@@ -296,13 +291,8 @@ fn dispatch_order_matches_the_recorded_fingerprints() {
         ),
         (
             "70-host RoundRobin star",
-            run_star(PumpPolicy::RoundRobin, 9),
+            run_star(9),
             (196_045, 0x6db4_0176_4e49_a00f, 0x4e7c_b668_d7f3_9966),
-        ),
-        (
-            "70-host ArrivalOrder star",
-            run_star(PumpPolicy::ArrivalOrder, 9),
-            (208_422, 0x8d67_7066_ce7c_4495, 0x4e7c_b668_d7f3_9966),
         ),
     ];
     for (name, fp, want) in cases {

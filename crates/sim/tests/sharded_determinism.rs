@@ -309,13 +309,17 @@ fn clipped_windows_match_sequential() {
     }
 }
 
-/// Halted runs: greedy flows wedge the ring, `stop_on_deadlock` is on,
-/// and both engines stop at the same monitor barrier in the same state.
-/// The sharded run is driven by two `run_until` calls, so whichever one
-/// the halt lands in, every call after it must change nothing.
-/// Output-queued PFC, CBFC, BFC and DCFIT halt on a wait-for cycle; under
-/// the arrival-order pump with small staging every backend wedges, the
-/// two GFCs on the progress verdict.
+/// Halted runs: greedy flows on the ring, `stop_on_deadlock` is on, and
+/// both engines stop at the same monitor barrier in the same state. The
+/// sharded run is driven by two `run_until` calls, so whichever one the
+/// halt lands in, every call after it must change nothing.
+/// Output-queued PFC, BFC and DCFIT halt on a wait-for cycle in the
+/// first call (at 1.1, 0.2 and 1.1 ms), output-queued CBFC in the second
+/// (2.2 ms). Round-robin GFC never wedges the ring, so each GFC variant
+/// halts on the progress verdict with a window shorter than the ring's
+/// first delivery: a 5 µs window (1 µs monitor interval) halts at 5 µs,
+/// in the first call; 1 ms links push the first delivery past 3 ms, and
+/// a 2.5 ms window halts at 2.5 ms, in the second call.
 #[test]
 fn halted_runs_match_sequential() {
     let ring = Ring::new(3);
@@ -324,19 +328,28 @@ fn halted_runs_match_sequential() {
         flow.2 = None;
     }
     let mut cases = Vec::new();
-    for (name, fc, _) in backends() {
-        if matches!(name, "pfc" | "cbfc" | "bfc" | "dcfit") {
+    for (name, fc, pump) in backends() {
+        if !fc.is_gfc() {
             cases.push((format!("{name}:oq"), base_cfg(fc, PumpPolicy::OutputQueued)));
+            continue;
         }
-        let mut cfg = base_cfg(fc, PumpPolicy::ArrivalOrder);
-        cfg.pump_batch = 32;
-        cfg.stage_slots = 64;
-        cases.push((format!("{name}:arrival"), cfg));
+        let mut cfg = base_cfg(fc, pump);
+        cfg.monitor_interval = Dur::from_micros(1);
+        cfg.progress_window = Dur::from_micros(5);
+        cases.push((format!("{name}:short-window"), cfg));
+        let mut cfg = base_cfg(fc, pump);
+        cfg.prop_delay = Dur::from_millis(1);
+        cfg.progress_window = Dur::from_micros(2500);
+        cases.push((format!("{name}:long-links"), cfg));
     }
     for (name, mut cfg) in cases {
         cfg.stop_on_deadlock = true;
         let seq = run_sequential(&sc, cfg.clone());
-        assert!(seq.deadlocked || seq.structural, "{name}: sequential run reached no verdict");
+        if cfg.fc.is_gfc() {
+            assert!(seq.deadlocked && !seq.structural, "{name}: no progress-verdict halt");
+        } else {
+            assert!(seq.structural, "{name}: sequential run found no wait-for cycle");
+        }
         for arcs in [2usize, 3] {
             let part = Partition::ring_arcs(&ring, arcs);
             for workers in [1usize, 2, 4] {

@@ -111,7 +111,7 @@ fn incast_fair_share_is_respected() {
 
 #[test]
 fn output_queued_and_round_robin_both_work_when_uncongested() {
-    for pump in [PumpPolicy::OutputQueued, PumpPolicy::RoundRobin, PumpPolicy::ArrivalOrder] {
+    for pump in [PumpPolicy::OutputQueued, PumpPolicy::RoundRobin] {
         let ft = FatTree::new(4);
         let mut cfg = base_cfg(gfc_mode(), 7);
         cfg.pump = pump;
