@@ -1,11 +1,15 @@
-//! The flow-control backend API: the trait pair every scheme implements
-//! plus the control-payload vocabulary shared by all of them.
+//! The flow-control backend API: the trait pair every scheme implements,
+//! the control-payload vocabulary shared by all of them, and the lossy
+//! no-op pair ([`NoneRx`]/[`NoneTx`]).
 //!
 //! A scheme is a **receiver** ([`FcRx`], one per watched ingress
 //! `(port, priority)`) that turns queue observations into control
-//! payloads, and a **sender** ([`FcTx`], one per controlled egress
-//! `(port, priority)`) that applies those payloads to its gate and rate.
-//! The simulator owns clocks, queues, and the §5.3 rate limiter; backends
+//! payloads — the paper's message generator — and a **sender** ([`FcTx`],
+//! one per controlled egress `(port, priority)`) that applies those
+//! payloads to its gate and rate — the rate adjuster. Each scheme's two
+//! state machines implement the traits themselves, in the scheme's own
+//! module (`PfcReceiver`/`PfcSender` in [`crate::pfc`], and so on). The
+//! simulator owns clocks, queues, and the §5.3 rate limiter; backends
 //! own nothing but their protocol state. The simulator holds the
 //! [`crate::AnyRx`]/[`crate::AnyTx`] enums and dispatches by match, so
 //! adding a scheme means implementing the pair plus one variant in
@@ -27,15 +31,11 @@
 //!   graph detector). Schemes without a hard gate return `true`/`false`
 //!   respectively, unconditionally.
 
-use crate::cbfc::{wrap16_advance, CbfcReceiver, CbfcSender};
-use crate::conceptual::{ConceptualReceiver, ConceptualSender};
 use crate::frames::{
     BfcFrame, DcfitFrame, FcpFrame, FcpOp, PfcFrame, BFC_FRAME_WIRE_BYTES,
     CONTROL_FRAME_WIRE_BYTES, DCFIT_FRAME_WIRE_BYTES, FCP_WIRE_BYTES,
 };
-use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
-use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
-use crate::pfc::{PfcEvent, PfcReceiver, PfcSender};
+use crate::pfc::PfcEvent;
 use crate::units::{Rate, Time};
 
 /// Control-plane accounting class of a feedback message. Each class maps
@@ -403,10 +403,6 @@ pub trait FcTx: std::fmt::Debug + Send {
     }
 }
 
-// ----------------------------------------------------------------------
-// Backends for the paper's five schemes
-// ----------------------------------------------------------------------
-
 /// Scheme name used by the lossy (no flow control) backend.
 pub const LOSSY_SCHEME: &str = "lossy (no flow control)";
 
@@ -447,366 +443,10 @@ impl FcTx for NoneTx {
     }
 }
 
-/// PFC receiver backend (threshold watcher).
-#[derive(Debug, Clone)]
-pub struct PfcRx(pub PfcReceiver);
-
-impl FcRx for PfcRx {
-    fn scheme(&self) -> &'static str {
-        "PFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if let Some(ev) = self.0.on_queue_update(ctx.q_bytes) {
-            out.push(CtrlPayload::Pfc(ev));
-        }
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if let Some(ev) = self.0.on_queue_update(ctx.q_bytes) {
-            out.push(CtrlPayload::Pfc(ev));
-        }
-    }
-    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
-        match payload {
-            CtrlPayload::Pfc(PfcEvent::Pause { .. }) => Sense::AssertHard,
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.0.messages_sent()
-    }
-}
-
-/// PFC sender backend (pause state).
-#[derive(Debug, Clone)]
-pub struct PfcTx(pub PfcSender);
-
-impl FcTx for PfcTx {
-    fn scheme(&self) -> &'static str {
-        "PFC"
-    }
-    fn on_ctrl(&mut self, payload: CtrlPayload, now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
-        match payload {
-            CtrlPayload::Pfc(ev) => {
-                self.0.on_event(ev, now);
-                Ok(CtrlOutcome::gate(!self.0.is_paused(now)))
-            }
-            other => Err(SchemeMismatch::new(other, self.scheme())),
-        }
-    }
-    fn hard_open(&mut self, _head: &TxHead, now: Time) -> bool {
-        !self.0.is_paused(now)
-    }
-    fn hard_blocked(&self, _head: &TxHead, now: Time) -> bool {
-        self.0.is_paused(now)
-    }
-    fn hold_and_wait_episodes(&self) -> u64 {
-        self.0.pauses_entered()
-    }
-}
-
-/// CBFC receiver backend (credit accountant + periodic advertiser).
-#[derive(Debug, Clone)]
-pub struct CbfcRx {
-    inner: CbfcReceiver,
-    /// Fabric buffer size, for the hard-assert sense classification.
-    buffer_bytes: u64,
-    /// Fabric MTU: feedback sent while a full frame no longer fits is a
-    /// hard assert (the advertised window stops the upstream).
-    mtu: u64,
-}
-
-impl CbfcRx {
-    /// New CBFC receiver over `buffer_bytes`.
-    pub fn new(buffer_bytes: u64, mtu: u64) -> CbfcRx {
-        CbfcRx { inner: CbfcReceiver::new(buffer_bytes), buffer_bytes, mtu }
-    }
-}
-
-impl FcRx for CbfcRx {
-    fn scheme(&self) -> &'static str {
-        "CBFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
-        self.inner.on_packet_received(ctx.pkt_bytes); // feedback is periodic
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
-        self.inner.on_packet_drained(ctx.pkt_bytes);
-    }
-    fn periodic(&mut self) -> Option<CtrlPayload> {
-        Some(CtrlPayload::FcclWire((self.inner.make_feedback() & 0xFFFF) as u16))
-    }
-    fn on_host_delivery(&mut self, bytes: u64) {
-        self.inner.on_packet_received(bytes);
-        self.inner.on_packet_drained(bytes);
-    }
-    fn sense(&self, payload: &CtrlPayload, ing_bytes: u64) -> Sense {
-        match payload {
-            // The upstream stops once the advertised window no longer
-            // admits a full frame — a hard assert.
-            CtrlPayload::FcclWire(_) if ing_bytes + self.mtu > self.buffer_bytes => {
-                Sense::AssertHard
-            }
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent()
-    }
-}
-
-/// CBFC sender backend (credit gate with 16-bit wire reconstruction).
-#[derive(Debug, Clone)]
-pub struct CbfcTx {
-    tx: CbfcSender,
-    /// Monotone FCCL reconstructed from 16-bit wire values.
-    fccl_recon: u64,
-}
-
-impl CbfcTx {
-    /// New CBFC sender with the full-buffer initial credit limit.
-    pub fn new(buffer_bytes: u64) -> CbfcTx {
-        let blocks = buffer_bytes / crate::cbfc::BLOCK_BYTES;
-        CbfcTx { tx: CbfcSender::new(blocks), fccl_recon: blocks }
-    }
-}
-
-impl FcTx for CbfcTx {
-    fn scheme(&self) -> &'static str {
-        "CBFC"
-    }
-    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
-        match payload {
-            CtrlPayload::FcclWire(w) => {
-                self.fccl_recon = wrap16_advance(self.fccl_recon, w);
-                self.tx.on_feedback(self.fccl_recon);
-                Ok(CtrlOutcome::gate(true))
-            }
-            other => Err(SchemeMismatch::new(other, self.scheme())),
-        }
-    }
-    fn hard_open(&mut self, head: &TxHead, _now: Time) -> bool {
-        self.tx.can_send(head.bytes)
-    }
-    fn hard_blocked(&self, head: &TxHead, _now: Time) -> bool {
-        !self.tx.would_allow(head.bytes)
-    }
-    fn on_sent(&mut self, head: &TxHead) {
-        self.tx.on_packet_sent(head.bytes);
-    }
-    fn hold_and_wait_episodes(&self) -> u64 {
-        self.tx.starvations()
-    }
-}
-
-/// Buffer-based GFC receiver backend (stage tracker).
-#[derive(Debug, Clone)]
-pub struct GfcBufferRx(pub GfcBufferReceiver);
-
-impl FcRx for GfcBufferRx {
-    fn scheme(&self) -> &'static str {
-        "buffer-based GFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if let Some(stage) = self.0.on_queue_update(ctx.q_bytes) {
-            out.push(CtrlPayload::GfcStage(stage));
-        }
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if let Some(stage) = self.0.on_queue_update(ctx.q_bytes) {
-            out.push(CtrlPayload::GfcStage(stage));
-        }
-    }
-    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
-        match payload {
-            // Stage s throttles to C/2^s — any nonzero stage asserts
-            // (softly), stage 0 restores line rate.
-            CtrlPayload::GfcStage(s) if *s > 0 => Sense::AssertSoft,
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.0.messages_sent()
-    }
-}
-
-/// Buffer-based GFC sender backend (stage → rate lookup).
-#[derive(Debug, Clone)]
-pub struct GfcBufferTx(pub GfcBufferSender);
-
-impl FcTx for GfcBufferTx {
-    fn scheme(&self) -> &'static str {
-        "buffer-based GFC"
-    }
-    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
-        match payload {
-            CtrlPayload::GfcStage(stage) => Ok(CtrlOutcome::rate(self.0.on_feedback(stage))),
-            other => Err(SchemeMismatch::new(other, self.scheme())),
-        }
-    }
-    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
-        true
-    }
-    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
-        false
-    }
-}
-
-/// Time-based GFC receiver backend (CBFC accountant + period).
-#[derive(Debug, Clone)]
-pub struct GfcTimeRx {
-    inner: GfcTimeReceiver,
-    /// `B0` of the mapping, for the soft-assert sense classification.
-    b0: u64,
-}
-
-impl GfcTimeRx {
-    /// New time-based GFC receiver.
-    pub fn new(inner: GfcTimeReceiver, b0: u64) -> GfcTimeRx {
-        GfcTimeRx { inner, b0 }
-    }
-}
-
-impl FcRx for GfcTimeRx {
-    fn scheme(&self) -> &'static str {
-        "time-based GFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
-        self.inner.on_packet_received(ctx.pkt_bytes); // feedback is periodic
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
-        self.inner.on_packet_drained(ctx.pkt_bytes);
-    }
-    fn periodic(&mut self) -> Option<CtrlPayload> {
-        Some(CtrlPayload::FcclWire((self.inner.make_feedback() & 0xFFFF) as u16))
-    }
-    fn on_host_delivery(&mut self, bytes: u64) {
-        self.inner.on_packet_received(bytes);
-        self.inner.on_packet_drained(bytes);
-    }
-    fn sense(&self, payload: &CtrlPayload, ing_bytes: u64) -> Sense {
-        match payload {
-            // Occupancy beyond B0 starts the gentle slowdown (the rate
-            // floor keeps it soft).
-            CtrlPayload::FcclWire(_) if ing_bytes > self.b0 => Sense::AssertSoft,
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent()
-    }
-}
-
-/// Time-based GFC sender backend (credit registers + linear rate
-/// adjuster; purely rate-based — no hard gate, per §5.2).
-#[derive(Debug, Clone)]
-pub struct GfcTimeTx {
-    tx: GfcTimeSender,
-    fccl_recon: u64,
-}
-
-impl GfcTimeTx {
-    /// New time-based GFC sender with the full-buffer credit limit.
-    pub fn new(tx: GfcTimeSender, initial_fccl: u64) -> GfcTimeTx {
-        GfcTimeTx { tx, fccl_recon: initial_fccl }
-    }
-}
-
-impl FcTx for GfcTimeTx {
-    fn scheme(&self) -> &'static str {
-        "time-based GFC"
-    }
-    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
-        match payload {
-            CtrlPayload::FcclWire(w) => {
-                self.fccl_recon = wrap16_advance(self.fccl_recon, w);
-                // §7: the limiter's minimum rate unit floors the mapping —
-                // the input rate never reaches exactly zero, which is what
-                // eliminates hold-and-wait.
-                Ok(CtrlOutcome::rate(self.tx.on_feedback(self.fccl_recon).max(Rate(1))))
-            }
-            other => Err(SchemeMismatch::new(other, self.scheme())),
-        }
-    }
-    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
-        true
-    }
-    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
-        false
-    }
-    fn on_sent(&mut self, head: &TxHead) {
-        // FCTBS bookkeeping (the rate mapping depends on it); the mapped
-        // rate floor keeps the port trickling even at zero reconstructed
-        // credit.
-        self.tx.on_packet_sent_unchecked(head.bytes);
-    }
-    fn hold_and_wait_episodes(&self) -> u64 {
-        self.tx.starvations()
-    }
-}
-
-/// Conceptual GFC receiver backend (continuous sampler).
-#[derive(Debug, Clone)]
-pub struct ConceptualRx {
-    inner: ConceptualReceiver,
-    /// `B0` of the mapping, for the soft-assert sense classification.
-    b0: u64,
-}
-
-impl ConceptualRx {
-    /// New conceptual receiver.
-    pub fn new(b0: u64) -> ConceptualRx {
-        ConceptualRx { inner: ConceptualReceiver::new(), b0 }
-    }
-}
-
-impl FcRx for ConceptualRx {
-    fn scheme(&self) -> &'static str {
-        "conceptual GFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        out.push(CtrlPayload::QueueSample(self.inner.on_queue_update(ctx.q_bytes)));
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        out.push(CtrlPayload::QueueSample(self.inner.on_queue_update(ctx.q_bytes)));
-    }
-    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
-        match payload {
-            CtrlPayload::QueueSample(q) if *q >= self.b0 => Sense::AssertSoft,
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent()
-    }
-}
-
-/// Conceptual GFC sender backend (linear mapping).
-#[derive(Debug, Clone)]
-pub struct ConceptualTx(pub ConceptualSender);
-
-impl FcTx for ConceptualTx {
-    fn scheme(&self) -> &'static str {
-        "conceptual GFC"
-    }
-    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
-        match payload {
-            CtrlPayload::QueueSample(q) => {
-                Ok(CtrlOutcome::rate(self.0.on_feedback(q).max(Rate(1))))
-            }
-            other => Err(SchemeMismatch::new(other, self.scheme())),
-        }
-    }
-    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
-        true
-    }
-    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pfc::{PauseMode, PfcSender};
 
     #[test]
     fn classes_partition_the_payloads() {
@@ -859,7 +499,7 @@ mod tests {
 
     #[test]
     fn mismatch_names_both_schemes() {
-        let mut tx = PfcTx(PfcSender::new(crate::pfc::PauseMode::UntilResume, Rate::from_gbps(10)));
+        let mut tx = PfcSender::new(PauseMode::UntilResume, Rate::from_gbps(10));
         let err = tx.on_ctrl(CtrlPayload::GfcStage(1), Time::ZERO).unwrap_err();
         assert_eq!(err.payload_scheme, "buffer-based GFC");
         assert_eq!(err.sender_scheme, "PFC");

@@ -103,7 +103,7 @@ impl BfcReceiver {
 
     /// Account an arrival of `bytes` for `flow`; returns `true` when the
     /// flow must be paused (emit a pause upstream).
-    pub fn on_arrival(&mut self, flow: u64, bytes: u64) -> bool {
+    pub fn flow_arrived(&mut self, flow: u64, bytes: u64) -> bool {
         self.agg_bytes += bytes;
         let fb = self.flow_bytes.entry(flow).or_insert(0);
         *fb += bytes;
@@ -119,7 +119,7 @@ impl BfcReceiver {
     /// Account a drain of `bytes` for `flow`; appends the flows to
     /// *resume* (in flow-id order) to `resumed`. An aggregate fall can
     /// release flows other than the draining one, hence the batch.
-    pub fn on_drain(&mut self, flow: u64, bytes: u64, resumed: &mut Vec<u64>) {
+    pub fn flow_drained(&mut self, flow: u64, bytes: u64, resumed: &mut Vec<u64>) {
         self.agg_bytes = self.agg_bytes.saturating_sub(bytes);
         if let Some(fb) = self.flow_bytes.get_mut(&flow) {
             *fb = fb.saturating_sub(bytes);
@@ -154,9 +154,29 @@ impl BfcReceiver {
     pub fn agg_bytes(&self) -> u64 {
         self.agg_bytes
     }
+}
 
-    /// Pause/resume messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
+impl FcRx for BfcReceiver {
+    fn scheme(&self) -> &'static str {
+        "BFC"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        if self.flow_arrived(ctx.flow, ctx.pkt_bytes) {
+            out.push(CtrlPayload::Bfc { flow: ctx.flow, pause: true });
+        }
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        let mut resumed = Vec::new();
+        self.flow_drained(ctx.flow, ctx.pkt_bytes, &mut resumed);
+        out.extend(resumed.into_iter().map(|flow| CtrlPayload::Bfc { flow, pause: false }));
+    }
+    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
+        match payload {
+            CtrlPayload::Bfc { pause: true, .. } => Sense::AssertHard,
+            _ => Sense::Clear,
+        }
+    }
+    fn messages_sent(&self) -> u64 {
         self.messages_sent
     }
 }
@@ -176,7 +196,7 @@ impl BfcSender {
 
     /// Apply a pause/resume for `flow`; returns `true` if the flow is now
     /// runnable.
-    pub fn on_ctrl(&mut self, flow: u64, pause: bool) -> bool {
+    pub fn set_paused(&mut self, flow: u64, pause: bool) -> bool {
         if pause {
             if self.paused.insert(flow) {
                 self.pauses_entered += 1;
@@ -198,58 +218,26 @@ impl BfcSender {
     }
 }
 
-/// BFC receiver backend adapter.
-#[derive(Debug, Clone)]
-pub struct BfcRx(pub BfcReceiver);
-
-impl FcRx for BfcRx {
-    fn scheme(&self) -> &'static str {
-        "BFC"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if self.0.on_arrival(ctx.flow, ctx.pkt_bytes) {
-            out.push(CtrlPayload::Bfc { flow: ctx.flow, pause: true });
-        }
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        let mut resumed = Vec::new();
-        self.0.on_drain(ctx.flow, ctx.pkt_bytes, &mut resumed);
-        out.extend(resumed.into_iter().map(|flow| CtrlPayload::Bfc { flow, pause: false }));
-    }
-    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
-        match payload {
-            CtrlPayload::Bfc { pause: true, .. } => Sense::AssertHard,
-            _ => Sense::Clear,
-        }
-    }
-    fn messages_sent(&self) -> u64 {
-        self.0.messages_sent()
-    }
-}
-
-/// BFC sender backend adapter. The hard gate is per-flow: it answers for
-/// the specific head-of-line packet it is asked about.
-#[derive(Debug, Clone)]
-pub struct BfcTx(pub BfcSender);
-
-impl FcTx for BfcTx {
+/// The hard gate is per-flow: it answers for the specific head-of-line
+/// packet it is asked about.
+impl FcTx for BfcSender {
     fn scheme(&self) -> &'static str {
         "BFC"
     }
     fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
         match payload {
-            CtrlPayload::Bfc { flow, pause } => Ok(CtrlOutcome::gate(self.0.on_ctrl(flow, pause))),
+            CtrlPayload::Bfc { flow, pause } => Ok(CtrlOutcome::gate(self.set_paused(flow, pause))),
             other => Err(SchemeMismatch::new(other, self.scheme())),
         }
     }
     fn hard_open(&mut self, head: &TxHead, _now: Time) -> bool {
-        self.0.may_send(head.flow)
+        self.may_send(head.flow)
     }
     fn hard_blocked(&self, head: &TxHead, _now: Time) -> bool {
-        !self.0.may_send(head.flow)
+        !self.may_send(head.flow)
     }
     fn hold_and_wait_episodes(&self) -> u64 {
-        self.0.pauses_entered()
+        self.pauses_entered
     }
 }
 
@@ -272,15 +260,15 @@ mod tests {
     #[test]
     fn per_flow_pause_and_resume() {
         let mut rx = BfcReceiver::new(cfg());
-        assert!(!rx.on_arrival(7, 1500));
-        assert!(rx.on_arrival(7, 1500), "second MTU crosses flow_xoff");
-        assert!(!rx.on_arrival(7, 1500), "already paused: no duplicate message");
+        assert!(!rx.flow_arrived(7, 1500));
+        assert!(rx.flow_arrived(7, 1500), "second MTU crosses flow_xoff");
+        assert!(!rx.flow_arrived(7, 1500), "already paused: no duplicate message");
         // A different small flow is untouched.
-        assert!(!rx.on_arrival(8, 1500));
+        assert!(!rx.flow_arrived(8, 1500));
         let mut resumed = Vec::new();
-        rx.on_drain(7, 1500, &mut resumed);
+        rx.flow_drained(7, 1500, &mut resumed);
         assert!(resumed.is_empty(), "still above flow_xon");
-        rx.on_drain(7, 1500, &mut resumed);
+        rx.flow_drained(7, 1500, &mut resumed);
         assert_eq!(resumed, vec![7], "fell to flow_xon with aggregate clear");
         assert_eq!(rx.paused_flows(), 0);
         assert_eq!(rx.messages_sent(), 2); // one pause + one resume
@@ -292,22 +280,22 @@ mod tests {
         // Four distinct flows fill the aggregate without any crossing
         // flow_xoff individually (2500 < 3000 each).
         for f in 0..3 {
-            assert!(!rx.on_arrival(f, 2500));
+            assert!(!rx.flow_arrived(f, 2500));
         }
-        assert!(rx.on_arrival(3, 2500), "aggregate hits 10000 = agg_xoff");
+        assert!(rx.flow_arrived(3, 2500), "aggregate hits 10000 = agg_xoff");
         // More arrivals from the *other* flows now pause them too.
-        assert!(rx.on_arrival(0, 100));
-        assert!(rx.on_arrival(1, 100));
+        assert!(rx.flow_arrived(0, 100));
+        assert!(rx.flow_arrived(1, 100));
         assert_eq!(rx.paused_flows(), 3);
         // The paused flows sit at 2600/2600/2500, above flow_xon 2000.
         // Drain each below its own threshold first while the aggregate is
         // still high — nothing resumes until the backstop clears.
         let mut resumed = Vec::new();
-        rx.on_drain(0, 700, &mut resumed); // flow 0 → 1900, agg 9500 > agg_xon
+        rx.flow_drained(0, 700, &mut resumed); // flow 0 → 1900, agg 9500 > agg_xon
         assert!(resumed.is_empty(), "aggregate backstop still engaged");
-        rx.on_drain(1, 700, &mut resumed); // flow 1 → 1900, agg 8800 > agg_xon
+        rx.flow_drained(1, 700, &mut resumed); // flow 1 → 1900, agg 8800 > agg_xon
         assert!(resumed.is_empty());
-        rx.on_drain(2, 2500, &mut resumed); // agg 6300 <= agg_xon: release
+        rx.flow_drained(2, 2500, &mut resumed); // agg 6300 <= agg_xon: release
         assert_eq!(resumed, vec![0, 1], "batch resume in flow-id order");
         assert_eq!(rx.paused_flows(), 1, "flow 3 still above flow_xon");
     }
@@ -316,20 +304,20 @@ mod tests {
     fn sender_gate_is_per_flow() {
         let mut tx = BfcSender::new();
         assert!(tx.may_send(1) && tx.may_send(2));
-        assert!(!tx.on_ctrl(1, true));
+        assert!(!tx.set_paused(1, true));
         assert!(!tx.may_send(1));
         assert!(tx.may_send(2), "other flows unaffected");
-        assert!(tx.on_ctrl(1, false));
+        assert!(tx.set_paused(1, false));
         assert!(tx.may_send(1));
         // Duplicate pauses count one episode.
-        tx.on_ctrl(5, true);
-        tx.on_ctrl(5, true);
+        tx.set_paused(5, true);
+        tx.set_paused(5, true);
         assert_eq!(tx.pauses_entered(), 2);
     }
 
     #[test]
-    fn adapter_emits_batch_resumes() {
-        let mut rx = BfcRx(BfcReceiver::new(cfg()));
+    fn backend_emits_batch_resumes() {
+        let mut rx = BfcReceiver::new(cfg());
         let mut out = Vec::new();
         let ctx =
             |flow, pkt_bytes, q| QueueCtx { q_bytes: q, pkt_bytes, flow, inherited_tag: None };

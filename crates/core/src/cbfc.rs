@@ -11,7 +11,13 @@
 //!
 //! On the wire both registers are 12-bit wrapping counters; internally we
 //! keep monotone `u64` values and reconstruct on decode
-//! (see [`wrap12_advance`]).
+//! (see [`wrap12_advance`]); the simulator's FCP frame carries 16 bits
+//! ([`wrap16_advance`]).
+
+use crate::backend::{
+    CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+};
+use crate::units::Time;
 
 /// InfiniBand credit granularity: one credit = 64 bytes.
 pub const BLOCK_BYTES: u64 = 64;
@@ -59,6 +65,11 @@ pub fn wrap16_advance(prev: u64, wire: u16) -> u64 {
 /// the FCCL to advertise.
 #[derive(Debug, Clone)]
 pub struct CbfcReceiver {
+    /// Buffer allocated to this VL, in bytes.
+    buffer_bytes: u64,
+    /// Largest frame the fabric carries, for the hard-assert sense
+    /// classification.
+    mtu: u64,
     /// Total buffer allocated to this VL, in blocks.
     buffer_blocks: u64,
     /// Adjusted Blocks Received: all blocks received since link init.
@@ -70,12 +81,19 @@ pub struct CbfcReceiver {
 }
 
 impl CbfcReceiver {
-    /// New receiver for a buffer of `buffer_bytes` (rounded down to whole
-    /// blocks).
-    pub fn new(buffer_bytes: u64) -> Self {
+    /// New receiver for a buffer of `buffer_bytes` (credited in whole
+    /// blocks, rounded down) carrying frames of at most `mtu` bytes.
+    pub fn new(buffer_bytes: u64, mtu: u64) -> Self {
         let buffer_blocks = buffer_bytes / BLOCK_BYTES;
         assert!(buffer_blocks > 0, "buffer smaller than one credit block");
-        CbfcReceiver { buffer_blocks, abr: 0, occupied_blocks: 0, messages_sent: 0 }
+        CbfcReceiver {
+            buffer_bytes,
+            mtu,
+            buffer_blocks,
+            abr: 0,
+            occupied_blocks: 0,
+            messages_sent: 0,
+        }
     }
 
     /// Account an arrived packet.
@@ -124,9 +142,36 @@ impl CbfcReceiver {
     pub fn buffer_blocks(&self) -> u64 {
         self.buffer_blocks
     }
+}
 
-    /// Feedback messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
+impl FcRx for CbfcReceiver {
+    fn scheme(&self) -> &'static str {
+        "CBFC"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
+        self.on_packet_received(ctx.pkt_bytes); // feedback is periodic
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, _out: &mut Vec<CtrlPayload>) {
+        self.on_packet_drained(ctx.pkt_bytes);
+    }
+    fn periodic(&mut self) -> Option<CtrlPayload> {
+        Some(CtrlPayload::FcclWire((self.make_feedback() & 0xFFFF) as u16))
+    }
+    fn on_host_delivery(&mut self, bytes: u64) {
+        self.on_packet_received(bytes);
+        self.on_packet_drained(bytes);
+    }
+    fn sense(&self, payload: &CtrlPayload, ing_bytes: u64) -> Sense {
+        match payload {
+            // The upstream stops once the advertised window no longer
+            // admits a full frame — a hard assert.
+            CtrlPayload::FcclWire(_) if ing_bytes + self.mtu > self.buffer_bytes => {
+                Sense::AssertHard
+            }
+            _ => Sense::Clear,
+        }
+    }
+    fn messages_sent(&self) -> u64 {
         self.messages_sent
     }
 }
@@ -213,6 +258,38 @@ impl CbfcSender {
     }
 }
 
+/// The credit gate. Sends are accounted with the credit assertion, so the
+/// simulator must only send what [`FcTx::hard_open`] admitted.
+impl FcTx for CbfcSender {
+    fn scheme(&self) -> &'static str {
+        "CBFC"
+    }
+    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
+        match payload {
+            CtrlPayload::FcclWire(w) => {
+                // The 16-bit wire value reconstructs from the current
+                // limit: the limit only ever moves to a reconstruction,
+                // and reconstructions never decrease, so it is the last.
+                self.on_feedback(wrap16_advance(self.fccl, w));
+                Ok(CtrlOutcome::gate(true))
+            }
+            other => Err(SchemeMismatch::new(other, self.scheme())),
+        }
+    }
+    fn hard_open(&mut self, head: &TxHead, _now: Time) -> bool {
+        self.can_send(head.bytes)
+    }
+    fn hard_blocked(&self, head: &TxHead, _now: Time) -> bool {
+        !self.would_allow(head.bytes)
+    }
+    fn on_sent(&mut self, head: &TxHead) {
+        self.on_packet_sent(head.bytes);
+    }
+    fn hold_and_wait_episodes(&self) -> u64 {
+        self.starvations
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +305,7 @@ mod tests {
 
     #[test]
     fn fccl_tracks_drain() {
-        let mut rx = CbfcReceiver::new(64 * 100); // 100 blocks
+        let mut rx = CbfcReceiver::new(64 * 100, 64); // 100 blocks
         assert_eq!(rx.fccl(), 100);
         rx.on_packet_received(640); // 10 blocks
         assert_eq!(rx.fccl(), 10 + 90);
@@ -252,7 +329,7 @@ mod tests {
         // Drive a sender/receiver pair with delayed feedback and check the
         // receiver buffer never overflows.
         let buf_blocks = 64u64;
-        let mut rx = CbfcReceiver::new(buf_blocks * BLOCK_BYTES);
+        let mut rx = CbfcReceiver::new(buf_blocks * BLOCK_BYTES, 1500);
         let mut tx = CbfcSender::new(buf_blocks);
         let mut in_flight: Vec<u64> = Vec::new(); // packet sizes in transit
         for step in 0..10_000u64 {

@@ -8,37 +8,47 @@
 //! this firehose is exactly why §4.2 replaces it with the step function —
 //! we keep it for Fig. 5 and for validating Theorem 4.1.
 
+use crate::backend::{
+    CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+};
 use crate::mapping::LinearMapping;
-use crate::units::Rate;
+use crate::units::{Rate, Time};
 
-/// Receiver side: samples the ingress queue on every change.
+/// Receiver side: every queue change emits a sample carrying the new
+/// queue length.
 #[derive(Debug, Clone)]
 pub struct ConceptualReceiver {
+    /// `B0` of the mapping, for the soft-assert sense classification.
+    b0: u64,
     messages_sent: u64,
 }
 
 impl ConceptualReceiver {
-    /// New receiver.
-    pub fn new() -> Self {
-        ConceptualReceiver { messages_sent: 0 }
-    }
-
-    /// Emit a feedback sample carrying the current queue length. In the
-    /// conceptual design *every* queue change produces a message.
-    pub fn on_queue_update(&mut self, q: u64) -> u64 {
-        self.messages_sent += 1;
-        q
-    }
-
-    /// Messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+    /// New receiver for a mapping starting at `b0`.
+    pub fn new(b0: u64) -> Self {
+        ConceptualReceiver { b0, messages_sent: 0 }
     }
 }
 
-impl Default for ConceptualReceiver {
-    fn default() -> Self {
-        Self::new()
+impl FcRx for ConceptualReceiver {
+    fn scheme(&self) -> &'static str {
+        "conceptual GFC"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.messages_sent += 1;
+        out.push(CtrlPayload::QueueSample(ctx.q_bytes));
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.on_arrival(ctx, out); // both are queue updates
+    }
+    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
+        match payload {
+            CtrlPayload::QueueSample(q) if *q >= self.b0 => Sense::AssertSoft,
+            _ => Sense::Clear,
+        }
+    }
+    fn messages_sent(&self) -> u64 {
+        self.messages_sent
     }
 }
 
@@ -74,6 +84,24 @@ impl ConceptualSender {
     }
 }
 
+impl FcTx for ConceptualSender {
+    fn scheme(&self) -> &'static str {
+        "conceptual GFC"
+    }
+    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
+        match payload {
+            CtrlPayload::QueueSample(q) => Ok(CtrlOutcome::rate(self.on_feedback(q).max(Rate(1)))),
+            other => Err(SchemeMismatch::new(other, self.scheme())),
+        }
+    }
+    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
+        true
+    }
+    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,11 +117,18 @@ mod tests {
     }
 
     #[test]
-    fn receiver_counts_messages() {
-        let mut rx = ConceptualReceiver::new();
+    fn receiver_samples_every_change() {
+        let mut rx = ConceptualReceiver::new(kb(50));
+        let mut out = Vec::new();
         for q in 0..100 {
-            assert_eq!(rx.on_queue_update(q), q);
+            let ctx = QueueCtx { q_bytes: q, pkt_bytes: 1, flow: 0, inherited_tag: None };
+            if q % 2 == 0 {
+                rx.on_arrival(&ctx, &mut out);
+            } else {
+                rx.on_drain(&ctx, &mut out);
+            }
         }
+        assert_eq!(out, (0..100).map(CtrlPayload::QueueSample).collect::<Vec<_>>());
         assert_eq!(rx.messages_sent(), 100);
     }
 }

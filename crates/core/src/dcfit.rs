@@ -100,9 +100,32 @@ impl DcfitReceiver {
         }
         None
     }
+}
 
-    /// Messages generated so far (threshold crossings plus refreshes).
-    pub fn messages_sent(&self) -> u64 {
+/// Requests the forward-egress tag via [`FcRx::wants_fwd_tag`].
+impl FcRx for DcfitReceiver {
+    fn scheme(&self) -> &'static str {
+        "DCFIT"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        if let Some((ev, tag)) = self.on_queue_update(ctx.q_bytes, ctx.inherited_tag) {
+            out.push(CtrlPayload::DcfitPfc { ev, tag });
+        }
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.on_arrival(ctx, out); // both are queue updates
+    }
+    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
+        match payload {
+            CtrlPayload::DcfitPfc { ev: PfcEvent::Pause { .. }, .. } => Sense::AssertHard,
+            _ => Sense::Clear,
+        }
+    }
+    fn wants_fwd_tag(&self) -> bool {
+        true
+    }
+    /// Threshold crossings plus refreshes.
+    fn messages_sent(&self) -> u64 {
         self.pfc.messages_sent() + self.refreshes
     }
 }
@@ -147,91 +170,35 @@ impl DcfitSender {
     pub fn is_paused(&self, now: Time) -> bool {
         self.pfc.is_paused(now)
     }
-
-    /// The tag of the currently applied pause, if any.
-    pub fn applied_tag(&self) -> Option<DcfitTag> {
-        self.applied
-    }
-
-    /// Circular-wait detections witnessed at this egress.
-    pub fn detections(&self) -> u64 {
-        self.detections
-    }
-
-    /// Pause episodes entered (PFC accounting).
-    pub fn pauses_entered(&self) -> u64 {
-        self.pfc.pauses_entered()
-    }
 }
 
-/// DCFIT receiver backend adapter. Requests the forward-egress tag via
-/// [`FcRx::wants_fwd_tag`].
-#[derive(Debug, Clone)]
-pub struct DcfitRx(pub DcfitReceiver);
-
-impl DcfitRx {
-    fn update(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        if let Some((ev, tag)) = self.0.on_queue_update(ctx.q_bytes, ctx.inherited_tag) {
-            out.push(CtrlPayload::DcfitPfc { ev, tag });
-        }
-    }
-}
-
-impl FcRx for DcfitRx {
-    fn scheme(&self) -> &'static str {
-        "DCFIT"
-    }
-    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        self.update(ctx, out);
-    }
-    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
-        self.update(ctx, out);
-    }
-    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
-        match payload {
-            CtrlPayload::DcfitPfc { ev: PfcEvent::Pause { .. }, .. } => Sense::AssertHard,
-            _ => Sense::Clear,
-        }
-    }
-    fn wants_fwd_tag(&self) -> bool {
-        true
-    }
-    fn messages_sent(&self) -> u64 {
-        self.0.messages_sent()
-    }
-}
-
-/// DCFIT sender backend adapter.
-#[derive(Debug, Clone)]
-pub struct DcfitTx(pub DcfitSender);
-
-impl FcTx for DcfitTx {
+impl FcTx for DcfitSender {
     fn scheme(&self) -> &'static str {
         "DCFIT"
     }
     fn on_ctrl(&mut self, payload: CtrlPayload, now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
         match payload {
             CtrlPayload::DcfitPfc { ev, tag } => {
-                let detection = self.0.on_event(ev, tag, now);
-                Ok(CtrlOutcome { opened: !self.0.is_paused(now), set_rate: None, detection })
+                let detection = self.on_event(ev, tag, now);
+                Ok(CtrlOutcome { opened: !self.is_paused(now), set_rate: None, detection })
             }
             other => Err(SchemeMismatch::new(other, self.scheme())),
         }
     }
     fn hard_open(&mut self, _head: &TxHead, now: Time) -> bool {
-        !self.0.is_paused(now)
+        !self.is_paused(now)
     }
     fn hard_blocked(&self, _head: &TxHead, now: Time) -> bool {
-        self.0.is_paused(now)
+        self.is_paused(now)
     }
     fn hold_and_wait_episodes(&self) -> u64 {
-        self.0.pauses_entered()
+        self.pfc.pauses_entered()
     }
     fn applied_tag(&self) -> Option<DcfitTag> {
-        self.0.applied_tag()
+        self.applied
     }
     fn detections(&self) -> u64 {
-        self.0.detections()
+        self.detections
     }
 }
 

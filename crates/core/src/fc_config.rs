@@ -3,16 +3,17 @@
 //! backend pair ([`AnyRx`] / [`AnyTx`]).
 //!
 //! Each variant owns every parameter its scheme needs, so adding a scheme
-//! means one variant here, one in each backend enum, and the adapters in
-//! its own module.
+//! means one variant here, one in each backend enum, and the scheme's
+//! state machines implementing [`FcRx`]/[`FcTx`] in its own module.
 
 use crate::backend::{
-    CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+    CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, NoneRx, NoneTx, QueueCtx, SchemeMismatch,
+    Sense, TxHead,
 };
-use crate::bfc::{BfcReceiver, BfcRx, BfcSender, BfcTx};
-use crate::cbfc::BLOCK_BYTES;
-use crate::conceptual::ConceptualSender;
-use crate::dcfit::{DcfitReceiver, DcfitRx, DcfitSender, DcfitTx};
+use crate::bfc::{BfcReceiver, BfcSender};
+use crate::cbfc::{CbfcReceiver, CbfcSender, BLOCK_BYTES};
+use crate::conceptual::{ConceptualReceiver, ConceptualSender};
+use crate::dcfit::{DcfitReceiver, DcfitSender};
 use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
 use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::mapping::{LinearMapping, StageTable};
@@ -247,24 +248,22 @@ impl FcBackends {
     /// The receiver backend of one watched ingress `(port, priority)`
     /// carrying frames of at most `mtu` bytes.
     pub fn rx(&self, mtu: u64, ident: PortIdent) -> AnyRx {
-        use crate::backend as be;
+        let buffer = self.buffer_bytes;
         match self.fc {
-            FcConfig::None => AnyRx::None(be::NoneRx),
-            FcConfig::Pfc(pfc) => AnyRx::Pfc(be::PfcRx(PfcReceiver::new(pfc))),
-            FcConfig::Cbfc(_) => AnyRx::Cbfc(be::CbfcRx::new(self.buffer_bytes, mtu)),
-            FcConfig::GfcBuffer(_) => {
-                AnyRx::GfcBuffer(be::GfcBufferRx(GfcBufferReceiver::new(self.stages())))
+            FcConfig::None => AnyRx::None(NoneRx),
+            FcConfig::Pfc(pfc) => AnyRx::Pfc(PfcReceiver::new(pfc)),
+            FcConfig::Cbfc(_) => AnyRx::Cbfc(CbfcReceiver::new(buffer, mtu)),
+            FcConfig::GfcBuffer(_) => AnyRx::GfcBuffer(GfcBufferReceiver::new(self.stages())),
+            FcConfig::GfcTime(GfcTimeParams { b0, .. }) => {
+                AnyRx::GfcTime(GfcTimeReceiver::new(buffer, mtu, b0))
             }
-            FcConfig::GfcTime(GfcTimeParams { b0, period, .. }) => AnyRx::GfcTime(
-                be::GfcTimeRx::new(GfcTimeReceiver::new(self.buffer_bytes, period), b0),
-            ),
             FcConfig::Conceptual(ConceptualParams { b0, .. }) => {
-                AnyRx::Conceptual(be::ConceptualRx::new(b0))
+                AnyRx::Conceptual(ConceptualReceiver::new(b0))
             }
-            FcConfig::Bfc(cfg) => AnyRx::Bfc(BfcRx(BfcReceiver::new(cfg))),
-            FcConfig::Dcfit(DcfitParams { xoff, xon }) => AnyRx::Dcfit(DcfitRx(
-                DcfitReceiver::new(PfcParams { xoff, xon }, ident.node, ident.port),
-            )),
+            FcConfig::Bfc(cfg) => AnyRx::Bfc(BfcReceiver::new(cfg)),
+            FcConfig::Dcfit(DcfitParams { xoff, xon }) => {
+                AnyRx::Dcfit(DcfitReceiver::new(PfcParams { xoff, xon }, ident.node, ident.port))
+            }
         }
     }
 
@@ -272,55 +271,51 @@ impl FcBackends {
     /// (The egress rate limiter stays with the simulator; backends only
     /// program it via [`crate::backend::CtrlOutcome::set_rate`].)
     pub fn tx(&self, ident: PortIdent) -> AnyTx {
-        use crate::backend as be;
         let capacity = self.capacity;
+        // Credit schemes start from the full-buffer limit.
+        let blocks = self.buffer_bytes / BLOCK_BYTES;
         match self.fc {
-            FcConfig::None => AnyTx::None(be::NoneTx),
-            FcConfig::Pfc(_) => {
-                AnyTx::Pfc(be::PfcTx(PfcSender::new(PauseMode::UntilResume, capacity)))
-            }
-            FcConfig::Cbfc(_) => AnyTx::Cbfc(be::CbfcTx::new(self.buffer_bytes)),
-            FcConfig::GfcBuffer(_) => {
-                AnyTx::GfcBuffer(be::GfcBufferTx(GfcBufferSender::new(self.stages())))
-            }
+            FcConfig::None => AnyTx::None(NoneTx),
+            FcConfig::Pfc(_) => AnyTx::Pfc(PfcSender::new(PauseMode::UntilResume, capacity)),
+            FcConfig::Cbfc(_) => AnyTx::Cbfc(CbfcSender::new(blocks)),
+            FcConfig::GfcBuffer(_) => AnyTx::GfcBuffer(GfcBufferSender::new(self.stages())),
             FcConfig::GfcTime(GfcTimeParams { b0, bm, .. }) => {
-                let blocks = self.buffer_bytes / BLOCK_BYTES;
-                let mapping = LinearMapping::new(b0, bm, capacity);
-                AnyTx::GfcTime(be::GfcTimeTx::new(GfcTimeSender::new(blocks, mapping), blocks))
+                AnyTx::GfcTime(GfcTimeSender::new(blocks, LinearMapping::new(b0, bm, capacity)))
             }
-            FcConfig::Conceptual(ConceptualParams { b0, bm, .. }) => AnyTx::Conceptual(
-                be::ConceptualTx(ConceptualSender::new(LinearMapping::new(b0, bm, capacity))),
-            ),
-            FcConfig::Bfc(_) => AnyTx::Bfc(BfcTx(BfcSender::new())),
-            FcConfig::Dcfit(_) => AnyTx::Dcfit(DcfitTx(DcfitSender::new(
+            FcConfig::Conceptual(ConceptualParams { b0, bm, .. }) => {
+                AnyTx::Conceptual(ConceptualSender::new(LinearMapping::new(b0, bm, capacity)))
+            }
+            FcConfig::Bfc(_) => AnyTx::Bfc(BfcSender::new()),
+            FcConfig::Dcfit(_) => AnyTx::Dcfit(DcfitSender::new(
                 PfcSender::new(PauseMode::UntilResume, capacity),
                 ident.node,
-            ))),
+            )),
         }
     }
 }
 
-/// A receiver backend, one enum variant per scheme, so the per-packet
-/// `on_arrival`/`on_drain` calls dispatch by match (statically, with the
-/// common variants branch-predicted). A new scheme adds one variant.
+/// A receiver backend, one enum variant per scheme holding that scheme's
+/// receiver state machine, so the per-packet `on_arrival`/`on_drain`
+/// calls dispatch by match (statically, with the common variants
+/// branch-predicted). A new scheme adds one variant.
 #[derive(Debug, Clone)]
 pub enum AnyRx {
     /// Lossy (no flow control).
-    None(crate::backend::NoneRx),
+    None(NoneRx),
     /// PFC ingress.
-    Pfc(crate::backend::PfcRx),
+    Pfc(PfcReceiver),
     /// CBFC ingress.
-    Cbfc(crate::backend::CbfcRx),
+    Cbfc(CbfcReceiver),
     /// Buffer-based GFC ingress.
-    GfcBuffer(crate::backend::GfcBufferRx),
+    GfcBuffer(GfcBufferReceiver),
     /// Time-based GFC ingress.
-    GfcTime(crate::backend::GfcTimeRx),
+    GfcTime(GfcTimeReceiver),
     /// Conceptual GFC ingress.
-    Conceptual(crate::backend::ConceptualRx),
+    Conceptual(ConceptualReceiver),
     /// BFC ingress.
-    Bfc(BfcRx),
+    Bfc(BfcReceiver),
     /// DCFIT ingress.
-    Dcfit(DcfitRx),
+    Dcfit(DcfitReceiver),
 }
 
 macro_rules! any_rx {
@@ -381,21 +376,21 @@ impl FcRx for AnyRx {
 #[derive(Debug, Clone)]
 pub enum AnyTx {
     /// Lossy (no flow control).
-    None(crate::backend::NoneTx),
+    None(NoneTx),
     /// PFC egress.
-    Pfc(crate::backend::PfcTx),
+    Pfc(PfcSender),
     /// CBFC egress.
-    Cbfc(crate::backend::CbfcTx),
+    Cbfc(CbfcSender),
     /// Buffer-based GFC egress.
-    GfcBuffer(crate::backend::GfcBufferTx),
+    GfcBuffer(GfcBufferSender),
     /// Time-based GFC egress.
-    GfcTime(crate::backend::GfcTimeTx),
+    GfcTime(GfcTimeSender),
     /// Conceptual GFC egress.
-    Conceptual(crate::backend::ConceptualTx),
+    Conceptual(ConceptualSender),
     /// BFC egress.
-    Bfc(BfcTx),
+    Bfc(BfcSender),
     /// DCFIT egress.
-    Dcfit(DcfitTx),
+    Dcfit(DcfitSender),
 }
 
 macro_rules! any_tx {
@@ -536,6 +531,52 @@ mod tests {
             let head = TxHead { bytes: 1500, flow: 1 };
             let _ = tx.hard_open(&head, Time::ZERO);
             let _ = tx.hard_blocked(&head, Time::ZERO);
+        }
+    }
+
+    #[test]
+    fn sense_flips_at_each_schemes_boundary() {
+        // (scheme, payload, ingress occupancy, sense) on both sides of
+        // every boundary; buffer 300 kB, MTU 1500 B, schemes from
+        // `all_configs`.
+        use crate::backend::Sense::{AssertHard, AssertSoft, Clear};
+        use crate::pfc::PfcEvent::{Pause, Resume};
+        const BUF: u64 = 300_000;
+        const MTU: u64 = 1500;
+        let [none, pfc, cbfc, gfc_buffer, gfc_time, conceptual, bfc, dcfit] =
+            all_configs().try_into().expect("eight schemes");
+        let (FcConfig::GfcTime(GfcTimeParams { b0: time_b0, .. }), FcConfig::Conceptual(c)) =
+            (gfc_time, conceptual)
+        else {
+            unreachable!("all_configs order")
+        };
+        let tag = DcfitTag { node: 3, port: 1, seq: 0 };
+        let pause = Pause { quanta: u16::MAX };
+        let cases = [
+            (none, CtrlPayload::Pfc(pause), BUF, Clear),
+            (pfc, CtrlPayload::Pfc(pause), 0, AssertHard),
+            (pfc, CtrlPayload::Pfc(Resume), BUF, Clear),
+            (cbfc, CtrlPayload::FcclWire(0), BUF - MTU, Clear),
+            (cbfc, CtrlPayload::FcclWire(0), BUF - MTU + 1, AssertHard),
+            (gfc_buffer, CtrlPayload::GfcStage(0), BUF, Clear),
+            (gfc_buffer, CtrlPayload::GfcStage(1), 0, AssertSoft),
+            (gfc_time, CtrlPayload::FcclWire(0), time_b0, Clear),
+            (gfc_time, CtrlPayload::FcclWire(0), time_b0 + 1, AssertSoft),
+            (conceptual, CtrlPayload::QueueSample(c.b0 - 1), c.b0 - 1, Clear),
+            (conceptual, CtrlPayload::QueueSample(c.b0), c.b0, AssertSoft),
+            (bfc, CtrlPayload::Bfc { flow: 1, pause: true }, 0, AssertHard),
+            (bfc, CtrlPayload::Bfc { flow: 1, pause: false }, BUF, Clear),
+            (dcfit, CtrlPayload::DcfitPfc { ev: pause, tag }, 0, AssertHard),
+            (dcfit, CtrlPayload::DcfitPfc { ev: Resume, tag }, BUF, Clear),
+        ];
+        for (fc, payload, ing_bytes, want) in cases {
+            let rx = FcBackends::new(fc, Rate::from_gbps(10), BUF).rx(MTU, IDENT);
+            assert_eq!(
+                rx.sense(&payload, ing_bytes),
+                want,
+                "{}: {payload:?} at {ing_bytes} B",
+                fc.name()
+            );
         }
     }
 

@@ -8,8 +8,11 @@
 //! stage up in a precomputed table (no arithmetic in the fast path) and
 //! programs the egress Rate Limiter.
 
+use crate::backend::{
+    CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+};
 use crate::mapping::StageTable;
-use crate::units::Rate;
+use crate::units::{Rate, Time};
 use std::sync::Arc;
 
 /// Receiver side: stage tracker / message generator.
@@ -45,11 +48,6 @@ impl GfcBufferReceiver {
         self.current_stage
     }
 
-    /// Feedback messages generated so far (each is one 64 B frame).
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
     /// Report the new ingress queue length; if it moved to a different
     /// stage, returns the stage ID to feed back.
     pub fn on_queue_update(&mut self, q: u64) -> Option<u16> {
@@ -66,6 +64,32 @@ impl GfcBufferReceiver {
         } else {
             None
         }
+    }
+}
+
+impl FcRx for GfcBufferReceiver {
+    fn scheme(&self) -> &'static str {
+        "buffer-based GFC"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        if let Some(stage) = self.on_queue_update(ctx.q_bytes) {
+            out.push(CtrlPayload::GfcStage(stage));
+        }
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.on_arrival(ctx, out); // both are queue updates
+    }
+    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
+        match payload {
+            // Stage s throttles to C/2^s — any nonzero stage asserts
+            // (softly), stage 0 restores line rate.
+            CtrlPayload::GfcStage(s) if *s > 0 => Sense::AssertSoft,
+            _ => Sense::Clear,
+        }
+    }
+    /// Each message is one 64 B frame.
+    fn messages_sent(&self) -> u64 {
+        self.messages_sent
     }
 }
 
@@ -108,6 +132,24 @@ impl GfcBufferSender {
     /// The stage table in force.
     pub fn table(&self) -> &StageTable {
         &self.table
+    }
+}
+
+impl FcTx for GfcBufferSender {
+    fn scheme(&self) -> &'static str {
+        "buffer-based GFC"
+    }
+    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
+        match payload {
+            CtrlPayload::GfcStage(stage) => Ok(CtrlOutcome::rate(self.on_feedback(stage))),
+            other => Err(SchemeMismatch::new(other, self.scheme())),
+        }
+    }
+    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
+        true
+    }
+    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
+        false
     }
 }
 

@@ -6,56 +6,63 @@
 //! length `q = Bm − remaining`, maps it through the conceptual linear
 //! function (parameterized per Theorem 5.1), and programs the Rate Limiter.
 //!
-//! The hard CBFC credit gate is retained as the losslessness backstop; when
-//! parameters respect Theorem 5.1 the mapped rate throttles the sender so
-//! the gate never engages (asserted by tests and the Fig. 10 experiment).
+//! The sender is purely rate-based (§5.2): as a backend it has no hard
+//! gate, never calls [`GfcTimeSender::can_send`], and accounts every send
+//! without the credit assertion. The mapped rate floors above zero (§7),
+//! so a port keeps trickling even at zero reconstructed credit. The
+//! credit-gated methods serve the unit tests' closed loops, which check
+//! that such a gate would never engage under Theorem 5.1 parameters.
 
-use crate::cbfc::{CbfcReceiver, CbfcSender, BLOCK_BYTES};
+use crate::backend::{
+    CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+};
+use crate::cbfc::{wrap16_advance, CbfcReceiver, CbfcSender, BLOCK_BYTES};
 use crate::mapping::LinearMapping;
-use crate::units::{Dur, Rate};
+use crate::units::{Rate, Time};
 
-/// Receiver side of time-based GFC: exactly a CBFC receiver plus the
-/// configured feedback period.
+/// Receiver side of time-based GFC: exactly a CBFC receiver (the period
+/// `T` lives in [`crate::fc_config::FcConfig::period`]), plus `B0` for
+/// the sense classification.
 #[derive(Debug, Clone)]
 pub struct GfcTimeReceiver {
     inner: CbfcReceiver,
-    period: Dur,
+    /// `B0` of the mapping: occupancy beyond it starts the slowdown.
+    b0: u64,
 }
 
 impl GfcTimeReceiver {
-    /// New receiver over `buffer_bytes` advertising every `period`.
-    pub fn new(buffer_bytes: u64, period: Dur) -> Self {
-        assert!(period.0 > 0, "feedback period must be positive");
-        GfcTimeReceiver { inner: CbfcReceiver::new(buffer_bytes), period }
+    /// New receiver over `buffer_bytes` carrying frames of at most `mtu`
+    /// bytes, for a mapping starting at `b0`.
+    pub fn new(buffer_bytes: u64, mtu: u64, b0: u64) -> Self {
+        GfcTimeReceiver { inner: CbfcReceiver::new(buffer_bytes, mtu), b0 }
     }
+}
 
-    /// The feedback period `T`.
-    pub fn period(&self) -> Dur {
-        self.period
+impl FcRx for GfcTimeReceiver {
+    fn scheme(&self) -> &'static str {
+        "time-based GFC"
     }
-
-    /// Account an arrived packet.
-    pub fn on_packet_received(&mut self, bytes: u64) {
-        self.inner.on_packet_received(bytes);
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.inner.on_arrival(ctx, out);
     }
-
-    /// Account a drained packet.
-    pub fn on_packet_drained(&mut self, bytes: u64) {
-        self.inner.on_packet_drained(bytes);
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.inner.on_drain(ctx, out);
     }
-
-    /// Produce the periodic FCCL advertisement.
-    pub fn make_feedback(&mut self) -> u64 {
-        self.inner.make_feedback()
+    fn periodic(&mut self) -> Option<CtrlPayload> {
+        self.inner.periodic()
     }
-
-    /// Occupied bytes (block-granular).
-    pub fn occupied_bytes(&self) -> u64 {
-        self.inner.occupied_bytes()
+    fn on_host_delivery(&mut self, bytes: u64) {
+        self.inner.on_host_delivery(bytes);
     }
-
-    /// Feedback messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
+    fn sense(&self, payload: &CtrlPayload, ing_bytes: u64) -> Sense {
+        match payload {
+            // Occupancy beyond B0 starts the gentle slowdown (the rate
+            // floor keeps it soft).
+            CtrlPayload::FcclWire(_) if ing_bytes > self.b0 => Sense::AssertSoft,
+            _ => Sense::Clear,
+        }
+    }
+    fn messages_sent(&self) -> u64 {
         self.inner.messages_sent()
     }
 }
@@ -93,8 +100,8 @@ impl GfcTimeSender {
         self.mapping.bm.saturating_sub(remaining)
     }
 
-    /// Whether a packet of `bytes` passes the hard credit gate (the
-    /// losslessness backstop).
+    /// Whether a packet of `bytes` passes the credit gate (the unit
+    /// tests' closed loops; as a backend the sender has no hard gate).
     pub fn can_send(&mut self, bytes: u64) -> bool {
         self.credits.can_send(bytes)
     }
@@ -137,17 +144,49 @@ impl GfcTimeSender {
     }
 }
 
+impl FcTx for GfcTimeSender {
+    fn scheme(&self) -> &'static str {
+        "time-based GFC"
+    }
+    fn on_ctrl(&mut self, payload: CtrlPayload, _now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
+        match payload {
+            CtrlPayload::FcclWire(w) => {
+                // The credit limit is the last reconstruction, as in CBFC.
+                let fccl = wrap16_advance(self.credits.fccl(), w);
+                // §7: the limiter's minimum rate unit floors the mapping —
+                // the input rate never reaches exactly zero, which is what
+                // eliminates hold-and-wait.
+                Ok(CtrlOutcome::rate(self.on_feedback(fccl).max(Rate(1))))
+            }
+            other => Err(SchemeMismatch::new(other, self.scheme())),
+        }
+    }
+    fn hard_open(&mut self, _head: &TxHead, _now: Time) -> bool {
+        true
+    }
+    fn hard_blocked(&self, _head: &TxHead, _now: Time) -> bool {
+        false
+    }
+    fn on_sent(&mut self, head: &TxHead) {
+        // FCTBS bookkeeping (the rate mapping depends on it).
+        self.on_packet_sent_unchecked(head.bytes);
+    }
+    fn hold_and_wait_episodes(&self) -> u64 {
+        self.starvations()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::theorems::time_based_b0_bound;
-    use crate::units::kb;
+    use crate::units::{kb, Dur};
 
     const C: Rate = Rate(10_000_000_000);
 
-    fn setup(buffer: u64, b0: u64) -> (GfcTimeReceiver, GfcTimeSender) {
-        let period = Dur::from_micros_f64(52.4);
-        let rx = GfcTimeReceiver::new(buffer, period);
+    /// The receiver's accountant (a CBFC receiver) and a sender.
+    fn setup(buffer: u64, b0: u64) -> (CbfcReceiver, GfcTimeSender) {
+        let rx = CbfcReceiver::new(buffer, 1500);
         let mapping = LinearMapping::new(b0, buffer, C);
         let tx = GfcTimeSender::new(buffer / BLOCK_BYTES, mapping);
         (rx, tx)

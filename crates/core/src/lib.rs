@@ -10,7 +10,7 @@
 //! | module | what it implements |
 //! |---|---|
 //! | [`units`] | picosecond time, bit-rate, byte arithmetic |
-//! | [`backend`] | the [`backend::FcRx`]/[`backend::FcTx`] trait pair every scheme implements, the control-payload vocabulary, and the adapters for the five paper schemes |
+//! | [`backend`] | the [`backend::FcRx`]/[`backend::FcTx`] trait pair every scheme implements, the control-payload vocabulary, and the lossy no-op pair |
 //! | [`fc_config`] | the fabric-wide scheme + parameter selector ([`FcConfig`]) and the backend factories building [`AnyRx`]/[`AnyTx`] |
 //! | [`mapping`] | the conceptual linear mapping (Fig. 4b) and the practical multi-stage step function (Fig. 6, Eq. 4/5) |
 //! | [`theorems`] | Theorem 4.1 / 5.1 parameter bounds and the Eq. (6) τ model |
@@ -24,7 +24,12 @@
 //! | [`rate_limiter`] | the three-register egress Rate Limiter (§5.3) |
 //! | [`frames`] | wire codecs: PFC/GFC MAC control frame, InfiniBand FCP, BFC + DCFIT frames |
 //! | [`fxhash`] | the Fx multiply-fold hasher + `FxHashMap`/`FxHashSet` for hot sparse-key tables |
-//! | [`params`] | §5.4 parameter derivations for 10/40/100G CEE and IB |
+//! | [`params`] | §5.4 parameter derivations for CEE links |
+//!
+//! Each scheme module holds a receiver and a sender state machine, and
+//! the two are that scheme's backend: they implement
+//! [`backend::FcRx`]/[`backend::FcTx`] themselves, and [`AnyRx`]/[`AnyTx`]
+//! hold them directly.
 //!
 //! Every state machine is deterministic and side-effect-free: the
 //! simulator (`gfc-sim`) owns all clocks and queues and calls in with

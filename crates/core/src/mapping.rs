@@ -40,12 +40,6 @@ impl LinearMapping {
             self.capacity.mul_frac(self.bm - q, self.bm - self.b0)
         }
     }
-
-    /// The slope magnitude `C / (Bm − B0)` in bits-per-second per byte;
-    /// useful for analytical checks.
-    pub fn slope_bps_per_byte(&self) -> f64 {
-        self.capacity.0 as f64 / (self.bm - self.b0) as f64
-    }
 }
 
 /// One stage of the practical step mapping: queue lengths in

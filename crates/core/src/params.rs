@@ -5,8 +5,8 @@
 //! configurations of each flow-control scheme are derived exactly as the
 //! paper prescribes.
 
-use crate::fc_config::PfcParams;
-use crate::mapping::{LinearMapping, StageTable};
+use crate::fc_config::{GfcTimeParams, PfcParams};
+use crate::mapping::StageTable;
 use crate::theorems;
 use crate::units::{Dur, Rate};
 
@@ -28,11 +28,6 @@ impl LinkClass {
     /// processing (the §5.4 example values).
     pub fn cee(capacity: Rate) -> Self {
         LinkClass { capacity, mtu: 1536, t_wire: Dur::from_micros(1), t_proc: Dur::from_micros(3) }
-    }
-
-    /// InfiniBand defaults: MTU 4 KB.
-    pub fn infiniband(capacity: Rate) -> Self {
-        LinkClass { capacity, mtu: 4096, t_wire: Dur::from_micros(1), t_proc: Dur::from_micros(3) }
     }
 
     /// Worst-case feedback latency τ for this link (Eq. 6).
@@ -62,23 +57,14 @@ pub fn derive_buffer_gfc(buffer_bytes: u64, link: &LinkClass) -> StageTable {
     StageTable::new(buffer_bytes, b1, link.capacity)
 }
 
-/// Derived configuration of time-based GFC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeGfcParams {
-    /// The linear mapping (with `B0` from Theorem 5.1).
-    pub mapping: LinearMapping,
-    /// Feedback period `T`.
-    pub period: Dur,
-}
-
 /// Derive time-based GFC parameters: `T` = time to send 65535 B (the CBFC
 /// recommendation), `Bm = buffer`, `B0` at the Theorem 5.1 bound. Panics if
 /// the buffer cannot satisfy the bound.
-pub fn derive_time_gfc(buffer_bytes: u64, link: &LinkClass) -> TimeGfcParams {
+pub fn derive_time_gfc(buffer_bytes: u64, link: &LinkClass) -> GfcTimeParams {
     let period = theorems::cbfc_recommended_period(link.capacity);
     let b0 = theorems::time_based_b0_bound(buffer_bytes, link.capacity, link.tau(), period)
         .expect("buffer smaller than the Theorem 5.1 margin");
-    TimeGfcParams { mapping: LinearMapping::new(b0, buffer_bytes, link.capacity), period }
+    GfcTimeParams { b0, bm: buffer_bytes, period }
 }
 
 #[cfg(test)]
@@ -126,8 +112,8 @@ mod tests {
     fn time_gfc_b0_below_bm() {
         let link = LinkClass::cee(Rate::from_gbps(10));
         let p = derive_time_gfc(kb(512), &link);
-        assert!(p.mapping.b0 < p.mapping.bm);
-        assert_eq!(p.mapping.bm, kb(512));
+        assert!(p.b0 < p.bm);
+        assert_eq!(p.bm, kb(512));
         assert!((p.period.as_micros_f64() - 52.4).abs() < 0.1);
     }
 

@@ -15,6 +15,9 @@
 //!   512 bit-times); the pause expires on its own. Exposed for protocol
 //!   fidelity tests.
 
+use crate::backend::{
+    CtrlOutcome, CtrlPayload, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
+};
 use crate::fc_config::PfcParams;
 use crate::units::{Dur, Rate, Time};
 
@@ -63,11 +66,6 @@ impl PfcReceiver {
         self.pause_asserted
     }
 
-    /// Total feedback messages generated so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
     /// Report the new ingress queue length; returns the message to emit, if
     /// any. Hysteresis: PAUSE at `q ≥ XOFF` when not yet paused, RESUME at
     /// `q ≤ XON` when paused.
@@ -83,6 +81,29 @@ impl PfcReceiver {
         } else {
             None
         }
+    }
+}
+
+impl FcRx for PfcReceiver {
+    fn scheme(&self) -> &'static str {
+        "PFC"
+    }
+    fn on_arrival(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        if let Some(ev) = self.on_queue_update(ctx.q_bytes) {
+            out.push(CtrlPayload::Pfc(ev));
+        }
+    }
+    fn on_drain(&mut self, ctx: &QueueCtx, out: &mut Vec<CtrlPayload>) {
+        self.on_arrival(ctx, out); // both are queue updates
+    }
+    fn sense(&self, payload: &CtrlPayload, _ing_bytes: u64) -> Sense {
+        match payload {
+            CtrlPayload::Pfc(PfcEvent::Pause { .. }) => Sense::AssertHard,
+            _ => Sense::Clear,
+        }
+    }
+    fn messages_sent(&self) -> u64 {
+        self.messages_sent
     }
 }
 
@@ -143,6 +164,30 @@ impl PfcSender {
     /// Number of distinct pause periods entered so far — each one is a
     /// *hold-and-wait* episode in the paper's terminology.
     pub fn pauses_entered(&self) -> u64 {
+        self.pauses_entered
+    }
+}
+
+impl FcTx for PfcSender {
+    fn scheme(&self) -> &'static str {
+        "PFC"
+    }
+    fn on_ctrl(&mut self, payload: CtrlPayload, now: Time) -> Result<CtrlOutcome, SchemeMismatch> {
+        match payload {
+            CtrlPayload::Pfc(ev) => {
+                self.on_event(ev, now);
+                Ok(CtrlOutcome::gate(!self.is_paused(now)))
+            }
+            other => Err(SchemeMismatch::new(other, self.scheme())),
+        }
+    }
+    fn hard_open(&mut self, _head: &TxHead, now: Time) -> bool {
+        !self.is_paused(now)
+    }
+    fn hard_blocked(&self, _head: &TxHead, now: Time) -> bool {
+        self.is_paused(now)
+    }
+    fn hold_and_wait_episodes(&self) -> u64 {
         self.pauses_entered
     }
 }

@@ -170,12 +170,6 @@ impl Rate {
         Rate(k * 1_000)
     }
 
-    /// Construct from (fractional) bits per second, rounding to 1 bps.
-    pub fn from_bps_f64(bps: f64) -> Rate {
-        assert!(bps >= 0.0, "negative rate");
-        Rate(bps.round() as u64)
-    }
-
     /// This rate in (fractional) Gb/s.
     pub fn as_gbps_f64(self) -> f64 {
         self.0 as f64 / 1e9

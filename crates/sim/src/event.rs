@@ -54,8 +54,7 @@
 //! | lane | event class | due at | diverted to the heap (ring / enterprise / perm) |
 //! |---|---|---|---|
 //! | [`EventQueue::LANE_ARRIVE`] | `Arrive` | `now + prop_delay` | 0.03% / 2.6% / 23% |
-//! | [`EventQueue::LANE_CTRL`] | wire `CtrlApply` | `now + prop_delay + t_r` | 0 / 0.04% / 0 |
-//! | [`EventQueue::LANE_CTRL_OOB`] | out-of-band `CtrlApply` | `now + τ` | idle outside conceptual GFC |
+//! | [`EventQueue::LANE_CTRL`] | `CtrlApply` | `now + prop_delay + t_r`, or `now + τ` out of band | 0 / 0.04% / 0 |
 //! | [`EventQueue::LANE_TX`] | `TxComplete` | `now + tx_time(frame)` | 0.01% / 3.9% / 0.15% |
 //! | [`EventQueue::LANE_INBOUND`] | injected `Arrive` | window batch, sorted | idle / idle / 0 |
 //!
@@ -407,17 +406,19 @@ pub struct EventQueue {
 impl EventQueue {
     /// Lane for data-packet arrivals (`now + prop_delay`).
     pub const LANE_ARRIVE: usize = 0;
-    /// Lane for wire control applications (`now + prop_delay + t_r`).
+    /// Lane for control applications: over the wire
+    /// (`now + prop_delay + t_r`), or conceptual GFC's out-of-band
+    /// channel (`now + τ`). A run uses one of the two delays, never both:
+    /// the scheme is network-wide, and only conceptual GFC's samples
+    /// travel out of band.
     pub const LANE_CTRL: usize = 1;
-    /// Lane for out-of-band (conceptual) control applications (`now + τ`).
-    pub const LANE_CTRL_OOB: usize = 2;
     /// Lane for transmission completions (`now + tx_time`).
-    pub const LANE_TX: usize = 3;
+    pub const LANE_TX: usize = 2;
     /// Lane for data arrivals injected by the sharded coordinator, each
     /// window's batch pushed in canonical order (see `shard.rs`).
-    pub const LANE_INBOUND: usize = 4;
+    pub const LANE_INBOUND: usize = 3;
     /// Number of FIFO lanes.
-    pub const NUM_LANES: usize = 5;
+    pub const NUM_LANES: usize = 4;
 
     /// Empty queue.
     pub fn new() -> Self {
@@ -729,9 +730,9 @@ mod tests {
         }
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(7), arrive(4));
         q.push(Time(20), Event::TimelineSample);
-        assert_eq!(q.lane_lens(), [3, 0, 0, 0, 0], "nodes 5, 9, 3 stay in the lane");
+        assert_eq!(q.lane_lens(), [3, 0, 0, 0], "nodes 5, 9, 3 stay in the lane");
         assert_eq!(q.heap_len(), 4, "nodes 2, 1, 4 and the sample go to the heap");
-        assert_eq!(q.stats().lane_diverted, [3, 0, 0, 0, 0]);
+        assert_eq!(q.stats().lane_diverted, [3, 0, 0, 0]);
         let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
             .map(|(t, ev)| match ev {
                 Event::Arrive { node, .. } => (t.0, node.0),
@@ -757,9 +758,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.push_fifo(EventQueue::LANE_TX, now + Dur(1_200_000), data.clone());
         q.push_fifo(EventQueue::LANE_TX, now + Dur(51_200), ctrl.clone());
-        assert_eq!(q.lane_lens(), [0, 0, 0, 1, 0]);
+        assert_eq!(q.lane_lens(), [0, 0, 1, 0]);
         assert_eq!(q.heap_len(), 1);
-        assert_eq!(q.stats().lane_diverted, [0, 0, 0, 1, 0]);
+        assert_eq!(q.stats().lane_diverted, [0, 0, 1, 0]);
         assert_eq!(q.pop(), Some((now + Dur(51_200), ctrl)));
         assert_eq!(q.pop(), Some((now + Dur(1_200_000), data)));
         assert!(q.is_empty());
@@ -839,9 +840,9 @@ mod tests {
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive_id(2, 3)); // diverted
         q.push_fifo(EventQueue::LANE_CTRL, Time(10), ctrl(1, 7));
         q.push_fifo(EventQueue::LANE_ARRIVE, Time(11), arrive_id(3, 1));
-        assert_eq!(q.stats().lane_diverted, [1, 0, 0, 0, 0]);
+        assert_eq!(q.stats().lane_diverted, [1, 0, 0, 0]);
         assert_eq!(q.pool_slots(), 1, "only the diverted arrival takes a pool slot");
-        assert_eq!(q.lane_lens(), [2, 1, 0, 0, 0]);
+        assert_eq!(q.lane_lens(), [2, 1, 0, 0]);
         assert_eq!(q.pop(), Some((Time(10), arrive_id(2, 3))));
         assert_eq!(q.pop(), Some((Time(10), arrive_id(1, 5))));
         q.push_fifo(EventQueue::LANE_CTRL, Time(12), ctrl(2, 8));

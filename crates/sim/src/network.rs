@@ -1536,7 +1536,7 @@ impl Network {
             let ps = &self.ports[px];
             let (peer, peer_port) = (ps.peer, ps.peer_port);
             self.push_wire(
-                EventQueue::LANE_CTRL_OOB,
+                EventQueue::LANE_CTRL,
                 self.now + tau,
                 peer,
                 Event::CtrlApply { node: peer, port: peer_port, prio, payload, cause },
@@ -2265,7 +2265,7 @@ mod tests {
         for pq in net.ports.all().iter().flat_map(PortState::pqs) {
             let AnyRx::GfcBuffer(rx) = &pq.ing_rx else { panic!("GFC receiver") };
             let AnyTx::GfcBuffer(tx) = pq.tx_fc.backend() else { panic!("GFC sender") };
-            tables.extend([rx.0.table(), tx.0.table()]);
+            tables.extend([rx.table(), tx.table()]);
         }
         assert_eq!(tables.len(), 2 * 2 * net.ports.all().len());
         assert_eq!(*tables[0], expect);

@@ -54,16 +54,15 @@ impl EngineProbe {
     /// The scheduler's FIFO lanes, in lane order: each has a
     /// `probe.queue.lane_<label>` occupancy gauge and a
     /// `probe.queue.lane_<label>.diverted` counter.
-    pub const LANE_LABELS: [&'static str; 5] = ["arrive", "ctrl", "ctrl_oob", "tx", "inbound"];
+    pub const LANE_LABELS: [&'static str; 4] = ["arrive", "ctrl", "tx", "inbound"];
 
     /// Occupancy gauges sampled via [`EngineProbe::queue_sample`], in
-    /// storage order: heap keys, the five FIFO lanes, live pool slots,
+    /// storage order: heap keys, the four FIFO lanes, live pool slots,
     /// free (recyclable) pool slots, and queued control frames.
-    pub const GAUGE_NAMES: [&'static str; 9] = [
+    pub const GAUGE_NAMES: [&'static str; 8] = [
         "probe.queue.heap",
         "probe.queue.lane_arrive",
         "probe.queue.lane_ctrl",
-        "probe.queue.lane_ctrl_oob",
         "probe.queue.lane_tx",
         "probe.queue.lane_inbound",
         "probe.pool.slots",
@@ -106,8 +105,8 @@ impl EngineProbe {
         pool_free: u64,
         ctrl_backlog: u64,
     ) {
-        let [a, b, c, d, e] = lanes;
-        let vals = [heap, a, b, c, d, e, pool_slots, pool_free, ctrl_backlog];
+        let [a, b, c, d] = lanes;
+        let vals = [heap, a, b, c, d, pool_slots, pool_free, ctrl_backlog];
         for (g, v) in self.gauges.iter_mut().zip(vals) {
             g.0 = v;
             g.1 = g.1.max(v);
@@ -231,12 +230,12 @@ mod tests {
     #[test]
     fn queue_gauges_track_high_water() {
         let mut p = EngineProbe::new(&[]);
-        p.queue_sample(10, [1, 2, 3, 6, 8], 40, 5, 7);
-        p.queue_sample(4, [0, 0, 0, 2, 1], 40, 39, 0);
+        p.queue_sample(10, [1, 3, 6, 8], 40, 5, 7);
+        p.queue_sample(4, [0, 0, 2, 1], 40, 39, 0);
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.gauge("probe.queue.heap"), Some((4, 10)));
-        assert_eq!(snap.gauge("probe.queue.lane_ctrl_oob"), Some((0, 3)));
+        assert_eq!(snap.gauge("probe.queue.lane_ctrl"), Some((0, 3)));
         assert_eq!(snap.gauge("probe.queue.lane_tx"), Some((2, 6)));
         assert_eq!(snap.gauge("probe.queue.lane_inbound"), Some((1, 8)));
         assert_eq!(snap.gauge("probe.pool.free"), Some((39, 39)));
@@ -250,7 +249,7 @@ mod tests {
         p.pushes_inline = 3;
         p.pushes_pooled = 2;
         p.pool_grown = 1;
-        p.lane_diverted = [4, 0, 0, 9, 2];
+        p.lane_diverted = [4, 0, 9, 2];
         let mut snap = Snapshot::default();
         p.append_to(&mut snap);
         assert_eq!(snap.counter("probe.dispatch.arrive.count"), Some(1));
@@ -260,7 +259,7 @@ mod tests {
         assert_eq!(snap.counter("probe.pool.pushes_pooled"), Some(2));
         assert_eq!(snap.counter("probe.pool.grown"), Some(1));
         assert_eq!(snap.counter("probe.queue.lane_arrive.diverted"), Some(4));
-        assert_eq!(snap.counter("probe.queue.lane_ctrl_oob.diverted"), Some(0));
+        assert_eq!(snap.counter("probe.queue.lane_ctrl.diverted"), Some(0));
         assert_eq!(snap.counter("probe.queue.lane_tx.diverted"), Some(9));
         assert_eq!(snap.counter("probe.queue.lane_inbound.diverted"), Some(2));
     }

@@ -288,39 +288,6 @@ impl Snapshot {
         now.saturating_sub(then) as f64 * 8.0 / (dt as f64 / 1e12)
     }
 
-    /// Approximate `p`-th percentile (0–100) of a histogram metric,
-    /// linearly interpolated inside the containing bucket. Observations
-    /// in the overflow bucket resolve to the last bound (a lower bound on
-    /// the true value). `None` if the metric is missing, not a histogram,
-    /// or empty.
-    pub fn percentile(&self, name: &str, p: f64) -> Option<f64> {
-        let (bounds, counts, count) = self.entries.iter().find_map(|e| match &e.value {
-            MetricValue::Histogram { bounds, counts, count, .. } if e.name == name => {
-                Some((bounds, counts, *count))
-            }
-            _ => None,
-        })?;
-        if count == 0 {
-            return None;
-        }
-        let rank = (p.clamp(0.0, 100.0) / 100.0) * count as f64;
-        let mut seen = 0.0;
-        for (i, &c) in counts.iter().enumerate() {
-            let next = seen + c as f64;
-            if next >= rank && c > 0 {
-                let Some(&hi) = bounds.get(i) else {
-                    // Overflow bucket: the last finite bound is all we know.
-                    return Some(bounds.last().copied().unwrap_or(0) as f64);
-                };
-                let lo = if i == 0 { 0 } else { bounds[i - 1] };
-                let frac = ((rank - seen) / c as f64).clamp(0.0, 1.0);
-                return Some(lo as f64 + frac * (hi - lo) as f64);
-            }
-            seen = next;
-        }
-        Some(bounds.last().copied().unwrap_or(0) as f64)
-    }
-
     /// One-line human summary: time, delivered bytes, goodput, drops,
     /// control messages, hold-and-wait episodes.
     pub fn brief(&self) -> String {
@@ -772,82 +739,6 @@ mod tests {
         assert_eq!(percentile(&[1.0, 9.0], 50.0), Some(1.0));
         assert_eq!(percentile(&[1.0, 9.0], 50.1), Some(9.0));
         assert_eq!(percentile(&[1.0, 9.0], 100.0), Some(9.0));
-    }
-
-    #[test]
-    fn snapshot_percentile_empty_and_wrong_kind() {
-        let mut reg = MetricsRegistry::new();
-        let _h = reg.histogram("empty", &[10, 100]);
-        let c = reg.counter("not.a.hist");
-        reg.inc(c, 5);
-        let snap = reg.snapshot();
-        // A registered-but-empty histogram has no percentile.
-        assert_eq!(snap.percentile("empty", 50.0), None);
-        // Counters and missing names answer None, not a bogus value.
-        assert_eq!(snap.percentile("not.a.hist", 50.0), None);
-        assert_eq!(snap.percentile("absent", 50.0), None);
-    }
-
-    #[test]
-    fn snapshot_percentile_single_observation_and_clamping() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("one", &[10, 100]);
-        reg.observe(h, 50);
-        let snap = reg.snapshot();
-        // All percentiles resolve inside the single occupied bucket
-        // (10, 100]; p0 sits at its lower edge, p100 at its upper.
-        assert_eq!(snap.percentile("one", 0.0), Some(10.0));
-        assert_eq!(snap.percentile("one", 100.0), Some(100.0));
-        // Out-of-range p is clamped, not an error.
-        assert_eq!(snap.percentile("one", -10.0), Some(10.0));
-        assert_eq!(snap.percentile("one", 900.0), Some(100.0));
-    }
-
-    #[test]
-    fn snapshot_percentile_overflow_only_histogram() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("over", &[10, 100]);
-        // Every observation beyond the last bound: the overflow bucket is
-        // all we have, and each percentile is lower-bounded by the last
-        // finite bound rather than invented.
-        for v in [500, 1000, 2000] {
-            reg.observe(h, v);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.percentile("over", 0.0), Some(100.0));
-        assert_eq!(snap.percentile("over", 50.0), Some(100.0));
-        assert_eq!(snap.percentile("over", 100.0), Some(100.0));
-        // The overflow count still shows up in the bucket export.
-        let Some(MetricValue::Histogram { counts, count, .. }) =
-            snap.entries.iter().find(|e| e.name == "over").map(|e| e.value.clone())
-        else {
-            panic!("histogram entry missing");
-        };
-        assert_eq!(counts, vec![0, 0, 3]);
-        assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn snapshot_histogram_percentile_interpolates() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("occ", &[100, 200]);
-        // 10 observations ≤ 100, 10 in (100, 200].
-        for _ in 0..10 {
-            reg.observe(h, 50);
-        }
-        for _ in 0..10 {
-            reg.observe(h, 150);
-        }
-        let snap = reg.snapshot();
-        // Median rank 10 lands exactly at the top of the first bucket.
-        assert_eq!(snap.percentile("occ", 50.0), Some(100.0));
-        // Rank 15 is halfway through the second bucket.
-        assert_eq!(snap.percentile("occ", 75.0), Some(150.0));
-        assert_eq!(snap.percentile("missing", 50.0), None);
-        // Overflow observations clamp to the last bound.
-        reg.observe(h, 1000);
-        let snap = reg.snapshot();
-        assert_eq!(snap.percentile("occ", 100.0), Some(200.0));
     }
 
     #[test]
