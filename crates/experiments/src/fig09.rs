@@ -58,6 +58,9 @@ pub struct RingTrace {
     pub drops: u64,
     /// Hold-and-wait episodes entered network-wide.
     pub hold_and_wait: u64,
+    /// Transmission attempts the hard gate denied network-wide (pause in
+    /// force or zero credit), counted by the engine at the gate itself.
+    pub gate_blocked: u64,
     /// The `gfc-verify` static preflight verdict for this scenario,
     /// recorded next to the runtime deadlock verdicts above.
     pub static_verdict: String,
@@ -124,6 +127,7 @@ pub fn run_scheme(params: &RingParams, scheme: Scheme) -> RingTrace {
         tail_goodput,
         drops: snap.counter(names::DROPS).unwrap_or(0),
         hold_and_wait: snap.counter(names::HOLD_AND_WAIT).unwrap_or(0),
+        gate_blocked: snap.counter(names::GATE_BLOCKED).unwrap_or(0),
         static_verdict: verdict,
         telemetry: snap.brief(),
     }

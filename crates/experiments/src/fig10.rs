@@ -88,6 +88,11 @@ mod tests {
         assert!(!r.gfc.structural_deadlock, "time-based GFC must not deadlock");
         assert_eq!(r.gfc.drops, 0);
         assert_eq!(r.gfc.hold_and_wait, 0, "the credit backstop must never engage");
+        // The sender's own starvation count cannot move for time GFC (its
+        // gate never asks for credit); the engine's gate counter can, and
+        // CBFC's credit freeze shows that it does.
+        assert_eq!(r.gfc.gate_blocked, 0, "time-based GFC's gate blocked a transmission");
+        assert!(r.cbfc.gate_blocked > 0, "CBFC's credit gate never blocked: the check is vacuous");
         // Steady queue between B0 = 492 KB and Bm (paper: 745 KB); rate 5G.
         let q_kb = r.gfc.steady_queue / 1024.0;
         assert!((492.0..1000.0).contains(&q_kb), "GFC-time steady queue {q_kb:.0} KB");

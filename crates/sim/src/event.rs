@@ -24,14 +24,20 @@
 //! [`Packet`]). Heap payloads live in a slab indexed by `EventId`; slots
 //! freed by `pop` are recycled by the next `push`, so a steady-state run
 //! reaches a fixed pool size and stops allocating entirely. Payloads of
-//! FIFO-lane events (below) stay in their lane instead.
+//! FIFO-lane events (below) stay in their lane instead, and an event its
+//! key encodes whole has none.
 //!
-//! An `Arrive` is the only place a packet travels by value, and only on
-//! the wire between two nodes (or two shards): the receiving switch, like
-//! a host packetizing a flow, writes it into its network's packet store
-//! once, every queue inside the node carries its slot or links it into
-//! an egress list through the store (see `port.rs`), and the completed
-//! transmission takes it out into the next `Arrive`.
+//! A packet travels by value only between two packet stores: an
+//! [`Event::Arrive`] carries it from one shard of a sharded run to
+//! another, and the receiving shard stores it as it injects the arrival
+//! (a network never dispatches a by-value arrival). Within one network the
+//! packet is written into the store once, by the host that packetizes
+//! it, and read in place at every hop: a completed transmission pushes an
+//! [`Event::ArriveSlot`], whose key carries the packet's store slot in
+//! what would be padding; the receiving switch re-charges that slot to
+//! its ingress, every queue inside the node carries the slot or links it
+//! into an egress list through the store (see `port.rs`), and the
+//! destination host takes the packet out.
 //!
 //! ## FIFO lanes
 //!
@@ -46,17 +52,18 @@
 //! the heap instead ([`QueueStats::lane_diverted`] counts these). The
 //! heap is left with timers, kicks, CNPs, flow-completion notices, the
 //! diverted lane pushes, and the non-arrival events injected by the
-//! sharded coordinator. A lane keeps the payloads of its keys in a second
-//! deque in the same order, so an `Arrive` or `CtrlApply` that stays in
-//! its lane never touches the pool; only the diverted ones take a pool
-//! slot.
+//! sharded coordinator. A lane keeps the payloads of its keys that need
+//! one in a second deque in the same order, so a `CtrlApply` that stays
+//! in its lane never touches the pool; only the diverted ones take a pool
+//! slot. The two arrival lanes hold keys only: the engine pushes slot
+//! arrivals there, which have no payload, diverted or not.
 //!
 //! | lane | event class | due at | diverted to the heap (ring / enterprise / perm) |
 //! |---|---|---|---|
-//! | [`EventQueue::LANE_ARRIVE`] | `Arrive` | `now + prop_delay` | 0.03% / 2.6% / 23% |
+//! | [`EventQueue::LANE_ARRIVE`] | `ArriveSlot`, keys only | `now + prop_delay` | 0.03% / 2.6% / 23% |
 //! | [`EventQueue::LANE_CTRL`] | `CtrlApply` | `now + prop_delay + t_r`, or `now + τ` out of band | 0 / 0.04% / 0 |
 //! | [`EventQueue::LANE_TX`] | `TxComplete` | `now + tx_time(frame)` | 0.01% / 3.9% / 0.15% |
-//! | [`EventQueue::LANE_INBOUND`] | injected `Arrive` | window batch, sorted | idle / idle / 0 |
+//! | [`EventQueue::LANE_INBOUND`] | injected arrivals (`ArriveSlot`), keys only | window batch, sorted | idle / idle / 0 |
 //!
 //! (Diverted shares of each lane's own pushes over the three perfbench
 //! workloads, `ring3_gfc`, `ft8_enterprise_pfc`, `ft8_perm_w1`, seed
@@ -71,7 +78,8 @@
 //!
 //! The inbound lane takes the data arrivals a sharded run hands from one
 //! domain to another. The coordinator injects them once per window,
-//! stable-sorted by `(time, rank)`; every one is due at or after the
+//! stable-sorted by `(time, rank)`, each packet entering the receiving
+//! shard's store as it is injected; every one is due at or after the
 //! window edge, later than anything the shard has popped, so its key is
 //! the one a heap push would give it. A window's arrivals leave strictly
 //! after the previous window's, and each is due one propagation delay
@@ -98,7 +106,9 @@ use std::collections::VecDeque;
 /// A scheduled occurrence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A data packet finished arriving at `(node, port)`.
+    /// A data packet finished arriving at `(node, port)`, carried by
+    /// value: a packet changing stores, from one shard's outbox to the
+    /// shard that injects it as an [`Event::ArriveSlot`].
     Arrive {
         /// Receiving node.
         node: NodeId,
@@ -106,6 +116,19 @@ pub enum Event {
         port: usize,
         /// The packet.
         pkt: Packet,
+    },
+    /// A data packet finished arriving at `(node, port)` and stays where
+    /// it was: in slot `slot` of the receiving network's packet store.
+    /// Every hop within one network arrives this way. Same class and
+    /// dispatch rank as [`Event::Arrive`], and its key carries the slot,
+    /// so it takes no payload storage.
+    ArriveSlot {
+        /// Receiving node.
+        node: NodeId,
+        /// Receiving port index.
+        port: usize,
+        /// The packet's store slot.
+        slot: u32,
     },
     /// A flow-control message takes effect at `(node, port)` (arrival plus
     /// the receiver's processing delay `t_r`).
@@ -203,7 +226,7 @@ impl Event {
     /// Dense per-variant class index (see [`Event::CLASS_LABELS`]).
     pub fn class(&self) -> usize {
         match self {
-            Event::Arrive { .. } => 0,
+            Event::Arrive { .. } | Event::ArriveSlot { .. } => 0,
             Event::CtrlApply { .. } => 1,
             Event::TxKick { .. } => 2,
             Event::TxComplete { .. } => 3,
@@ -233,13 +256,15 @@ impl Event {
     }
 }
 
-/// [`Event::order_major`], and whether the rank alone encodes the event
-/// (see [`event_of_rank`]): true for the payload-free variants — half of
-/// a congested run's queue traffic — which then skip the payload pool.
-/// The rank's 20-bit node field holds every node id: `Network::new`
-/// rejects topologies of 2^20 nodes or more.
+/// [`Event::order_major`], whether the rank and the key's argument word
+/// encode the event (see [`event_of_rank`]), and that argument: an
+/// [`Event::ArriveSlot`]'s packet slot, 0 for every other variant. The
+/// encoded variants — the payload-free ones and the slot arrivals —
+/// skip the payload pool and the lanes' payload deques. The rank's
+/// 20-bit node field holds every node id: `Network::new` rejects
+/// topologies of 2^20 nodes or more.
 #[inline(always)]
-fn rank_of(ev: &Event) -> (u64, bool) {
+fn rank_of(ev: &Event) -> (u64, bool, u32) {
     #[inline]
     fn key(class: u64, node: NodeId, sub: u64) -> u64 {
         debug_assert!(node.0 < (1 << 20), "node id exceeds the dispatch-rank field");
@@ -248,29 +273,32 @@ fn rank_of(ev: &Event) -> (u64, bool) {
     }
     const FLOW_MASK: u64 = (1 << 40) - 1;
     match *ev {
-        Event::MonitorTick => (0, true),
-        Event::TimelineSample => (1, true),
-        Event::Arrive { node, port, .. } => (key(2, node, port as u64), false),
+        Event::MonitorTick => (0, true, 0),
+        Event::TimelineSample => (1, true, 0),
+        Event::Arrive { node, port, .. } => (key(2, node, port as u64), false, 0),
+        Event::ArriveSlot { node, port, slot } => (key(2, node, port as u64), true, slot),
         Event::CtrlApply { node, port, prio, .. } => {
-            (key(3, node, ((port as u64) << 8) | u64::from(prio)), false)
+            (key(3, node, ((port as u64) << 8) | u64::from(prio)), false, 0)
         }
-        Event::TxKick { node, port } => (key(4, node, port as u64), true),
-        Event::TxComplete { node, port } => (key(5, node, port as u64), true),
-        Event::PeriodicFeedback { node, port } => (key(6, node, port as u64), true),
-        Event::HostTick { host } => (key(7, host, 0), true),
-        Event::DcqcnTimer { host, flow } => (key(8, host, flow & FLOW_MASK), false),
-        Event::Cnp { host, flow } => (key(9, host, flow & FLOW_MASK), false),
-        Event::SourceDone { host, flow } => (key(10, host, flow & FLOW_MASK), false),
+        Event::TxKick { node, port } => (key(4, node, port as u64), true, 0),
+        Event::TxComplete { node, port } => (key(5, node, port as u64), true, 0),
+        Event::PeriodicFeedback { node, port } => (key(6, node, port as u64), true, 0),
+        Event::HostTick { host } => (key(7, host, 0), true, 0),
+        Event::DcqcnTimer { host, flow } => (key(8, host, flow & FLOW_MASK), false, 0),
+        Event::Cnp { host, flow } => (key(9, host, flow & FLOW_MASK), false, 0),
+        Event::SourceDone { host, flow } => (key(10, host, flow & FLOW_MASK), false, 0),
     }
 }
 
-/// Invert [`rank_of`] for an event it reported as rank-encoded.
-fn event_of_rank(rank: u64) -> Event {
+/// Invert [`rank_of`] for an event it reported as rank-encoded, from
+/// its rank and argument word.
+fn event_of_rank(rank: u64, arg: u32) -> Event {
     let node = NodeId(((rank >> 40) & 0xF_FFFF) as u32);
     let port = (rank & ((1 << 40) - 1)) as usize;
     match rank >> 60 {
         0 if rank == 0 => Event::MonitorTick,
         0 => Event::TimelineSample,
+        2 => Event::ArriveSlot { node, port, slot: arg },
         4 => Event::TxKick { node, port },
         5 => Event::TxComplete { node, port },
         6 => Event::PeriodicFeedback { node, port },
@@ -307,10 +335,12 @@ struct EventId(u32);
 /// module docs), the last three packed into the 128-bit word
 /// [`Key::order`], stored as two 8-byte halves so the key stays 32 bytes
 /// (a `u128` field aligns it to 48, and made the ring and enterprise
-/// perfbench workloads 15–20% slower in paired runs); the slot word
-/// locates the payload and never decides a comparison (seqs are unique):
-/// [`INLINE`] when the rank is the whole event, [`LANE`] when the payload
-/// waits in the key's FIFO lane, otherwise an [`EventId`] into the pool.
+/// perfbench workloads 15–20% slower in paired runs). The slot and
+/// argument words never decide a comparison (seqs are unique). The slot
+/// word locates the payload: [`INLINE`] when the rank and the argument
+/// are the whole event, [`LANE`] when the payload waits in the key's FIFO
+/// lane, otherwise an [`EventId`] into the pool. The argument word fills
+/// what would be padding: an [`Event::ArriveSlot`]'s packet slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     t: Time,
@@ -319,6 +349,7 @@ struct Key {
     /// `rank << 48 | seq`.
     lo: u64,
     slot: u32,
+    arg: u32,
 }
 
 /// Bits of [`Key::order`] holding the insertion sequence number.
@@ -404,7 +435,8 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// Lane for data-packet arrivals (`now + prop_delay`).
+    /// Lane for data-packet arrivals (`now + prop_delay`), slot arrivals
+    /// in the engine.
     pub const LANE_ARRIVE: usize = 0;
     /// Lane for control applications: over the wire
     /// (`now + prop_delay + t_r`), or conceptual GFC's out-of-band
@@ -451,11 +483,11 @@ impl EventQueue {
         }
     }
 
-    /// Key an event of dispatch rank `rank` due at `t` into canonical
-    /// order. The slot word is left [`INLINE`]: the caller sets it once it
-    /// knows where the payload goes.
+    /// Key an event of dispatch rank `rank` and argument word `arg` due
+    /// at `t` into canonical order. The slot word is left [`INLINE`]: the
+    /// caller sets it once it knows where the payload goes.
     #[inline(always)]
-    fn key(&mut self, t: Time, rank: u64) -> Key {
+    fn key(&mut self, t: Time, rank: u64, arg: u32) -> Key {
         debug_assert!(t >= self.cur.0, "event scheduled in the past");
         self.seq += 1;
         let gen = if t == self.cur.0 { self.cur.1 + 1 } else { 0 };
@@ -467,7 +499,7 @@ impl EventQueue {
         let order = u128::from(gen) << (64 + SEQ_BITS)
             | u128::from(rank) << SEQ_BITS
             | u128::from(self.seq);
-        Key { t, hi: (order >> 64) as u64, lo: order as u64, slot: INLINE }
+        Key { t, hi: (order >> 64) as u64, lo: order as u64, slot: INLINE, arg }
     }
 
     /// Insert `key` into the heap.
@@ -483,8 +515,8 @@ impl EventQueue {
     // variant, so the rank folds to a constant instead of a jump table.
     #[inline(always)]
     pub fn push(&mut self, t: Time, ev: Event) {
-        let (rank, inline) = rank_of(&ev);
-        let mut key = self.key(t, rank);
+        let (rank, inline, arg) = rank_of(&ev);
+        let mut key = self.key(t, rank, arg);
         key.slot = self.heap_slot(ev, inline);
         self.heap_push(key);
     }
@@ -497,8 +529,8 @@ impl EventQueue {
     /// in the lane too, never in the pool.
     #[inline(always)]
     pub fn push_fifo(&mut self, lane: usize, t: Time, ev: Event) {
-        let (rank, inline) = rank_of(&ev);
-        let mut key = self.key(t, rank);
+        let (rank, inline, arg) = rank_of(&ev);
+        let mut key = self.key(t, rank, arg);
         if self.lanes[lane].back().is_some_and(|b| key < *b) {
             self.stats.lane_diverted[lane] += 1;
             key.slot = self.heap_slot(ev, inline);
@@ -547,7 +579,7 @@ impl EventQueue {
         }
         self.cur = (key.t, key.gen());
         let ev = match key.slot {
-            INLINE => event_of_rank(key.rank()),
+            INLINE => event_of_rank(key.rank(), key.arg),
             LANE => self.lane_events[src].pop_front().expect("lane key without payload"),
             slot => {
                 let ev = self.pool[slot as usize].take().expect("key without pooled payload");
@@ -636,6 +668,18 @@ impl EventQueue {
     /// The always-on push counters (see [`QueueStats`]).
     pub fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    /// The packet slots of the pending [`Event::ArriveSlot`]s, in the
+    /// heap and on the lanes: the store checks' view of packets on the
+    /// wire.
+    #[cfg(test)]
+    pub(crate) fn arrival_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.heap
+            .iter()
+            .chain(self.lanes.iter().flatten())
+            .filter(|k| k.slot == INLINE && k.rank() >> 60 == 2)
+            .map(|k| k.arg)
     }
 }
 
@@ -796,7 +840,9 @@ mod tests {
                 for _ in 0..next(&mut rng) % 3 {
                     let ev = random_event(&mut rng);
                     let (lane, t) = match &ev {
-                        Event::Arrive { .. } => (Some(EventQueue::LANE_ARRIVE), now + Dur(3)),
+                        Event::Arrive { .. } | Event::ArriveSlot { .. } => {
+                            (Some(EventQueue::LANE_ARRIVE), now + Dur(3))
+                        }
                         Event::CtrlApply { .. } => (Some(EventQueue::LANE_CTRL), now + Dur(5)),
                         Event::TxComplete { .. } => (
                             Some(EventQueue::LANE_TX),
@@ -957,12 +1003,13 @@ mod tests {
     }
 
     /// An event over three nodes and two ports of each lane and heap
-    /// class, inline and pooled.
+    /// class, inline and pooled, arrivals by value and by slot.
     fn random_event(rng: &mut u64) -> Event {
         let node = NodeId((next(rng) % 3) as u32);
         let port = (next(rng) % 2) as usize;
-        match next(rng) % 6 {
+        match next(rng) % 7 {
             0 => Event::Arrive { node, port, pkt: pkt(next(rng) as u32) },
+            5 => Event::ArriveSlot { node, port, slot: next(rng) as u32 },
             1 => ctrl(node.0, (next(rng) % 4) as u16),
             2 => Event::TxKick { node, port },
             3 => Event::TxComplete { node, port },
@@ -980,6 +1027,51 @@ mod tests {
             payload: CtrlPayload::GfcStage(stage),
             cause: CauseToken::NONE,
         }
+    }
+
+    #[test]
+    fn slot_arrivals_ride_their_keys() {
+        // A slot arrival is rank-encoded: its key carries the slot, on its
+        // lane and diverted to the heap alike, so neither a payload deque
+        // nor the pool holds it. It ranks like a by-value arrival at the
+        // same port and pops among them in canonical order.
+        let at = |node: u32, slot: u32| Event::ArriveSlot { node: NodeId(node), port: 0, slot };
+        assert_eq!(at(4, 9).order_major(), arrive(4).order_major());
+        assert_eq!(at(4, 9).class(), arrive(4).class());
+        let mut q = EventQueue::new();
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), at(5, 7));
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), at(3, u32::MAX)); // diverted
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(10), arrive(4)); // diverted, pooled
+        q.push_fifo(EventQueue::LANE_ARRIVE, Time(11), at(1, 0));
+        assert_eq!(q.stats().lane_diverted, [2, 0, 0, 0]);
+        assert_eq!(q.lane_lens(), [2, 0, 0, 0]);
+        assert_eq!(q.pool_slots(), 1, "only the by-value arrival takes a pool slot");
+        assert!(q.lane_events.iter().all(VecDeque::is_empty), "a slot arrival left a payload");
+        let mut slots: Vec<u32> = q.arrival_slots().collect();
+        slots.sort_unstable();
+        assert_eq!(slots, vec![0, 7, u32::MAX]);
+        let order: Vec<(Time, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (Time(10), at(3, u32::MAX)),
+                (Time(10), arrive(4)),
+                (Time(10), at(5, 7)),
+                (Time(11), at(1, 0)),
+            ]
+        );
+        let s = q.stats();
+        assert_eq!((s.pushes_inline, s.pushes_pooled), (3, 1));
+    }
+
+    #[test]
+    fn event_and_key_layouts_stay_small() {
+        // The per-event cost rests on these sizes: a by-value arrival
+        // inlines its 48-B packet into a 64-B event, and a slot arrival's
+        // slot fills the key's padding. A `u128` key field once made the
+        // key 48 B and the ring and enterprise workloads 15–20% slower.
+        assert_eq!(std::mem::size_of::<Event>(), 64);
+        assert_eq!(std::mem::size_of::<Key>(), 32);
     }
 
     #[test]

@@ -210,6 +210,12 @@ pub struct Network {
     domain_filter: Option<(Arc<[u32]>, u32)>,
     /// Cross-domain events generated this window, in generation order.
     outbox: Vec<(Time, Event)>,
+    /// The control messages a receiver hook emits, drained at once; kept
+    /// between hooks so that emitting allocates nothing.
+    ctrl_out: Vec<CtrlPayload>,
+    /// Cross-domain events the coordinator delivered for the next window,
+    /// in delivery order (see [`Self::inject_inbox`]).
+    inbox: Vec<(Time, Event)>,
     workload: Option<Box<dyn Workload>>,
     ledger: FlowLedger,
     /// The run's deadlock verdicts (a shard's coordinator steps its own).
@@ -329,6 +335,8 @@ impl Network {
             rng,
             domain_filter: domain,
             outbox: Vec::new(),
+            inbox: Vec::new(),
+            ctrl_out: Vec::new(),
             workload: None,
             ledger: FlowLedger::new(),
             monitor,
@@ -816,7 +824,7 @@ impl Network {
 
     /// Push a wire event (FIFO lane) bound for `target`, diverting to the
     /// outbox when the target belongs to another shard. The far side
-    /// injects it (see [`Self::inject`]): within one `(time,
+    /// injects it (see [`Self::inject_inbox`]): within one `(time,
     /// dispatch-rank)` group all events share a single causal source, so
     /// outbox order — preserved end-to-end by the coordinator — reproduces
     /// the lane's FIFO order.
@@ -863,19 +871,43 @@ impl Network {
         self.queue.peek_time()
     }
 
-    /// Inject a cross-shard event delivered by the coordinator, which
-    /// hands over each window's batch sorted by `(time, dispatch rank)`.
+    /// Queue a cross-shard event for this shard's next window; the
+    /// coordinator delivers each window's events in source-shard order.
+    pub(crate) fn deliver(&mut self, t: Time, ev: Event) {
+        self.inbox.push((t, ev));
+    }
+
+    /// The delivered events not yet injected, with their due times.
+    pub(crate) fn inbox(&self) -> impl ExactSizeIterator<Item = (Time, &Event)> {
+        self.inbox.iter().map(|(t, ev)| (*t, ev))
+    }
+
+    /// Inject the delivered events in canonical order: by `(time,
+    /// dispatch rank)`, ties in delivery order (a stable sort). A window's
+    /// batch is small (at most 20 events per shard on the k = 8
+    /// permutation), well inside the stable sort's on-stack scratch, so
+    /// sorting allocates nothing.
+    ///
     /// Data arrivals ride [`EventQueue::LANE_INBOUND`]: every batch is
     /// due at or after the window edge, so it gets the same key it would
     /// in the heap and the lane stays sorted (a key behind the tail still
-    /// goes to the heap). Every other class goes to the heap.
-    pub(crate) fn inject(&mut self, t: Time, ev: Event) {
-        debug_assert!(t >= self.now, "injected event in this shard's past");
-        if let Event::Arrive { .. } = ev {
-            self.queue.push_fifo(EventQueue::LANE_INBOUND, t, ev);
-        } else {
-            self.queue.push(t, ev);
+    /// goes to the heap). Each arriving packet enters this shard's store
+    /// here, as from a local sender, and arrives by its slot. Every other
+    /// class goes to the heap.
+    pub(crate) fn inject_inbox(&mut self) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.sort_by_key(|(t, ev)| (*t, ev.order_major()));
+        for (t, ev) in inbox.drain(..) {
+            debug_assert!(t >= self.now, "injected event in this shard's past");
+            if let Event::Arrive { node, port, pkt } = ev {
+                let slot = self.store.insert(pkt, PacketStore::SOURCED);
+                let ev = Event::ArriveSlot { node, port, slot };
+                self.queue.push_fifo(EventQueue::LANE_INBOUND, t, ev);
+            } else {
+                self.queue.push(t, ev);
+            }
         }
+        self.inbox = inbox;
     }
 
     /// The event queue's push counters (see [`QueueStats`]).
@@ -883,12 +915,14 @@ impl Network {
         self.queue.stats()
     }
 
-    /// Drain the cross-domain events generated since the last call, in
-    /// generation order. The outbox starts over at the same capacity, so
-    /// it does not grow anew every window.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(Time, Event)> {
-        let next = Vec::with_capacity(self.outbox.capacity());
-        std::mem::replace(&mut self.outbox, next)
+    /// Swap the outbox, the cross-domain events generated since the last
+    /// call in generation order, with the empty buffer `buf`. The
+    /// coordinator drains what it gets and hands the buffer to the next
+    /// shard, so outbox buffers keep their capacity and a steady-state
+    /// window allocates none.
+    pub(crate) fn swap_outbox(&mut self, buf: &mut Vec<(Time, Event)>) {
+        debug_assert!(buf.is_empty(), "outbox swapped for a non-empty buffer");
+        std::mem::swap(&mut self.outbox, buf);
     }
 
     /// Advance the local clock to a barrier instant (monitor ticks and
@@ -1003,7 +1037,10 @@ impl Network {
     fn handle(&mut self, ev: Event) {
         self.tel.on_event();
         match ev {
-            Event::Arrive { node, port, pkt } => self.on_arrive(node, port, pkt),
+            Event::ArriveSlot { node, port, slot } => self.on_arrive(node, port, slot),
+            Event::Arrive { .. } => {
+                unreachable!("by-value arrivals are injected as slot arrivals")
+            }
             Event::CtrlApply { node, port, prio, payload, cause } => {
                 self.on_ctrl_apply(node, port, prio, payload, cause);
             }
@@ -1060,11 +1097,14 @@ impl Network {
         self.queue.push(now + Dur(period), Event::TimelineSample);
     }
 
-    fn on_arrive(&mut self, node: NodeId, port: usize, pkt: Packet) {
+    /// A packet, held in store slot `slot`, finished arriving at
+    /// `(node, port)`.
+    fn on_arrive(&mut self, node: NodeId, port: usize, slot: u32) {
         if self.is_host(node) {
+            let pkt = self.store.take(slot);
             self.deliver_at_host(node, port, pkt);
         } else {
-            self.forward_at_switch(node, port, pkt);
+            self.forward_at_switch(node, port, slot);
         }
     }
 
@@ -1147,9 +1187,15 @@ impl Network {
         }
     }
 
-    fn forward_at_switch(&mut self, node: NodeId, port: usize, mut pkt: Packet) {
-        let prio = pkt.prio as usize;
-        let bytes = pkt.bytes;
+    /// A packet, held in store slot `slot`, arrives at switch ingress
+    /// `(node, port)`: admit it (or drop it and free the slot), charge the
+    /// ingress, and queue the slot towards its egress. The packet itself
+    /// is read in place and never moves.
+    fn forward_at_switch(&mut self, node: NodeId, port: usize, slot: u32) {
+        let pkt = self.store.get(slot);
+        let (prio8, bytes, flow, next) =
+            (pkt.prio, pkt.bytes, u64::from(pkt.flow), pkt.next_link());
+        let prio = prio8 as usize;
         let n = node.0 as usize;
         let span = self.ports.span(n);
         let ing_ix = span.ix(port);
@@ -1157,7 +1203,8 @@ impl Network {
         let ps = &mut self.ports[ing_ix];
         if ps.pq(prio).ing_bytes + bytes > self.cfg.buffer_bytes {
             ps.drops += 1;
-            self.tel.on_drop(self.now.0, node, port, pkt.prio, bytes);
+            self.tel.on_drop(self.now.0, node, port, prio8, bytes);
+            self.store.take(slot);
             return;
         }
         let q = {
@@ -1165,13 +1212,13 @@ impl Network {
             *cnt += bytes;
             *cnt
         };
-        self.tel.on_enqueue(self.now.0, node, port, pkt.prio, bytes, q);
+        self.tel.on_enqueue(self.now.0, node, port, prio8, bytes, q);
         // Route first: backends that chain causality along the forwarding
         // direction (DCFIT) need the forward egress resolved before the
         // arrival hook runs, so a tag applied there can be inherited here.
-        let link = pkt
-            .next_link()
-            .unwrap_or_else(|| panic!("packet {} stranded at switch {node:?}", pkt.id));
+        let link = next.unwrap_or_else(|| {
+            panic!("packet {} stranded at switch {node:?}", self.store.get(slot).id)
+        });
         debug_assert!(self.fab.topo.link_alive(link), "routing used a failed link");
         let out_port = self.out_port(node, link);
         let out = span.ix(out_port);
@@ -1180,22 +1227,21 @@ impl Network {
         } else {
             None
         };
-        let ctx =
-            QueueCtx { q_bytes: q, pkt_bytes: bytes, flow: u64::from(pkt.flow), inherited_tag };
-        let mut msgs = Vec::new();
+        let ctx = QueueCtx { q_bytes: q, pkt_bytes: bytes, flow, inherited_tag };
+        let mut msgs = std::mem::take(&mut self.ctrl_out);
         self.ports[ing_ix].pq_mut(prio).ing_rx.on_arrival(&ctx, &mut msgs);
-        for payload in msgs {
+        for payload in msgs.drain(..) {
             let fwd = if self.tel.causal_on() {
-                self.causal_fwd_hint(node, port, prio, &pkt)
+                self.causal_fwd_hint(node, port, prio, slot)
             } else {
                 None
             };
-            self.send_ctrl(node, port, ing_ix, pkt.prio, payload, fwd);
+            self.send_ctrl(node, port, ing_ix, prio8, payload, fwd);
         }
-        pkt.hop += 1;
-        // The packet's one write into this node: from here to its
-        // transmission the queues carry its slot.
-        let slot = self.store.insert(pkt, port as u32);
+        self.ctrl_out = msgs;
+        // The packet lands here: from now to its transmission the queues
+        // carry its slot, charged to this ingress.
+        self.store.land(slot, port as u32);
         let eg = &mut self.ports[out].pq_mut(prio).eg;
         eg.voq_bytes += bytes;
         if self.cfg.pump == PumpPolicy::OutputQueued {
@@ -1440,7 +1486,7 @@ impl Network {
 
     fn on_monitor_tick(&mut self) {
         let mut monitor = self.monitor;
-        let found = monitor.step(self.now, &mut [&mut *self]);
+        let found = monitor.step(self.now, &mut [std::slice::from_mut(self)]);
         self.monitor = monitor;
         if let Some((graph, cycle)) = found {
             self.capture_forensics(ForensicsTrigger::WaitForCycle, graph, cycle);
@@ -1475,12 +1521,12 @@ impl Network {
     /// staged packets charged to this ingress (output-queued case, where
     /// the backlog lives in egress staging), and finally the arriving
     /// packet's route. A pure read; only evaluated with the tracker on.
-    fn causal_fwd_hint(&self, node: NodeId, port: usize, prio: usize, pkt: &Packet) -> Option<u16> {
+    fn causal_fwd_hint(&self, node: NodeId, port: usize, prio: usize, slot: u32) -> Option<u16> {
         let node_ports = &self.ports[node.0 as usize];
         if let Some(head) = node_ports[port].pq(prio).ing_q.front() {
             return Some(head.out_port as u16);
         }
-        let routed = pkt.next_link().map(|l| self.out_port(node, l));
+        let routed = self.store.get(slot).next_link().map(|l| self.out_port(node, l));
         let blocked = |p: usize| {
             let pq = node_ports[p].pq(prio);
             let head = pq.eg.q.front().map(|slot| self.store.tx_head(slot));
@@ -1680,19 +1726,22 @@ impl Network {
         }
         let (slot, prio) = ps.current_data.take().expect("tx completed with no frame");
         let ingress = self.store.ingress(slot);
-        // The packet's one write out of this node.
-        let pkt = self.store.take(slot);
+        let pkt = self.store.get(slot);
         let bytes = pkt.bytes;
         let flow = u64::from(pkt.flow);
-        // Hand the frame to the wire — moved into the arrival lane by
-        // value, no per-hop clone. Constant propagation delay ⇒ arrivals
-        // are due in push order: they ride the O(1) FIFO lane.
-        self.push_wire(
-            EventQueue::LANE_ARRIVE,
-            self.now + self.cfg.prop_delay,
-            peer,
-            Event::Arrive { node: peer, port: peer_port, pkt },
-        );
+        // Hand the frame to the wire. Within this network the packet stays
+        // in its slot and the arrival carries the slot; constant
+        // propagation delay ⇒ arrivals are due in push order: they ride
+        // the O(1) FIFO lane. A peer in another shard gets the packet
+        // itself, out of this store.
+        let due = self.now + self.cfg.prop_delay;
+        if self.is_local(peer) {
+            let ev = Event::ArriveSlot { node: peer, port: peer_port, slot };
+            self.queue.push_fifo(EventQueue::LANE_ARRIVE, due, ev);
+        } else {
+            let pkt = self.store.take(slot);
+            self.outbox.push((due, Event::Arrive { node: peer, port: peer_port, pkt }));
+        }
         // Release the local ingress charge (switch transit traffic).
         if let Some(ing) = ingress {
             {
@@ -1706,13 +1755,14 @@ impl Network {
             ing_pq.ing_bytes -= bytes;
             let ctx =
                 QueueCtx { q_bytes: ing_pq.ing_bytes, pkt_bytes: bytes, flow, inherited_tag: None };
-            let mut msgs = Vec::new();
+            let mut msgs = std::mem::take(&mut self.ctrl_out);
             ing_pq.ing_rx.on_drain(&ctx, &mut msgs);
-            for payload in msgs {
+            for payload in msgs.drain(..) {
                 // Lineage hint: the drain happened through this egress.
                 let fwd = if self.tel.causal_on() { Some(port as u16) } else { None };
                 self.send_ctrl(node, ing, ing_ix, prio, payload, fwd);
             }
+            self.ctrl_out = msgs;
             // A staging slot freed: pull waiting ingress FIFO heads.
             if self.cfg.pump != PumpPolicy::OutputQueued {
                 self.pump(node, span);
@@ -2056,13 +2106,20 @@ mod tests {
         /// Check the packet store against the queues that hold its
         /// slots: each egress list walks, without a cycle, to its cached
         /// length and ends at its tail; every live slot is on exactly one
-        /// egress list, ingress FIFO or wire, and a slot off the egress
-        /// lists links to nothing; no queue names a free slot; and live
-        /// plus free slots (the free list walked) make up the store.
-        /// Returns the number of live packets.
-        fn assert_packet_store(&self) -> usize {
+        /// egress list, ingress FIFO or port's wire, or is named by
+        /// exactly one pending slot-carrying arrival; a slot off the
+        /// egress lists links to nothing; no queue or arrival names a free
+        /// slot; and live plus free slots (the free list walked) make up
+        /// the store. Returns the number of live packets, those on the
+        /// wire included.
+        pub(crate) fn assert_packet_store(&self) -> usize {
             let store = &self.store;
             let mut refs = vec![0u32; store.len()];
+            for slot in self.queue.arrival_slots() {
+                assert!(store.is_live(slot), "arrival names free slot {slot}");
+                assert_eq!(store.next_of(slot), None, "arrival of linked slot {slot}");
+                refs[slot as usize] += 1;
+            }
             for (n, node_ports) in self.ports.nodes().enumerate() {
                 for (p, ps) in node_ports.iter().enumerate() {
                     let mut note = |slot: u32, queue: &str| {
@@ -2129,15 +2186,16 @@ mod tests {
     }
 
     /// [`run_checking`] on the packet store; at the end the store holds
-    /// exactly as many slots as the most packets ever live at once (no
-    /// slack), and that many is returned.
-    fn run_checking_store(net: Network, horizon: Time) -> usize {
+    /// exactly as many slots as the most packets ever live at once, those
+    /// on the wire included (no slack). Returns that many, and the run's
+    /// statistics.
+    fn run_checking_store(net: Network, horizon: Time) -> (usize, SimStats) {
         let mut most_live = 0;
         let net = run_checking(net, horizon, |net| {
             most_live = most_live.max(net.assert_packet_store());
         });
         assert_eq!(net.store.len(), most_live, "store slots vs most packets live at once");
-        most_live
+        (most_live, net.stats())
     }
 
     fn gfc_cfg(prios: u8) -> SimConfig {
@@ -2169,13 +2227,18 @@ mod tests {
     /// priority 1 when there are two), so FIFO heads block on two
     /// egresses.
     fn star(hosts: usize, prios: u8) -> Network {
+        star_with(gfc_cfg(prios), hosts, prios)
+    }
+
+    /// [`star`] on configuration `cfg`.
+    fn star_with(cfg: SimConfig, hosts: usize, prios: u8) -> Network {
         let mut topo = Topology::new();
         let sw = topo.add_switch("S");
         let hs: Vec<NodeId> = (0..hosts).map(|i| topo.add_host(format!("H{i}"))).collect();
         for &h in &hs {
             topo.add_link(h, sw);
         }
-        let mut net = Network::new(topo, Routing::spf(), gfc_cfg(prios), TraceConfig::none());
+        let mut net = Network::new(topo, Routing::spf(), cfg, TraceConfig::none());
         for i in 0..hosts {
             let far = (i + hosts / 2) % hosts;
             net.start_flow(hs[i], hs[(i / 2 * 2 + 2) % hosts], None, 0).expect("star route");
@@ -2237,21 +2300,34 @@ mod tests {
     #[test]
     fn packet_store_matches_the_queues_on_a_round_robin_gfc_ring() {
         for prios in [1, 2] {
-            let most = run_checking_store(ring(prios), Time::from_millis(5));
+            let (most, _) = run_checking_store(ring(prios), Time::from_millis(5));
             assert!(most > 100, "{prios} priorities: only {most} packets ever live");
         }
     }
 
     #[test]
     fn packet_store_matches_the_queues_on_a_round_robin_70_port_star() {
-        let most = run_checking_store(star(70, 1), Time::from_micros(200));
+        let (most, _) = run_checking_store(star(70, 1), Time::from_micros(200));
         assert!(most > 100, "only {most} packets ever live");
     }
 
     #[test]
     fn packet_store_matches_the_queues_on_an_output_queued_pfc_fat_tree() {
-        let most = run_checking_store(fat_tree_enterprise_pfc(), Time::from_millis(1));
+        let (most, _) = run_checking_store(fat_tree_enterprise_pfc(), Time::from_millis(1));
         assert!(most > 100, "only {most} packets ever live");
+    }
+
+    /// With no flow control and small buffers the star's two-to-one
+    /// flows overflow the switch ingresses: every dropped packet must
+    /// free the slot it arrived in.
+    #[test]
+    fn packet_store_matches_the_queues_on_a_lossy_star() {
+        let mut cfg = gfc_cfg(1);
+        cfg.fc = FcConfig::None;
+        cfg.buffer_bytes = kb(30);
+        let (most, stats) = run_checking_store(star_with(cfg, 8, 1), Time::from_micros(300));
+        assert!(stats.drops > 100, "only {} drops", stats.drops);
+        assert!(most > 20, "only {most} packets ever live");
     }
 
     #[test]

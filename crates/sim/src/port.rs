@@ -5,23 +5,26 @@
 //! ## Layout
 //!
 //! A packet a network holds lives in that network's [`PacketStore`], one
-//! slot per packet, from the hop that takes it in (a switch ingress, or a
-//! host NIC packetizing a flow) until its transmission completes and it
-//! moves into the next `Event::Arrive`. A slot is 56 B: the 48-B
-//! [`Packet`], the ingress port charged for it, and a `next` link. The
-//! queues between those two points hold slot numbers, not packets: an
+//! slot per packet, from its source host's NIC, which packetizes it into
+//! the store, to its destination host, which takes it out; a packet that
+//! crosses to another shard of a sharded run leaves one store by value
+//! and enters the other's on injection. A slot is 56 B: the 48-B
+//! [`Packet`], the ingress port charged for it, and a `next` link. Every
+//! queue and wire in between holds the slot number, not the packet: an
 //! ingress FIFO holds [`IngressPacket`]s (8 B: the slot plus the
 //! forwarding decision the pump reads at every head);
 //! an egress queue is a [`SlotFifo`], a head/tail/length triple whose
 //! list is threaded through the slots' `next` links, the way a
 //! shared-buffer switch chains each output queue's cells through one
-//! packet memory; and a port's frame in flight is its slot. The free
-//! slots form one more list through the same links. A hop so writes the
-//! full packet twice, into the store and out of it, however many queues
-//! it crosses; and queue memory follows the live packets, not each
-//! queue's deepest moment: the packets share one store sized to the
-//! network's largest live population, and an egress queue costs 12 B at
-//! any depth.
+//! packet memory; a port's frame in flight is its slot; and so is the
+//! pending `Event::ArriveSlot` that carries the frame to the next node,
+//! where [`PacketStore::land`] re-charges the slot to the ingress it
+//! arrived on. The free slots form one more list through the same
+//! links. A packet is so written once at its source and read in place at
+//! every hop, however many queues it crosses; and queue memory follows
+//! the live packets, not each queue's deepest moment: the packets share
+//! one store sized to the network's largest live population, those on
+//! the wire included, and an egress queue costs 12 B at any depth.
 //!
 //! Per-priority state is grouped in [`PrioState`] — one struct per
 //! `(port, priority)` instead of five parallel `Vec`s — so the fields a
@@ -64,10 +67,11 @@ struct Slot {
     /// `Packet`: its path pointer is never null).
     pkt: Option<Packet>,
     /// The next slot of the list this one is on ([`NIL`] at a list's
-    /// end, and while the packet waits in an ingress FIFO or is on the
-    /// wire).
+    /// end, and while the packet waits in an ingress FIFO, is in flight
+    /// or is on the wire).
     next: u32,
-    /// The charged local ingress port, or [`PacketStore::SOURCED`].
+    /// The charged local ingress port, or [`PacketStore::SOURCED`]; on
+    /// the wire, still the sending node's.
     ingress_port: u32,
 }
 
@@ -138,6 +142,17 @@ impl PacketStore {
     pub fn tx_head(&self, slot: u32) -> TxHead {
         let pkt = self.get(slot);
         TxHead { bytes: pkt.bytes, flow: u64::from(pkt.flow) }
+    }
+
+    /// Land the packet in `slot` at local ingress port `ingress`: it has
+    /// crossed one more link, and the ingress is charged for it. The
+    /// packet stays in place; the slot must be on no list.
+    #[inline]
+    pub fn land(&mut self, slot: u32, ingress: u32) {
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.next == NIL, "slot {slot} landed while linked");
+        s.pkt.as_mut().expect("landing in a free packet slot").hop += 1;
+        s.ingress_port = ingress;
     }
 
     /// Move the packet out of `slot` and free the slot. Panics if the slot

@@ -42,8 +42,9 @@ impl DeadlockMonitor {
         }
     }
 
-    /// The monitor step at `now` over `nets` (the one network of a
-    /// sequential run, or every shard of a sharded one, in shard order):
+    /// The monitor step at `now` over `nets`, chunks of networks (the one
+    /// network of a sequential run, or every shard of a sharded one, in
+    /// shard order, as the coordinator holds them):
     /// bring each clock to `now` and take its engine-probe sample, sample
     /// the summed deliveries and the OR-ed backlog, and on a stalled,
     /// backlogged step look for a cycle in the one wait-for graph every
@@ -52,11 +53,11 @@ impl DeadlockMonitor {
     pub(crate) fn step(
         &mut self,
         now: Time,
-        nets: &mut [&mut Network],
+        nets: &mut [&mut [Network]],
     ) -> Option<(WaitForGraph, Vec<usize>)> {
         let mut backlogged = false;
         let mut delivered = 0;
-        for n in nets.iter_mut() {
+        for n in nets.iter_mut().flat_map(|chunk| chunk.iter_mut()) {
             n.set_now(now);
             n.probe_queue_sample();
             backlogged |= n.backlogged();
@@ -70,7 +71,7 @@ impl DeadlockMonitor {
             return None;
         }
         let mut graph = WaitForGraph::new();
-        for n in nets.iter() {
+        for n in nets.iter().flat_map(|chunk| chunk.iter()) {
             n.add_waitfor_edges(&mut graph);
         }
         let cycle = graph.find_cycle()?;

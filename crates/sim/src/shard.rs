@@ -13,14 +13,21 @@
 //! The shards are cut into `workers` contiguous chunks, and the
 //! coordinator — the thread in [`ShardedNetwork::run_until`] — holds
 //! them all between windows. For each window it lends chunk `w` to
-//! worker `w` as one job (the chunk, the cross-shard events bound for
-//! it, the window edge), and the worker hands the chunk back with each
-//! shard's outbox and next event time. Worker 0 is the calling thread
-//! itself, so one worker means no thread and no channel hand-off at all;
-//! `W` workers spawn `W − 1` scoped threads per call. Every barrier step
-//! (start-of-run priming, the monitor tick and its wait-for check, the
-//! end-of-run clock) runs on the coordinator, directly on the shards it
-//! holds.
+//! worker `w` as one job (the chunk and the window edge); each shard
+//! injects the cross-shard events waiting in its inbox and runs the
+//! window, and the worker hands the chunk back with the new events in
+//! each shard's outbox. Worker 0 is the calling thread itself, so one
+//! worker means no thread and no channel hand-off at all; `W` workers
+//! spawn `W − 1` scoped threads per call. Every barrier step (start-of-run
+//! priming, the monitor tick and its wait-for check, the end-of-run
+//! clock) runs on the coordinator, directly on the shards it holds.
+//!
+//! A window allocates nothing once warm: the coordinator drains each
+//! outbox by swapping in an empty buffer of the previous shard's, and the
+//! inboxes keep their capacity and are sorted in place. Only a call's own
+//! setup (the thread scope, its hand-back channel, the chunk list)
+//! allocates, a few times per call (`crates/sim/tests/alloc_steady_state.rs`
+//! counts them over 4,000 windows of the k = 8 permutation).
 //!
 //! ## How it stays exact
 //!
@@ -50,18 +57,24 @@
 //!   order). The order within an instant is thus a pure function of the
 //!   event set, not of which queue the events waited in.
 //! * **Deterministic merge.** When a window's chunks come back, the
-//!   coordinator queues their shards' outboxes in shard-index order,
-//!   whichever worker finished first, into one batch per destination
-//!   shard. Within one `(time, rank)` group all events come from a
+//!   coordinator delivers their shards' outboxes in shard-index order,
+//!   whichever worker finished first, into each destination shard's
+//!   inbox. Within one `(time, rank)` group all events come from a
 //!   single causal source (one upstream peer per `(node, port)`, one
 //!   destination per flow), so concatenation order reproduces the
-//!   sequential FIFO order. The destination stable-sorts
-//!   its batch by `(time, rank)`, which keeps that order, and injects
+//!   sequential FIFO order. The destination sorts its inbox by `(time,
+//!   rank)`, ties in delivery order, which keeps that order, and injects
 //!   it: data arrivals onto its inbound FIFO lane
 //!   ([`EventQueue::LANE_INBOUND`]), everything else into its heap. Each
 //!   key equals the one a heap push would get, since every injected
 //!   event is due at or after the window edge — checked on every
 //!   cross-shard event, release builds included.
+//! * **Packets change stores at the domain edge.** A shard's packet
+//!   store holds only its own packets. A transmission towards a foreign
+//!   node takes the packet out of the sender's store into a by-value
+//!   [`Event::Arrive`]; the destination inserts it into its own store as
+//!   it injects the arrival, which then rides the inbound lane as a slot
+//!   arrival, like every intra-domain hop. Shards share no slot numbers.
 //! * **One observer step.** The coordinator takes the sequential engine's
 //!   own monitor step (`DeadlockMonitor`, `progress.rs`) at the instants
 //!   that engine would dispatch its `MonitorTick`, over every shard; the
@@ -101,71 +114,20 @@ use gfc_topology::{LinkId, NodeId, Partition, Routing, Topology};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
-/// One shard's window result: `(shard index, outbox, earliest pending
-/// event)`.
-type RanShard = (usize, Vec<(Time, Event)>, Option<Time>);
+/// A window's job for one worker: its chunk of shards and the
+/// (exclusive) window edge.
+type Job<'a> = (&'a mut [Network], Time);
 
-/// Cross-shard events for one chunk: `(destination shard index, batch)`.
-type Inject = Vec<(usize, Vec<(Time, Event)>)>;
-
-/// A window's job for one worker: its chunk of shards, the events to
-/// inject into them, and the (exclusive) window edge.
-type Job<'a> = (&'a mut [Network], Inject, Time);
-
-/// Run one window on a chunk of shards whose first shard has index
-/// `base`: inject the chunk's cross-shard events, then dispatch each
-/// shard's events strictly before `until`.
-fn run_chunk(base: usize, shards: &mut [Network], inject: Inject, until: Time) -> Vec<RanShard> {
-    for (idx, mut evs) in inject {
-        // Canonical order, so the batch's arrivals stay on the inbound
-        // lane; the sort is stable, keeping the source order of
-        // `(time, rank)` ties.
-        evs.sort_by_key(|(t, ev)| (*t, ev.order_major()));
-        let n = &mut shards[idx - base];
-        for (t, ev) in evs {
-            n.inject(t, ev);
+/// Run one window on a chunk of shards: inject each shard's delivered
+/// cross-shard events, then dispatch its events strictly before `until`.
+fn run_chunk(shards: &mut [Network], until: Time) {
+    for n in shards {
+        n.inject_inbox();
+        if n.next_event_time().is_some_and(|t| t < until) {
+            // Inclusive horizon: the window's last instant.
+            n.run_until(Time(until.0 - 1));
         }
     }
-    shards
-        .iter_mut()
-        .enumerate()
-        .map(|(i, n)| {
-            if n.next_event_time().is_some_and(|t| t < until) {
-                // Inclusive horizon: the window's last instant.
-                n.run_until(Time(until.0 - 1));
-            }
-            (base + i, n.take_outbox(), n.next_event_time())
-        })
-        .collect()
-}
-
-/// Fold one window's shard results (window edge `until`) into the
-/// coordinator's view, in source-shard order — the deterministic
-/// concatenation the exactness argument relies on, whatever order the
-/// workers finished in: refresh each shard's peek time, queue its outbox
-/// for the destination shards, and count the queued events into `sync`.
-/// Returns the earliest queued due time.
-fn absorb(
-    mut ran: Vec<RanShard>,
-    until: Time,
-    domain_of: &[u32],
-    peeks: &mut [Option<Time>],
-    pending: &mut [Vec<(Time, Event)>],
-    sync: &mut SyncStats,
-) -> Option<Time> {
-    ran.sort_by_key(|(idx, ..)| *idx);
-    let mut earliest = None;
-    for (idx, outbox, peek) in ran {
-        peeks[idx] = peek;
-        for (t, ev) in outbox {
-            assert!(t >= until, "cross-shard event inside its own window");
-            earliest = Some(earliest.map_or(t, |e: Time| e.min(t)));
-            *injected_count(sync, &ev) += 1;
-            let dest = domain_of[target_of(&ev).0 as usize] as usize;
-            pending[dest].push((t, ev));
-        }
-    }
-    earliest
 }
 
 /// The counter of `sync` that an injected event like `ev` adds to.
@@ -183,6 +145,11 @@ fn target_of(ev: &Event) -> NodeId {
         Event::Cnp { host, .. } | Event::SourceDone { host, .. } => *host,
         _ => unreachable!("event class never crosses domains"),
     }
+}
+
+/// Every shard of `parts`, the shards cut into chunks, in shard order.
+fn all_shards<'a>(parts: &'a [&mut [Network]]) -> impl Iterator<Item = &'a Network> {
+    parts.iter().flat_map(|chunk| chunk.iter())
 }
 
 /// Sum / max / bucket-wise merge of one metric across shards.
@@ -254,13 +221,42 @@ pub struct ShardedNetwork {
     /// Next monitor barrier; scheduled on the first run, then advances by
     /// `monitor_interval` exactly like the sequential tick chain.
     monitor_due: Option<Time>,
-    /// Cross-shard events awaiting injection, per destination shard, in
-    /// (window, source-shard, generation) order.
-    pending: Vec<Vec<(Time, Event)>>,
+    /// An empty buffer, swapped in for each shard's outbox as it is
+    /// drained (see [`Network::swap_outbox`]).
+    spare: Vec<(Time, Event)>,
     /// Coordinator counters. The injected counts also cover the events
-    /// still in `pending`, and `inbound_lane` the diverted arrivals;
-    /// [`Self::sync_stats`] takes both out.
+    /// still in the shards' inboxes, and `inbound_lane` the diverted
+    /// arrivals; [`Self::sync_stats`] takes both out.
     sync: SyncStats,
+}
+
+/// Deliver one window's outboxes (window edge `until`) from the shards,
+/// cut into the chunks `parts`, to their destination shards' inboxes, in
+/// source-shard order — the deterministic concatenation the exactness
+/// argument relies on, whatever order the workers finished in — and
+/// count them into `sync`. Each outbox is drained through `spare`.
+/// Returns the earliest delivered due time.
+fn absorb(
+    parts: &mut [&mut [Network]],
+    until: Time,
+    domain_of: &[u32],
+    spare: &mut Vec<(Time, Event)>,
+    sync: &mut SyncStats,
+) -> Option<Time> {
+    let chunk = parts[0].len();
+    let num_shards: usize = parts.iter().map(|p| p.len()).sum();
+    let mut earliest = None;
+    for src in 0..num_shards {
+        parts[src / chunk][src % chunk].swap_outbox(spare);
+        for (t, ev) in spare.drain(..) {
+            assert!(t >= until, "cross-shard event inside its own window");
+            earliest = Some(earliest.map_or(t, |e: Time| e.min(t)));
+            *injected_count(sync, &ev) += 1;
+            let dest = domain_of[target_of(&ev).0 as usize] as usize;
+            parts[dest / chunk][dest % chunk].deliver(t, ev);
+        }
+    }
+    earliest
 }
 
 impl ShardedNetwork {
@@ -324,7 +320,7 @@ impl ShardedNetwork {
             now: Time::ZERO,
             verdicts,
             monitor_due: None,
-            pending: vec![Vec::new(); num_domains],
+            spare: Vec::new(),
             sync: SyncStats::default(),
         }
     }
@@ -393,21 +389,17 @@ impl ShardedNetwork {
             now,
             verdicts,
             monitor_due,
-            pending,
+            spare,
             sync,
         } = self;
         let interval = shards[0].config().monitor_interval;
         // Start-of-run setup first, so the peek times mean something.
-        let mut peeks: Vec<Option<Time>> = shards
-            .iter_mut()
-            .map(|n| {
-                n.ensure_started();
-                n.next_event_time()
-            })
-            .collect();
+        for n in shards.iter_mut() {
+            n.ensure_started();
+        }
         // Earliest cross-shard event not yet injected: what the last call
         // left over, then each window's outboxes.
-        let mut queued = pending.iter().flatten().map(|(t, _)| *t).min();
+        let mut queued = shards.iter().flat_map(Network::inbox).map(|(t, _)| t).min();
         let mut due = *monitor_due.get_or_insert(*now + interval);
         let chunk = shards.len().div_ceil(*workers);
         // Chunk `w` is worker `w`'s, lent for each window; an empty slot
@@ -417,15 +409,15 @@ impl ShardedNetwork {
             // Worker 0 is this thread; workers 1.. each get a thread that
             // runs the jobs it is sent and hands each chunk back. Dropping
             // `jobs` at the end of the scope ends their loops.
-            let (done_tx, done_rx) = mpsc::channel::<(usize, &mut [Network], Vec<RanShard>)>();
+            let (done_tx, done_rx) = mpsc::channel::<(usize, &mut [Network])>();
             let jobs: Vec<Sender<Job<'_>>> = (1..parts.len())
                 .map(|w| {
                     let (tx, rx) = mpsc::channel::<Job<'_>>();
                     let done_tx = done_tx.clone();
                     s.spawn(move || {
-                        for (part, inject, until) in rx {
-                            let ran = run_chunk(w * chunk, part, inject, until);
-                            if done_tx.send((w, part, ran)).is_err() {
+                        for (part, until) in rx {
+                            run_chunk(part, until);
+                            if done_tx.send((w, part)).is_err() {
                                 break;
                             }
                         }
@@ -437,7 +429,7 @@ impl ShardedNetwork {
             loop {
                 // Global minimum pending timestamp: shard queues plus
                 // cross-shard events not yet injected.
-                let m = peeks.iter().flatten().copied().chain(queued).min();
+                let m = all_shards(&parts).filter_map(Network::next_event_time).chain(queued).min();
                 let next_ev = m.filter(|t| *t <= t_end);
                 if next_ev.is_none() && due > t_end {
                     break;
@@ -452,43 +444,22 @@ impl ShardedNetwork {
                 if let Some(m) = next_ev.filter(|t| *t < w1) {
                     sync.windows += 1;
                     sync.clipped_windows += u64::from(w1 < m + *lookahead);
-                    let batch = pending.iter().map(Vec::len).max().unwrap_or(0);
+                    let batch = all_shards(&parts).map(|n| n.inbox().len()).max().unwrap_or(0);
                     sync.max_batch = sync.max_batch.max(batch as u64);
-                    let mut lent = parts.iter_mut().zip(pending.chunks_mut(chunk)).enumerate().map(
-                        |(w, (part, batches))| {
-                            // Each batch leaves a buffer of its size
-                            // behind: the next window's is about as large.
-                            let inject = batches
-                                .iter_mut()
-                                .enumerate()
-                                .filter(|(_, evs)| !evs.is_empty())
-                                .map(|(i, evs)| {
-                                    let next = Vec::with_capacity(evs.capacity());
-                                    (w * chunk + i, std::mem::replace(evs, next))
-                                })
-                                .collect();
-                            (std::mem::take(part), inject)
-                        },
-                    );
-                    let (own, own_inject) = lent.next().expect("worker 0's chunk");
-                    for (job, (part, inject)) in jobs.iter().zip(lent) {
-                        job.send((part, inject, w1)).expect("worker alive");
+                    for (job, part) in jobs.iter().zip(&mut parts[1..]) {
+                        job.send((std::mem::take(part), w1)).expect("worker alive");
                     }
-                    let mut ran = run_chunk(0, own, own_inject, w1);
-                    parts[0] = own;
+                    run_chunk(parts[0], w1);
                     for _ in &jobs {
-                        let (w, part, rows) = done_rx.recv().expect("worker alive");
+                        let (w, part) = done_rx.recv().expect("worker alive");
                         parts[w] = part;
-                        ran.extend(rows);
                     }
-                    queued = absorb(ran, w1, domain_of, &mut peeks, pending, sync);
+                    queued = absorb(&mut parts, w1, domain_of, spare, sync);
                 }
                 if w1 == due && due <= t_end {
                     // Monitor barrier — the sequential MonitorTick's
                     // step, at the same instant, over every shard.
-                    let mut nets: Vec<&mut Network> =
-                        parts.iter_mut().flat_map(|p| p.iter_mut()).collect();
-                    verdicts.step(due, &mut nets);
+                    verdicts.step(due, &mut parts);
                     sync.monitor_barriers += 1;
                     *now = due;
                     due += interval;
@@ -516,8 +487,8 @@ impl ShardedNetwork {
     /// [`SyncStats`]).
     pub fn sync_stats(&self) -> SyncStats {
         let mut sync = self.sync;
-        // Counted when queued; not injected yet.
-        for (_, ev) in self.pending.iter().flatten() {
+        // Counted when delivered; not injected yet.
+        for (_, ev) in self.shards.iter().flat_map(Network::inbox) {
             *injected_count(&mut sync, ev) -= 1;
         }
         let diverted: u64 = self
@@ -703,6 +674,42 @@ mod tests {
         topo.add_link(h0, s0);
         let seq = Network::new(topo.clone(), Routing::spf(), cfg(), TraceConfig::none());
         assert_peer_ports("double-cabled pair", &topo, std::slice::from_ref(&seq));
+    }
+
+    /// After every window each shard's packet store holds exactly the
+    /// packets its own queues, ports and pending arrivals name: a packet
+    /// sent to another shard has left the sender's store, and the
+    /// receiver holds it by slot from injection on. The run advances by
+    /// one lookahead per call and takes no monitor barrier (which would
+    /// split a window), so no call runs more than one window.
+    #[test]
+    fn each_shards_packet_store_matches_its_queues_after_every_window() {
+        let ft = FatTree::new(4);
+        let part = Partition::by_pods(&ft);
+        let mut cfg = cfg();
+        cfg.buffer_bytes = gfc_core::units::kb(300) + 4 * 1500;
+        cfg.fc = gfc_core::FcConfig::gfc_buffer(gfc_core::units::kb(300), gfc_core::units::kb(281));
+        cfg.monitor_interval = Dur::from_millis(1);
+        cfg.progress_window = Dur::from_millis(1);
+        let step = cfg.prop_delay;
+        let mut net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg, &part, 2);
+        let h = ft.hosts.len();
+        for i in 0..h {
+            net.start_flow(ft.hosts[i], ft.hosts[(i + h / 2) % h], None, 0).expect("route");
+        }
+        let mut most_live = 0;
+        let mut t = Time::ZERO;
+        while t < Time::from_micros(300) {
+            t += step;
+            let windows = net.sync_stats().windows;
+            net.run_until(t);
+            assert!(net.sync_stats().windows <= windows + 1, "one call ran two windows");
+            let live: usize = net.shards.iter().map(Network::assert_packet_store).sum();
+            most_live = most_live.max(live);
+        }
+        assert!(net.sync_stats().windows > 250, "too few windows checked");
+        assert!(net.sync_stats().inbound_lane > 1_000, "too few packets crossed shards");
+        assert!(most_live > 100, "only {most_live} packets ever live");
     }
 
     /// An unroutable flow is refused before any shard registers it, so

@@ -135,3 +135,34 @@ fn sharded_build_allocates_the_fabric_once() {
          {shards} × {PER_SHARD_ALLOCS}"
     );
 }
+
+/// A steady-state window of the sharded engine allocates nothing either:
+/// the k = 8 half-rotation permutation under buffer GFC (every flow
+/// crosses pods) on the pod partition's 8 shards, one worker. Each
+/// window's outboxes, the shards' inboxes and the coordinator's hand-off
+/// reuse their buffers. Only the `run_until` call's own setup (its
+/// thread scope, hand-back channel and chunk list) allocates, a few times
+/// per call however many windows it runs.
+#[test]
+fn sharded_steady_state_windows_allocate_nothing() {
+    let ft = FatTree::new(8);
+    let part = Partition::by_pods(&ft);
+    let mut net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), gfc_1mb(), &part, 1);
+    let h = ft.hosts.len();
+    for i in 0..h {
+        net.start_flow(ft.hosts[i], ft.hosts[(i + h / 2) % h], None, 0).expect("fat-tree route");
+    }
+    // Warm-up: every buffer, inbox and outbox reaches its working size.
+    net.run_until(Time::from_millis(4));
+    let (before, ctrl_before, allocs_before) = (net.sync_stats(), net.stats().ctrl_msgs, allocs());
+    net.run_until(Time::from_millis(8));
+    let allocated = allocs() - allocs_before;
+    let after = net.sync_stats();
+    let windows = after.windows - before.windows;
+    let crossed = after.inbound_lane - before.inbound_lane;
+    let ctrl = net.stats().ctrl_msgs - ctrl_before;
+    assert!(windows >= 1_000, "only {windows} windows measured");
+    assert!(crossed >= 10_000, "only {crossed} packets crossed shards");
+    assert!(ctrl > 0, "no stage feedback in the measured windows");
+    assert!(allocated <= 4, "{allocated} allocations over {windows} steady-state windows");
+}
