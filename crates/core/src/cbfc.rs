@@ -132,16 +132,6 @@ impl CbfcReceiver {
     pub fn occupied_blocks(&self) -> u64 {
         self.occupied_blocks
     }
-
-    /// Occupied bytes (block-granular).
-    pub fn occupied_bytes(&self) -> u64 {
-        self.occupied_blocks * BLOCK_BYTES
-    }
-
-    /// Total buffer in blocks.
-    pub fn buffer_blocks(&self) -> u64 {
-        self.buffer_blocks
-    }
 }
 
 impl FcRx for CbfcReceiver {

@@ -11,12 +11,12 @@
 //! share falls between stages); a larger ratio tracks the drain rate more
 //! tightly at the cost of more stages and more feedback traffic.
 
-use crate::common::{row, sim_config_300k, Scheme};
+use crate::common::{row, sim_config_300k, start_flows, PinnedCase, Scheme};
 use gfc_core::units::Time;
 use gfc_sim::Network;
 use gfc_sim::TraceConfig;
 use gfc_telemetry::names;
-use gfc_topology::{Ring, Routing};
+use gfc_topology::Routing;
 
 /// Parameters of the ratio ablation.
 #[derive(Debug, Clone)]
@@ -67,17 +67,15 @@ pub struct AblationResult {
 pub fn run(params: AblationParams) -> AblationResult {
     let mut outcomes = Vec::new();
     for &ratio in &params.ratios {
-        let ring = Ring::new(3);
+        let case = PinnedCase::ring();
         let mut cfg = sim_config_300k(Scheme::GfcBuffer, params.seed);
         match &mut cfg.fc {
             gfc_sim::config::FcConfig::GfcBuffer(p) => p.stage_ratio = ratio,
             other => unreachable!("300k GfcBuffer config is {other:?}"),
         }
-        let routing = Routing::fixed(ring.clockwise_routes());
-        let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
-        for (src, dst) in ring.clockwise_flows() {
-            net.start_flow(src, dst, None, 0).expect("route");
-        }
+        let routing = Routing::fixed(case.routes());
+        let mut net = Network::new(case.topo, routing, cfg, TraceConfig::none());
+        start_flows(&mut net, &case.cycle_flows, None, None);
         let mid = Time(params.horizon.0 / 2);
         net.run_until(mid);
         let mid_snap = net.metrics_snapshot();

@@ -22,36 +22,29 @@
 //!   avoids the cycle) stalls on propagated pauses it did nothing to
 //!   cause; under GFC it keeps delivering.
 
-use crate::common::{row, sim_config_300k, sim_config_testbed, Scheme};
+use crate::common::{row, sim_config_300k, sim_config_testbed, start_flows, PinnedCase, Scheme};
 use crate::fig09::RingParams;
+use crate::fig12::FatTreeCaseParams;
 use crate::fig14::find_victim;
-use gfc_core::units::{Dur, Time};
+use gfc_core::units::Time;
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::FlowClass;
-use gfc_topology::fattree::FIG11_FLOWS;
-use gfc_topology::{Ring, Routing, SpfRouting};
-use std::sync::Arc;
+use gfc_topology::Routing;
 
 /// Parameters of the blame report.
 #[derive(Debug, Clone)]
 pub struct BlameParams {
     /// Ring scenario parameters (Fig. 9's defaults).
     pub ring: RingParams,
-    /// Fat-tree horizon.
-    pub fattree_horizon: Time,
-    /// Fat-tree RNG seed.
-    pub fattree_seed: u64,
-    /// Start offset between consecutive case-study flows.
-    pub fattree_stagger: Dur,
+    /// Fat-tree case parameters (Fig. 12's defaults).
+    pub fattree: FatTreeCaseParams,
 }
 
 impl Default for BlameParams {
     fn default() -> Self {
         BlameParams {
             ring: RingParams { horizon: Time::from_millis(30), ..Default::default() },
-            fattree_horizon: Time::from_millis(30),
-            fattree_seed: 11,
-            fattree_stagger: Dur::from_micros(500),
+            fattree: FatTreeCaseParams::default(),
         }
     }
 }
@@ -123,43 +116,28 @@ fn blame_of(scheme: Scheme, net: &Network) -> SchemeBlame {
 
 /// Run one scheme on the testbed ring with causal tracking on.
 pub fn run_ring_scheme(params: &RingParams, scheme: Scheme) -> SchemeBlame {
-    let ring = Ring::new(3);
+    let case = PinnedCase::ring();
     let mut cfg = sim_config_testbed(scheme, params.seed);
     cfg.telemetry.causal = true;
-    let routing = Routing::fixed(ring.clockwise_routes());
-    let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
-    for (i, (src, dst)) in ring.clockwise_flows().into_iter().enumerate() {
-        net.run_until(Time(params.stagger.0 * i as u64));
-        net.start_flow(src, dst, None, 0).expect("clockwise route");
-    }
+    let routing = Routing::fixed(case.routes());
+    let mut net = Network::new(case.topo.clone(), routing, cfg, TraceConfig::none());
+    start_flows(&mut net, &case.cycle_flows, None, Some(params.stagger));
     net.run_until(params.horizon);
     blame_of(scheme, &net)
 }
 
 /// Run one scheme on the failed fat-tree (Fig. 11 scenario, four
 /// case-study flows plus Fig. 14's victim) with causal tracking on.
-pub fn run_fattree_scheme(params: &BlameParams, scheme: Scheme) -> SchemeBlame {
-    let (ft, sc) = crate::common::fig11_scenario();
-    let victim = find_victim();
-    let mut cfg = sim_config_300k(scheme, params.fattree_seed);
+pub fn run_fattree_scheme(params: &FatTreeCaseParams, scheme: Scheme) -> SchemeBlame {
+    let case = PinnedCase::fig11(&[find_victim()]);
+    let mut cfg = sim_config_300k(scheme, params.seed);
     cfg.telemetry.causal = true;
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-    let mut r = SpfRouting::new();
-    // The victim starts at t = 0 on its ECMP-hash-0 path (the one
-    // Fig. 14's selection validated against the CBD structure), then the
-    // four case-study flows come up staggered — as in Fig. 14.
-    let (vs, vd) = victim;
-    let p = r.path(&ft.topo, ft.hosts[vs], ft.hosts[vd], 0).expect("victim route");
-    net.start_flow_on_path(ft.hosts[vs], ft.hosts[vd], None, 0, Arc::from(p.into_boxed_slice()))
-        .expect("victim start");
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        net.run_until(Time(params.fattree_stagger.0 * i as u64));
-        let p =
-            r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).expect("scenario path");
-        net.start_flow_on_path(ft.hosts[s], ft.hosts[d], None, 0, Arc::from(p.into_boxed_slice()))
-            .expect("flow start");
-    }
-    net.run_until(params.fattree_horizon);
+    let mut net = Network::new(case.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
+    // The victim starts at t = 0, then the four case-study flows come up
+    // staggered, as in Fig. 14.
+    start_flows(&mut net, &case.extra_flows, None, None);
+    start_flows(&mut net, &case.cycle_flows, None, Some(params.stagger));
+    net.run_until(params.horizon);
     blame_of(scheme, &net)
 }
 
@@ -182,8 +160,8 @@ pub struct BlameResult {
 pub fn run(params: BlameParams) -> BlameResult {
     let ring_pfc = run_ring_scheme(&params.ring, Scheme::Pfc);
     let ring_gfc = run_ring_scheme(&params.ring, Scheme::GfcBuffer);
-    let fattree_pfc = run_fattree_scheme(&params, Scheme::Pfc);
-    let fattree_gfc = run_fattree_scheme(&params, Scheme::GfcBuffer);
+    let fattree_pfc = run_fattree_scheme(&params.fattree, Scheme::Pfc);
+    let fattree_gfc = run_fattree_scheme(&params.fattree, Scheme::GfcBuffer);
     BlameResult { params, ring_pfc, ring_gfc, fattree_pfc, fattree_gfc }
 }
 
@@ -250,8 +228,8 @@ mod tests {
     #[test]
     fn fattree_blame_finds_the_victim() {
         let params = BlameParams::default();
-        let pfc = run_fattree_scheme(&params, Scheme::Pfc);
-        let gfc = run_fattree_scheme(&params, Scheme::GfcBuffer);
+        let pfc = run_fattree_scheme(&params.fattree, Scheme::Pfc);
+        let gfc = run_fattree_scheme(&params.fattree, Scheme::GfcBuffer);
         // PFC: the cascade reaches beyond the CBD — the victim flow (path
         // disjoint from the cycle) stalls on propagated pauses.
         assert!(pfc.max_hard_depth >= 2, "PFC hard depth {} must cascade", pfc.max_hard_depth);

@@ -2,13 +2,17 @@
 
 use gfc_core::bfc::BfcConfig;
 use gfc_core::theorems;
-use gfc_core::units::{kb, Dur, Rate};
+use gfc_core::units::{kb, Dur, Rate, Time};
 use gfc_sim::config::{FcConfig, PumpPolicy};
-use gfc_sim::{PreflightPolicy, SimConfig};
+use gfc_sim::flowgen::{ClosedLoopWorkload, Workload};
+use gfc_sim::{Network, PreflightPolicy, SimConfig};
 use gfc_telemetry::{SamplerSet, TimeSeries, TrackKind};
-use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario};
-use gfc_topology::{Routing, Topology};
-use std::sync::OnceLock;
+use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
+use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario, RouteMap, FIG11_FLOWS};
+use gfc_topology::{LinkId, NodeId, Ring, Routing, SpfRouting, Topology};
+use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
+use rand::{rngs::StdRng, SeedableRng};
+use std::sync::{Arc, OnceLock};
 
 /// The flow-control schemes under comparison: the paper's four plus the
 /// two backends beyond the paper (BFC, DCFIT) the shootout pits against them.
@@ -144,30 +148,182 @@ pub fn static_verdict(topo: &Topology, routing: &Routing, cfg: &SimConfig) -> St
     gfc_sim::preflight(topo, routing, cfg).verdict().to_string()
 }
 
-/// Render the full preflight report for a scenario, prefixed with the
-/// scheme name — printed by the experiment harness before each run.
-pub fn preflight_banner(
-    label: &str,
-    topo: &Topology,
-    routing: &Routing,
-    cfg: &SimConfig,
-) -> String {
-    let report = gfc_sim::preflight(topo, routing, cfg);
-    let mut out = format!("[preflight] {label}: {}\n", report.summary());
-    for line in report.render().lines() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 /// The memoized Fig. 11 scenario (k = 4 fat-tree, three failed links whose
-/// SPF re-routing gives the four flows a CBD).
+/// SPF re-routing gives the four flows a CBD), with the four case-study
+/// paths resolved once.
 pub fn fig11_scenario() -> &'static (FatTree, Fig11Scenario) {
     static SCENARIO: OnceLock<(FatTree, Fig11Scenario)> = OnceLock::new();
     SCENARIO.get_or_init(|| {
         find_fig11_failures(8).expect("a 3-failure Fig. 11 scenario must exist on the k=4 fat-tree")
+    })
+}
+
+/// A flow pinned to an explicit path: `(src, dst, path)`.
+pub type PinnedFlow = (NodeId, NodeId, Arc<[LinkId]>);
+
+/// One paper case: a topology plus the flows pinned onto it. Every path
+/// is resolved once, when the case is built, so the static preflight
+/// (over [`PinnedCase::routes`]) and the simulator see the same object.
+/// The figures start the flows with [`start_flows`], each in its own
+/// order and timing.
+#[derive(Debug, Clone)]
+pub struct PinnedCase {
+    /// Case name used in reports.
+    pub name: &'static str,
+    /// The (possibly failure-degraded) topology.
+    pub topo: Topology,
+    /// Host ids in index order; host-index pairs such as
+    /// [`FIG11_FLOWS`] refer to these.
+    pub hosts: Vec<NodeId>,
+    /// Whether the case admits a CBD: on its pinned routes for the ring
+    /// and Fig. 11 cases, under all-pairs SPF for a failed fat-tree.
+    pub cbd_prone: bool,
+    /// The flows that close the CBD (empty when there is none, or when
+    /// no flow combination realizes it).
+    pub cycle_flows: Vec<PinnedFlow>,
+    /// Further flows: Fig. 14's victim, or the shootout's probes.
+    pub extra_flows: Vec<PinnedFlow>,
+}
+
+impl PinnedCase {
+    /// The Fig. 1 / §6.1 testbed ring: three switches, one host each,
+    /// and the three clockwise two-hop cycle flows `H_i → H_{i+2}`.
+    pub fn ring() -> Self {
+        let ring = Ring::new(3);
+        let cycle_flows = (0..ring.len())
+            .map(|i| {
+                let (s, d, p) = ring.clockwise_path(i);
+                (s, d, Arc::from(p))
+            })
+            .collect();
+        PinnedCase {
+            name: "ring-3",
+            hosts: ring.hosts,
+            topo: ring.topo,
+            cbd_prone: true,
+            cycle_flows,
+            extra_flows: Vec::new(),
+        }
+    }
+
+    /// The Fig. 11 case: the failed k = 4 fat-tree with the four
+    /// case-study flows on their CBD paths, plus `extra` host-index pairs
+    /// (Fig. 14's victim) pinned by [`Self::spf_flows`]: ECMP hash 0, the
+    /// path `fig14::find_victim` checks against the CBD.
+    pub fn fig11(extra: &[(usize, usize)]) -> Self {
+        let (ft, sc) = fig11_scenario();
+        let cycle_flows = FIG11_FLOWS
+            .iter()
+            .zip(&sc.paths)
+            .map(|(&(s, d), p)| (ft.hosts[s], ft.hosts[d], Arc::from(p.as_slice())))
+            .collect();
+        let mut case = PinnedCase {
+            name: "fat-tree-fig11",
+            topo: ft.topo.clone(),
+            hosts: ft.hosts.clone(),
+            cbd_prone: true,
+            cycle_flows,
+            extra_flows: Vec::new(),
+        };
+        case.extra_flows = case.spf_flows(extra);
+        case
+    }
+
+    /// A k-ary fat-tree whose fabric links each fail with probability
+    /// `failure_prob` under `seed`, with its all-pairs SPF CBD realized as
+    /// cycle flows: the adversarial combination the enterprise churn
+    /// would eventually produce (§6.2.3). The topology may be
+    /// disconnected; callers that need every host reachable check
+    /// [`Topology::hosts_connected`].
+    pub fn failed_fat_tree(k: usize, failure_prob: f64, seed: u64) -> Self {
+        let mut ft = FatTree::new(k);
+        ft.inject_failures(&mut StdRng::seed_from_u64(seed), failure_prob);
+        let cycle = all_pairs_depgraph(&ft.topo).find_cycle();
+        let cycle_flows = cycle
+            .as_ref()
+            .and_then(|c| realize_cycle(&ft.topo, c))
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(s, d, p)| (s, d, Arc::from(p)))
+            .collect();
+        PinnedCase {
+            name: "failed-fat-tree",
+            hosts: ft.hosts,
+            topo: ft.topo,
+            cbd_prone: cycle.is_some(),
+            cycle_flows,
+            extra_flows: Vec::new(),
+        }
+    }
+
+    /// Pin host-index pairs onto their SPF paths under ECMP hash 0.
+    pub fn spf_flows(&self, pairs: &[(usize, usize)]) -> Vec<PinnedFlow> {
+        let mut r = SpfRouting::new();
+        pairs
+            .iter()
+            .map(|&(s, d)| {
+                let (src, dst) = (self.hosts[s], self.hosts[d]);
+                (src, dst, Arc::from(r.path(&self.topo, src, dst, 0).expect("pinned flow route")))
+            })
+            .collect()
+    }
+
+    /// Every pinned path as a static route map: what the fixed-route
+    /// figures simulate and what the preflight checks.
+    pub fn routes(&self) -> RouteMap {
+        self.cycle_flows
+            .iter()
+            .chain(&self.extra_flows)
+            .map(|(s, d, p)| ((*s, *d), p.to_vec()))
+            .collect()
+    }
+}
+
+/// The connected [`PinnedCase::failed_fat_tree`]s drawn from seeds
+/// `seed + 1`, `seed + 2`, … in order: the case scan of Figs. 16–18.
+pub fn connected_failed_fat_trees(
+    k: usize,
+    failure_prob: f64,
+    seed: u64,
+) -> impl Iterator<Item = PinnedCase> {
+    (1..)
+        .map(move |i| PinnedCase::failed_fat_tree(k, failure_prob, seed.wrapping_add(i)))
+        .filter(|case| case.topo.hosts_connected())
+}
+
+/// Start `flows` on their pinned paths, each carrying `bytes` (`None`:
+/// infinite, at line rate). With a `stagger`, flow `i` starts at
+/// `i·stagger` and the clock runs to each start, `t = 0` included;
+/// without one, all start at the current instant.
+pub fn start_flows(
+    net: &mut Network,
+    flows: &[PinnedFlow],
+    bytes: Option<u64>,
+    stagger: Option<Dur>,
+) {
+    for (i, (s, d, p)) in flows.iter().enumerate() {
+        if let Some(stagger) = stagger {
+            net.run_until(Time(stagger.0 * i as u64));
+        }
+        net.start_flow_on_path(*s, *d, bytes, 0, p.clone()).expect("pinned flow start");
+    }
+}
+
+/// The §6.2.3 closed-loop enterprise churn on a fat-tree case: every host
+/// keeps one flow in flight, sizes from the enterprise CDF, destinations
+/// in another rack (behind another edge switch).
+pub fn enterprise_churn(case: &PinnedCase) -> Box<dyn Workload> {
+    let racks = case
+        .hosts
+        .iter()
+        .map(|&h| case.topo.neighbors(h).next().expect("host has a live link").0 .0)
+        .collect();
+    Box::new(ClosedLoopWorkload {
+        sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
+        dests: DestPolicy::inter_rack(racks),
+        num_hosts: case.hosts.len(),
+        prio: 0,
+        stop_after: None,
     })
 }
 
@@ -337,6 +493,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gfc_sim::TraceConfig;
 
     #[test]
     fn all_schemes_have_valid_300k_configs() {
@@ -422,6 +579,75 @@ mod tests {
             });
             assert_eq!(parallel, sequential, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn ring_case_pins_the_clockwise_routes_and_one_hop_probes() {
+        let ring = Ring::new(3);
+        let case = crate::shootout::ring_case();
+        let cycle = PinnedCase { extra_flows: Vec::new(), ..case.clone() };
+        assert_eq!(cycle.routes(), ring.clockwise_routes());
+        // Each probe H_i → H_{i+1} takes the one ring link it shares
+        // with the cycle.
+        for (i, (s, d, p)) in case.extra_flows.iter().enumerate() {
+            let j = (i + 1) % 3;
+            assert_eq!((*s, *d), (ring.hosts[i], ring.hosts[j]));
+            assert_eq!(&p[..], &[ring.host_links[i], ring.ring_links[i], ring.host_links[j]]);
+        }
+    }
+
+    #[test]
+    fn fig11_case_carries_the_resolved_paths() {
+        let (ft, sc) = fig11_scenario();
+        let case = PinnedCase::fig11(&[(2, 14)]);
+        for (i, (s, d, p)) in case.cycle_flows.iter().enumerate() {
+            let (si, di) = FIG11_FLOWS[i];
+            assert_eq!((*s, *d), (ft.hosts[si], ft.hosts[di]));
+            assert_eq!(&p[..], &sc.paths[i][..]);
+        }
+        let mut r = SpfRouting::new();
+        let victim = r.path(&ft.topo, ft.hosts[2], ft.hosts[14], 0).expect("victim route");
+        assert_eq!(&case.extra_flows[0].2[..], &victim[..]);
+        assert_eq!(case.routes().len(), 5);
+    }
+
+    #[test]
+    fn failed_fat_tree_cycle_flows_close_a_cbd() {
+        let (mut prone, mut realized) = (0, 0);
+        for seed in 0..40 {
+            let case = PinnedCase::failed_fat_tree(4, 0.08, 77 ^ (4 << 32) ^ seed);
+            assert_eq!(case.cbd_prone, all_pairs_depgraph(&case.topo).has_cycle());
+            prone += usize::from(case.cbd_prone);
+            if case.cycle_flows.is_empty() {
+                continue;
+            }
+            realized += 1;
+            assert!(case.cbd_prone);
+            let flows: Vec<_> = case.cycle_flows.iter().map(|(s, _, p)| (*s, p.to_vec())).collect();
+            assert!(gfc_topology::cbd::depgraph_for_flows(&case.topo, &flows).has_cycle());
+        }
+        assert!(realized > 0 && prone >= realized, "prone {prone}, realized {realized}");
+    }
+
+    #[test]
+    fn start_flows_steps_the_clock_only_when_staggered() {
+        let case = PinnedCase::ring();
+        let cfg = sim_config_testbed(Scheme::GfcBuffer, 1);
+        let new_net = || {
+            Network::new(
+                case.topo.clone(),
+                Routing::fixed(case.routes()),
+                cfg.clone(),
+                TraceConfig::none(),
+            )
+        };
+        let mut net = new_net();
+        start_flows(&mut net, &case.cycle_flows, None, None);
+        assert_eq!(net.now(), Time::ZERO);
+        let mut net = new_net();
+        start_flows(&mut net, &case.cycle_flows, Some(1_000_000), Some(Dur::from_micros(5)));
+        assert_eq!(net.now(), Time(Dur::from_micros(10).0));
+        assert_eq!(net.ledger().unfinished(), 3, "three finite flows, none finished yet");
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! host rate, i.e. stage 2), then parks in stage 1 (paper: 840 KB) with
 //! the input rate steady at 5 Gb/s.
 
-use crate::common::{row, sim_config_testbed, static_verdict, track, Scheme};
+use crate::common::{
+    row, sim_config_testbed, start_flows, static_verdict, track, PinnedCase, Scheme,
+};
 use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::{names, TimeSeries};
-use gfc_topology::{Ring, Routing};
+use gfc_topology::Routing;
 
 /// Parameters of the ring testbed experiments (shared by Fig. 9/10).
 #[derive(Debug, Clone)]
@@ -71,31 +73,24 @@ pub struct RingTrace {
 
 /// Run one scheme on the testbed ring.
 pub fn run_scheme(params: &RingParams, scheme: Scheme) -> RingTrace {
-    let ring = Ring::new(3);
+    let case = PinnedCase::ring();
+    let topo = &case.topo;
     let mut cfg = sim_config_testbed(scheme, params.seed);
     // Observe through the timeline samplers: 50 µs cadence (the legacy
     // trace's rate-bin width) resolves the 90 µs-τ dynamics and keeps
     // the full 60 ms horizon under the sampler budget undecimated.
     cfg.telemetry.timeline.sample_period_ps = Dur::from_micros(50).0;
     let capacity = cfg.capacity.0 as f64;
-    let watched_port = ring.topo.port_of(ring.switches[0], ring.host_links[0]);
-    let queue_track = format!("{}:p{watched_port} ingress", ring.topo.node(ring.switches[0]).name);
-    let h1 = {
-        let l = ring.topo.link(ring.host_links[0]);
-        if l.a == ring.switches[0] {
-            l.b
-        } else {
-            l.a
-        }
-    };
-    let util_track = format!("{}:p0 util", ring.topo.node(h1).name);
-    let routing = Routing::fixed(ring.clockwise_routes());
-    let verdict = static_verdict(&ring.topo, &routing, &cfg);
-    let mut net = Network::new(ring.topo.clone(), routing, cfg, TraceConfig::none());
-    for (i, (src, dst)) in ring.clockwise_flows().into_iter().enumerate() {
-        net.run_until(Time(params.stagger.0 * i as u64));
-        net.start_flow(src, dst, None, 0).expect("clockwise route");
-    }
+    // H1's first flow leaves over its access link, into switch S1.
+    let h1 = case.hosts[0];
+    let access = case.cycle_flows[0].2[0];
+    let s1 = topo.peer(access, h1);
+    let queue_track = format!("{}:p{} ingress", topo.node(s1).name, topo.port_of(s1, access));
+    let util_track = format!("{}:p0 util", topo.node(h1).name);
+    let routing = Routing::fixed(case.routes());
+    let verdict = static_verdict(topo, &routing, &cfg);
+    let mut net = Network::new(topo.clone(), routing, cfg, TraceConfig::none());
+    start_flows(&mut net, &case.cycle_flows, None, Some(params.stagger));
     let mid = Time(params.horizon.0 / 2);
     net.run_until(mid);
     let mid_snap = net.metrics_snapshot();

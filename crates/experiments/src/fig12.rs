@@ -5,13 +5,13 @@
 //! deadlocks and every flow's throughput collapses to zero; under GFC
 //! each flow holds its ~5 Gb/s share.
 
-use crate::common::{fig11_scenario, row, sim_config_300k, static_verdict, tracks_of_kind, Scheme};
+use crate::common::{
+    row, sim_config_300k, start_flows, static_verdict, tracks_of_kind, PinnedCase, Scheme,
+};
 use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, SpanOutcome, TimelineConfig, TraceConfig};
 use gfc_telemetry::{TimeSeries, TrackKind};
-use gfc_topology::fattree::FIG11_FLOWS;
-use gfc_topology::{Routing, SpfRouting};
-use std::sync::Arc;
+use gfc_topology::Routing;
 
 /// Parameters of the fat-tree case study (shared by Figs. 12/13/14).
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl Default for FatTreeCaseParams {
 #[derive(Debug, Clone)]
 pub struct FatTreeCaseTrace {
     /// Per-flow throughput series (bits/s, 100 µs bins), in
-    /// [`FIG11_FLOWS`] order.
+    /// [`gfc_topology::fattree::FIG11_FLOWS`] order, then any extra flows.
     pub flow_throughput: Vec<TimeSeries>,
     /// Per-flow tail-mean throughput (bits/s).
     pub flow_tail_mean: Vec<f64>,
@@ -81,7 +81,7 @@ pub fn run_scheme_with_extra(
     scheme: Scheme,
     extra: &[(usize, usize)],
 ) -> FatTreeCaseTrace {
-    let (ft, sc) = fig11_scenario();
+    let case = PinnedCase::fig11(extra);
     let mut cfg = sim_config_300k(scheme, params.seed);
     // Timeline on: 50 µs sampler cadence (well under the 2 ms progress
     // window; 600 samples over the 30 ms horizon, no decimation) plus
@@ -94,48 +94,18 @@ pub fn run_scheme_with_extra(
     };
 
     // Static verdict over exactly the paths the flows are pinned to below.
-    let mut r = SpfRouting::new();
-    let mut pinned = std::collections::HashMap::new();
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let p =
-            r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).expect("scenario path");
-        pinned.insert((ft.hosts[s], ft.hosts[d]), p);
-    }
-    for &(s, d) in extra {
-        let p = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], 0).expect("extra flow route");
-        pinned.insert((ft.hosts[s], ft.hosts[d]), p);
-    }
-    let verdict = static_verdict(&ft.topo, &Routing::fixed(pinned), &cfg);
+    let verdict = static_verdict(&case.topo, &Routing::fixed(case.routes()), &cfg);
 
     let mut tc = TraceConfig::none();
     tc.host_throughput_bin = Some(Dur::from_micros(100));
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, tc);
+    let mut net = Network::new(case.topo.clone(), Routing::spf(), cfg, tc);
 
     // Extra flows (Fig. 14's victim) start at t = 0, then the four
-    // case-study flows come up staggered; `srcs` keeps the reporting order
-    // (case-study flows first, extras last).
-    let mut r = SpfRouting::new();
-    let mut srcs = Vec::new();
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let _ = i;
-        srcs.push(ft.hosts[s]);
-        let _ = d;
-    }
-    for &(s, d) in extra {
-        // Pin extras to their ECMP-hash-0 path — the one victim selection
-        // validated against the CBD structure.
-        let p = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], 0).expect("extra flow route");
-        net.start_flow_on_path(ft.hosts[s], ft.hosts[d], None, 0, Arc::from(p.into_boxed_slice()))
-            .expect("extra flow start");
-        srcs.push(ft.hosts[s]);
-    }
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        net.run_until(Time(params.stagger.0 * i as u64));
-        let p =
-            r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).expect("scenario path");
-        net.start_flow_on_path(ft.hosts[s], ft.hosts[d], None, 0, Arc::from(p.into_boxed_slice()))
-            .expect("flow start");
-    }
+    // case-study flows come up staggered. Reporting order: case-study
+    // flows first, extras last.
+    start_flows(&mut net, &case.extra_flows, None, None);
+    start_flows(&mut net, &case.cycle_flows, None, Some(params.stagger));
+    let srcs: Vec<_> = case.cycle_flows.iter().chain(&case.extra_flows).map(|f| f.0).collect();
     net.run_until(params.horizon);
     let snap = net.metrics_snapshot();
 

@@ -7,41 +7,40 @@
 //! shares at least one directed link with the four case-study flows but
 //! contributes no directed link to the CBD cycle itself.
 
-use crate::common::{fig11_scenario, row, Scheme};
+use crate::common::{row, PinnedCase, Scheme};
 use crate::fig12::{run_scheme_with_extra, FatTreeCaseParams, FatTreeCaseTrace};
 use gfc_topology::cbd::depgraph_for_flows;
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::routing::path_dirlinks;
 use gfc_topology::SpfRouting;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Find the Fig. 14 victim pair `(src_index, dst_index)`.
 pub fn find_victim() -> (usize, usize) {
-    let (ft, sc) = fig11_scenario();
-    let mut r = SpfRouting::new();
+    let case = PinnedCase::fig11(&[]);
+    let topo = &case.topo;
     // The four case-study paths and the CBD cycle they form.
-    let mut flows = Vec::new();
-    let mut usage: std::collections::HashMap<u64, u32> = Default::default();
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let p = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).expect("path");
-        for dl in path_dirlinks(&ft.topo, ft.hosts[s], &p) {
+    let mut usage: HashMap<u64, u32> = HashMap::new();
+    for (s, _, p) in &case.cycle_flows {
+        for dl in path_dirlinks(topo, *s, p) {
             *usage.entry(dl.index()).or_default() += 1;
         }
-        flows.push((ft.hosts[s], p));
     }
+    let flows: Vec<_> = case.cycle_flows.iter().map(|(s, _, p)| (*s, p.to_vec())).collect();
     let cycle: HashSet<u64> =
-        depgraph_for_flows(&ft.topo, &flows).find_cycle().expect("CBD").into_iter().collect();
+        depgraph_for_flows(topo, &flows).find_cycle().expect("CBD").into_iter().collect();
 
     let used: HashSet<usize> = FIG11_FLOWS.iter().flat_map(|&(s, d)| [s, d]).collect();
-    for s in 0..ft.hosts.len() {
-        for d in 0..ft.hosts.len() {
+    let mut r = SpfRouting::new();
+    for s in 0..case.hosts.len() {
+        for d in 0..case.hosts.len() {
             if s == d || used.contains(&s) || used.contains(&d) {
                 continue;
             }
-            let Some(p) = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], 0) else {
+            let Some(p) = r.path(topo, case.hosts[s], case.hosts[d], 0) else {
                 continue;
             };
-            let dirs = path_dirlinks(&ft.topo, ft.hosts[s], &p);
+            let dirs = path_dirlinks(topo, case.hosts[s], &p);
             let shares = dirs.iter().any(|dl| usage.contains_key(&dl.index()));
             let in_cycle = dirs.iter().any(|dl| cycle.contains(&dl.index()));
             // Every victim link must carry at most one case-study flow, so

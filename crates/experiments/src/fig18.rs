@@ -10,16 +10,14 @@
 //! is k = 4 at bench scale — the collapse mechanics are identical, only
 //! the absolute aggregate differs. `Scale::Paper` raises k.
 
-use crate::common::{row, sim_config_300k, Scale, Scheme};
+use crate::common::{
+    connected_failed_fat_trees, enterprise_churn, row, sim_config_300k, start_flows, PinnedCase,
+    Scale, Scheme,
+};
 use gfc_core::units::{Dur, Time};
-use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::TimeSeries;
-use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
-use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
-use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use rand::{rngs::StdRng, SeedableRng};
 
 /// Parameters of the collapse case study.
 #[derive(Debug, Clone)]
@@ -105,51 +103,11 @@ pub struct Fig18Result {
     pub gfc: EvolutionTrace,
 }
 
-type CycleFlows = Vec<(gfc_topology::NodeId, gfc_topology::NodeId, Vec<gfc_topology::LinkId>)>;
-
-/// Scan topologies from the seed until one is CBD-prone with a realizable
-/// cycle; yields `(topology, cycle flows)` candidates.
-fn candidate(params: &Fig18Params, index: u64) -> (FatTree, CycleFlows) {
-    let mut cursor = params.seed;
-    let mut found = 0u64;
-    loop {
-        cursor = cursor.wrapping_add(1);
-        let mut ft = FatTree::new(params.k);
-        let mut rng = StdRng::seed_from_u64(cursor);
-        ft.inject_failures(&mut rng, params.failure_prob);
-        if !ft.topo.hosts_connected() {
-            continue;
-        }
-        if let Some(cycle) = all_pairs_depgraph(&ft.topo).find_cycle() {
-            if let Some(flows) = realize_cycle(&ft.topo, &cycle) {
-                if found == index {
-                    return (ft, flows);
-                }
-                found += 1;
-            }
-        }
-    }
-}
-
-fn run_scheme_on(
-    params: &Fig18Params,
-    scheme: Scheme,
-    ft: &FatTree,
-    cycle_flows: &CycleFlows,
-) -> EvolutionTrace {
-    let ft = ft.clone();
-    let cycle_flows = cycle_flows.clone();
+fn run_scheme_on(params: &Fig18Params, scheme: Scheme, case: &PinnedCase) -> EvolutionTrace {
     let cfg = sim_config_300k(scheme, params.seed);
-    let verdict = crate::common::static_verdict(&ft.topo, &Routing::spf(), &cfg);
-    let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-    net.install_workload(Box::new(ClosedLoopWorkload {
-        sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
-        dests: DestPolicy::inter_rack(racks),
-        num_hosts: ft.hosts.len(),
-        prio: 0,
-        stop_after: None,
-    }));
+    let verdict = crate::common::static_verdict(&case.topo, &Routing::spf(), &cfg);
+    let mut net = Network::new(case.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
+    net.install_workload(enterprise_churn(case));
     // The CBD-covering combination comes up a little into the run (the
     // paper's deadlock forms at ~8.5 ms once churn finds it).
     let cbd_start = Time(params.horizon.0 / 8);
@@ -164,16 +122,7 @@ fn run_scheme_on(
         t = Time(t.0 + params.bin.0);
         if !started_cbd && t >= cbd_start {
             started_cbd = true;
-            for (s, d, p) in &cycle_flows {
-                net.start_flow_on_path(
-                    *s,
-                    *d,
-                    Some(params.cycle_flow_bytes),
-                    0,
-                    std::sync::Arc::from(p.clone().into_boxed_slice()),
-                )
-                .expect("cycle flow");
-            }
+            start_flows(&mut net, &case.cycle_flows, Some(params.cycle_flow_bytes), None);
         }
         net.run_until(t);
         let snap = net.metrics_snapshot();
@@ -198,17 +147,20 @@ fn run_scheme_on(
 
 /// Run Fig. 18. Like the paper ("we select one of deadlock-prone
 /// simulations... as an example"), the case study is a topology on which
-/// PFC actually deadlocks — candidates are scanned until one does (the
-/// deadlock is topology-dependent), then buffer-based GFC runs the same
-/// case.
+/// PFC actually deadlocks: the connected failed fat-trees with a
+/// realizable CBD are scanned from the seed until PFC deadlocks on one
+/// (the deadlock is topology-dependent), then buffer-based GFC runs the
+/// same case.
 pub fn run(params: Fig18Params) -> Fig18Result {
-    for index in 0..16 {
-        let (ft, flows) = candidate(&params, index);
-        let pfc = run_scheme_on(&params, Scheme::Pfc, &ft, &flows);
+    let candidates = connected_failed_fat_trees(params.k, params.failure_prob, params.seed)
+        .filter(|case| !case.cycle_flows.is_empty())
+        .take(16);
+    for case in candidates {
+        let pfc = run_scheme_on(&params, Scheme::Pfc, &case);
         if pfc.deadlock_at_ms.is_none() {
             continue;
         }
-        let gfc = run_scheme_on(&params, Scheme::GfcBuffer, &ft, &flows);
+        let gfc = run_scheme_on(&params, Scheme::GfcBuffer, &case);
         return Fig18Result { params, pfc, gfc };
     }
     panic!("no PFC-deadlocking case among 16 CBD-prone candidates");

@@ -1,18 +1,19 @@
 //! **Fig. 19** — feedback-bandwidth occupation of buffer-based GFC
-//! (§6.2.3): every port counts received feedback bytes in 500 µs windows;
-//! the figure is the CDF of per-port occupied bandwidth as a fraction of
-//! link capacity. The paper reports an average of 0.21 %, 99 % of ports
-//! below 0.4 %, and a maximum of 0.49 %.
+//! (§6.2.3): the figure is the CDF of per-port occupied bandwidth as a
+//! fraction of link capacity. The paper counts in 500 µs windows; here
+//! each port's fraction is its received control bytes over the whole
+//! horizon. The paper reports an average of 0.21 %, 99 % of ports below
+//! 0.4 %, and a maximum of 0.49 %.
 
-use crate::common::{row, sim_config_300k, Scale, Scheme};
-use gfc_core::units::{Dur, Time};
-use gfc_sim::flowgen::ClosedLoopWorkload;
+use crate::common::{enterprise_churn, row, sim_config_300k, PinnedCase, Scale, Scheme};
+use gfc_core::units::Time;
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::registry::{percentile, Summary};
-use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
-use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use rand::{rngs::StdRng, SeedableRng};
+
+/// §4.2's worst-case feedback bandwidth of buffer-based GFC, as a
+/// fraction of link capacity.
+const FEEDBACK_BOUND: f64 = 0.0069;
 
 /// Parameters of the overhead measurement.
 #[derive(Debug, Clone)]
@@ -25,8 +26,6 @@ pub struct Fig19Params {
     pub cases: usize,
     /// Horizon per case.
     pub horizon: Time,
-    /// Counting window (paper: 500 µs).
-    pub window: Dur,
     /// Base seed.
     pub seed: u64,
 }
@@ -40,7 +39,6 @@ impl Fig19Params {
                 failure_prob: 0.05,
                 cases: 5,
                 horizon: Time::from_millis(15),
-                window: Dur::from_micros(500),
                 seed: 1900,
             },
             Scale::Paper => Fig19Params {
@@ -48,7 +46,6 @@ impl Fig19Params {
                 failure_prob: 0.05,
                 cases: 100,
                 horizon: Time::from_millis(30),
-                window: Dur::from_micros(500),
                 seed: 1900,
             },
         }
@@ -77,24 +74,14 @@ pub struct Fig19Result {
     pub max: f64,
 }
 
-/// Run one Fig. 19 case and return its per-port occupied-bandwidth
-/// fractions, from the always-on cumulative per-port control counters
-/// ([`Network::ctrl_rx_per_port`]).
+/// Run one Fig. 19 case: buffer-based GFC under the enterprise churn on
+/// a randomly failed fat-tree (no cycle flows).
 fn run_case(params: &Fig19Params, case: usize) -> Network {
     let case_seed = params.seed + case as u64;
-    let mut ft = FatTree::new(params.k);
-    let mut rng = StdRng::seed_from_u64(case_seed);
-    ft.inject_failures(&mut rng, params.failure_prob);
+    let case = PinnedCase::failed_fat_tree(params.k, params.failure_prob, case_seed);
     let cfg = sim_config_300k(Scheme::GfcBuffer, case_seed);
-    let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-    net.install_workload(Box::new(ClosedLoopWorkload {
-        sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
-        dests: DestPolicy::inter_rack(racks),
-        num_hosts: ft.hosts.len(),
-        prio: 0,
-        stop_after: None,
-    }));
+    let mut net = Network::new(case.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
+    net.install_workload(enterprise_churn(&case));
     net.run_until(params.horizon);
     net
 }
@@ -135,10 +122,18 @@ impl Fig19Result {
         s += &row("mean occupied bandwidth", "0.21 %", &format!("{:.3} %", self.mean * 100.0));
         s += &row("99 % of ports below", "0.4 %", &format!("{:.3} %", self.p99 * 100.0));
         s += &row("maximum observed", "0.49 %", &format!("{:.3} %", self.max * 100.0));
+        // The bound caps a port's feedback rate at any instant; each
+        // measured fraction is a mean over the horizon, so a mean above
+        // the bound means the rate exceeded it at some point.
+        let verdict = if self.max <= FEEDBACK_BOUND {
+            "respected"
+        } else {
+            "exceeded (max is a horizon mean; the peak rate is at least as high)"
+        };
         s += &row(
             "worst-case analysis bound (§4.2)",
             "0.69 % (m/8τ steady: 0.086 %)",
-            "bound respected if max below it",
+            &format!("max {:.3} %: {verdict}", self.max * 100.0),
         );
         s
     }
@@ -147,6 +142,23 @@ impl Fig19Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bound_row_compares_the_max_with_the_bound() {
+        let result = |max: f64| Fig19Result {
+            params: Fig19Params::default(),
+            port_fraction: vec![max],
+            mean: max,
+            p99: max,
+            max,
+        };
+        let bound_row = |r: Fig19Result| {
+            r.report().lines().find(|l| l.contains("§4.2")).expect("bound row").to_string()
+        };
+        assert!(bound_row(result(0.005)).ends_with("max 0.500 %: respected"));
+        assert!(bound_row(result(FEEDBACK_BOUND)).contains("respected"));
+        assert!(bound_row(result(0.0155)).contains("max 1.550 %: exceeded"));
+    }
 
     #[test]
     fn overhead_is_well_below_one_percent() {

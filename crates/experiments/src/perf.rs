@@ -9,16 +9,15 @@
 //! unbounded slowdown (unfinished flows) while GFC stays close to the
 //! CBD-free numbers.
 
-use crate::common::{parallel_cases, row, sim_config_300k, Scale, Scheme};
+use crate::common::{
+    connected_failed_fat_trees, enterprise_churn, row, run_matrix, sim_config_300k, start_flows,
+    PinnedCase, Scale, Scheme,
+};
 use gfc_core::units::Time;
 use gfc_sim::config::PumpPolicy;
-use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::Summary;
-use gfc_topology::cbd::{all_pairs_depgraph, realize_cycle};
-use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
-use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use std::collections::HashMap;
 
 /// Parameters for the performance comparison.
@@ -155,40 +154,16 @@ struct CaseOutcome {
     delivered_bytes: u64,
 }
 
-fn run_case(
-    ft: &FatTree,
-    cycle_flows: Option<&[(gfc_topology::NodeId, gfc_topology::NodeId, Vec<gfc_topology::LinkId>)]>,
-    scheme: Scheme,
-    params: &PerfParams,
-    seed: u64,
-) -> CaseOutcome {
+fn run_case(case: &PinnedCase, scheme: Scheme, params: &PerfParams, seed: u64) -> CaseOutcome {
     let mut cfg = sim_config_300k(scheme, seed);
     // Panel (a) compares raw performance: use the fair discipline for all
     // schemes so differences come from the flow control, not the fabric.
-    if cycle_flows.is_none() {
+    if case.cycle_flows.is_empty() {
         cfg.pump = PumpPolicy::RoundRobin;
     }
-    let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-    net.install_workload(Box::new(ClosedLoopWorkload {
-        sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
-        dests: DestPolicy::inter_rack(racks),
-        num_hosts: ft.hosts.len(),
-        prio: 0,
-        stop_after: None,
-    }));
-    if let Some(flows) = cycle_flows {
-        for (s, d, p) in flows {
-            net.start_flow_on_path(
-                *s,
-                *d,
-                Some(params.cycle_flow_bytes),
-                0,
-                std::sync::Arc::from(p.clone().into_boxed_slice()),
-            )
-            .expect("cycle flow");
-        }
-    }
+    let mut net = Network::new(case.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
+    net.install_workload(enterprise_churn(case));
+    start_flows(&mut net, &case.cycle_flows, Some(params.cycle_flow_bytes), None);
     net.run_until(params.horizon);
     let snap = net.metrics_snapshot();
     assert_eq!(
@@ -196,7 +171,7 @@ fn run_case(
         0,
         "lossless config dropped packets"
     );
-    let goodput_per_server = snap.goodput_bps() / ft.hosts.len() as f64;
+    let goodput_per_server = snap.goodput_bps() / case.hosts.len() as f64;
     let slowdowns = net.ledger().slowdowns(
         net.config().capacity.0,
         net.config().prop_delay.0,
@@ -217,52 +192,34 @@ fn run_case(
 
 /// Run the Fig. 16/17 experiment.
 pub fn run(params: PerfParams) -> PerfResult {
-    use rand::{rngs::StdRng, SeedableRng};
-    // Collect case topologies first (deterministic scan).
-    let mut free_cases = Vec::new();
-    let mut prone_cases = Vec::new();
-    let mut seed_cursor = params.seed;
-    while free_cases.len() < params.cbd_free_cases || prone_cases.len() < params.prone_cases {
-        seed_cursor = seed_cursor.wrapping_add(1);
-        let mut ft = FatTree::new(params.k);
-        let mut rng = StdRng::seed_from_u64(seed_cursor);
-        ft.inject_failures(&mut rng, params.failure_prob);
-        if !ft.topo.hosts_connected() {
-            continue;
-        }
-        let g = all_pairs_depgraph(&ft.topo);
-        match g.find_cycle() {
-            None if free_cases.len() < params.cbd_free_cases => free_cases.push((ft, None)),
-            Some(cycle) if prone_cases.len() < params.prone_cases => {
-                if let Some(flows) = realize_cycle(&ft.topo, &cycle) {
-                    prone_cases.push((ft, Some(flows)));
-                }
+    // Collect the case topologies first (deterministic scan): CBD-free
+    // ones for panel (a), realizable CBD-prone ones for panel (b).
+    let (mut free_cases, mut prone_cases) = (Vec::new(), Vec::new());
+    for case in connected_failed_fat_trees(params.k, params.failure_prob, params.seed) {
+        if !case.cbd_prone {
+            if free_cases.len() < params.cbd_free_cases {
+                free_cases.push(case);
             }
-            _ => {}
+        } else if !case.cycle_flows.is_empty() && prone_cases.len() < params.prone_cases {
+            prone_cases.push(case);
+        }
+        if free_cases.len() == params.cbd_free_cases && prone_cases.len() == params.prone_cases {
+            break;
         }
     }
 
-    // One unit per (case, scheme) pair — the granularity the shared pool
-    // steals at — merged back in unit order, so the per-scheme sample
-    // vectors (and their floating-point summaries) are independent of
-    // thread scheduling.
-    let run_panel = |cases: &[(FatTree, Option<Vec<_>>)]| {
-        let units: Vec<(usize, usize)> =
-            (0..cases.len()).flat_map(|c| (0..Scheme::ALL.len()).map(move |s| (c, s))).collect();
-        let results = parallel_cases(params.threads, &units, |_, &(case_idx, scheme_idx)| {
-            let (ft, flows) = &cases[case_idx];
-            run_case(
-                ft,
-                flows.as_deref(),
-                Scheme::ALL[scheme_idx],
-                &params,
-                params.seed ^ (case_idx as u64) << 16 ^ scheme_idx as u64,
-            )
+    // One unit per (case, scheme) pair, merged back in case-major order,
+    // so the per-scheme sample vectors (and their floating-point
+    // summaries) are independent of thread scheduling.
+    let run_panel = |cases: &[PinnedCase]| {
+        let matrix = run_matrix(params.threads, cases, &Scheme::ALL, |ci, case, scheme| {
+            let si = Scheme::ALL.iter().position(|&s| s == scheme).expect("paper scheme");
+            run_case(case, scheme, &params, params.seed ^ ((ci as u64) << 16) ^ si as u64)
         });
         let mut out: HashMap<String, SchemePerf> =
             Scheme::ALL.iter().map(|s| (s.name().to_string(), SchemePerf::new())).collect();
-        for (&(_, scheme_idx), o) in units.iter().zip(results) {
-            let e = out.get_mut(Scheme::ALL[scheme_idx].name()).expect("scheme row");
+        for (scheme, o) in Scheme::ALL.iter().cycle().zip(&matrix.cells) {
+            let e = out.get_mut(scheme.name()).expect("scheme row");
             e.throughput_samples.push(o.goodput_per_server);
             if let Some(sd) = o.mean_slowdown {
                 e.slowdown_samples.push(sd);

@@ -16,15 +16,12 @@
 //! costs the flows that should be unaffected.
 
 use crate::common::{
-    fig11_scenario, run_matrix, sim_config_300k, static_verdict, MatrixReport, Scheme,
+    run_matrix, sim_config_300k, start_flows, static_verdict, MatrixReport, PinnedCase, Scheme,
 };
 use gfc_core::units::{Dur, Time};
 use gfc_sim::{Network, TraceConfig};
 use gfc_telemetry::registry::percentile;
-use gfc_topology::fattree::FIG11_FLOWS;
-use gfc_topology::{LinkId, NodeId, Ring, Routing, SpfRouting, Topology};
-use std::collections::HashMap;
-use std::sync::Arc;
+use gfc_topology::Routing;
 
 /// Parameters of the shootout.
 #[derive(Debug, Clone)]
@@ -57,71 +54,21 @@ impl Default for ShootoutParams {
     }
 }
 
-/// One scenario of the matrix: a topology plus pinned cycle and probe
-/// flows. Everything is pre-routed so the preflight verdict and the
-/// simulated paths are the same object.
-#[derive(Debug, Clone)]
-pub struct ShootoutScenario {
-    /// Scenario name used in reports.
-    pub name: &'static str,
-    /// The (possibly failure-degraded) topology.
-    pub topo: Topology,
-    /// Pinned routes for every flow pair, fed to both the static
-    /// preflight and the simulator.
-    pub pinned: HashMap<(NodeId, NodeId), Vec<LinkId>>,
-    /// Infinite cycle flows `(src, dst, path)` forming the CBD.
-    pub cycle_flows: Vec<(NodeId, NodeId, Arc<[LinkId]>)>,
-    /// Finite probe flows `(src, dst, path)` crossing the congested
-    /// region.
-    pub probes: Vec<(NodeId, NodeId, Arc<[LinkId]>)>,
+/// The Fig. 1 ring case probed by three one-hop flows `H_i → H_{i+1}`,
+/// each sharing its ring link with the cycle.
+pub fn ring_case() -> PinnedCase {
+    let mut case = PinnedCase::ring();
+    case.extra_flows = case.spf_flows(&[(0, 1), (1, 2), (2, 0)]);
+    case
 }
 
-fn pin(path: Vec<LinkId>) -> Arc<[LinkId]> {
-    Arc::from(path.into_boxed_slice())
-}
-
-/// The Fig. 1 ring scenario: three clockwise two-hop cycle flows
-/// (`H_i → H_{i+2}`) plus three one-hop probes (`H_i → H_{i+1}`), each
-/// probe sharing its ring link with the cycle.
-pub fn ring_scenario() -> ShootoutScenario {
-    let n = 3;
-    let ring = Ring::new(n);
-    let mut pinned = ring.clockwise_routes();
-    let cycle_flows = (0..n)
-        .map(|i| {
-            let (s, d, p) = ring.clockwise_path(i);
-            (s, d, pin(p))
-        })
-        .collect();
-    let probes = (0..n)
-        .map(|i| {
-            let (src, dst) = (ring.hosts[i], ring.hosts[(i + 1) % n]);
-            let path = vec![ring.host_links[i], ring.ring_links[i], ring.host_links[(i + 1) % n]];
-            pinned.insert((src, dst), path.clone());
-            (src, dst, pin(path))
-        })
-        .collect();
-    ShootoutScenario { name: "ring-3", topo: ring.topo, pinned, cycle_flows, probes }
-}
-
-/// The Fig. 11 fat-tree scenario: the four case-study cycle flows on
-/// their CBD paths, probed by four finite flows on those *same* paths —
-/// a probe only finishes if the region the cycle wedges is still moving.
-pub fn fattree_scenario() -> ShootoutScenario {
-    let (ft, sc) = fig11_scenario();
-    let mut r = SpfRouting::new();
-    let mut pinned = HashMap::new();
-    let mut cycle_flows = Vec::new();
-    let mut probes = Vec::new();
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let p =
-            r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).expect("scenario path");
-        pinned.insert((ft.hosts[s], ft.hosts[d]), p.clone());
-        let path = pin(p);
-        cycle_flows.push((ft.hosts[s], ft.hosts[d], path.clone()));
-        probes.push((ft.hosts[s], ft.hosts[d], path));
-    }
-    ShootoutScenario { name: "fat-tree-fig11", topo: ft.topo.clone(), pinned, cycle_flows, probes }
+/// The Fig. 11 case probed by four flows on the case-study flows' *same*
+/// paths: a probe only finishes if the region the cycle wedges is still
+/// moving.
+pub fn fattree_case() -> PinnedCase {
+    let mut case = PinnedCase::fig11(&[]);
+    case.extra_flows = case.cycle_flows.clone();
+    case
 }
 
 /// One `(scenario, scheme)` cell of the shootout matrix.
@@ -176,27 +123,16 @@ pub struct ShootoutResult {
     pub matrix: MatrixReport<ShootoutCell>,
 }
 
-fn run_cell(
-    params: &ShootoutParams,
-    sc: &ShootoutScenario,
-    scheme: Scheme,
-    seed: u64,
-) -> ShootoutCell {
+fn run_cell(params: &ShootoutParams, case: &PinnedCase, scheme: Scheme, seed: u64) -> ShootoutCell {
     let cfg = sim_config_300k(scheme, seed);
-    let routing = Routing::fixed(sc.pinned.clone());
-    let verdict = static_verdict(&sc.topo, &routing, &cfg);
+    let routing = Routing::fixed(case.routes());
+    let verdict = static_verdict(&case.topo, &routing, &cfg);
     let static_susceptible = verdict.contains("deadlock reachable");
 
-    let mut net = Network::new(sc.topo.clone(), routing, cfg, TraceConfig::none());
-    for (i, (s, d, p)) in sc.cycle_flows.iter().enumerate() {
-        net.run_until(Time(params.stagger.0 * i as u64));
-        net.start_flow_on_path(*s, *d, None, 0, p.clone()).expect("cycle flow start");
-    }
+    let mut net = Network::new(case.topo.clone(), routing, cfg, TraceConfig::none());
+    start_flows(&mut net, &case.cycle_flows, None, Some(params.stagger));
     net.run_until(params.probe_start);
-    for (s, d, p) in &sc.probes {
-        net.start_flow_on_path(*s, *d, Some(params.probe_bytes), 0, p.clone())
-            .expect("probe start");
-    }
+    start_flows(&mut net, &case.extra_flows, Some(params.probe_bytes), None);
     net.run_until(params.horizon);
 
     let cfg = net.config();
@@ -211,7 +147,7 @@ fn run_cell(
     }
 
     ShootoutCell {
-        scenario: sc.name.to_string(),
+        scenario: case.name.to_string(),
         scheme,
         structural_deadlock: net.structurally_deadlocked(),
         stalled: net.deadlocked(),
@@ -219,7 +155,7 @@ fn run_cell(
         detections: net.fc_detections(),
         first_detection_ms: net.first_fc_detection_at().map(Time::as_millis_f64),
         probes_finished: net.ledger().finished(),
-        probes_total: sc.probes.len(),
+        probes_total: case.extra_flows.len(),
         slowdown_p50: percentile(&slowdowns, 50.0),
         slowdown_p99: percentile(&slowdowns, 99.0),
         ctrl_bytes,
@@ -233,11 +169,11 @@ fn run_cell(
 /// Run the shootout over `schemes` (typically [`Scheme::SHOOTOUT`]) on
 /// the ring and fat-tree scenarios.
 pub fn run_schemes(params: ShootoutParams, schemes: &[Scheme]) -> ShootoutResult {
-    let scenarios = [ring_scenario(), fattree_scenario()];
-    let matrix = run_matrix(params.threads, &scenarios, schemes, |si, sc, scheme| {
+    let scenarios = [ring_case(), fattree_case()];
+    let matrix = run_matrix(params.threads, &scenarios, schemes, |si, case, scheme| {
         // Per-cell seed: scenario-major, stable across thread counts.
         let seed = params.seed ^ ((si as u64) << 32) ^ (scheme as u64 + 1);
-        run_cell(&params, sc, scheme, seed)
+        run_cell(&params, case, scheme, seed)
     });
     ShootoutResult {
         params,

@@ -11,13 +11,13 @@
 //! module checks are: GFC counts are zero, PFC/CBFC counts are positive
 //! on CBD-prone topologies, and the CBD-prone fraction falls as k grows.
 
-use crate::common::{parallel_cases, row, run_matrix, sim_config_300k, Scale, Scheme};
+use crate::common::{
+    enterprise_churn, parallel_cases, row, run_matrix, sim_config_300k, start_flows, PinnedCase,
+    Scale, Scheme,
+};
 use gfc_core::units::Time;
-use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
-use gfc_topology::fattree::FatTree;
 use gfc_topology::Routing;
-use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
 use std::collections::HashMap;
 
 /// Census parameters.
@@ -99,47 +99,6 @@ pub struct Table1Result {
     pub per_k: Vec<KCensus>,
 }
 
-/// One census simulation: the realized cycle-covering flows (the
-/// adversarial combination churn would eventually produce) run as
-/// line-rate flows on top of the closed-loop enterprise churn from every
-/// other host. Returns the structural-deadlock verdict.
-fn simulate_once(
-    ft: &FatTree,
-    cycle_flows: &[(gfc_topology::NodeId, gfc_topology::NodeId, Vec<gfc_topology::LinkId>)],
-    scheme: Scheme,
-    horizon: Time,
-    seed: u64,
-) -> bool {
-    let mut cfg = sim_config_300k(scheme, seed);
-    cfg.stop_on_deadlock = true;
-    let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
-    let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
-    net.install_workload(Box::new(ClosedLoopWorkload {
-        sizes: FlowSizeDist::Empirical(EmpiricalCdf::enterprise()),
-        dests: DestPolicy::inter_rack(racks),
-        num_hosts: ft.hosts.len(),
-        prio: 0,
-        stop_after: None,
-    }));
-    for (s, d, p) in cycle_flows {
-        net.start_flow_on_path(*s, *d, None, 0, std::sync::Arc::from(p.clone().into_boxed_slice()))
-            .expect("cycle flow start");
-    }
-    net.run_until(horizon);
-    assert_eq!(net.stats().drops, 0, "lossless config dropped packets");
-    net.structurally_deadlocked()
-}
-
-/// One CBD-prone topology, prepared for the scheme matrix: the failed
-/// fat-tree plus the realized adversarial flow combination (`None` when
-/// the cycle is unrealizable — still CBD-prone, never simulated).
-struct CensusScenario {
-    topo_seed: u64,
-    ft: FatTree,
-    cycle_flows:
-        Option<Vec<(gfc_topology::NodeId, gfc_topology::NodeId, Vec<gfc_topology::LinkId>)>>,
-}
-
 /// One `(topology, scheme)` cell of the census matrix.
 struct CensusCell {
     /// `gfc-verify` flags this pair deadlock-susceptible.
@@ -157,46 +116,50 @@ pub fn run(params: Table1Params) -> Table1Result {
         // Seeds derive from (k, t) alone, so the census is independent of
         // thread count and scheduling.
         let topos: Vec<usize> = (0..params.topologies_per_k).collect();
-        let scenarios: Vec<CensusScenario> = parallel_cases(params.threads, &topos, |_, &t| {
-            use rand::{rngs::StdRng, SeedableRng};
+        let cases: Vec<(u64, PinnedCase)> = parallel_cases(params.threads, &topos, |_, &t| {
             let topo_seed = params.seed ^ ((k as u64) << 32) ^ t as u64;
-            let mut ft = FatTree::new(k);
-            let mut rng = StdRng::seed_from_u64(topo_seed);
-            ft.inject_failures(&mut rng, params.failure_prob);
-            let g = gfc_topology::cbd::all_pairs_depgraph(&ft.topo);
-            let cycle = g.find_cycle()?;
-            // Realize the adversarial flow combination once per topology
-            // (the paper waits for churn to find it); an unrealizable
-            // cycle still counts as CBD-prone.
-            let cycle_flows = gfc_topology::cbd::realize_cycle(&ft.topo, &cycle);
-            Some(CensusScenario { topo_seed, ft, cycle_flows })
+            let case = PinnedCase::failed_fat_tree(k, params.failure_prob, topo_seed);
+            case.cbd_prone.then_some((topo_seed, case))
         })
         .into_iter()
         .flatten()
         .collect();
         // Phase 2 — the (topology × scheme) matrix over the survivors.
-        let matrix = run_matrix(params.threads, &scenarios, &Scheme::ALL, |_, sc, scheme| {
-            // Static prediction for this (topology, scheme) pair,
-            // recorded next to the runtime census.
-            let cfg = sim_config_300k(scheme, sc.topo_seed);
-            let verdict = gfc_sim::preflight(&sc.ft.topo, &Routing::spf(), &cfg).verdict();
-            let mut cell =
-                CensusCell { static_flag: verdict.deadlock_susceptible, deadlocked: false };
-            if let Some(cycle_flows) = &sc.cycle_flows {
-                for r in 0..params.repeats {
-                    let run_seed = sc.topo_seed.wrapping_mul(31).wrapping_add(r as u64);
-                    if simulate_once(&sc.ft, cycle_flows, scheme, params.horizon, run_seed) {
-                        cell.deadlocked = true;
-                        break; // one deadlock makes this a case
-                    }
-                }
-            }
-            cell
-        });
+        let matrix =
+            run_matrix(params.threads, &cases, &Scheme::ALL, |_, (topo_seed, case), scheme| {
+                // Static prediction for this (topology, scheme) pair,
+                // recorded next to the runtime census.
+                let cfg = sim_config_300k(scheme, *topo_seed);
+                let verdict = gfc_sim::preflight(&case.topo, &Routing::spf(), &cfg).verdict();
+                // One simulation per repeat: the realized cycle-covering flows
+                // (the adversarial combination churn would eventually produce;
+                // the paper waits for churn to find it) as line-rate flows on
+                // top of the enterprise churn. A topology whose cycle no flow
+                // combination realizes still counts as CBD-prone but is never
+                // simulated. One deadlock makes the topology a case.
+                let deadlocked = !case.cycle_flows.is_empty()
+                    && (0..params.repeats).any(|r| {
+                        let run_seed = topo_seed.wrapping_mul(31).wrapping_add(r as u64);
+                        let mut cfg = sim_config_300k(scheme, run_seed);
+                        cfg.stop_on_deadlock = true;
+                        let mut net = Network::new(
+                            case.topo.clone(),
+                            Routing::spf(),
+                            cfg,
+                            TraceConfig::none(),
+                        );
+                        net.install_workload(enterprise_churn(case));
+                        start_flows(&mut net, &case.cycle_flows, None, None);
+                        net.run_until(params.horizon);
+                        assert_eq!(net.stats().drops, 0, "lossless config dropped packets");
+                        net.structurally_deadlocked()
+                    });
+                CensusCell { static_flag: verdict.deadlock_susceptible, deadlocked }
+            });
         let mut census = KCensus {
             k,
             sampled: params.topologies_per_k,
-            cbd_prone: scenarios.len(),
+            cbd_prone: cases.len(),
             deadlock_cases: Scheme::ALL.iter().map(|s| (s.name().to_string(), 0)).collect(),
             static_cases: Scheme::ALL.iter().map(|s| (s.name().to_string(), 0)).collect(),
         };

@@ -26,46 +26,6 @@ pub trait Workload: Send {
     fn next_flow(&mut self, host_index: usize, now: Time, rng: &mut StdRng) -> Option<FlowRequest>;
 }
 
-/// A fixed flow list: each host sends its listed flows one after another
-/// (in order), then stops.
-#[derive(Debug, Clone)]
-pub struct ListWorkload {
-    /// `per_host[i]` = queue of flows for host `i`.
-    per_host: Vec<Vec<FlowRequest>>,
-    cursor: Vec<usize>,
-}
-
-impl ListWorkload {
-    /// Build from per-host flow lists (indexed by host index).
-    pub fn new(per_host: Vec<Vec<FlowRequest>>) -> Self {
-        let cursor = vec![0; per_host.len()];
-        ListWorkload { per_host, cursor }
-    }
-
-    /// Convenience: every host in `flows` gets exactly one flow.
-    pub fn one_each(num_hosts: usize, flows: &[(usize, FlowRequest)]) -> Self {
-        let mut per_host = vec![Vec::new(); num_hosts];
-        for &(src, req) in flows {
-            per_host[src].push(req);
-        }
-        ListWorkload::new(per_host)
-    }
-}
-
-impl Workload for ListWorkload {
-    fn next_flow(
-        &mut self,
-        host_index: usize,
-        _now: Time,
-        _rng: &mut StdRng,
-    ) -> Option<FlowRequest> {
-        let c = self.cursor.get_mut(host_index)?;
-        let req = self.per_host.get(host_index)?.get(*c)?;
-        *c += 1;
-        Some(*req)
-    }
-}
-
 /// The paper's closed-loop workload: every completion immediately triggers
 /// a new flow with an empirically distributed size towards a destination
 /// picked by the policy (inter-rack in §6.2.3).
@@ -99,18 +59,6 @@ impl Workload for ClosedLoopWorkload {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn list_workload_sequences() {
-        let req = |d| FlowRequest { dst_index: d, bytes: Some(100), prio: 0 };
-        let mut w = ListWorkload::new(vec![vec![req(1), req(2)], vec![]]);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(w.next_flow(0, Time::ZERO, &mut rng), Some(req(1)));
-        assert_eq!(w.next_flow(0, Time::ZERO, &mut rng), Some(req(2)));
-        assert_eq!(w.next_flow(0, Time::ZERO, &mut rng), None);
-        assert_eq!(w.next_flow(1, Time::ZERO, &mut rng), None);
-        assert_eq!(w.next_flow(9, Time::ZERO, &mut rng), None);
-    }
 
     #[test]
     fn closed_loop_respects_stop() {

@@ -55,7 +55,7 @@ mod telemetry;
 pub mod trace;
 
 pub use config::{FcConfig, PreflightPolicy, SimConfig, TelemetryConfig, TimelineConfig};
-pub use flowgen::{ClosedLoopWorkload, FlowRequest, ListWorkload, Workload};
+pub use flowgen::{ClosedLoopWorkload, FlowRequest, Workload};
 pub use gfc_telemetry::{ChromeTrace, FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
 pub use ledger::{FlowLedger, FlowRecord};
 pub use network::{Network, SimStats};

@@ -13,8 +13,8 @@ use gfc_sim::{
     Network, PreflightPolicy, ShardedNetwork, SimConfig, SimStats, SyncStats, TraceConfig,
 };
 use gfc_telemetry::names;
-use gfc_topology::fattree::{find_fig11_failures, FatTree, FIG11_FLOWS};
-use gfc_topology::{NodeId, Partition, Ring, Routing, SpfRouting, Topology};
+use gfc_topology::fattree::{find_fig11_failures, FatTree, Fig11Scenario, FIG11_FLOWS};
+use gfc_topology::{NodeId, Partition, Ring, Routing, Topology};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -82,27 +82,21 @@ fn ring_scenario() -> Scenario {
     }
 }
 
-/// The cached Fig. 11 case: the degraded fat-tree and the per-flow ECMP
-/// hashes that realize the CBD paths.
-fn fig11_case() -> &'static (FatTree, [u64; 4]) {
-    static SCENARIO: OnceLock<(FatTree, [u64; 4])> = OnceLock::new();
-    SCENARIO.get_or_init(|| {
-        let (ft, sc) = find_fig11_failures(64).expect("fig11 failure set exists");
-        let hashes = sc.flow_hashes;
-        (ft, hashes)
-    })
+/// The cached Fig. 11 case: the degraded fat-tree and the four CBD paths.
+fn fig11_case() -> &'static (FatTree, Fig11Scenario) {
+    static SCENARIO: OnceLock<(FatTree, Fig11Scenario)> = OnceLock::new();
+    SCENARIO.get_or_init(|| find_fig11_failures(64).expect("fig11 failure set exists"))
 }
 
 /// The Fig. 11 k = 4 fat-tree: the four case-study flows pinned onto
 /// their CBD paths, plus finite cross-pod traffic on SPF routes.
 fn fattree_scenario() -> Scenario {
-    let (ft, hashes) = fig11_case();
-    let mut r = SpfRouting::new();
-    let mut pinned = Vec::new();
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let p = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], hashes[i]).expect("cbd path");
-        pinned.push((ft.hosts[s], ft.hosts[d], Some(400_000), pin(p)));
-    }
+    let (ft, sc) = fig11_case();
+    let pinned = FIG11_FLOWS
+        .iter()
+        .zip(&sc.paths)
+        .map(|(&(s, d), p)| (ft.hosts[s], ft.hosts[d], Some(400_000), Arc::from(p.as_slice())))
+        .collect();
     // Background traffic across pods, routed by SPF.
     let flows = vec![
         (ft.hosts[2], ft.hosts[10], Some(250_000)),
@@ -117,10 +111,6 @@ fn fattree_scenario() -> Scenario {
         pinned,
         horizon: Time::from_millis(4),
     }
-}
-
-fn pin(path: Vec<gfc_topology::LinkId>) -> Arc<[gfc_topology::LinkId]> {
-    Arc::from(path.into_boxed_slice())
 }
 
 fn run_sequential(sc: &Scenario, cfg: SimConfig) -> Fingerprint {

@@ -203,6 +203,9 @@ pub struct Fig11Scenario {
     pub failed: Vec<LinkId>,
     /// ECMP hash per flow that realizes the CBD paths.
     pub flow_hashes: [u64; 4],
+    /// The four flows' SPF paths under those hashes, in [`FIG11_FLOWS`]
+    /// order: together they form the CBD.
+    pub paths: [Vec<LinkId>; 4],
 }
 
 /// Search for a Fig. 11 failure set: try 3-subsets of fabric links
@@ -224,8 +227,8 @@ pub fn find_fig11_failures(max_hash_tries: u64) -> Option<(FatTree, Fig11Scenari
                 if !ft.topo.hosts_connected() {
                     continue;
                 }
-                if let Some(hashes) = fig11_cbd_hashes(&ft, max_hash_tries) {
-                    return Some((ft, Fig11Scenario { failed, flow_hashes: hashes }));
+                if let Some((flow_hashes, paths)) = fig11_cbd_paths(&ft, max_hash_tries) {
+                    return Some((ft, Fig11Scenario { failed, flow_hashes, paths }));
                 }
             }
         }
@@ -258,27 +261,26 @@ pub fn find_updown_showcase(max_seeds: u64) -> Option<(FatTree, RouteMap)> {
 
 /// For a failed fat-tree, search per-flow ECMP hashes under which the four
 /// Fig. 11 flows form a CBD. Tries `tries` hash assignments (diagonalized),
-/// returns the first that works.
-fn fig11_cbd_hashes(ft: &FatTree, tries: u64) -> Option<[u64; 4]> {
+/// returns the first that works with the paths it realizes.
+fn fig11_cbd_paths(ft: &FatTree, tries: u64) -> Option<([u64; 4], [Vec<LinkId>; 4])> {
     use crate::cbd::depgraph_for_flows;
     use crate::routing::SpfRouting;
     let mut routing = SpfRouting::new();
     for t in 0..tries {
         // Vary hashes in a low-discrepancy-ish way across tries.
         let hashes = [t, t.wrapping_mul(3), t.wrapping_mul(7), t.wrapping_mul(13)];
-        let mut flows = Vec::new();
-        let mut ok = true;
-        for (f, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-            match routing.path(&ft.topo, ft.hosts[s], ft.hosts[d], hashes[f]) {
-                Some(p) => flows.push((ft.hosts[s], p)),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && depgraph_for_flows(&ft.topo, &flows).has_cycle() {
-            return Some(hashes);
+        let Some(paths) = FIG11_FLOWS
+            .iter()
+            .zip(hashes)
+            .map(|(&(s, d), h)| routing.path(&ft.topo, ft.hosts[s], ft.hosts[d], h))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
+        let flows: Vec<_> =
+            FIG11_FLOWS.iter().zip(&paths).map(|(&(s, _), p)| (ft.hosts[s], p.clone())).collect();
+        if depgraph_for_flows(&ft.topo, &flows).has_cycle() {
+            return Some((hashes, paths.try_into().expect("one path per Fig. 11 flow")));
         }
     }
     None
@@ -414,5 +416,35 @@ mod tests {
         let (ft, sc) = found.unwrap();
         assert_eq!(sc.failed.len(), 3);
         assert!(ft.topo.hosts_connected());
+    }
+
+    #[test]
+    fn fig11_paths_are_the_hashed_spf_paths_and_form_the_cbd() {
+        let (ft, sc) = find_fig11_failures(8).expect("Fig. 11 scenario exists");
+        let mut r = SpfRouting::new();
+        let mut flows = Vec::new();
+        for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
+            let (src, dst) = (ft.hosts[s], ft.hosts[d]);
+            assert_eq!(r.path(&ft.topo, src, dst, sc.flow_hashes[i]).as_ref(), Some(&sc.paths[i]));
+            let nodes =
+                crate::routing::walk_nodes(&ft.topo, src, &sc.paths[i]).expect("valid walk");
+            assert_eq!(nodes.last(), Some(&dst));
+            flows.push((src, sc.paths[i].clone()));
+        }
+        assert!(crate::cbd::depgraph_for_flows(&ft.topo, &flows).has_cycle());
+        // No three of the four paths close the cycle: it needs every flow.
+        for skip in 0..4 {
+            let rest: Vec<_> = flows
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != skip)
+                .map(|(_, f)| f.clone())
+                .collect();
+            assert!(
+                !crate::cbd::depgraph_for_flows(&ft.topo, &rest).has_cycle(),
+                "skip F{}",
+                skip + 1
+            );
+        }
     }
 }

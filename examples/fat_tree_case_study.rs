@@ -11,7 +11,6 @@ use gfc_experiments::fig12::FatTreeCaseParams;
 use gfc_experiments::{fig12, fig13, fig14};
 use gfc_topology::fattree::FIG11_FLOWS;
 use gfc_topology::routing::walk_nodes;
-use gfc_topology::SpfRouting;
 
 fn main() {
     // Show the scenario itself first: the failures and the valley paths.
@@ -21,11 +20,9 @@ fn main() {
         let link = ft.topo.link(l);
         println!("  {} - {}", ft.topo.node(link.a).name, ft.topo.node(link.b).name);
     }
-    let mut r = SpfRouting::new();
     println!("flows (shortest paths after re-routing):");
-    for (i, &(s, d)) in FIG11_FLOWS.iter().enumerate() {
-        let p = r.path(&ft.topo, ft.hosts[s], ft.hosts[d], sc.flow_hashes[i]).unwrap();
-        let names: Vec<String> = walk_nodes(&ft.topo, ft.hosts[s], &p)
+    for (i, (&(s, _), p)) in FIG11_FLOWS.iter().zip(&sc.paths).enumerate() {
+        let names: Vec<String> = walk_nodes(&ft.topo, ft.hosts[s], p)
             .unwrap()
             .iter()
             .map(|&n| ft.topo.node(n).name.clone())

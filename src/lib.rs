@@ -69,8 +69,8 @@ pub mod prelude {
     pub use gfc_core::units::{kb, mb, Dur, Rate, Time};
     pub use gfc_core::{LinearMapping, RateLimiter, StageTable};
     pub use gfc_sim::{
-        ClosedLoopWorkload, FcConfig, FlowRequest, ListWorkload, Network, ShardedNetwork,
-        SimConfig, SpanOutcome, TelemetryConfig, TimelineConfig, TraceConfig, Workload,
+        ClosedLoopWorkload, FcConfig, FlowRequest, Network, ShardedNetwork, SimConfig, SpanOutcome,
+        TelemetryConfig, TimelineConfig, TraceConfig, Workload,
     };
     pub use gfc_telemetry::{names as metric_names, ChromeTrace, Percentiles, Snapshot};
     pub use gfc_topology::{FatTree, Incast, Partition, Ring, Routing, Topology};
